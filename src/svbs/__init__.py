@@ -39,7 +39,6 @@ from .geometry import (
     Viewport,
     select_tiles,
     tile_coverage_oracle,
-    viewport_directions,
 )
 from .rewriter import (
     CANONICAL_SKIPPED_MODE,

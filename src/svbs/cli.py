@@ -106,6 +106,12 @@ def _projection_kind(name: str) -> ProjectionKind:
     return ProjectionKind.ERP if name == "erp" else ProjectionKind.CUBEMAP_3x2
 
 
+def _check_frame_index(index: int, stream) -> int:
+    if not 0 <= index < len(stream.frames):
+        raise SvbsError(f"--frame {index} outside [0, {len(stream.frames)})")
+    return index
+
+
 def _sha256(path: str) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -178,9 +184,11 @@ def _cmd_rewrite(args) -> int:
         viewport = trace[0][1]
     projection = Projection(_projection_kind(args.projection), stream.config.width,
                             stream.config.height)
-    selected = select_tiles(viewport, projection, stream.config,
-                            math.radians(args.step_deg))
-    targets = range(len(stream.frames)) if args.frame is None else [args.frame]
+    selected = select_tiles(viewport, projection, stream.config)
+    if args.frame is None:
+        targets = range(len(stream.frames))
+    else:
+        targets = [_check_frame_index(args.frame, stream)]
     frames = list(stream.frames)
     for k in targets:
         frames[k] = rewrite_viewport_frame(frames[k], selected, stream.config)
@@ -202,7 +210,7 @@ def _cmd_decode(args) -> int:
         tiles = set()
     else:
         tiles = {int(x) for x in args.tiles.split(",")}
-    frame = decode_frame(stream, args.frame, tiles)
+    frame = decode_frame(stream, _check_frame_index(args.frame, stream), tiles)
     with open(args.out, "wb") as fh:
         fh.write(frame.tobytes())
     _write_manifest(args.out, args, [args.input], [args.out])
@@ -227,7 +235,7 @@ def _cmd_select_tiles(args) -> int:
     config = _config_from_args(args)
     viewport = _parse_viewport(args.viewport)
     projection = Projection(_projection_kind(args.projection), config.width, config.height)
-    tiles = select_tiles(viewport, projection, config, math.radians(args.step_deg))
+    tiles = select_tiles(viewport, projection, config)
     print(",".join(str(t) for t in sorted(tiles)))
     return EXIT_OK
 
@@ -268,7 +276,6 @@ def _cmd_simulate(args) -> int:
         return run_session(
             scheme, trace, network, config, args.seed,
             projection_kind=_projection_kind(args.projection),
-            select_step=math.radians(args.step_deg),
         )
 
     if args.jobs > 1 and len(schemes) > 1:
@@ -352,7 +359,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--trace", help="viewport trace file; first entry is used")
     p.add_argument("--frame", type=int, help="rewrite only this frame (default: all)")
     p.add_argument("--projection", choices=["erp", "cubemap"], default="erp")
-    p.add_argument("--step-deg", type=float, default=0.25, help="ray sampling step in degrees")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_rewrite)
 
@@ -371,7 +377,6 @@ def _build_parser() -> _Parser:
     _add_config_flags(p)
     p.add_argument("--viewport", required=True, help="yaw,pitch,hfov,vfov in degrees")
     p.add_argument("--projection", choices=["erp", "cubemap"], default="erp")
-    p.add_argument("--step-deg", type=float, default=0.25)
     p.set_defaults(func=_cmd_select_tiles)
 
     p = sub.add_parser("simulate", help="run a streaming session over a viewport trace")
@@ -386,7 +391,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--bandwidth-bps", type=float, default=None,
                    help="bytes per second; omit for unlimited")
     p.add_argument("--projection", choices=["erp", "cubemap"], default="erp")
-    p.add_argument("--step-deg", type=float, default=1.0)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True, help="output stem for report files")
     p.set_defaults(func=_cmd_simulate)

@@ -45,6 +45,7 @@ MIN_ZERO_RUN = 6
 
 _RUN_ZERO = 0
 _RUN_LITERAL = 1
+_RECORD = struct.Struct("<BI")  # run_type u8, length u32
 
 
 @dataclass(eq=False)
@@ -206,14 +207,25 @@ def rle_compress(data: bytes) -> bytes:
     return b"".join(out)
 
 
-def rle_decompress(data: bytes) -> bytes:
+def rle_decompress(data: bytes, size: int) -> bytes:
+    """Inverse of rle_compress for an output of exactly ``size`` bytes.
+
+    Run lengths come from the wire, so a run that would pass ``size`` raises
+    CorruptRleError before it is allocated, as does output that falls short.
+    """
     out = []
     pos = 0
+    written = 0
     n = len(data)
     while pos < n:
         if n - pos < 5:
             raise CorruptRleError(f"truncated record header at offset {pos}")
-        run_type, length = struct.unpack_from("<BI", data, pos)
+        run_type, length = _RECORD.unpack_from(data, pos)
+        written += length
+        if written > size:
+            raise CorruptRleError(
+                f"run of {length} at offset {pos} overruns the {size}-byte output"
+            )
         pos += 5
         if run_type == _RUN_ZERO:
             out.append(b"\x00" * length)
@@ -224,6 +236,8 @@ def rle_decompress(data: bytes) -> bytes:
             pos += length
         else:
             raise CorruptRleError(f"unknown run type {run_type} at offset {pos - 5}")
+    if written != size:
+        raise CorruptRleError(f"decoded {written} bytes, expected {size}")
     return b"".join(out)
 
 
@@ -451,7 +465,7 @@ def _decode_base_frames(bitstream: Bitstream, upto: int) -> list[np.ndarray]:
                 col, row = tile.tile_index % cols, tile.tile_index // cols
                 rs = slice(row * th, (row + 1) * th)
                 cs = slice(col * tw, (col + 1) * tw)
-                raw = rle_decompress(tile.coded_payload)
+                raw = rle_decompress(tile.coded_payload, th * tw)
                 region = np.frombuffer(raw, dtype=np.uint8).reshape(th, tw)
                 if key:
                     out[rs, cs] = region
@@ -497,7 +511,7 @@ def decode_frame(
             if ref is None:
                 ref = upsampled(frame_index - enh.header.base_ref_offset)
             rs, cs = _tile_region(config, tile.tile_index)
-            raw = rle_decompress(tile.coded_payload)
+            raw = rle_decompress(tile.coded_payload, config.tile_height * config.tile_width)
             res = np.frombuffer(raw, dtype=np.uint8).reshape(
                 config.tile_height, config.tile_width
             )

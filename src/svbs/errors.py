@@ -44,10 +44,6 @@ class MissingBaseError(SvbsError):
         super().__init__(f"base layer missing for frame {frame_index}")
 
 
-class BadStepError(SvbsError):
-    pass
-
-
 class TooLargeError(SvbsError):
     pass
 

@@ -16,15 +16,13 @@ from functools import lru_cache
 import numpy as np
 
 from .config import SequenceConfig
-from .errors import BadConfigError, BadStepError, TooLargeError
+from .errors import BadConfigError, TooLargeError
 
 TWO_PI = 2.0 * math.pi
 _EDGE_TOL = 1e-12
 
 # Desk-scale ceiling for the brute-force oracle.
 ORACLE_PIXEL_BUDGET = 2_000_000
-
-DEFAULT_STEP_RAD = math.radians(0.25)
 
 
 class ProjectionKind(Enum):
@@ -81,35 +79,6 @@ def _rotation(viewport: Viewport) -> np.ndarray:
     # Ry(-pitch): positive pitch raises the view toward +z.
     ry = np.array([[cp, 0.0, -sp], [0.0, 1.0, 0.0], [sp, 0.0, cp]])
     return rz @ ry
-
-
-def _local_dirs(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    ca, sa = np.cos(alpha), np.sin(alpha)
-    cb, sb = np.cos(beta), np.sin(beta)
-    return np.stack([cb * ca, cb * sa, sb], axis=-1)
-
-
-def _axis_offsets(half: float, step: float) -> np.ndarray:
-    n = int(math.floor(half / step + 1e-9))
-    vals = [i * step for i in range(n + 1)]
-    if vals[-1] < half - 1e-12:
-        vals.append(half)
-    pos = np.array(vals)
-    return np.concatenate([-pos[:0:-1], pos])
-
-
-def viewport_directions(viewport: Viewport, step: float) -> np.ndarray:
-    """Unit rays on the FOV angular grid, corners and center guaranteed.
-
-    Returns an (N, 3) array in world coordinates.
-    """
-    if not 0 < step <= min(viewport.h_fov, viewport.v_fov) / 2:
-        raise BadStepError("step must be in (0, min(h_fov, v_fov)/2]")
-    alphas = _axis_offsets(viewport.h_fov / 2, step)
-    betas = _axis_offsets(viewport.v_fov / 2, step)
-    aa, bb = np.meshgrid(alphas, betas)
-    local = _local_dirs(aa.ravel(), bb.ravel())
-    return local @ _rotation(viewport).T
 
 
 def _frustum_mask(viewport: Viewport, dirs: np.ndarray) -> np.ndarray:
@@ -203,12 +172,6 @@ def project_cubemap(direction, width: int, height: int) -> tuple[float, float]:
     return float(u[0]), float(v[0])
 
 
-def _project(dirs: np.ndarray, projection: Projection) -> tuple[np.ndarray, np.ndarray]:
-    if projection.kind == ProjectionKind.ERP:
-        return _project_erp(dirs, projection.width, projection.height)
-    return _project_cubemap(dirs, projection.width, projection.height)
-
-
 # --- inverse projections (pixel centers to directions) -----------------------
 
 
@@ -279,30 +242,148 @@ def _check_projection(projection: Projection, config: SequenceConfig) -> None:
         raise BadConfigError("projection frame dimensions must match the stream config")
 
 
-def select_tiles(
-    viewport: Viewport,
-    projection: Projection,
-    config: SequenceConfig,
-    step: float = DEFAULT_STEP_RAD,
-) -> set[int]:
-    """Tiles touched by the viewport, found by sampling rays on an angular
-    grid and keeping every hit pixel whose center lies inside the frustum.
+# select_tiles applies the oracle's own pixel-center test, but only where it
+# can matter.  Every tile is cut into blocks of at most _BLOCK x _BLOCK pixels,
+# each bounded by a spherical cap: a center direction plus the largest angle
+# to any of the block's pixel centers.  A call drops the blocks whose cap
+# provably misses the frustum, selects a tile as soon as one of a surviving
+# block's representative pixel centers (the one nearest the block center and
+# the four corners) is inside, and scans pixel centers only for the tiles
+# still undecided.  Culling drops only blocks with no pixel center inside, so
+# the result equals tile_coverage_oracle at any frame size.
 
-    The pixel-center recheck keeps the result a subset of the brute-force
-    coverage oracle at any step; refining the step only adds tiles.
+_BLOCK = 32
+# Pixels unprojected at once while measuring the block caps.
+_TABLE_CHUNK_PIXELS = 1 << 18
+# Blocks whose pixel centers are scanned at once for an undecided tile.
+_SCAN_BLOCKS = 16
+# Widens every cap to absorb rounding in its radius and in the rotation.
+_RADIUS_PAD = 1e-9
+
+
+@dataclass(frozen=True)
+class _BlockTable:
+    """Blocks of one (projection, tile grid) in raster order; entry i of
+    every array describes block i."""
+
+    x0: np.ndarray
+    y0: np.ndarray
+    w: np.ndarray
+    h: np.ndarray
+    tile: np.ndarray
+    center: np.ndarray  # (N, 3) cap center directions
+    radius: np.ndarray  # cap radius in radians
+    sin_radius: np.ndarray  # sin(min(radius, pi/2))
+    reps: np.ndarray  # (N, 5, 3) representative pixel-center directions
+
+
+def _block_intervals(extent: int, tiles: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Start, length and tile of each block interval along one frame axis."""
+    size = extent // tiles
+    offsets = np.arange(0, size, _BLOCK)
+    starts = (np.arange(tiles)[:, None] * size + offsets).ravel()
+    lengths = np.tile(np.minimum(_BLOCK, size - offsets), tiles)
+    owners = np.repeat(np.arange(tiles), len(offsets))
+    return starts, lengths, owners
+
+
+@lru_cache(maxsize=8)
+def _block_table(
+    kind: ProjectionKind, width: int, height: int, tile_cols: int, tile_rows: int
+) -> _BlockTable:
+    projection = Projection(kind, width, height)
+    xs, ws, tile_col = _block_intervals(width, tile_cols)
+    ys, hs, tile_row = _block_intervals(height, tile_rows)
+    nx, ny = len(xs), len(ys)
+    x0, w = np.tile(xs, ny), np.tile(ws, ny)
+    y0, h = np.repeat(ys, nx), np.repeat(hs, nx)
+    tile = np.repeat(tile_row, nx) * tile_cols + np.tile(tile_col, ny)
+    center = _unproject(x0 + w / 2.0, y0 + h / 2.0, projection)
+    # The pixel nearest the block center, then the four corner pixels.
+    rep_x = np.stack([x0 + w // 2, x0, x0 + w - 1, x0, x0 + w - 1], axis=1)
+    rep_y = np.stack([y0 + h // 2, y0, y0, y0 + h - 1, y0 + h - 1], axis=1)
+    reps = _unproject(rep_x.ravel() + 0.5, rep_y.ravel() + 0.5, projection).reshape(-1, 5, 3)
+
+    # Largest squared chord from each block center to its pixel centers,
+    # over one block row and at most _TABLE_CHUNK_PIXELS pixels at a time.
+    chord2 = np.empty(nx * ny)
+    per_chunk = max(1, _TABLE_CHUNK_PIXELS // (_BLOCK * _BLOCK))
+    for i in range(ny):
+        rows = np.arange(ys[i], ys[i] + hs[i]) + 0.5
+        for j in range(0, nx, per_chunk):
+            k = min(j + per_chunk, nx)
+            xa, xb = xs[j], xs[k - 1] + ws[k - 1]
+            uu, vv = np.meshgrid(np.arange(xa, xb) + 0.5, rows)
+            dirs = _unproject(uu.ravel(), vv.ravel(), projection).reshape(len(rows), xb - xa, 3)
+            ids = slice(i * nx + j, i * nx + k)
+            d = dirs - np.repeat(center[ids], ws[j:k], axis=0)
+            col_max = np.einsum("rcx,rcx->rc", d, d).max(axis=0)
+            chord2[ids] = np.maximum.reduceat(col_max, xs[j:k] - xa)
+    radius = 2.0 * np.arcsin(np.minimum(1.0, np.sqrt(chord2) / 2.0)) + _RADIUS_PAD
+    return _BlockTable(
+        x0=x0, y0=y0, w=w, h=h, tile=tile, center=center, radius=radius,
+        sin_radius=np.sin(np.minimum(radius, math.pi / 2)), reps=reps,
+    )
+
+
+def _block_pixel_directions(
+    table: _BlockTable, ids: np.ndarray, projection: Projection
+) -> np.ndarray:
+    """Directions of every pixel center of the given blocks."""
+    offsets = np.arange(_BLOCK)
+    inside = (offsets < table.w[ids, None, None]) & (offsets[:, None] < table.h[ids, None, None])
+    u = np.broadcast_to(table.x0[ids, None, None] + offsets, inside.shape)[inside]
+    v = np.broadcast_to(table.y0[ids, None, None] + offsets[:, None], inside.shape)[inside]
+    return _unproject(u + 0.5, v + 0.5, projection)
+
+
+def _surviving_blocks(viewport: Viewport, table: _BlockTable) -> np.ndarray:
+    """Indices of the blocks whose cap may hold a pixel center in the frustum."""
+    local = table.center @ _rotation(viewport)
+    # Band |beta| <= v_fov/2: within a cap of radius r, beta differs from the
+    # center's by at most r.
+    beta = np.arcsin(np.clip(local[:, 2], -1.0, 1.0))
+    keep = np.abs(beta) - viewport.v_fov / 2 <= table.radius + _EDGE_TOL
+    # Lune |alpha| <= h_fov/2: the intersection (h_fov <= 180 deg) or the union
+    # of the half-spaces n.p >= 0, n = (sin(h_fov/2), -/+cos(h_fov/2), 0).  A
+    # cap lies outside a half-space when -n.c > sin r.
+    s, c = math.sin(viewport.h_fov / 2), math.cos(viewport.h_fov / 2)
+    bound = table.sin_radius + _EDGE_TOL
+    out_left = c * local[:, 1] - s * local[:, 0] > bound
+    out_right = -c * local[:, 1] - s * local[:, 0] > bound
+    if viewport.h_fov <= math.pi:
+        keep &= ~(out_left | out_right)
+    else:
+        keep &= ~(out_left & out_right)
+    return np.flatnonzero(keep)
+
+
+def select_tiles(
+    viewport: Viewport, projection: Projection, config: SequenceConfig
+) -> set[int]:
+    """Tiles with at least one pixel center inside the viewport's frustum.
+
+    Equal to tile_coverage_oracle at any frame size, with no pixel budget:
+    memory and time scale with the block count, not the pixel count.
     """
     _check_projection(projection, config)
-    dirs = viewport_directions(viewport, step)
-    u, v = _project(dirs, projection)
-    px = np.floor(u).astype(np.int64)
-    py = np.floor(v).astype(np.int64)
-    # Dedupe before the recheck: boundary pixels are rechecked once.
-    flat = np.unique(py * projection.width + px)
-    px = flat % projection.width
-    py = flat // projection.width
-    centers = _unproject(px + 0.5, py + 0.5, projection)
-    keep = _frustum_mask(viewport, centers)
-    return _tiles_of_pixels(px[keep], py[keep], config)
+    table = _block_table(
+        projection.kind, projection.width, projection.height, config.tile_cols, config.tile_rows
+    )
+    blocks = _surviving_blocks(viewport, table)
+    reps = table.reps[blocks]
+    hit = _frustum_mask(viewport, reps.reshape(-1, 3)).reshape(reps.shape[:2]).any(axis=1)
+    chosen = np.zeros(config.tile_count, dtype=bool)
+    chosen[table.tile[blocks[hit]]] = True
+    undecided = blocks[~chosen[table.tile[blocks]]]
+    for t in np.unique(table.tile[undecided]).tolist():
+        ids = undecided[table.tile[undecided] == t]
+        for j in range(0, len(ids), _SCAN_BLOCKS):
+            dirs = _block_pixel_directions(table, ids[j : j + _SCAN_BLOCKS], projection)
+            if _frustum_mask(viewport, dirs).any():
+                chosen[t] = True
+                break
+    return set(np.flatnonzero(chosen).tolist())
 
 
 def tile_coverage_oracle(

@@ -25,7 +25,7 @@ from .container import (
     TileKind,
 )
 from .errors import BadIndexError, InvalidStructureError, TileMissingError
-from .geometry import DEFAULT_STEP_RAD, Projection, Viewport, select_tiles
+from .geometry import Projection, Viewport, select_tiles
 
 SUPERBLOCK_SIZE = 64
 
@@ -121,10 +121,9 @@ def rewrite_session_frame(
     frame_index: int,
     viewport: Viewport,
     projection: Projection,
-    step: float = DEFAULT_STEP_RAD,
 ) -> Frame:
     """Map the viewport to tiles, then rewrite one frame of the stream."""
     if not 0 <= frame_index < len(bitstream.frames):
         raise InvalidStructureError(f"frame {frame_index} not in stream")
-    selected = select_tiles(viewport, projection, bitstream.config, step)
+    selected = select_tiles(viewport, projection, bitstream.config)
     return rewrite_viewport_frame(bitstream.frames[frame_index], selected, bitstream.config)

@@ -29,8 +29,6 @@ from .geometry import Projection, ProjectionKind, Viewport, select_tiles
 
 MTHQ_COMPLIANCE_MS = 50.0
 
-DEFAULT_SELECT_STEP_RAD = math.radians(1.0)
-
 # Tolerance, as a fraction of one tick, absorbing float error in time/tick
 # conversions so boundary-aligned events resolve to the intended tick.
 _TICK_EPS = 1e-9
@@ -187,7 +185,10 @@ def run_session(
     source_seed: int,
     *,
     projection_kind: ProjectionKind = ProjectionKind.ERP,
-    select_step: float = DEFAULT_SELECT_STEP_RAD,
+    # Accepted and ignored: tile selection is exact and has no step.  The
+    # perfbench sim-sweep spot check still passes it; remove the keyword
+    # together with that call.
+    select_step: float | None = None,
     duration_ms: float | None = None,
     cycle_frames: int | None = None,
 ) -> SessionReport:
@@ -239,7 +240,7 @@ def run_session(
 
     def tiles_of(vp: Viewport) -> frozenset[int]:
         if vp not in tile_cache:
-            tile_cache[vp] = frozenset(select_tiles(vp, projection, config, select_step))
+            tile_cache[vp] = frozenset(select_tiles(vp, projection, config))
         return tile_cache[vp]
 
     # Pose arrival times at the server; the initial pose is known from t=0.

@@ -2,6 +2,8 @@
 
 import random
 
+import numpy as np
+
 from svbs.config import SequenceConfig
 from svbs.container import (
     Frame,
@@ -17,6 +19,7 @@ from svbs.container import (
     TileGroup,
     TileKind,
 )
+from svbs.geometry import _frustum_mask, _unproject
 
 
 def random_config(rng: random.Random) -> SequenceConfig:
@@ -126,3 +129,20 @@ def random_bitstream(rng: random.Random):
         metadata = tuple(rng.randbytes(rng.randint(0, 16)) for _ in range(rng.randint(0, 2)))
         frames.append(Frame(layers=tuple(layers), metadata=metadata))
     return Bitstream(config=config, frames=tuple(frames))
+
+
+def brute_force_tiles(viewport, projection, config, band_rows: int = 64) -> set[int]:
+    """Tiles with a pixel center inside the frustum, found by testing every
+    pixel center a band of rows at a time, so it fits in memory at frame
+    sizes above the oracle's pixel budget."""
+    width, height = projection.width, projection.height
+    tiles: set[int] = set()
+    for y0 in range(0, height, band_rows):
+        ys, xs = np.mgrid[y0 : min(y0 + band_rows, height), 0:width]
+        u = xs.ravel().astype(np.float64) + 0.5
+        v = ys.ravel().astype(np.float64) + 0.5
+        inside = _frustum_mask(viewport, _unproject(u, v, projection))
+        cols = xs.ravel()[inside] // config.tile_width
+        rows = ys.ravel()[inside] // config.tile_height
+        tiles.update((rows * config.tile_cols + cols).tolist())
+    return tiles

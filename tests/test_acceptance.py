@@ -191,7 +191,6 @@ def test_criterion_5_rewriter_decodability():
     source = generate_content(105, config, 6)
     stream = encode_svc(source)
     rng = random.Random(105)
-    step = math.radians(1.0)
     tw, th = config.tile_width, config.tile_height
     seam = 0
     ok = True
@@ -206,7 +205,7 @@ def test_criterion_5_rewriter_decodability():
         if abs(vp.yaw) + vp.h_fov / 2 > math.pi:
             seam += 1
         k = i % len(stream.frames)
-        selected = select_tiles(vp, projection, config, step)
+        selected = select_tiles(vp, projection, config)
         frames = list(stream.frames)
         frames[k] = rewrite_viewport_frame(frames[k], selected, config)
         rewritten = parse(serialize(Bitstream(config, tuple(frames))))
@@ -240,7 +239,6 @@ def test_criterion_6_selection_matches_oracle():
     cube_config = SequenceConfig(width=768, height=512, tile_cols=6, tile_rows=4)
     cube = Projection(ProjectionKind.CUBEMAP_3x2, 768, 512)
     rng = random.Random(106)
-    step = math.radians(0.25)
     mismatches = 0
     for _ in range(200):
         vp = Viewport.from_degrees(
@@ -250,12 +248,12 @@ def test_criterion_6_selection_matches_oracle():
             rng.uniform(45, 90),
         )
         for proj, config in ((erp, erp_config), (cube, cube_config)):
-            if select_tiles(vp, proj, config, step) != tile_coverage_oracle(
+            if select_tiles(vp, proj, config) != tile_coverage_oracle(
                 vp, proj, config
             ):
                 mismatches += 1
     seam_vp = Viewport.from_degrees(180, 0, 90, 90)
-    cols = sorted({t % 6 for t in select_tiles(seam_vp, erp, erp_config, step)})
+    cols = sorted({t % 6 for t in select_tiles(seam_vp, erp, erp_config)})
     noncontiguous = any(b - a > 1 for a, b in zip(cols, cols[1:]))
     ok = mismatches == 0 and noncontiguous
     criterion(

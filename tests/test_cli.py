@@ -113,7 +113,7 @@ class TestRewritePipeline:
         main(["encode", *SMALL, "--frames", "3", "--out", str(stream_path)])
         rc = main(
             ["rewrite", "--in", str(stream_path), "--viewport", "0,0,120,90",
-             "--step-deg", "5", "--out", str(rewritten)]
+             "--out", str(rewritten)]
         )
         assert rc == EXIT_OK
         assert main(["validate", "--in", str(rewritten)]) == EXIT_OK
@@ -133,10 +133,26 @@ class TestRewritePipeline:
         write_viewport_trace(trace_path, [(0.0, Viewport.from_degrees(0, 0, 120, 90))])
         rc = main(
             ["rewrite", "--in", str(stream_path), "--trace", str(trace_path),
-             "--frame", "0", "--step-deg", "5", "--out", str(tmp_path / "r.svb")]
+             "--frame", "0", "--out", str(tmp_path / "r.svb")]
         )
         assert rc == EXIT_OK
         capsys.readouterr()
+
+
+class TestFrameBounds:
+    @pytest.mark.parametrize("command", ["rewrite", "decode"])
+    @pytest.mark.parametrize("frame", ["100", "-1"])
+    def test_frame_outside_stream_is_data_error(self, tmp_path, capsys, command, frame):
+        stream_path = tmp_path / "s.svb"
+        out = tmp_path / "out"
+        main(["encode", *SMALL, "--frames", "2", "--out", str(stream_path)])
+        capsys.readouterr()
+        extra = ["--viewport", "0,0,120,90"] if command == "rewrite" else []
+        rc = main([command, "--in", str(stream_path), *extra, "--frame", frame,
+                   "--out", str(out)])
+        assert rc == EXIT_DATA
+        assert f"--frame {frame} outside [0, 2)" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSelectTiles:

@@ -1,8 +1,10 @@
 """Mock codec: resampling, run-length coding, layered encode/decode, rates."""
 
+import dataclasses
 import math
 import random
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -86,42 +88,75 @@ class TestResampling:
 class TestRle:
     def test_empty_input(self):
         assert rle_compress(b"") == b""
-        assert rle_decompress(b"") == b""
+        assert rle_decompress(b"", 0) == b""
 
     def test_long_zero_run_is_five_bytes(self):
         data = b"\x00" * 65536
         packed = rle_compress(data)
         assert len(packed) == 5
-        assert rle_decompress(packed) == data
+        assert rle_decompress(packed, len(data)) == data
 
     def test_short_zero_runs_fold_into_literals(self):
         data = b"\x01" + b"\x00" * (MIN_ZERO_RUN - 1) + b"\x02"
         packed = rle_compress(data)
         run_type, length = struct.unpack_from("<BI", packed, 0)
         assert (run_type, length) == (1, len(data))
-        assert rle_decompress(packed) == data
+        assert rle_decompress(packed, len(data)) == data
 
     def test_random_round_trip_and_bound(self):
         rng = random.Random(11)
         for _ in range(20):
             data = rng.randbytes(4096)
             packed = rle_compress(data)
-            assert rle_decompress(packed) == data
+            assert rle_decompress(packed, len(data)) == data
             assert len(packed) <= len(data) + 5
 
     def test_mixed_content(self):
         data = b"\x05" * 10 + b"\x00" * 100 + b"\x09" * 3
         packed = rle_compress(data)
-        assert rle_decompress(packed) == data
+        assert rle_decompress(packed, len(data)) == data
         assert len(packed) < len(data)
 
     def test_corrupt_inputs(self):
         with pytest.raises(CorruptRleError):
-            rle_decompress(b"\x01\x01\x00")  # truncated record header
+            rle_decompress(b"\x01\x01\x00", 1)  # truncated record header
         with pytest.raises(CorruptRleError):
-            rle_decompress(struct.pack("<BI", 1, 10) + b"ab")  # literal overrun
+            rle_decompress(struct.pack("<BI", 1, 10) + b"ab", 10)  # literal overrun
         with pytest.raises(CorruptRleError):
-            rle_decompress(struct.pack("<BI", 7, 1))  # unknown run type
+            rle_decompress(struct.pack("<BI", 7, 1), 1)  # unknown run type
+        with pytest.raises(CorruptRleError):
+            rle_decompress(struct.pack("<BI", 0, 9), 8)  # zero run past the output
+        with pytest.raises(CorruptRleError):
+            rle_decompress(struct.pack("<BI", 1, 2) + b"ab", 1)  # literal past the output
+        with pytest.raises(CorruptRleError):
+            rle_decompress(struct.pack("<BI", 0, 7), 8)  # short output
+
+    def test_huge_run_rejected_in_bounded_memory(self):
+        for length in (200_000_000, 0xFFFFFFFF):
+            tracemalloc.start()
+            try:
+                with pytest.raises(CorruptRleError):
+                    rle_decompress(struct.pack("<BI", 0, length), 4096)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
+
+    def test_decode_rejects_wrong_size_tile(self):
+        config = small_config()
+        stream = encode_svc(generate_content(1, config, 1))
+        frame = stream.frames[0]
+        enh = next(l for l in frame.layers if l.header.layer_id == LayerId.ENHANCED)
+        group = enh.tile_groups[0]
+        short = dataclasses.replace(group.tiles[0], coded_payload=rle_compress(b"\x00" * 7))
+        enh = dataclasses.replace(
+            enh, tile_groups=(dataclasses.replace(group, tiles=(short, *group.tiles[1:])),
+                              *enh.tile_groups[1:])
+        )
+        layers = tuple(enh if l.header.layer_id == LayerId.ENHANCED else l for l in frame.layers)
+        doctored = dataclasses.replace(stream, frames=(dataclasses.replace(frame, layers=layers),))
+        with pytest.raises(CorruptRleError):
+            decode_frame(doctored, 0, {short.tile_index})
 
 
 class TestContent:

@@ -1,4 +1,4 @@
-"""Viewport frustum sampling, sphere-to-frame projections, tile selection."""
+"""Viewports, sphere-to-frame projections, tile selection."""
 
 import math
 import random
@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import brute_force_tiles
 from svbs.config import SequenceConfig
-from svbs.errors import BadConfigError, BadStepError, TooLargeError
+from svbs.errors import BadConfigError, TooLargeError
 from svbs.geometry import (
+    ORACLE_PIXEL_BUDGET,
     Projection,
     ProjectionKind,
     Viewport,
@@ -19,7 +21,6 @@ from svbs.geometry import (
     read_viewport_trace,
     select_tiles,
     tile_coverage_oracle,
-    viewport_directions,
     write_viewport_trace,
 )
 
@@ -54,37 +55,6 @@ class TestViewport:
     def test_cubemap_aspect_enforced(self):
         with pytest.raises(BadConfigError):
             Projection(ProjectionKind.CUBEMAP_3x2, 768, 384)
-
-
-class TestDirections:
-    def test_minimal_grid_is_nine_rays(self):
-        vp = Viewport.from_degrees(10, 5, 20, 20)
-        dirs = viewport_directions(vp, math.radians(10))
-        assert dirs.shape == (9, 3)
-
-    def test_rays_are_unit_length(self):
-        vp = random_viewport(random.Random(1))
-        dirs = viewport_directions(vp, math.radians(5))
-        assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0)
-
-    def test_center_ray_matches_pose(self):
-        vp = Viewport.from_degrees(40, 20, 90, 60)
-        dirs = viewport_directions(vp, math.radians(30))
-        expect = np.array(
-            [
-                math.cos(vp.pitch) * math.cos(vp.yaw),
-                math.cos(vp.pitch) * math.sin(vp.yaw),
-                math.sin(vp.pitch),
-            ]
-        )
-        assert any(np.allclose(d, expect, atol=1e-12) for d in dirs)
-
-    def test_bad_step_rejected(self):
-        vp = Viewport.from_degrees(0, 0, 90, 60)
-        with pytest.raises(BadStepError):
-            viewport_directions(vp, math.radians(31))
-        with pytest.raises(BadStepError):
-            viewport_directions(vp, 0.0)
 
 
 class TestErpProjection:
@@ -124,13 +94,14 @@ class TestCubemapProjection:
     def test_project_unproject_round_trip(self, lon_deg, lat_deg, kind):
         # A direction's projected pixel must unproject to a nearby direction:
         # within the angular diagonal of one pixel.
-        from svbs.geometry import _project, _unproject
+        from svbs.geometry import _unproject
 
         proj = ERP_PROJ if kind == ProjectionKind.ERP else CUBE_PROJ
+        project = project_erp if kind == ProjectionKind.ERP else project_cubemap
         lon, lat = math.radians(lon_deg), math.radians(lat_deg)
         d = np.array([[math.cos(lat) * math.cos(lon), math.cos(lat) * math.sin(lon), math.sin(lat)]])
-        u, v = _project(d, proj)
-        back = _unproject(u, v, proj)[0]
+        u, v = project(d[0], proj.width, proj.height)
+        back = _unproject(np.array([u]), np.array([v]), proj)[0]
         angle = math.acos(float(np.clip(np.dot(back, d[0]), -1.0, 1.0)))
         assert angle <= 2 * math.pi / proj.width * 3
 
@@ -150,7 +121,7 @@ class TestSelectTiles:
 
     def test_full_sphere_selects_everything(self):
         vp = Viewport.from_degrees(0, 0, 360, 180)
-        assert select_tiles(vp, ERP_PROJ, ERP_CONFIG, math.radians(2)) == set(range(24))
+        assert select_tiles(vp, ERP_PROJ, ERP_CONFIG) == set(range(24))
 
     def test_yaw_periodicity(self):
         for yaw in (-170, -35, 80):
@@ -160,12 +131,14 @@ class TestSelectTiles:
             )
             assert a == b
 
+    # The two seeded tests below keep the names they had when select_tiles
+    # sampled rays at a step; selection is now exact at any frame size.
     def test_subset_of_oracle_at_coarse_step(self):
         rng = random.Random(7)
         for _ in range(10):
             vp = random_viewport(rng)
             for proj, config in ((ERP_PROJ, ERP_CONFIG), (CUBE_PROJ, CUBE_CONFIG)):
-                fast = select_tiles(vp, proj, config, math.radians(4))
+                fast = select_tiles(vp, proj, config)
                 oracle = tile_coverage_oracle(vp, proj, config)
                 assert fast <= oracle
 
@@ -177,6 +150,33 @@ class TestSelectTiles:
                 assert select_tiles(vp, proj, config) == tile_coverage_oracle(
                     vp, proj, config
                 )
+
+    @given(
+        yaw=st.one_of(st.floats(-180.0, 180.0), st.floats(170.0, 190.0)),
+        pitch=st.floats(-90.0, 90.0),
+        h_fov=st.floats(1e-6, 360.0),
+        v_fov=st.floats(1e-6, 180.0),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_matches_oracle(self, yaw, pitch, h_fov, v_fov):
+        vp = Viewport.from_degrees(yaw, pitch, h_fov, v_fov)
+        for proj, config in ((ERP_PROJ, ERP_CONFIG), (CUBE_PROJ, CUBE_CONFIG)):
+            assert select_tiles(vp, proj, config) == tile_coverage_oracle(vp, proj, config)
+
+    @pytest.mark.parametrize(
+        "kind,width,height,tile_cols",
+        [(ProjectionKind.ERP, 2048, 1024, 8), (ProjectionKind.CUBEMAP_3x2, 1920, 1280, 6)],
+    )
+    def test_matches_brute_force_above_oracle_budget(self, kind, width, height, tile_cols):
+        assert width * height > ORACLE_PIXEL_BUDGET
+        config = SequenceConfig(width=width, height=height, tile_cols=tile_cols, tile_rows=4)
+        proj = Projection(kind, width, height)
+        for vp in (
+            Viewport.from_degrees(180, 0, 90, 90),
+            Viewport.from_degrees(-35, 80, 100, 60),
+            Viewport.from_degrees(120, -20, 2, 1),
+        ):
+            assert select_tiles(vp, proj, config) == brute_force_tiles(vp, proj, config)
 
     def test_projection_must_match_config(self):
         vp = Viewport.from_degrees(0, 0, 90, 90)
