@@ -96,10 +96,29 @@ def _config_from_args(args) -> SequenceConfig:
 
 
 def _parse_viewport(text: str) -> Viewport:
-    parts = [float(x) for x in text.split(",")]
+    try:
+        parts = [float(x) for x in text.split(",")]
+    except ValueError:
+        parts = []
     if len(parts) != 4:
         raise SvbsError("--viewport wants yaw,pitch,hfov,vfov in degrees")
     return Viewport.from_degrees(*parts)
+
+
+def _parse_tiles(text: str, tile_count: int) -> set[int]:
+    if text == "all":
+        return set(range(tile_count))
+    if text == "none":
+        return set()
+    try:
+        tiles = {int(x) for x in text.split(",")}
+    except ValueError:
+        raise SvbsError(f"--tiles wants all, none or a comma list of tile indices, "
+                        f"not {text!r}") from None
+    outside = sorted(t for t in tiles if not 0 <= t < tile_count)
+    if outside:
+        raise SvbsError(f"--tiles {outside[0]} outside the {tile_count}-tile grid")
+    return tiles
 
 
 def _projection_kind(name: str) -> ProjectionKind:
@@ -177,6 +196,8 @@ def _cmd_rewrite(args) -> int:
         stream = parse(fh.read())
     if args.viewport:
         viewport = _parse_viewport(args.viewport)
+    elif args.trace is None:
+        raise SvbsError("rewrite needs --viewport or --trace")
     else:
         trace = read_viewport_trace(args.trace)
         if not trace:
@@ -204,12 +225,7 @@ def _cmd_rewrite(args) -> int:
 def _cmd_decode(args) -> int:
     with open(args.input, "rb") as fh:
         stream = parse(fh.read())
-    if args.tiles == "all":
-        tiles = set(range(stream.config.tile_count))
-    elif args.tiles == "none":
-        tiles = set()
-    else:
-        tiles = {int(x) for x in args.tiles.split(",")}
+    tiles = _parse_tiles(args.tiles, stream.config.tile_count)
     frame = decode_frame(stream, _check_frame_index(args.frame, stream), tiles)
     with open(args.out, "wb") as fh:
         fh.write(frame.tobytes())

@@ -27,7 +27,8 @@ from .container import (
     Tile,
     TileGroup,
     TileKind,
-    UNIT_HEADER_SIZE,
+    frame_header_size,
+    tile_group_size,
     validate_structure,
 )
 from .errors import (
@@ -135,15 +136,31 @@ def generate_content(seed: int, config: SequenceConfig, frame_count: int) -> Vid
         for j in range(n_blobs):
             cx = (blob_x0[j] + blob_vx[j] * t) % w
             cy = (blob_y0[j] + blob_vy[j] * t) % h
+            # The bump is exactly 0 beyond the radius, so only the pixels
+            # within it (plus a pixel of slack) are evaluated.  The float
+            # expressions are those of a full-grid evaluation, so each pixel
+            # keeps its value bit for bit.
+            rows = _wrapped_window(cy, blob_r[j], h)
+            cols = _wrapped_window(cx, blob_r[j], w)
             # Wrap-aware distance so blobs drift seamlessly across edges.
-            dx = np.minimum(np.abs(xs - cx), w - np.abs(xs - cx))
-            dy = np.minimum(np.abs(ys - cy), h - np.abs(ys - cy))
-            r2 = (dx * dx + dy * dy) / (blob_r[j] * blob_r[j])
+            dx = np.minimum(np.abs(cols - cx), w - np.abs(cols - cx))
+            dy = np.minimum(np.abs(rows - cy), h - np.abs(rows - cy))
+            r2 = (dx * dx + dy[:, None] * dy[:, None]) / (blob_r[j] * blob_r[j])
             bump = np.maximum(0.0, 1.0 - r2)
-            img += blob_amp[j] * bump * bump
+            img[np.ix_(rows, cols)] += blob_amp[j] * bump * bump
         samples = np.clip(np.rint(img), 0, 255).astype(np.uint8)
         frames.append(RasterFrame(w, h, samples))
     return VideoSource(config=config, frames=tuple(frames), seed=seed)
+
+
+def _wrapped_window(center: float, radius: float, size: int) -> np.ndarray:
+    """Distinct pixel indices within ``radius`` + 1 of ``center`` on an axis
+    of ``size`` pixels that wraps around."""
+    lo = math.floor(center - radius) - 1
+    hi = math.ceil(center + radius) + 1
+    if hi - lo + 1 >= size:
+        return np.arange(size)
+    return np.arange(lo, hi + 1) % size
 
 
 # --- resampling --------------------------------------------------------------
@@ -160,8 +177,12 @@ def downsample(frame: RasterFrame, factor: int) -> RasterFrame:
     if factor == 1:
         return RasterFrame(frame.width, frame.height, frame.samples.copy())
     h2, w2 = frame.height // factor, frame.width // factor
-    blocks = frame.samples.reshape(h2, factor, w2, factor).astype(np.uint32)
-    sums = blocks.sum(axis=(1, 3))
+    samples = frame.samples
+    sums = samples[::factor, ::factor].astype(np.uint32)
+    for dy in range(factor):
+        for dx in range(factor):
+            if dy or dx:
+                sums += samples[dy::factor, dx::factor]
     f2 = factor * factor
     out = ((2 * sums + f2) // (2 * f2)).astype(np.uint8)
     return RasterFrame(w2, h2, out)
@@ -190,19 +211,18 @@ def rle_compress(data: bytes) -> bytes:
     edges = np.diff(padded.astype(np.int8))
     starts = np.nonzero(edges == 1)[0]
     ends = np.nonzero(edges == -1)[0]
+    long_runs = ends - starts >= MIN_ZERO_RUN
 
     out = []
     lit_start = 0
-    for s, e in zip(starts, ends):
-        if e - s < MIN_ZERO_RUN:
-            continue
+    for s, e in zip(starts[long_runs].tolist(), ends[long_runs].tolist()):
         if s > lit_start:
-            out.append(struct.pack("<BI", _RUN_LITERAL, s - lit_start))
+            out.append(_RECORD.pack(_RUN_LITERAL, s - lit_start))
             out.append(arr[lit_start:s].tobytes())
-        out.append(struct.pack("<BI", _RUN_ZERO, e - s))
+        out.append(_RECORD.pack(_RUN_ZERO, e - s))
         lit_start = e
     if lit_start < n:
-        out.append(struct.pack("<BI", _RUN_LITERAL, n - lit_start))
+        out.append(_RECORD.pack(_RUN_LITERAL, n - lit_start))
         out.append(arr[lit_start:].tobytes())
     return b"".join(out)
 
@@ -535,26 +555,11 @@ def psnr(a: RasterFrame, b: RasterFrame) -> float:
 def rate_records(bitstream: Bitstream) -> list[RateRecord]:
     """Serialized unit costs per frame: tile groups attributed to their tile,
     frame headers and delimiters to tile_index None."""
-    from .container import _frame_header_payload, _tile_group_payload  # internal sizes
-
     records = []
     for pos, frame in enumerate(bitstream.frames):
         for layer in frame.layers:
-            records.append(
-                RateRecord(
-                    pos,
-                    layer.header.layer_id,
-                    None,
-                    UNIT_HEADER_SIZE + len(_frame_header_payload(layer.header)),
-                )
-            )
+            layer_id = layer.header.layer_id
+            records.append(RateRecord(pos, layer_id, None, frame_header_size(layer.header)))
             for group in layer.tile_groups:
-                records.append(
-                    RateRecord(
-                        pos,
-                        layer.header.layer_id,
-                        group.tg_start,
-                        UNIT_HEADER_SIZE + len(_tile_group_payload(group)),
-                    )
-                )
+                records.append(RateRecord(pos, layer_id, group.tg_start, tile_group_size(group)))
     return records

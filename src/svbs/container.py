@@ -257,6 +257,16 @@ def iter_frame_units(frame: Frame):
             yield UnitType.TILE_GROUP, _tile_group_payload(group)
 
 
+def frame_header_size(header: FrameHeader) -> int:
+    """Serialized bytes of one frame header unit."""
+    return UNIT_HEADER_SIZE + len(_frame_header_payload(header))
+
+
+def tile_group_size(group: TileGroup) -> int:
+    """Serialized bytes of one tile group unit."""
+    return UNIT_HEADER_SIZE + len(_tile_group_payload(group))
+
+
 def serialize_frame(frame: Frame) -> bytes:
     return b"".join(_pack_unit(t, p) for t, p in iter_frame_units(frame))
 
@@ -369,7 +379,13 @@ def _parse_tile_group(payload: bytes, offset: int, config: SequenceConfig) -> Ti
                 tiles.append(Tile(tile_index, col, row, tile_kind, coded_payload=coded))
             else:
                 (sb_count,) = sub.unpack("<H")
-                mode = SuperblockMode.from_bytes(sub.take(SUPERBLOCK_MODE_SIZE))
+                mode_offset = offset + sub.pos
+                try:
+                    mode = SuperblockMode.from_bytes(sub.take(SUPERBLOCK_MODE_SIZE))
+                except ValueError as exc:
+                    raise InvalidStructureError(
+                        f"bad superblock mode at offset {mode_offset}: {exc}"
+                    ) from exc
                 tiles.append(
                     Tile(
                         tile_index,
@@ -602,9 +618,8 @@ def frame_byte_sizes(bitstream: Bitstream) -> list[FrameSizes]:
         meta = sum(UNIT_HEADER_SIZE + len(m) for m in frame.metadata)
         per_layer: dict[LayerId, int] = {}
         for layer in frame.layers:
-            n = UNIT_HEADER_SIZE + len(_frame_header_payload(layer.header))
-            for group in layer.tile_groups:
-                n += UNIT_HEADER_SIZE + len(_tile_group_payload(group))
+            n = frame_header_size(layer.header)
+            n += sum(tile_group_size(group) for group in layer.tile_groups)
             per_layer[layer.header.layer_id] = per_layer.get(layer.header.layer_id, 0) + n
         sizes.append(FrameSizes(pos, delim, meta, per_layer))
     return sizes

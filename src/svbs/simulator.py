@@ -23,9 +23,10 @@ from enum import Enum
 
 from .codec import encode_svc, encode_track, generate_content, rate_records, TrackResolution
 from .config import SequenceConfig
-from .container import UNIT_HEADER_SIZE, LayerId
+from .container import UNIT_HEADER_SIZE, LayerId, tile_group_size
 from .errors import BadArgsError, EmptyTraceError, NoStreamError
 from .geometry import Projection, ProjectionKind, Viewport, select_tiles
+from .rewriter import _skipped_tile_group
 
 MTHQ_COMPLIANCE_MS = 50.0
 
@@ -149,8 +150,8 @@ def _svc_tables(config: SequenceConfig, seed: int, cycle: int):
             enh_header[rec.frame_index] += rec.n_bytes
         else:
             coded[rec.frame_index][rec.tile_index] = rec.n_bytes
-    # Skipped stub tile-group unit: tg header + tile record + count + mode.
-    skip_group_bytes = UNIT_HEADER_SIZE + 4 + 3 + 2 + 6
+    # Every stub of a grid has the same size.
+    skip_group_bytes = tile_group_size(_skipped_tile_group(0, config))
     return base_bytes, enh_header, coded, skip_group_bytes
 
 

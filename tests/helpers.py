@@ -1,6 +1,8 @@
-"""Shared builders for randomized, structurally valid stream models."""
+"""Shared builders for randomized, structurally valid stream models, and
+straightforward reference versions of the optimized kernels."""
 
 import random
+import struct
 
 import numpy as np
 
@@ -19,6 +21,7 @@ from svbs.container import (
     TileGroup,
     TileKind,
 )
+from svbs.codec import MIN_ZERO_RUN
 from svbs.geometry import _frustum_mask, _unproject
 
 
@@ -146,3 +149,76 @@ def brute_force_tiles(viewport, projection, config, band_rows: int = 64) -> set[
         rows = ys.ravel()[inside] // config.tile_height
         tiles.update((rows * config.tile_cols + cols).tolist())
     return tiles
+
+
+def reference_generate_content_frames(seed: int, width: int, height: int, frame_count: int):
+    """The content generator evaluated over the full float64 grid for every
+    blob; ``codec.generate_content`` must match it byte for byte."""
+    w, h = width, height
+    rng = np.random.default_rng(seed)
+    ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
+    background = np.full((h, w), 128.0)
+    for _ in range(5):
+        amp = rng.uniform(6.0, 14.0)
+        fx = rng.uniform(1.0, 9.0)
+        fy = rng.uniform(1.0, 9.0)
+        phase = rng.uniform(0.0, 2 * np.pi)
+        background += amp * np.sin(2 * np.pi * (fx * xs / w + fy * ys / h) + phase)
+    background += rng.uniform(-10.0, 10.0, size=(h, w))
+    n_blobs = 4
+    blob_amp = rng.uniform(40.0, 70.0, size=n_blobs)
+    blob_r = rng.uniform(0.08, 0.16, size=n_blobs) * min(w, h)
+    blob_x0 = rng.uniform(0, w, size=n_blobs)
+    blob_y0 = rng.uniform(0, h, size=n_blobs)
+    blob_vx = rng.uniform(-2.0, 2.0, size=n_blobs)
+    blob_vy = rng.uniform(-1.5, 1.5, size=n_blobs)
+    frames = []
+    for t in range(frame_count):
+        img = background.copy()
+        for j in range(n_blobs):
+            cx = (blob_x0[j] + blob_vx[j] * t) % w
+            cy = (blob_y0[j] + blob_vy[j] * t) % h
+            dx = np.minimum(np.abs(xs - cx), w - np.abs(xs - cx))
+            dy = np.minimum(np.abs(ys - cy), h - np.abs(ys - cy))
+            r2 = (dx * dx + dy * dy) / (blob_r[j] * blob_r[j])
+            bump = np.maximum(0.0, 1.0 - r2)
+            img += blob_amp[j] * bump * bump
+        frames.append(np.clip(np.rint(img), 0, 255).astype(np.uint8))
+    return frames
+
+
+def reference_downsample(samples: np.ndarray, factor: int) -> np.ndarray:
+    """Box filter over a 4-D block view, rounded half-up."""
+    h, w = samples.shape
+    if factor == 1:
+        return samples.copy()
+    blocks = samples.reshape(h // factor, factor, w // factor, factor).astype(np.uint32)
+    sums = blocks.sum(axis=(1, 3))
+    f2 = factor * factor
+    return ((2 * sums + f2) // (2 * f2)).astype(np.uint8)
+
+
+def reference_rle_compress(data: bytes) -> bytes:
+    """Run-length coder that visits every zero run, short ones included."""
+    arr = np.frombuffer(bytes(data), dtype=np.uint8)
+    n = arr.size
+    if n == 0:
+        return b""
+    padded = np.concatenate(([False], arr == 0, [False]))
+    edges = np.diff(padded.astype(np.int8))
+    starts = np.nonzero(edges == 1)[0]
+    ends = np.nonzero(edges == -1)[0]
+    out = []
+    lit_start = 0
+    for s, e in zip(starts, ends):
+        if e - s < MIN_ZERO_RUN:
+            continue
+        if s > lit_start:
+            out.append(struct.pack("<BI", 1, s - lit_start))
+            out.append(arr[lit_start:s].tobytes())
+        out.append(struct.pack("<BI", 0, e - s))
+        lit_start = e
+    if lit_start < n:
+        out.append(struct.pack("<BI", 1, n - lit_start))
+        out.append(arr[lit_start:].tobytes())
+    return b"".join(out)

@@ -155,6 +155,35 @@ class TestFrameBounds:
         assert not out.exists()
 
 
+class TestMalformedArguments:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["select-tiles", "--viewport", "a,b,c,d"], "--viewport wants"),
+            (["rewrite", "--in", "{stream}", "--out", "{out}"], "needs --viewport or --trace"),
+            (["decode", "--in", "{stream}", "--tiles", "a", "--out", "{out}"], "--tiles wants"),
+            (["decode", "--in", "{stream}", "--tiles", "0,", "--out", "{out}"], "--tiles wants"),
+            (["decode", "--in", "{stream}", "--tiles", "99", "--out", "{out}"],
+             "--tiles 99 outside the 4-tile grid"),
+            (["decode", "--in", "{stream}", "--tiles", "1,-1", "--out", "{out}"],
+             "--tiles -1 outside"),
+        ],
+        ids=["viewport-not-numbers", "rewrite-without-pose", "tiles-not-numbers",
+             "tiles-empty-entry", "tile-outside-grid", "negative-tile"],
+    )
+    def test_is_data_error_without_traceback(self, tmp_path, capsys, argv, message):
+        stream_path = tmp_path / "s.svb"
+        out = tmp_path / "out"
+        main(["encode", *SMALL, "--frames", "1", "--out", str(stream_path)])
+        capsys.readouterr()
+        rc = main([a.format(stream=stream_path, out=out) for a in argv])
+        err = capsys.readouterr().err
+        assert rc == EXIT_DATA
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 class TestSelectTiles:
     def test_equatorial_erp_selection(self, capsys):
         rc = main(

@@ -1,6 +1,7 @@
 """Mock codec: resampling, run-length coding, layered encode/decode, rates."""
 
 import dataclasses
+import hashlib
 import math
 import random
 import struct
@@ -8,6 +9,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from svbs.codec import (
     MIN_ZERO_RUN,
@@ -36,6 +39,12 @@ from svbs.container import (
     validate_structure,
 )
 from svbs.errors import BadDimensionsError, CorruptRleError
+
+from helpers import (
+    reference_downsample,
+    reference_generate_content_frames,
+    reference_rle_compress,
+)
 
 
 def small_config(**overrides) -> SequenceConfig:
@@ -79,6 +88,24 @@ class TestResampling:
         assert up.width == 24 and up.height == 18
         assert downsample(up, 3) == frame
 
+    @given(
+        factor=st.integers(1, 4),
+        blocks=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+        seed=st.integers(0, 2**32 - 1),
+        fill=st.sampled_from([None, 0, 255]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_downsample_matches_reference(self, factor, blocks, seed, fill):
+        h, w = blocks[1] * factor, blocks[0] * factor
+        rng = np.random.default_rng(seed)
+        if fill is None:
+            samples = rng.integers(0, 256, size=(h, w), dtype=np.uint8)
+        else:
+            samples = np.full((h, w), fill, dtype=np.uint8)
+        out = downsample(RasterFrame(w, h, samples), factor)
+        assert (out.width, out.height) == (w // factor, h // factor)
+        assert np.array_equal(out.samples, reference_downsample(samples, factor))
+
     def test_upsample_replicates_pixels(self):
         frame = RasterFrame(2, 1, np.array([[7, 9]], dtype=np.uint8))
         up = upsample_nearest(frame, 2)
@@ -116,6 +143,25 @@ class TestRle:
         packed = rle_compress(data)
         assert rle_decompress(packed, len(data)) == data
         assert len(packed) < len(data)
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 255), st.integers(1, 12)), max_size=40
+        ).map(lambda runs: b"".join(bytes([v]) * n for v, n in runs))
+    )
+    @settings(max_examples=300, deadline=None)
+    @example(b"")
+    @example(b"\x00" * 5)
+    @example(b"\x00" * 6)
+    @example(b"\x00" * 7)
+    @example(b"\x00" * 4096)
+    @example(b"\x01" + b"\x00" * 5 + b"\x02" + b"\x00" * 6 + b"\x03" + b"\x00" * 7)
+    @example(b"\x00" * 6 + b"\x09" + b"\x00" * 5)
+    @example(b"\x00" * 7 + b"\x09\x09" + b"\x00" * 6)
+    def test_matches_reference(self, data):
+        packed = rle_compress(data)
+        assert packed == reference_rle_compress(data)
+        assert rle_decompress(packed, len(data)) == data
 
     def test_corrupt_inputs(self):
         with pytest.raises(CorruptRleError):
@@ -182,6 +228,94 @@ class TestContent:
         lossy = upsample_nearest(downsample(a, 2), 2)
         spatial = np.count_nonzero(a.samples != lossy.samples)
         assert temporal < spatial
+
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        width=st.integers(1, 40).map(lambda n: 2 * n),
+        height=st.integers(1, 24).map(lambda n: 2 * n),
+        frames=st.integers(1, 4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_full_grid_reference(self, seed, width, height, frames):
+        config = SequenceConfig(width=width, height=height)
+        got = generate_content(seed, config, frames).frames
+        want = reference_generate_content_frames(seed, width, height, frames)
+        assert [f.samples.tobytes() for f in got] == [f.tobytes() for f in want]
+
+
+# SHA-256 digests of the content generator and of both encoders' serialized
+# output, recorded from the full-grid generator and the straightforward
+# kernels.  Any change to these bytes is a format or content change, not an
+# optimization.
+GOLDEN = {
+    "768x384": (
+        SequenceConfig(width=768, height=384, tile_cols=6, tile_rows=4, gop_size=30),
+        1, 32,
+        {
+            "content": "32972ea7eca7861251aead0ae850bb5498ac71ed265d5dfe547a8f91b1352c8e",
+            "svc": "2f3ecf5dc79eb55d65c7fc50ecf060109d32bd57aaf560bd2d7c51e1664e1751",
+            "track_full": "89410e22517ab8ebf9fa78f9385d5f05052ae94bb705bbc372afe91bb49f71c4",
+            "track_base": "0f46bf62bd158eb119fd2184b7bf995d2ac90de0596b5c6eb1bbbbb16e2e6c06",
+        },
+    ),
+    "384x192": (
+        SequenceConfig(width=384, height=192, tile_cols=6, tile_rows=4, gop_size=10,
+                       ref_window=2),
+        5, 12,
+        {
+            "content": "dc5aade2d1a545d983bb1c8044a71e2bf4e189af80d234afb72d57a648bdaad1",
+            "svc": "6985036dae496210a63d3d9f0b508cf57f6cba9a88142fbed8eba553a3fa0c85",
+            "track_full": "f8e8244298a73fa7ab1c68c2427cf19152b7935539f4a0c1147d2ca11129a0a3",
+            "track_base": "f59b2f064581b8c3e90eed1af01bd04ef5c55ffd091efae6c5689a7469cf1e73",
+        },
+    ),
+    # Odd tile grid and a tiled base layer.
+    "96x48": (
+        SequenceConfig(width=96, height=48, tile_cols=4, tile_rows=2, gop_size=4,
+                       base_single_tile=False),
+        3, 9,
+        {
+            "content": "f6e4196169c89d70a746c109cfe79967114570fb1316849b4598fd15f6690acf",
+            "svc": "6be0c94ef4d15c52c4dd1f18367b2b403d6c912591b6e1bca7a7c8e40499cfd6",
+            "track_full": "6eb8f717c8a2ed3ffdf47fa4f37e4ce1c8bf7ee9ba9271753d8060f0f29fbaad",
+            "track_base": "1e399fa2c05d7e3ed486d8b89d8455da215c6f4b71789469aa3b410d3ab981c5",
+        },
+    ),
+    # A blob's radius plus its one-pixel slack spans the whole 4-pixel height.
+    "12x4": (
+        SequenceConfig(width=12, height=4, tile_cols=3, tile_rows=1, gop_size=3),
+        8, 7,
+        {
+            "content": "3aab1f12f13bceb289c28c29b496a9917477ec88d6001fa74e041cbfa3da3572",
+            "svc": "432daa42cb4b0f49b4617f1cb8164295cb473743d11f92d8fd99a47dcfd8cb32",
+            "track_full": "81598d433da51a51c2fa61b2988e796f9cb5305d5c60f8877e594cf89b51ca76",
+            "track_base": "f2deb0a21c8d17bcedbbc35c69435280eeccd6027eb3b498d31be868769fbb4d",
+        },
+    ),
+}
+
+
+def _sha256(*chunks: bytes) -> str:
+    h = hashlib.sha256()
+    for chunk in chunks:
+        h.update(chunk)
+    return h.hexdigest()
+
+
+class TestGolden:
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_digests(self, name):
+        config, seed, n, want = GOLDEN[name]
+        source = generate_content(seed, config, n)
+        gop = config.gop_size
+        got = {
+            "content": _sha256(*(frame.tobytes() for frame in source.frames)),
+            "svc": _sha256(serialize(encode_svc(source))),
+            "track_full": _sha256(serialize(encode_track(source, gop, TrackResolution.FULL))),
+            "track_base": _sha256(serialize(encode_track(source, gop, TrackResolution.BASE))),
+        }
+        assert got == want
 
 
 class TestSvcEncoder:

@@ -43,7 +43,7 @@ from svbs.errors import (
     TruncatedError,
     UnknownUnitTypeError,
 )
-from svbs.rewriter import CANONICAL_SKIPPED_MODE
+from svbs.rewriter import CANONICAL_SKIPPED_MODE, rewrite_viewport_frame
 
 
 def small_config(**overrides) -> SequenceConfig:
@@ -151,6 +151,22 @@ class TestParseErrors:
         broken = loose[: HEADER_SIZE + td] + loose[HEADER_SIZE + td + fh :]
         with pytest.raises(InvalidStructureError):
             parse(broken)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [(0, 9), (3, 7), (4, 5)],
+        ids=["partition_mode", "ref_frames", "inter_mode"],
+    )
+    def test_bad_superblock_mode_enum(self, field, value):
+        stream = valid_stream(1)
+        stub = rewrite_viewport_frame(stream.frames[0], set(), stream.config)
+        data = bytearray(serialize(Bitstream(stream.config, (stub,))))
+        # The last unit is the enhanced layer's last tile group, which ends
+        # with the 6-byte mode record of a skipped tile.
+        mode_offset = len(data) - 6
+        data[mode_offset + field] = value
+        with pytest.raises(InvalidStructureError, match=f"offset {mode_offset}:"):
+            parse(bytes(data))
 
 
 class TestValidation:

@@ -8,9 +8,12 @@ import statistics
 
 import pytest
 
+from svbs.codec import encode_svc, generate_content
 from svbs.config import SequenceConfig
+from svbs.container import serialized_frame_size
 from svbs.errors import BadArgsError, EmptyTraceError, NoStreamError
-from svbs.geometry import Viewport
+from svbs.geometry import ProjectionKind, Viewport
+from svbs.rewriter import rewrite_viewport_frame
 from svbs.simulator import (
     MTHQ_COMPLIANCE_MS,
     NetworkModel,
@@ -123,6 +126,35 @@ class TestSvcScheme:
         for frame in report.frames:
             assert frame.hq_tiles <= frame.sent_tiles
             assert set(frame.bytes_by_stream) == {"base", "enhanced"}
+
+    @pytest.mark.parametrize(
+        "kind, height",
+        [(ProjectionKind.ERP, 192), (ProjectionKind.CUBEMAP_3x2, 256)],
+        ids=["erp", "cubemap"],
+    )
+    def test_charged_bytes_equal_rewritten_frame_size(self, kind, height):
+        config = SequenceConfig(width=384, height=height, tile_cols=6, tile_rows=4,
+                                gop_size=10)
+        cycle = config.gop_size
+        poses = [
+            Viewport.from_degrees(0, 0, 90, 90),
+            Viewport.from_degrees(75, 45, 120, 60),
+            Viewport.from_degrees(180, -80, 90, 90),
+            Viewport.from_degrees(-100, 89, 60, 100),
+            Viewport.from_degrees(30, 10, 1, 1),
+            Viewport.from_degrees(0, 0, 360, 180),
+        ]
+        # Each pose holds for one whole cycle, so every (pose, frame) pair is sent.
+        trace = [(i * cycle * config.frame_period_ms, vp) for i, vp in enumerate(poses)]
+        report = run_session(Scheme(SchemeKind.SVC), trace, NetworkModel(), config, 4,
+                             projection_kind=kind, duration_ms=trace[-1][0] + cycle * T)
+        stream = encode_svc(generate_content(4, config, cycle))
+        assert len(report.frames) > len(poses) * cycle
+        for log in report.frames:
+            rewritten = rewrite_viewport_frame(
+                stream.frames[log.tick % cycle], set(log.sent_tiles), config)
+            charged = log.bytes_by_stream["base"] + log.bytes_by_stream["enhanced"]
+            assert charged == serialized_frame_size(rewritten)
 
 
 class TestMultitrackScheme:
