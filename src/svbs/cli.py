@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -78,18 +79,19 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 
 def _config_from_args(args) -> SequenceConfig:
     fps = str(args.fps)
-    if "/" in fps:
-        num, den = fps.split("/", 1)
-    else:
-        num, den = fps, "1"
+    num, slash, den = fps.partition("/")
+    try:
+        fps_num, fps_den = int(num), int(den) if slash else 1
+    except ValueError:
+        raise SvbsError(f"--fps wants N or N/D, not {fps!r}") from None
     return SequenceConfig(
         width=args.width,
         height=args.height,
         scale_factor=args.scale_factor,
         tile_cols=args.tile_cols,
         tile_rows=args.tile_rows,
-        fps_num=int(num),
-        fps_den=int(den),
+        fps_num=fps_num,
+        fps_den=fps_den,
         gop_size=args.gop,
         ref_window=args.ref_window,
     )
@@ -347,7 +349,10 @@ def _cmd_report(args) -> int:
 # --- argument wiring ---------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument tree, built once per process: ``parse_args`` returns a
+    fresh namespace on each call and leaves the parser unchanged."""
     parser = _Parser(prog="svbs", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -465,13 +465,15 @@ def _layer_tile_grid(config: SequenceConfig) -> tuple[int, int]:
 # --- decoding ----------------------------------------------------------------
 
 
-def _decode_base_frames(bitstream: Bitstream, upto: int) -> list[np.ndarray]:
+def _decode_base_frames(bitstream: Bitstream, first: int, last: int) -> list[np.ndarray]:
+    """Base frames ``first``..``last``; ``first`` must hold a KEY base frame,
+    as every GOP start of a valid stream does."""
     config = bitstream.config
     bw, bh = config.base_width, config.base_height
     cols, rows = _layer_tile_grid(config)
     tw, th = bw // cols, bh // rows
     decoded: list[np.ndarray] = []
-    for i in range(upto + 1):
+    for i in range(first, last + 1):
         frame = bitstream.frames[i]
         base = next(
             (l for l in frame.layers if l.header.layer_id == LayerId.BASE), None
@@ -490,7 +492,7 @@ def _decode_base_frames(bitstream: Bitstream, upto: int) -> list[np.ndarray]:
                 if key:
                     out[rs, cs] = region
                 else:
-                    out[rs, cs] = _apply_residual(decoded[i - 1][rs, cs], region)
+                    out[rs, cs] = _apply_residual(decoded[-1][rs, cs], region)
         decoded.append(out)
     return decoded
 
@@ -502,7 +504,9 @@ def decode_frame(
 
     Received CODED tiles reproduce the source bit-exactly; every other tile
     region is filled with the nearest-upscaled co-located base region of the
-    same frame index.
+    same frame index.  GOPs are closed and enhanced tiles predict only from
+    the base layer, so the base layer is decoded from the frame's GOP start:
+    the cost depends on the frame's position in its GOP, not on its index.
     """
     report = validate_structure(bitstream)
     if report:
@@ -512,11 +516,13 @@ def decode_frame(
     config = bitstream.config
     if not 0 <= frame_index < len(bitstream.frames):
         raise MissingBaseError(frame_index)
-    bases = _decode_base_frames(bitstream, frame_index)
+    gop_start = (frame_index // config.gop_size) * config.gop_size
+    bases = _decode_base_frames(bitstream, gop_start, frame_index)
     sf = config.scale_factor
 
     def upsampled(i: int) -> np.ndarray:
-        return upsample_nearest(RasterFrame(config.base_width, config.base_height, bases[i]), sf).samples
+        base = bases[i - gop_start]
+        return upsample_nearest(RasterFrame(config.base_width, config.base_height, base), sf).samples
 
     out = upsampled(frame_index).copy()
     frame = bitstream.frames[frame_index]

@@ -297,34 +297,37 @@ def serialize(bitstream: Bitstream, check: bool = True) -> bytes:
 # --- parsing -----------------------------------------------------------------
 
 
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
+_UNIT_HEADER = struct.Struct("<BI")
+_SEQUENCE_FIELDS = struct.Struct("<HHBBBHHHBB")
+_FRAME_HEADER = struct.Struct("<IBBBB")
+_TG_RANGE = struct.Struct("<HH")
+_TILE_HEADER = struct.Struct("<HB")
+_U32 = struct.Struct("<I")
+_U16 = struct.Struct("<H")
+# Wire bytes compared as plain ints, which is cheaper than building enums.
+_CODED, _SKIPPED = int(TileKind.CODED), int(TileKind.SKIPPED)
+_UNIT_DELIMITER, _UNIT_FRAME_HEADER, _UNIT_TILE_GROUP, _UNIT_METADATA = (
+    int(UnitType.TEMPORAL_DELIMITER), int(UnitType.FRAME_HEADER),
+    int(UnitType.TILE_GROUP), int(UnitType.METADATA),
+)
 
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise TruncatedError(self.pos)
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
 
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-
-def _parse_sequence_header(reader: _Reader) -> SequenceConfig:
-    if len(reader.data) < len(MAGIC):
-        if reader.data == MAGIC[: len(reader.data)]:
-            raise TruncatedError(len(reader.data))
+def _parse_sequence_header(data: bytes) -> SequenceConfig:
+    n = len(data)
+    if n < len(MAGIC):
+        if data == MAGIC[:n]:
+            raise TruncatedError(n)
         raise BadMagicError("stream does not start with SVBS magic")
-    magic = reader.take(4)
-    if magic != MAGIC:
+    if data[:4] != MAGIC:
         raise BadMagicError("stream does not start with SVBS magic")
-    (version,) = reader.unpack("<B")
+    if n < 5:
+        raise TruncatedError(4)
+    version = data[4]
     if version != VERSION:
         raise BadMagicError(f"unsupported container version {version}")
-    (w, h, sf, tc, tr, fn, fd, gop, flags, rw) = reader.unpack("<HHBBBHHHBB")
+    if n < HEADER_SIZE:
+        raise TruncatedError(5)
+    (w, h, sf, tc, tr, fn, fd, gop, flags, rw) = _SEQUENCE_FIELDS.unpack_from(data, 5)
     return SequenceConfig(
         width=w,
         height=h,
@@ -339,15 +342,15 @@ def _parse_sequence_header(reader: _Reader) -> SequenceConfig:
     )
 
 
-def _parse_frame_header(payload: bytes, offset: int) -> FrameHeader:
-    if len(payload) != 8:
-        raise TruncatedError(offset, f"frame header payload has {len(payload)} bytes, want 8")
-    idx, layer, ftype, flags, ref = struct.unpack("<IBBBB", payload)
+def _parse_frame_header(data: bytes, start: int, size: int) -> FrameHeader:
+    if size != 8:
+        raise TruncatedError(start, f"frame header payload has {size} bytes, want 8")
+    idx, layer, ftype, flags, ref = _FRAME_HEADER.unpack_from(data, start)
     try:
         layer_id = LayerId(layer)
         frame_type = FrameType(ftype)
     except ValueError as exc:
-        raise InvalidStructureError(f"bad frame header enum at offset {offset}: {exc}") from exc
+        raise InvalidStructureError(f"bad frame header enum at offset {start}: {exc}") from exc
     return FrameHeader(
         frame_index=idx,
         layer_id=layer_id,
@@ -358,54 +361,71 @@ def _parse_frame_header(payload: bytes, offset: int) -> FrameHeader:
     )
 
 
-def _parse_tile_group(payload: bytes, offset: int, config: SequenceConfig) -> TileGroup:
-    sub = _Reader(payload)
-    try:
-        tg_start, tg_end = sub.unpack("<HH")
-        tiles = []
-        while sub.pos < len(payload):
-            tile_index, kind = sub.unpack("<HB")
-            try:
-                tile_kind = TileKind(kind)
-            except ValueError as exc:
-                raise InvalidStructureError(
-                    f"bad tile kind {kind} at offset {offset + sub.pos - 1}"
-                ) from exc
-            col = tile_index % config.tile_cols
-            row = tile_index // config.tile_cols
-            if tile_kind == TileKind.CODED:
-                (size,) = sub.unpack("<I")
-                coded = sub.take(size)
-                tiles.append(Tile(tile_index, col, row, tile_kind, coded_payload=coded))
-            else:
-                (sb_count,) = sub.unpack("<H")
-                mode_offset = offset + sub.pos
+def _parse_tile_group(
+    data: bytes, start: int, end: int, cols: int, modes: dict[bytes, SuperblockMode]
+) -> TileGroup:
+    """The tile group unit whose payload is ``data[start:end]``, read in place.
+
+    Offsets in errors are absolute.  ``modes`` maps each 6-byte mode record
+    already seen in this parse to its SuperblockMode.
+    """
+    if end - start < 4:
+        raise TruncatedError(start)
+    tg_start, tg_end = _TG_RANGE.unpack_from(data, start)
+    pos = start + 4
+    tiles = []
+    while pos < end:
+        if end - pos < 3:
+            raise TruncatedError(pos)
+        tile_index, kind = _TILE_HEADER.unpack_from(data, pos)
+        pos += 3
+        if kind == _CODED:
+            if end - pos < 4:
+                raise TruncatedError(pos)
+            (size,) = _U32.unpack_from(data, pos)
+            pos += 4
+            if end - pos < size:
+                raise TruncatedError(pos)
+            tiles.append(
+                Tile(tile_index, tile_index % cols, tile_index // cols, TileKind.CODED,
+                     coded_payload=data[pos : pos + size])
+            )
+            pos += size
+        elif kind == _SKIPPED:
+            if end - pos < 2:
+                raise TruncatedError(pos)
+            (sb_count,) = _U16.unpack_from(data, pos)
+            pos += 2
+            if end - pos < SUPERBLOCK_MODE_SIZE:
+                raise TruncatedError(pos)
+            raw = data[pos : pos + SUPERBLOCK_MODE_SIZE]
+            mode = modes.get(raw)
+            if mode is None:
                 try:
-                    mode = SuperblockMode.from_bytes(sub.take(SUPERBLOCK_MODE_SIZE))
+                    mode = modes[raw] = SuperblockMode.from_bytes(raw)
                 except ValueError as exc:
                     raise InvalidStructureError(
-                        f"bad superblock mode at offset {mode_offset}: {exc}"
+                        f"bad superblock mode at offset {pos}: {exc}"
                     ) from exc
-                tiles.append(
-                    Tile(
-                        tile_index,
-                        col,
-                        row,
-                        tile_kind,
-                        superblock_count=sb_count,
-                        skipped_mode=mode,
-                    )
-                )
-    except TruncatedError as exc:
-        # Re-position relative to the whole stream.
-        raise TruncatedError(offset + exc.offset) from exc
+            pos += SUPERBLOCK_MODE_SIZE
+            tiles.append(
+                Tile(tile_index, tile_index % cols, tile_index // cols, TileKind.SKIPPED,
+                     superblock_count=sb_count, skipped_mode=mode)
+            )
+        else:
+            raise InvalidStructureError(f"bad tile kind {kind} at offset {pos - 1}")
     return TileGroup(tg_start=tg_start, tg_end=tg_end, tiles=tuple(tiles))
 
 
 def parse(data: bytes) -> Bitstream:
-    """Decode bytes into the object model; inverse of :func:`serialize`."""
-    reader = _Reader(data)
-    config = _parse_sequence_header(reader)
+    """Decode bytes into the object model; inverse of :func:`serialize`.
+
+    Every unit is read in place; each coded payload and metadata blob is
+    copied once.  Errors carry the absolute byte offset of the fault.
+    """
+    config = _parse_sequence_header(data)
+    cols = config.tile_cols
+    modes: dict[bytes, SuperblockMode] = {}
 
     frames: list[Frame] = []
     # Pending state of the frame being assembled.
@@ -430,34 +450,38 @@ def parse(data: bytes) -> Bitstream:
         layers = []
         open_frame = False
 
-    while reader.pos < len(data):
-        unit_offset = reader.pos
-        type_byte, size = reader.unpack("<BI")
-        payload = reader.take(size)
-        try:
-            unit_type = UnitType(type_byte)
-        except ValueError:
-            raise UnknownUnitTypeError(type_byte, unit_offset) from None
+    n = len(data)
+    pos = HEADER_SIZE
+    while pos < n:
+        unit_offset = pos
+        if n - pos < UNIT_HEADER_SIZE:
+            raise TruncatedError(pos)
+        type_byte, size = _UNIT_HEADER.unpack_from(data, pos)
+        start = pos + UNIT_HEADER_SIZE
+        pos = start + size
+        if pos > n:
+            raise TruncatedError(start)
 
-        if unit_type == UnitType.TEMPORAL_DELIMITER:
-            if open_frame and (layers or metadata):
-                flush()
-            open_frame = True
-            delims += 1
-        elif unit_type == UnitType.METADATA:
-            open_frame = True
-            metadata.append(payload)
-        elif unit_type == UnitType.FRAME_HEADER:
-            header = _parse_frame_header(payload, unit_offset + UNIT_HEADER_SIZE)
-            open_frame = True
-            layers.append((header, []))
-        else:  # TILE_GROUP
+        if type_byte == _UNIT_TILE_GROUP:
             if not layers:
                 raise InvalidStructureError(
                     f"tile group without preceding frame header at offset {unit_offset}"
                 )
-            group = _parse_tile_group(payload, unit_offset + UNIT_HEADER_SIZE, config)
-            layers[-1][1].append(group)
+            layers[-1][1].append(_parse_tile_group(data, start, pos, cols, modes))
+        elif type_byte == _UNIT_FRAME_HEADER:
+            header = _parse_frame_header(data, start, size)
+            open_frame = True
+            layers.append((header, []))
+        elif type_byte == _UNIT_DELIMITER:
+            if open_frame and (layers or metadata):
+                flush()
+            open_frame = True
+            delims += 1
+        elif type_byte == _UNIT_METADATA:
+            open_frame = True
+            metadata.append(data[start:pos])
+        else:
+            raise UnknownUnitTypeError(type_byte, unit_offset)
     flush()
     return Bitstream(config=config, frames=tuple(frames))
 

@@ -66,5 +66,9 @@ class EmptyTraceError(SvbsError):
     pass
 
 
+class BadTraceError(SvbsError):
+    """A viewport trace file line that does not hold a valid pose."""
+
+
 class BadArgsError(SvbsError):
     pass

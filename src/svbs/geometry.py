@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .config import SequenceConfig
-from .errors import BadConfigError, TooLargeError
+from .errors import BadConfigError, BadTraceError, TooLargeError
 
 TWO_PI = 2.0 * math.pi
 _EDGE_TOL = 1e-12
@@ -40,6 +40,8 @@ class Viewport:
     v_fov: float
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.yaw):
+            raise BadConfigError("yaw must be finite")
         object.__setattr__(self, "yaw", _wrap_angle(self.yaw))
         if not -math.pi / 2 <= self.pitch <= math.pi / 2:
             raise BadConfigError("pitch outside [-pi/2, pi/2]")
@@ -426,19 +428,30 @@ def write_viewport_trace(path, samples: list[tuple[float, Viewport]]) -> None:
 
 
 def read_viewport_trace(path) -> list[tuple[float, Viewport]]:
+    """Samples of a trace written by :func:`write_viewport_trace`.
+
+    A line that is not UTF-8 JSON, not an object with the five numeric keys,
+    or not a valid pose raises BadTraceError naming the file and the line.
+    """
     samples = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            samples.append(
-                (
-                    float(obj["t_ms"]),
-                    Viewport.from_degrees(
-                        obj["yaw_deg"], obj["pitch_deg"], obj["h_fov_deg"], obj["v_fov_deg"]
-                    ),
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
+                obj = json.loads(line)
+                if not isinstance(obj, dict):
+                    raise TypeError(f"want a JSON object, not {type(obj).__name__}")
+                t_ms = float(obj["t_ms"])
+                if not math.isfinite(t_ms):
+                    raise BadConfigError("t_ms must be finite")
+                viewport = Viewport.from_degrees(
+                    obj["yaw_deg"], obj["pitch_deg"], obj["h_fov_deg"], obj["v_fov_deg"]
                 )
-            )
+            except KeyError as exc:
+                raise BadTraceError(f"trace {path} line {lineno}: missing key {exc}") from exc
+            except (ValueError, TypeError, RecursionError, BadConfigError) as exc:
+                raise BadTraceError(f"trace {path} line {lineno}: {exc}") from exc
+            samples.append((t_ms, viewport))
     return samples

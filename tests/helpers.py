@@ -1,5 +1,6 @@
 """Shared builders for randomized, structurally valid stream models, and
-straightforward reference versions of the optimized kernels."""
+straightforward reference versions of the optimized kernels, the parser and
+the decoder."""
 
 import random
 import struct
@@ -8,6 +9,11 @@ import numpy as np
 
 from svbs.config import SequenceConfig
 from svbs.container import (
+    MAGIC,
+    SUPERBLOCK_MODE_SIZE,
+    UNIT_HEADER_SIZE,
+    VERSION,
+    Bitstream,
     Frame,
     FrameHeader,
     FrameType,
@@ -20,8 +26,25 @@ from svbs.container import (
     Tile,
     TileGroup,
     TileKind,
+    UnitType,
+    validate_structure,
 )
-from svbs.codec import MIN_ZERO_RUN
+from svbs.codec import (
+    MIN_ZERO_RUN,
+    RasterFrame,
+    _apply_residual,
+    _layer_tile_grid,
+    _tile_region,
+    rle_decompress,
+    upsample_nearest,
+)
+from svbs.errors import (
+    BadMagicError,
+    InvalidStructureError,
+    MissingBaseError,
+    TruncatedError,
+    UnknownUnitTypeError,
+)
 from svbs.geometry import _frustum_mask, _unproject
 
 
@@ -121,8 +144,6 @@ def random_layer(
 
 
 def random_bitstream(rng: random.Random):
-    from svbs.container import Bitstream
-
     config = random_config(rng)
     frames = []
     for pos in range(rng.randint(1, 4)):
@@ -222,3 +243,240 @@ def reference_rle_compress(data: bytes) -> bytes:
         out.append(struct.pack("<BI", 1, n - lit_start))
         out.append(arr[lit_start:].tobytes())
     return b"".join(out)
+
+
+class _RefReader:
+    def __init__(self, data: bytes):
+        self.data = data
+        self.pos = 0
+
+    def take(self, n: int) -> bytes:
+        if self.pos + n > len(self.data):
+            raise TruncatedError(self.pos)
+        out = self.data[self.pos : self.pos + n]
+        self.pos += n
+        return out
+
+    def unpack(self, fmt: str):
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+
+def _ref_parse_sequence_header(reader: _RefReader) -> SequenceConfig:
+    if len(reader.data) < len(MAGIC):
+        if reader.data == MAGIC[: len(reader.data)]:
+            raise TruncatedError(len(reader.data))
+        raise BadMagicError("stream does not start with SVBS magic")
+    magic = reader.take(4)
+    if magic != MAGIC:
+        raise BadMagicError("stream does not start with SVBS magic")
+    (version,) = reader.unpack("<B")
+    if version != VERSION:
+        raise BadMagicError(f"unsupported container version {version}")
+    (w, h, sf, tc, tr, fn, fd, gop, flags, rw) = reader.unpack("<HHBBBHHHBB")
+    return SequenceConfig(
+        width=w,
+        height=h,
+        scale_factor=sf,
+        tile_cols=tc,
+        tile_rows=tr,
+        fps_num=fn,
+        fps_den=fd,
+        gop_size=gop,
+        base_single_tile=bool(flags & 1),
+        ref_window=rw,
+    )
+
+
+def _ref_parse_frame_header(payload: bytes, offset: int) -> FrameHeader:
+    if len(payload) != 8:
+        raise TruncatedError(offset, f"frame header payload has {len(payload)} bytes, want 8")
+    idx, layer, ftype, flags, ref = struct.unpack("<IBBBB", payload)
+    try:
+        layer_id = LayerId(layer)
+        frame_type = FrameType(ftype)
+    except ValueError as exc:
+        raise InvalidStructureError(f"bad frame header enum at offset {offset}: {exc}") from exc
+    return FrameHeader(
+        frame_index=idx,
+        layer_id=layer_id,
+        frame_type=frame_type,
+        cdf_update_disabled=bool(flags & 1),
+        global_mv_zero=bool(flags & 2),
+        base_ref_offset=ref,
+    )
+
+
+def _ref_parse_tile_group(payload: bytes, offset: int, config: SequenceConfig) -> TileGroup:
+    sub = _RefReader(payload)
+    try:
+        tg_start, tg_end = sub.unpack("<HH")
+        tiles = []
+        while sub.pos < len(payload):
+            tile_index, kind = sub.unpack("<HB")
+            try:
+                tile_kind = TileKind(kind)
+            except ValueError as exc:
+                raise InvalidStructureError(
+                    f"bad tile kind {kind} at offset {offset + sub.pos - 1}"
+                ) from exc
+            col = tile_index % config.tile_cols
+            row = tile_index // config.tile_cols
+            if tile_kind == TileKind.CODED:
+                (size,) = sub.unpack("<I")
+                coded = sub.take(size)
+                tiles.append(Tile(tile_index, col, row, tile_kind, coded_payload=coded))
+            else:
+                (sb_count,) = sub.unpack("<H")
+                mode_offset = offset + sub.pos
+                try:
+                    mode = SuperblockMode.from_bytes(sub.take(SUPERBLOCK_MODE_SIZE))
+                except ValueError as exc:
+                    raise InvalidStructureError(
+                        f"bad superblock mode at offset {mode_offset}: {exc}"
+                    ) from exc
+                tiles.append(
+                    Tile(
+                        tile_index,
+                        col,
+                        row,
+                        tile_kind,
+                        superblock_count=sb_count,
+                        skipped_mode=mode,
+                    )
+                )
+    except TruncatedError as exc:
+        # Re-position relative to the whole stream.
+        raise TruncatedError(offset + exc.offset) from exc
+    return TileGroup(tg_start=tg_start, tg_end=tg_end, tiles=tuple(tiles))
+
+
+def reference_parse(data: bytes) -> Bitstream:
+    """The parser that slices every unit out of a reader and makes one enum
+    per byte; ``container.parse`` must give the same model, or raise the same
+    exception type with the same message, for every input."""
+    reader = _RefReader(data)
+    config = _ref_parse_sequence_header(reader)
+
+    frames: list[Frame] = []
+    # Pending state of the frame being assembled.
+    delims = 0
+    metadata: list[bytes] = []
+    layers: list[tuple[FrameHeader, list[TileGroup]]] = []
+    open_frame = False
+
+    def flush() -> None:
+        nonlocal delims, metadata, layers, open_frame
+        if not open_frame:
+            return
+        frames.append(
+            Frame(
+                layers=tuple(LayerFrame(h, tuple(gs)) for h, gs in layers),
+                delimiter_count=delims,
+                metadata=tuple(metadata),
+            )
+        )
+        delims = 0
+        metadata = []
+        layers = []
+        open_frame = False
+
+    while reader.pos < len(data):
+        unit_offset = reader.pos
+        type_byte, size = reader.unpack("<BI")
+        payload = reader.take(size)
+        try:
+            unit_type = UnitType(type_byte)
+        except ValueError:
+            raise UnknownUnitTypeError(type_byte, unit_offset) from None
+
+        if unit_type == UnitType.TEMPORAL_DELIMITER:
+            if open_frame and (layers or metadata):
+                flush()
+            open_frame = True
+            delims += 1
+        elif unit_type == UnitType.METADATA:
+            open_frame = True
+            metadata.append(payload)
+        elif unit_type == UnitType.FRAME_HEADER:
+            header = _ref_parse_frame_header(payload, unit_offset + UNIT_HEADER_SIZE)
+            open_frame = True
+            layers.append((header, []))
+        else:  # TILE_GROUP
+            if not layers:
+                raise InvalidStructureError(
+                    f"tile group without preceding frame header at offset {unit_offset}"
+                )
+            group = _ref_parse_tile_group(payload, unit_offset + UNIT_HEADER_SIZE, config)
+            layers[-1][1].append(group)
+    flush()
+    return Bitstream(config=config, frames=tuple(frames))
+
+
+def _ref_decode_base_frames(bitstream: Bitstream, upto: int) -> list[np.ndarray]:
+    config = bitstream.config
+    bw, bh = config.base_width, config.base_height
+    cols, rows = _layer_tile_grid(config)
+    tw, th = bw // cols, bh // rows
+    decoded: list[np.ndarray] = []
+    for i in range(upto + 1):
+        frame = bitstream.frames[i]
+        base = next(
+            (l for l in frame.layers if l.header.layer_id == LayerId.BASE), None
+        )
+        if base is None:
+            raise MissingBaseError(i)
+        key = base.header.frame_type == FrameType.KEY
+        out = np.empty((bh, bw), dtype=np.uint8)
+        for group in base.tile_groups:
+            for tile in group.tiles:
+                col, row = tile.tile_index % cols, tile.tile_index // cols
+                rs = slice(row * th, (row + 1) * th)
+                cs = slice(col * tw, (col + 1) * tw)
+                raw = rle_decompress(tile.coded_payload, th * tw)
+                region = np.frombuffer(raw, dtype=np.uint8).reshape(th, tw)
+                if key:
+                    out[rs, cs] = region
+                else:
+                    out[rs, cs] = _apply_residual(decoded[i - 1][rs, cs], region)
+        decoded.append(out)
+    return decoded
+
+
+def reference_decode_frame(
+    bitstream: Bitstream, frame_index: int, received_tiles: set[int]
+) -> RasterFrame:
+    """The decoder that rebuilds the base layer from frame 0;
+    ``codec.decode_frame`` must match it bit for bit on valid streams."""
+    report = validate_structure(bitstream)
+    if report:
+        raise InvalidStructureError(
+            f"stream fails validation: {report[0].rule} at frame {report[0].frame_index}"
+        )
+    config = bitstream.config
+    if not 0 <= frame_index < len(bitstream.frames):
+        raise MissingBaseError(frame_index)
+    bases = _ref_decode_base_frames(bitstream, frame_index)
+    sf = config.scale_factor
+
+    def upsampled(i: int) -> np.ndarray:
+        return upsample_nearest(RasterFrame(config.base_width, config.base_height, bases[i]), sf).samples
+
+    out = upsampled(frame_index).copy()
+    frame = bitstream.frames[frame_index]
+    enh = next((l for l in frame.layers if l.header.layer_id == LayerId.ENHANCED), None)
+    if enh is None:
+        return RasterFrame(config.width, config.height, out)
+    ref = None
+    for group in enh.tile_groups:
+        for tile in group.tiles:
+            if tile.tile_kind != TileKind.CODED or tile.tile_index not in received_tiles:
+                continue
+            if ref is None:
+                ref = upsampled(frame_index - enh.header.base_ref_offset)
+            rs, cs = _tile_region(config, tile.tile_index)
+            raw = rle_decompress(tile.coded_payload, config.tile_height * config.tile_width)
+            res = np.frombuffer(raw, dtype=np.uint8).reshape(
+                config.tile_height, config.tile_width
+            )
+            out[rs, cs] = _apply_residual(ref[rs, cs], res)
+    return RasterFrame(config.width, config.height, out)

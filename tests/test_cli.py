@@ -2,8 +2,13 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import svbs
 
 from svbs.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from svbs.codec import encode_svc, generate_content
@@ -167,9 +172,12 @@ class TestMalformedArguments:
              "--tiles 99 outside the 4-tile grid"),
             (["decode", "--in", "{stream}", "--tiles", "1,-1", "--out", "{out}"],
              "--tiles -1 outside"),
+            (["select-tiles", "--fps", "abc", "--viewport", "0,0,90,90"], "--fps wants"),
+            (["select-tiles", "--viewport", "nan,0,90,90"], "yaw must be finite"),
         ],
         ids=["viewport-not-numbers", "rewrite-without-pose", "tiles-not-numbers",
-             "tiles-empty-entry", "tile-outside-grid", "negative-tile"],
+             "tiles-empty-entry", "tile-outside-grid", "negative-tile", "fps-not-a-number",
+             "yaw-not-finite"],
     )
     def test_is_data_error_without_traceback(self, tmp_path, capsys, argv, message):
         stream_path = tmp_path / "s.svb"
@@ -182,6 +190,70 @@ class TestMalformedArguments:
         assert err.startswith("error: ") and message in err
         assert "Traceback" not in err
         assert not out.exists()
+
+
+class TestMalformedTrace:
+    @pytest.mark.parametrize("command", ["simulate", "rewrite"])
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"not json\n", "line 1: Expecting value"),
+            (b"[1, 2]\n", "line 1: want a JSON object, not list"),
+            (b'{"t_ms": 0, "yaw_deg": 0, "pitch_deg": 0, "h_fov_deg": 90, "v_fov_deg": 90}\n'
+             b'{"t_ms": 40}\n', "line 2: missing key 'yaw_deg'"),
+            (b"\x89PNG\r\n\x1a\n\xff\xfe\x00", "line 1: 'utf-8' codec can't decode"),
+            (b'{"t_ms": NaN, "yaw_deg": 0, "pitch_deg": 0, "h_fov_deg": 90, "v_fov_deg": 90}',
+             "line 1: t_ms must be finite"),
+            (b'{"t_ms": 0, "yaw_deg": 0, "pitch_deg": 91, "h_fov_deg": 90, "v_fov_deg": 90}',
+             "line 1: pitch outside"),
+        ],
+        ids=["not-json", "json-list", "missing-key", "binary", "nan-time", "bad-pitch"],
+    )
+    def test_is_data_error_naming_the_line(self, tmp_path, capsys, command, content, message):
+        trace_path = tmp_path / "t.jsonl"
+        trace_path.write_bytes(content)
+        out = tmp_path / "out"
+        if command == "simulate":
+            argv = ["simulate", *SMALL, "--trace", str(trace_path), "--out", str(out)]
+        else:
+            stream_path = tmp_path / "s.svb"
+            main(["encode", *SMALL, "--frames", "1", "--out", str(stream_path)])
+            argv = ["rewrite", "--in", str(stream_path), "--trace", str(trace_path),
+                    "--out", str(out)]
+        capsys.readouterr()
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == EXIT_DATA
+        assert err.startswith(f"error: trace {trace_path} ") and message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
+class TestParserReuse:
+    """``main`` builds its argument parser once per process; a later call
+    must see none of an earlier call's arguments."""
+
+    def test_manifest_args_match_a_fresh_process(self, tmp_path, capsys):
+        stream_path = tmp_path / "s.svb"
+        main(["encode", *SMALL, "--frames", "2", "--out", str(stream_path)])
+        runs = [
+            ["decode", "--in", str(stream_path), "--tiles", "0", "--out", str(tmp_path / "a")],
+            ["decode", "--in", str(stream_path), "--out", str(tmp_path / "b")],
+            ["rewrite", "--in", str(stream_path), "--viewport", "0,0,90,90",
+             "--out", str(tmp_path / "c")],
+        ]
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(svbs.__file__)))
+        fresh = []
+        for argv in runs:
+            subprocess.run([sys.executable, "-m", "svbs.cli", *argv], env=env, check=True,
+                           capture_output=True, timeout=120)
+            fresh.append(json.loads((tmp_path / (argv[-1] + ".manifest.json")).read_text()))
+        for argv, want in zip(runs, fresh):
+            assert main(argv) == EXIT_OK
+            got = json.loads((tmp_path / (argv[-1] + ".manifest.json")).read_text())
+            assert got["args"] == want["args"]
+        assert fresh[1]["args"]["tiles"] == "all"
+        capsys.readouterr()
 
 
 class TestSelectTiles:

@@ -1,6 +1,7 @@
 """Mock codec: resampling, run-length coding, layered encode/decode, rates."""
 
 import dataclasses
+import functools
 import hashlib
 import math
 import random
@@ -31,6 +32,7 @@ from svbs.codec import (
 )
 from svbs.config import SequenceConfig
 from svbs.container import (
+    Bitstream,
     Frame,
     FrameType,
     LayerId,
@@ -39,8 +41,10 @@ from svbs.container import (
     validate_structure,
 )
 from svbs.errors import BadDimensionsError, CorruptRleError
+from svbs.rewriter import rewrite_viewport_frame
 
 from helpers import (
+    reference_decode_frame,
     reference_downsample,
     reference_generate_content_frames,
     reference_rle_compress,
@@ -450,6 +454,78 @@ class TestDecode:
         out = decode_frame(stripped, 2, set(range(config.tile_count)))
         expect = upsample_nearest(downsample(source.frames[2], 2), 2)
         assert out == expect
+
+
+@functools.cache
+def gop_stream(gop: int, rewritten: bool) -> Bitstream:
+    """12 frames at 64x32, 2x2 tiles; a tiled base at GOP 3.  Odd frames
+    inside a GOP predict their enhanced tiles from the previous base frame
+    where ``ref_window`` allows it (the encoder picks offset 0 on this
+    content, so the headers are set by hand; both decoders read the same
+    payloads against the same reference).  ``rewritten`` turns every third
+    frame into a viewport frame with skipped stubs."""
+    config = small_config(gop_size=gop, ref_window=min(2, gop), base_single_tile=gop != 3)
+    stream = encode_svc(generate_content(gop, config, 12))
+    frames = []
+    for i, frame in enumerate(stream.frames):
+        if i % 2 and i % gop and config.ref_window > 1:
+            base, enh = frame.layers
+            header = dataclasses.replace(enh.header, base_ref_offset=1)
+            frame = dataclasses.replace(frame, layers=(base, dataclasses.replace(enh, header=header)))
+        if rewritten and i % 3 == 1:
+            frame = rewrite_viewport_frame(frame, {1, 2}, config)
+        frames.append(frame)
+    stream = Bitstream(config, tuple(frames))
+    assert validate_structure(stream) == []
+    return stream
+
+
+def with_base_payload(stream: Bitstream, frame_index: int, payload: bytes) -> Bitstream:
+    """``stream`` with the first base tile of one frame replaced."""
+    frame = stream.frames[frame_index]
+    base = next(l for l in frame.layers if l.header.layer_id == LayerId.BASE)
+    group = base.tile_groups[0]
+    tile = dataclasses.replace(group.tiles[0], coded_payload=payload)
+    group = dataclasses.replace(group, tiles=(tile, *group.tiles[1:]))
+    base = dataclasses.replace(base, tile_groups=(group, *base.tile_groups[1:]))
+    layers = tuple(base if l.header.layer_id == LayerId.BASE else l for l in frame.layers)
+    frames = list(stream.frames)
+    frames[frame_index] = dataclasses.replace(frame, layers=layers)
+    return dataclasses.replace(stream, frames=tuple(frames))
+
+
+class TestRandomAccessDecode:
+    """``decode_frame`` decodes the base layer from the frame's GOP start;
+    the reference decodes it from frame 0."""
+
+    @given(
+        gop=st.sampled_from([1, 3, 10]),
+        rewritten=st.booleans(),
+        frame=st.integers(0, 11),
+        tiles=st.sets(st.integers(0, 3)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_decode_from_frame_zero(self, gop, rewritten, frame, tiles):
+        stream = gop_stream(gop, rewritten)
+        assert decode_frame(stream, frame, tiles) == reference_decode_frame(stream, frame, tiles)
+
+    def test_corrupt_base_in_the_frames_gop_raises(self):
+        stream = gop_stream(3, False)
+        bad = with_base_payload(stream, 4, b"\x07")  # a truncated RLE record
+        assert validate_structure(bad) == []
+        for target in (4, 5):
+            with pytest.raises(CorruptRleError):
+                decode_frame(bad, target, {0, 1})
+        assert decode_frame(bad, 3, {0, 1}) == decode_frame(stream, 3, {0, 1})
+
+    def test_corrupt_base_in_an_earlier_gop_is_not_read(self):
+        stream = gop_stream(3, False)
+        bad = with_base_payload(stream, 1, b"\x07")
+        all_tiles = set(range(4))
+        assert decode_frame(bad, 4, all_tiles) == decode_frame(stream, 4, all_tiles)
+        # Decoding from frame 0 read the corrupt payload and failed.
+        with pytest.raises(CorruptRleError):
+            reference_decode_frame(bad, 4, all_tiles)
 
 
 class TestMetrics:

@@ -1,11 +1,16 @@
 """Wire-format round-trip, error reporting, and structural validation."""
 
+import functools
 import random
+import struct
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_bitstream
-from svbs.codec import encode_svc, generate_content
+from helpers import random_bitstream, reference_parse
+from svbs.codec import decode_frame, encode_svc, generate_content
 from svbs.config import SequenceConfig
 from svbs.container import (
     HEADER_SIZE,
@@ -31,6 +36,7 @@ from svbs.container import (
     Tile,
     TileGroup,
     TileKind,
+    UnitType,
     frame_byte_sizes,
     parse,
     serialize,
@@ -40,6 +46,7 @@ from svbs.container import (
 from svbs.errors import (
     BadMagicError,
     InvalidStructureError,
+    SvbsError,
     TruncatedError,
     UnknownUnitTypeError,
 )
@@ -333,3 +340,166 @@ class TestSuperblockMode:
             Tile(0, 0, 0, TileKind.CODED)
         with pytest.raises(InvalidStructureError):
             Tile(0, 0, 0, TileKind.SKIPPED, superblock_count=4)
+
+
+# --- parse against the reference parser, on mutated streams ---------------
+
+
+@functools.cache
+def seed_streams() -> tuple[bytes, ...]:
+    """Valid encoder output, plain and with every other frame rewritten to
+    skipped stubs, for a single-tile base and a tiled base."""
+    streams = []
+    for config in (small_config(), small_config(base_single_tile=False, gop_size=3)):
+        stream = encode_svc(generate_content(2, config, 5))
+        streams.append(serialize(stream))
+        frames = tuple(
+            rewrite_viewport_frame(f, {0, 3}, config) if i % 2 else f
+            for i, f in enumerate(stream.frames)
+        )
+        streams.append(serialize(Bitstream(config, frames)))
+    return tuple(streams)
+
+
+def wire_layout(data: bytes) -> tuple[list[int], list[int]]:
+    """For a valid stream: the offsets of its u32 size fields (each unit's
+    payload size and each coded tile's length), and the offsets of every
+    byte outside the coded tile payloads."""
+    fields = []
+    structure = list(range(HEADER_SIZE))
+    pos = HEADER_SIZE
+    while pos < len(data):
+        unit_type, size = struct.unpack_from("<BI", data, pos)
+        fields.append(pos + 1)
+        start = pos + UNIT_HEADER_SIZE
+        end = start + size
+        if unit_type != UnitType.TILE_GROUP:
+            structure.extend(range(pos, end))
+        else:
+            structure.extend(range(pos, start + 4))
+            p = start + 4
+            while p < end:
+                kind = data[p + 2]
+                if kind == TileKind.CODED:
+                    fields.append(p + 3)
+                    structure.extend(range(p, p + 7))
+                    p += 7 + struct.unpack_from("<I", data, p + 3)[0]
+                else:
+                    structure.extend(range(p, p + 11))
+                    p += 11
+        pos = end
+    return fields, structure
+
+
+def outcome(fn, data):
+    """The model ``fn`` returns, or the type, message and offset of the
+    SvbsError it raises; any other exception propagates."""
+    try:
+        return fn(data)
+    except SvbsError as exc:
+        return type(exc), str(exc), getattr(exc, "offset", None)
+
+
+# Parse and validate allocate in proportion to the input; a decode also
+# needs the frame its header declares (8 bytes per pixel covers the base,
+# the upsampled reference and the output), since a 100-byte valid stream
+# may declare a 65535x65535 frame with zero runs.
+MEMORY_FIXED = 4 << 20
+MEMORY_PER_PIXEL = 8
+
+
+def check_mutant(data: bytes) -> None:
+    assert outcome(parse, data) == outcome(reference_parse, data)
+    tracemalloc.start()
+    try:
+        try:
+            stream = parse(data)
+            validate_structure(stream)
+            for i in range(len(stream.frames)):
+                decode_frame(stream, i, set(range(stream.config.tile_count)))
+        except SvbsError:
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    pixels = 0
+    if len(data) >= HEADER_SIZE:
+        width, height = struct.unpack_from("<HH", data, 5)
+        pixels = width * height
+    assert peak < MEMORY_FIXED + MEMORY_PER_PIXEL * pixels
+
+
+@st.composite
+def mutants(draw):
+    streams = seed_streams()
+    data = bytearray(draw(st.sampled_from(streams)))
+    fields, structure = wire_layout(bytes(data))
+    if draw(st.booleans()):  # resize: rewrite one size field
+        at = draw(st.sampled_from(fields))
+        (old,) = struct.unpack_from("<I", data, at)
+        new = draw(
+            st.one_of(
+                st.integers(-8, 8).map(lambda d: (old + d) % (1 << 32)),
+                st.sampled_from([0, 1, 1 << 31, (1 << 32) - 1]),
+                st.integers(0, (1 << 32) - 1),
+            )
+        )
+        struct.pack_into("<I", data, at, new)
+    for _ in range(draw(st.integers(0, 3))):
+        op = draw(st.sampled_from(["flip", "flip", "truncate", "splice"]))
+        if op == "flip" and data:
+            at = draw(st.one_of(st.sampled_from(structure), st.integers(0, len(data) - 1)))
+            data[at % len(data)] ^= draw(st.integers(1, 255))
+        elif op == "truncate":
+            del data[draw(st.integers(0, len(data))):]
+        elif op == "splice":
+            donor = draw(st.sampled_from(streams))
+            a = draw(st.integers(0, len(donor)))
+            b = draw(st.integers(a, min(len(donor), a + 64)))
+            at = draw(st.integers(0, len(data)))
+            cut = draw(st.integers(0, min(64, len(data) - at)))
+            data[at : at + cut] = donor[a:b]
+    return bytes(data)
+
+
+class TestParseMatchesReference:
+    """``parse`` reads units in place; the reference slices them out.  Both
+    must agree on every input, and no input may end in anything but an
+    SvbsError or a clean decode, within bounded memory."""
+
+    def test_seed_streams_round_trip(self):
+        for data in seed_streams():
+            stream = parse(data)
+            assert stream == reference_parse(data)
+            assert serialize(stream) == data
+
+    def test_every_prefix_ending_in_structure(self):
+        # A cut inside a coded payload fails like a cut at its first byte.
+        for data in seed_streams():
+            for n in wire_layout(data)[1] + [len(data)]:
+                assert outcome(parse, data[:n]) == outcome(reference_parse, data[:n])
+
+    def test_every_structure_byte_flipped(self):
+        for data in seed_streams():
+            for at in wire_layout(data)[1]:
+                for mask in (0x01, 0xFF):
+                    mutant = bytearray(data)
+                    mutant[at] ^= mask
+                    mutant = bytes(mutant)
+                    assert outcome(parse, mutant) == outcome(reference_parse, mutant)
+
+    def test_every_size_field_made_small(self):
+        # Short frame headers, tile groups shorter than their range record,
+        # and units or tiles that end early or swallow what follows.
+        for data in seed_streams():
+            for at in wire_layout(data)[0]:
+                for size in range(9):
+                    mutant = bytearray(data)
+                    struct.pack_into("<I", mutant, at, size)
+                    mutant = bytes(mutant)
+                    assert outcome(parse, mutant) == outcome(reference_parse, mutant)
+
+    @given(mutants())
+    @settings(max_examples=300, deadline=None)
+    def test_mutants(self, data):
+        check_mutant(data)
