@@ -15,7 +15,6 @@ import csv
 import functools
 import hashlib
 import json
-import math
 import os
 import statistics
 import sys
@@ -46,6 +45,7 @@ from .simulator import (
     SchemeKind,
     latency_summary,
     network_from_mapping,
+    p95,
     read_session_config,
     run_session,
     scheme_from_mapping,
@@ -133,20 +133,18 @@ def _check_frame_index(index: int, stream) -> int:
     return index
 
 
-def _sha256(path: str) -> str:
-    h = hashlib.sha256()
+def _read_bytes(path: str) -> bytes:
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
+        return fh.read()
 
 
-def _write_manifest(out_path: str, args, inputs: list[str], outputs: list[str]) -> None:
+def _write_manifest(out_path: str, args, inputs: dict[str, bytes], outputs: list[str]) -> None:
+    """``inputs`` maps each input path to the bytes the command read from it."""
     manifest = {
         "tool_version": __version__,
         "command": getattr(args, "command", ""),
         "args": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
-        "inputs": {p: _sha256(p) for p in inputs},
+        "inputs": {p: hashlib.sha256(data).hexdigest() for p, data in inputs.items()},
         "outputs": outputs,
     }
     path = out_path + ".manifest.json"
@@ -172,7 +170,7 @@ def _cmd_generate(args) -> int:
     with open(args.out, "wb") as fh:
         for frame in source.frames:
             fh.write(frame.tobytes())
-    _write_manifest(args.out, args, [], [args.out])
+    _write_manifest(args.out, args, {}, [args.out])
     print(f"wrote {args.frames} frames of {config.width}x{config.height} luma to {args.out}")
     return EXIT_OK
 
@@ -183,19 +181,18 @@ def _cmd_encode(args) -> int:
     if args.schema == "svc":
         stream = encode_svc(source)
     else:
-        resolution = TrackResolution.FULL if args.resolution == "full" else TrackResolution.BASE
-        stream = encode_track(source, args.gop, resolution)
+        stream = encode_track(source, args.gop, TrackResolution(args.resolution))
     data = serialize(stream)
     with open(args.out, "wb") as fh:
         fh.write(data)
-    _write_manifest(args.out, args, [], [args.out])
+    _write_manifest(args.out, args, {}, [args.out])
     print(f"encoded {len(stream.frames)} frames, {len(data)} bytes -> {args.out}")
     return EXIT_OK
 
 
 def _cmd_rewrite(args) -> int:
-    with open(args.input, "rb") as fh:
-        stream = parse(fh.read())
+    data = _read_bytes(args.input)
+    stream = parse(data)
     if args.viewport:
         viewport = _parse_viewport(args.viewport)
     elif args.trace is None:
@@ -216,22 +213,21 @@ def _cmd_rewrite(args) -> int:
     for k in targets:
         frames[k] = rewrite_viewport_frame(frames[k], selected, stream.config)
     out_stream = stream.__class__(config=stream.config, frames=tuple(frames))
-    data = serialize(out_stream)
     with open(args.out, "wb") as fh:
-        fh.write(data)
-    _write_manifest(args.out, args, [args.input], [args.out])
+        fh.write(serialize(out_stream))
+    _write_manifest(args.out, args, {args.input: data}, [args.out])
     print(f"rewrote {len(list(targets))} frame(s), kept tiles {sorted(selected)} -> {args.out}")
     return EXIT_OK
 
 
 def _cmd_decode(args) -> int:
-    with open(args.input, "rb") as fh:
-        stream = parse(fh.read())
+    data = _read_bytes(args.input)
+    stream = parse(data)
     tiles = _parse_tiles(args.tiles, stream.config.tile_count)
     frame = decode_frame(stream, _check_frame_index(args.frame, stream), tiles)
     with open(args.out, "wb") as fh:
         fh.write(frame.tobytes())
-    _write_manifest(args.out, args, [args.input], [args.out])
+    _write_manifest(args.out, args, {args.input: data}, [args.out])
     print(f"decoded frame {args.frame} ({frame.width}x{frame.height}) -> {args.out}")
     return EXIT_OK
 
@@ -310,7 +306,8 @@ def _cmd_simulate(args) -> int:
         outputs += [stem + ".json", stem + ".csv"]
     for entry in latency_summary(reports):
         print(json.dumps(entry))
-    _write_manifest(args.out, args, [args.trace] + ([args.net] if args.net else []), outputs)
+    inputs = [args.trace] + ([args.net] if args.net else [])
+    _write_manifest(args.out, args, {p: _read_bytes(p) for p in inputs}, outputs)
     return EXIT_OK
 
 
@@ -336,9 +333,7 @@ def _cmd_report(args) -> int:
                 "scheme": scheme,
                 "switches": len(samples),
                 "mean_mthq_ms": statistics.fmean(mthq) if mthq else None,
-                "p95_mthq_ms": sorted(mthq)[max(0, math.ceil(0.95 * len(mthq)) - 1)]
-                if mthq
-                else None,
+                "p95_mthq_ms": p95(mthq) if mthq else None,
                 "total_bytes": byte_rows.get(scheme, 0),
             }
         )

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
@@ -384,12 +385,12 @@ def _encode_base_tiled(
     return _single_group_covering(payloads, config.tile_cols)
 
 
-class TrackResolution:
+class TrackResolution(Enum):
     FULL = "full"
     BASE = "base"
 
 
-def encode_track(source: VideoSource, gop: int, resolution: str) -> Bitstream:
+def encode_track(source: VideoSource, gop: int, resolution: TrackResolution) -> Bitstream:
     """Conventional single-layer tiled track with closed GOPs.
 
     FULL keeps the source resolution and tile grid; BASE downscales by the
@@ -398,7 +399,7 @@ def encode_track(source: VideoSource, gop: int, resolution: str) -> Bitstream:
     if gop < 1:
         raise BadConfigError("gop must be >= 1")
     config = source.config
-    if resolution == TrackResolution.FULL:
+    if resolution is TrackResolution.FULL:
         track_config = SequenceConfig(
             width=config.width,
             height=config.height,
@@ -412,7 +413,7 @@ def encode_track(source: VideoSource, gop: int, resolution: str) -> Bitstream:
             ref_window=1,
         )
         track_frames = source.frames
-    elif resolution == TrackResolution.BASE:
+    elif resolution is TrackResolution.BASE:
         track_config = SequenceConfig(
             width=config.base_width,
             height=config.base_height,

@@ -20,6 +20,7 @@ import math
 import statistics
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 from .codec import encode_svc, encode_track, generate_content, rate_records, TrackResolution
 from .config import SequenceConfig
@@ -136,13 +137,20 @@ def expected_gop_wait_ms(gop: int, fps) -> float:
 
 # --- per-frame size tables ---------------------------------------------------
 
+# Entries kept by each size-table cache.  An entry holds only integer tuples,
+# a few KiB at any resolution; frames and sources are never cached.
+_TABLE_CACHE_SIZE = 32
 
+
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _svc_tables(config: SequenceConfig, seed: int, cycle: int):
+    """Per frame of the cycle: base-layer bytes, enhanced frame-header bytes
+    and enhanced bytes per tile; then the bytes of one skipped-tile stub."""
     source = generate_content(seed, config, cycle)
     stream = encode_svc(source)
     base_bytes = [UNIT_HEADER_SIZE] * cycle  # temporal delimiter per frame
     enh_header = [0] * cycle
-    coded: list[dict[int, int]] = [dict() for _ in range(cycle)]
+    coded = [[0] * config.tile_count for _ in range(cycle)]
     for rec in rate_records(stream):
         if rec.layer_id == LayerId.BASE:
             base_bytes[rec.frame_index] += rec.n_bytes
@@ -152,19 +160,31 @@ def _svc_tables(config: SequenceConfig, seed: int, cycle: int):
             coded[rec.frame_index][rec.tile_index] = rec.n_bytes
     # Every stub of a grid has the same size.
     skip_group_bytes = tile_group_size(_skipped_tile_group(0, config))
-    return base_bytes, enh_header, coded, skip_group_bytes
+    return tuple(base_bytes), tuple(enh_header), tuple(map(tuple, coded)), skip_group_bytes
 
 
-def _track_tables(source, gop: int, resolution: str, cycle: int):
-    stream = encode_track(source, gop, resolution)
-    header = [UNIT_HEADER_SIZE] * cycle
-    tiles: list[dict[int, int]] = [dict() for _ in range(cycle)]
-    for rec in rate_records(stream):
-        if rec.tile_index is None:
-            header[rec.frame_index] += rec.n_bytes
-        else:
-            tiles[rec.frame_index][rec.tile_index] = rec.n_bytes
-    return header, tiles
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _track_tables(
+    config: SequenceConfig,
+    seed: int,
+    cycle: int,
+    tracks: tuple[tuple[int, TrackResolution], ...],
+):
+    """Per (gop, resolution) track, per frame of the cycle: header bytes and
+    bytes per tile.  The tracks are encoded from one generated content."""
+    source = generate_content(seed, config, cycle)
+    out = []
+    for gop, resolution in tracks:
+        stream = encode_track(source, gop, resolution)
+        header = [UNIT_HEADER_SIZE] * cycle
+        tiles = [[0] * stream.config.tile_count for _ in range(cycle)]
+        for rec in rate_records(stream):
+            if rec.tile_index is None:
+                header[rec.frame_index] += rec.n_bytes
+            else:
+                tiles[rec.frame_index][rec.tile_index] = rec.n_bytes
+        out.append((tuple(header), tuple(map(tuple, tiles))))
+    return tuple(out)
 
 
 def _lcm(*values: int) -> int:
@@ -173,6 +193,22 @@ def _lcm(*values: int) -> int:
         if v:
             out = math.lcm(out, v)
     return out
+
+
+def _region_bytes(header, tiles):
+    """``(j, region) -> header[j] + the bytes of region's tiles in frame j``,
+    summed once per pair."""
+    memo: dict[tuple[int, frozenset[int]], int] = {}
+
+    def charge(j: int, region: frozenset[int]) -> int:
+        key = (j, region)
+        n = memo.get(key)
+        if n is None:
+            row = tiles[j]
+            n = memo[key] = header[j] + sum(row[t] for t in region)
+        return n
+
+    return charge
 
 
 # --- the session loop --------------------------------------------------------
@@ -199,7 +235,8 @@ def run_session(
     pose, every later entry is a switch.  Content is generated from
     ``source_seed`` over a GOP-aligned cycle and payload sizes repeat
     cyclically, which keeps long sessions cheap without changing the rate
-    structure.
+    structure.  The size tables of a (config, seed, cycle, track GOPs)
+    combination are built once per process.
     """
     if not trace:
         raise EmptyTraceError("viewport trace is empty")
@@ -209,99 +246,99 @@ def run_session(
 
     period = config.frame_period_ms
     projection = Projection(projection_kind, config.width, config.height)
+    svc = scheme.kind == SchemeKind.SVC
 
-    if scheme.kind == SchemeKind.SVC:
+    if svc:
         cycle = cycle_frames or config.gop_size
         if cycle % config.gop_size:
             raise BadArgsError("cycle_frames must be a multiple of gop_size")
         base_bytes, enh_header, coded, skip_bytes = _svc_tables(config, source_seed, cycle)
+        enhanced_bytes = _region_bytes(enh_header, coded)
         settle_ticks = 4
     else:
-        low_gop = scheme.low_gop or scheme.long_gop
-        cycle = cycle_frames or _lcm(scheme.long_gop, scheme.short_gop, low_gop)
-        for g in (scheme.long_gop, scheme.short_gop, low_gop):
+        long_gop, short_gop = scheme.long_gop, scheme.short_gop
+        low_gop = scheme.low_gop or long_gop
+        cycle = cycle_frames or _lcm(long_gop, short_gop, low_gop)
+        for g in (long_gop, short_gop, low_gop):
             if g and cycle % g:
                 raise BadArgsError("cycle_frames must be a multiple of every track GOP")
-        source = generate_content(source_seed, config, cycle)
-        long_header, long_tiles = _track_tables(source, scheme.long_gop, TrackResolution.FULL, cycle)
-        if scheme.short_gop > 0:
-            short_header, short_tiles = _track_tables(
-                source, scheme.short_gop, TrackResolution.FULL, cycle
-            )
-        else:
-            short_header, short_tiles = None, None
-        low_header, low_tiles = _track_tables(source, low_gop, TrackResolution.BASE, cycle)
-        settle_ticks = scheme.long_gop + scheme.short_gop + 4
+        tracks = ((long_gop, TrackResolution.FULL), (low_gop, TrackResolution.BASE))
+        if short_gop > 0:
+            tracks += ((short_gop, TrackResolution.FULL),)
+        tables = _track_tables(config, source_seed, cycle, tracks)
+        long_bytes = _region_bytes(*tables[0])
+        low_header, low_tiles = tables[1]
+        low_bytes = [low_header[j] + sum(low_tiles[j]) for j in range(cycle)]
+        short_bytes = _region_bytes(*tables[2]) if short_gop > 0 else None
+        settle_ticks = long_gop + short_gop + 4
 
     if duration_ms is None:
         duration_ms = times[-1] + settle_ticks * period
     n_ticks = int(math.ceil(duration_ms / period)) + 1
 
-    tile_cache: dict[Viewport, frozenset[int]] = {}
-
-    def tiles_of(vp: Viewport) -> frozenset[int]:
-        if vp not in tile_cache:
-            tile_cache[vp] = frozenset(select_tiles(vp, projection, config))
-        return tile_cache[vp]
+    # The tile set of every trace entry, selected once per distinct viewport.
+    selected: dict[Viewport, frozenset[int]] = {}
+    for _, vp in trace:
+        if vp not in selected:
+            selected[vp] = frozenset(select_tiles(vp, projection, config))
+    pose_tiles = [selected[vp] for _, vp in trace]
 
     # Pose arrival times at the server; the initial pose is known from t=0.
     pose_known_at = [times[0]] + [t + network.uplink_delay_ms for t in times[1:]]
-    poses = [vp for _, vp in trace]
+    last_pose = len(trace) - 1
+    tick_eps = period * _TICK_EPS
+    downlink_ms = network.downlink_delay_ms
+    unlimited = network.bandwidth_bytes_per_s is None
 
     frames: list[FrameLog] = []
     seconds: dict[int, dict[str, int]] = {}
+    bucket_second: int | None = None
+    bucket: dict[str, int] = {}
     known_idx = 0
     committed_long_idx = 0
     committed_short_idx: int | None = None
 
     for k in range(n_ticks):
         t_k = k * period
-        while known_idx + 1 < len(poses) and pose_known_at[known_idx + 1] <= t_k + period * _TICK_EPS:
+        while known_idx < last_pose and pose_known_at[known_idx + 1] <= t_k + tick_eps:
             known_idx += 1
-        known = poses[known_idx]
         j = k % cycle
-        payload: dict[str, int] = {}
 
-        if scheme.kind == SchemeKind.SVC:
-            sel = tiles_of(known)
-            payload["base"] = base_bytes[j]
-            payload["enhanced"] = (
-                enh_header[j]
-                + sum(coded[j][t] for t in sel)
-                + (config.tile_count - len(sel)) * skip_bytes
-            )
-            hq = sel
-            sent = sel
+        if svc:
+            hq = pose_tiles[known_idx]
+            # The region's coded tiles plus a skipped stub for every other tile.
+            payload = {
+                "base": base_bytes[j],
+                "enhanced": enhanced_bytes(j, hq) + (config.tile_count - len(hq)) * skip_bytes,
+            }
         else:
-            if k % scheme.long_gop == 0:
+            if k % long_gop == 0:
                 committed_long_idx = known_idx
-            if scheme.short_gop > 0:
+            if short_gop > 0:
                 if committed_long_idx == known_idx:
                     committed_short_idx = None
-                elif k % scheme.short_gop == 0:
+                elif k % short_gop == 0:
                     committed_short_idx = known_idx
-            long_region = tiles_of(poses[committed_long_idx])
-            payload["low"] = low_header[j] + sum(low_tiles[j].values())
-            payload["long"] = long_header[j] + sum(long_tiles[j][t] for t in long_region)
-            hq = long_region
-            sent = long_region
+            hq = pose_tiles[committed_long_idx]
+            payload = {"low": low_bytes[j], "long": long_bytes(j, hq)}
             if committed_short_idx is not None:
-                short_region = tiles_of(poses[committed_short_idx])
-                payload["short"] = short_header[j] + sum(
-                    short_tiles[j][t] for t in short_region
-                )
+                short_region = pose_tiles[committed_short_idx]
+                payload["short"] = short_bytes(j, short_region)
                 hq = hq | short_region
-                sent = sent | short_region
 
-        total = sum(payload.values())
-        arrival = t_k + network.downlink_delay_ms + network.serialization_ms(total)
+        if unlimited:
+            arrival = t_k + downlink_ms
+        else:
+            arrival = t_k + downlink_ms + network.serialization_ms(sum(payload.values()))
         display = (math.floor(arrival / period + _TICK_EPS) + 1) * period
-        frames.append(FrameLog(k, display, frozenset(hq), frozenset(sent), payload))
-        bucket = seconds.setdefault(int(t_k // 1000.0), {})
+        frames.append(FrameLog(k, display, hq, hq, payload))
+        second = int(t_k // 1000.0)
+        if second != bucket_second:
+            bucket_second, bucket = second, seconds.setdefault(second, {})
         for name, n in payload.items():
             bucket[name] = bucket.get(name, 0) + n
 
-    switches = _resolve_switches(trace, pose_known_at, frames, period, tiles_of, n_ticks)
+    switches = _resolve_switches(trace, pose_known_at, frames, period, pose_tiles, n_ticks)
     return SessionReport(
         scheme_label=scheme.label,
         frame_period_ms=period,
@@ -311,11 +348,11 @@ def run_session(
     )
 
 
-def _resolve_switches(trace, pose_known_at, frames, period, tiles_of, n_ticks):
+def _resolve_switches(trace, pose_known_at, frames, period, pose_tiles, n_ticks):
     switches = []
     for i in range(1, len(trace)):
-        t, vp = trace[i]
-        required = tiles_of(vp)
+        t = trace[i][0]
+        required = pose_tiles[i]
         k0 = math.ceil(pose_known_at[i] / period - _TICK_EPS)
         k_stop = n_ticks
         if i + 1 < len(trace):
@@ -360,20 +397,21 @@ def latency_summary(reports: list[SessionReport]) -> list[dict]:
             if samples:
                 entry[f"mean_{name}_ms"] = statistics.fmean(samples)
                 entry[f"median_{name}_ms"] = statistics.median(samples)
-                entry[f"p95_{name}_ms"] = _p95(samples)
+                entry[f"p95_{name}_ms"] = p95(samples)
             else:
                 entry[f"mean_{name}_ms"] = None
                 entry[f"median_{name}_ms"] = None
                 entry[f"p95_{name}_ms"] = None
-        p95 = entry["p95_mthq_ms"]
+        p95_mthq = entry["p95_mthq_ms"]
         entry["mthq_50ms_compliant"] = (
-            p95 is not None and not_reached == 0 and p95 <= MTHQ_COMPLIANCE_MS
+            p95_mthq is not None and not_reached == 0 and p95_mthq <= MTHQ_COMPLIANCE_MS
         )
         out.append(entry)
     return out
 
 
-def _p95(samples: list[float]) -> float:
+def p95(samples: list[float]) -> float:
+    """The nearest-rank 95th percentile of a nonempty sample list."""
     ordered = sorted(samples)
     idx = max(0, math.ceil(0.95 * len(ordered)) - 1)
     return ordered[idx]

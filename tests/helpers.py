@@ -1,7 +1,8 @@
 """Shared builders for randomized, structurally valid stream models, and
-straightforward reference versions of the optimized kernels, the parser and
-the decoder."""
+straightforward reference versions of the optimized kernels, the parser,
+the decoder and the session simulator."""
 
+import math
 import random
 import struct
 
@@ -27,14 +28,20 @@ from svbs.container import (
     TileGroup,
     TileKind,
     UnitType,
+    tile_group_size,
     validate_structure,
 )
 from svbs.codec import (
     MIN_ZERO_RUN,
     RasterFrame,
+    TrackResolution,
     _apply_residual,
     _layer_tile_grid,
     _tile_region,
+    encode_svc,
+    encode_track,
+    generate_content,
+    rate_records,
     rle_decompress,
     upsample_nearest,
 )
@@ -45,7 +52,15 @@ from svbs.errors import (
     TruncatedError,
     UnknownUnitTypeError,
 )
-from svbs.geometry import _frustum_mask, _unproject
+from svbs.geometry import Projection, ProjectionKind, _frustum_mask, _unproject, select_tiles
+from svbs.rewriter import _skipped_tile_group
+from svbs.simulator import (
+    _TICK_EPS,
+    FrameLog,
+    SchemeKind,
+    SessionReport,
+    SwitchSample,
+)
 
 
 def random_config(rng: random.Random) -> SequenceConfig:
@@ -480,3 +495,167 @@ def reference_decode_frame(
             )
             out[rs, cs] = _apply_residual(ref[rs, cs], res)
     return RasterFrame(config.width, config.height, out)
+
+
+def _ref_svc_tables(config: SequenceConfig, seed: int, cycle: int):
+    source = generate_content(seed, config, cycle)
+    stream = encode_svc(source)
+    base_bytes = [UNIT_HEADER_SIZE] * cycle
+    enh_header = [0] * cycle
+    coded: list[dict[int, int]] = [dict() for _ in range(cycle)]
+    for rec in rate_records(stream):
+        if rec.layer_id == LayerId.BASE:
+            base_bytes[rec.frame_index] += rec.n_bytes
+        elif rec.tile_index is None:
+            enh_header[rec.frame_index] += rec.n_bytes
+        else:
+            coded[rec.frame_index][rec.tile_index] = rec.n_bytes
+    skip_group_bytes = tile_group_size(_skipped_tile_group(0, config))
+    return base_bytes, enh_header, coded, skip_group_bytes
+
+
+def _ref_track_tables(source, gop: int, resolution, cycle: int):
+    stream = encode_track(source, gop, resolution)
+    header = [UNIT_HEADER_SIZE] * cycle
+    tiles: list[dict[int, int]] = [dict() for _ in range(cycle)]
+    for rec in rate_records(stream):
+        if rec.tile_index is None:
+            header[rec.frame_index] += rec.n_bytes
+        else:
+            tiles[rec.frame_index][rec.tile_index] = rec.n_bytes
+    return header, tiles
+
+
+def _ref_lcm(*values: int) -> int:
+    out = 1
+    for v in values:
+        if v:
+            out = math.lcm(out, v)
+    return out
+
+
+def reference_run_session(
+    scheme,
+    trace,
+    network,
+    config: SequenceConfig,
+    source_seed: int,
+    *,
+    projection_kind=ProjectionKind.ERP,
+    duration_ms=None,
+    cycle_frames=None,
+) -> SessionReport:
+    """The session loop that rebuilds its size tables on every call and
+    recomputes every tick; ``simulator.run_session`` must equal it in
+    switches, seconds and every FrameLog."""
+    times = [t for t, _ in trace]
+    period = config.frame_period_ms
+    projection = Projection(projection_kind, config.width, config.height)
+
+    if scheme.kind == SchemeKind.SVC:
+        cycle = cycle_frames or config.gop_size
+        base_bytes, enh_header, coded, skip_bytes = _ref_svc_tables(config, source_seed, cycle)
+        settle_ticks = 4
+    else:
+        low_gop = scheme.low_gop or scheme.long_gop
+        cycle = cycle_frames or _ref_lcm(scheme.long_gop, scheme.short_gop, low_gop)
+        source = generate_content(source_seed, config, cycle)
+        long_header, long_tiles = _ref_track_tables(
+            source, scheme.long_gop, TrackResolution.FULL, cycle)
+        if scheme.short_gop > 0:
+            short_header, short_tiles = _ref_track_tables(
+                source, scheme.short_gop, TrackResolution.FULL, cycle)
+        else:
+            short_header, short_tiles = None, None
+        low_header, low_tiles = _ref_track_tables(source, low_gop, TrackResolution.BASE, cycle)
+        settle_ticks = scheme.long_gop + scheme.short_gop + 4
+
+    if duration_ms is None:
+        duration_ms = times[-1] + settle_ticks * period
+    n_ticks = int(math.ceil(duration_ms / period)) + 1
+
+    tile_cache = {}
+
+    def tiles_of(vp):
+        if vp not in tile_cache:
+            tile_cache[vp] = frozenset(select_tiles(vp, projection, config))
+        return tile_cache[vp]
+
+    pose_known_at = [times[0]] + [t + network.uplink_delay_ms for t in times[1:]]
+    poses = [vp for _, vp in trace]
+
+    frames = []
+    seconds: dict[int, dict[str, int]] = {}
+    known_idx = 0
+    committed_long_idx = 0
+    committed_short_idx = None
+
+    for k in range(n_ticks):
+        t_k = k * period
+        while known_idx + 1 < len(poses) and pose_known_at[known_idx + 1] <= t_k + period * _TICK_EPS:
+            known_idx += 1
+        known = poses[known_idx]
+        j = k % cycle
+        payload: dict[str, int] = {}
+
+        if scheme.kind == SchemeKind.SVC:
+            sel = tiles_of(known)
+            payload["base"] = base_bytes[j]
+            payload["enhanced"] = (
+                enh_header[j]
+                + sum(coded[j][t] for t in sel)
+                + (config.tile_count - len(sel)) * skip_bytes
+            )
+            hq = sel
+            sent = sel
+        else:
+            if k % scheme.long_gop == 0:
+                committed_long_idx = known_idx
+            if scheme.short_gop > 0:
+                if committed_long_idx == known_idx:
+                    committed_short_idx = None
+                elif k % scheme.short_gop == 0:
+                    committed_short_idx = known_idx
+            long_region = tiles_of(poses[committed_long_idx])
+            payload["low"] = low_header[j] + sum(low_tiles[j].values())
+            payload["long"] = long_header[j] + sum(long_tiles[j][t] for t in long_region)
+            hq = long_region
+            sent = long_region
+            if committed_short_idx is not None:
+                short_region = tiles_of(poses[committed_short_idx])
+                payload["short"] = short_header[j] + sum(
+                    short_tiles[j][t] for t in short_region
+                )
+                hq = hq | short_region
+                sent = sent | short_region
+
+        total = sum(payload.values())
+        arrival = t_k + network.downlink_delay_ms + network.serialization_ms(total)
+        display = (math.floor(arrival / period + _TICK_EPS) + 1) * period
+        frames.append(FrameLog(k, display, frozenset(hq), frozenset(sent), payload))
+        bucket = seconds.setdefault(int(t_k // 1000.0), {})
+        for name, n in payload.items():
+            bucket[name] = bucket.get(name, 0) + n
+
+    switches = []
+    for i in range(1, len(trace)):
+        t, vp = trace[i]
+        required = tiles_of(vp)
+        k0 = math.ceil(pose_known_at[i] / period - _TICK_EPS)
+        k_stop = n_ticks
+        if i + 1 < len(trace):
+            k_stop = min(n_ticks, math.ceil(pose_known_at[i + 1] / period - _TICK_EPS))
+        mtp = frames[k0].display_ms - t if k0 < n_ticks else None
+        mthq = None
+        for k in range(min(k0, n_ticks), k_stop):
+            if required <= frames[k].hq_tiles:
+                mthq = frames[k].display_ms - t
+                break
+        switches.append(SwitchSample(t_ms=t, mtp_ms=mtp, mthq_ms=mthq))
+    return SessionReport(
+        scheme_label=scheme.label,
+        frame_period_ms=period,
+        switches=switches,
+        seconds=seconds,
+        frames=frames,
+    )

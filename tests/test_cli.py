@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -256,6 +257,33 @@ class TestParserReuse:
         capsys.readouterr()
 
 
+class TestManifestDigests:
+    """Each manifest's input digest is the SHA-256 of the file the command read."""
+
+    def test_input_digests_match_the_files(self, tmp_path, capsys):
+        stream_path = tmp_path / "s.svb"
+        trace_path = tmp_path / "t.jsonl"
+        net_path = tmp_path / "net.conf"
+        main(["encode", *SMALL, "--frames", "3", "--out", str(stream_path)])
+        write_viewport_trace(trace_path, [(0.0, Viewport.from_degrees(0, 0, 90, 90)),
+                                          (400.0, Viewport.from_degrees(120, 0, 90, 90))])
+        net_path.write_text("scheme = svc\nuplink_ms = 10\n")
+        runs = {
+            "decode": (["decode", "--in", str(stream_path), "--frame", "2",
+                        "--out", str(tmp_path / "d.yuv")], [stream_path]),
+            "rewrite": (["rewrite", "--in", str(stream_path), "--viewport", "0,0,90,90",
+                         "--out", str(tmp_path / "r.svb")], [stream_path]),
+            "simulate": (["simulate", *SMALL, "--trace", str(trace_path), "--net",
+                          str(net_path), "--out", str(tmp_path / "sim")],
+                         [trace_path, net_path]),
+        }
+        for argv, inputs in runs.values():
+            assert main(argv) == EXIT_OK
+            manifest = json.loads((tmp_path / (argv[-1] + ".manifest.json")).read_text())
+            assert manifest["inputs"] == {str(p): sha256(p) for p in inputs}
+        capsys.readouterr()
+
+
 class TestSelectTiles:
     def test_equatorial_erp_selection(self, capsys):
         rc = main(
@@ -301,3 +329,39 @@ class TestSimulateAndReport:
         for entry in summary:
             assert entry["switches"] == 8
             assert entry["total_bytes"] > 0
+
+    def _simulate(self, tmp_path, capsys, jobs: int, seed: int):
+        trace_path = tmp_path / "t.jsonl"
+        rng = random.Random(4)
+        samples, t = [(0.0, Viewport.from_degrees(0, 0, 90, 90))], 0.0
+        for _ in range(40):
+            t += rng.uniform(40.0, 600.0)
+            samples.append((t, Viewport.from_degrees(rng.uniform(-180, 180), 0, 90, 90)))
+        write_viewport_trace(trace_path, samples)
+        out = tmp_path / f"jobs{jobs}"
+        rc = main(["simulate", *SMALL, "--seed", str(seed), "--trace", str(trace_path),
+                   "--uplink-ms", "15", "--downlink-ms", "25", "--bandwidth-bps", "40000",
+                   "--scheme", "svc", "--scheme", "multitrack(4,0)",
+                   "--scheme", "multitrack(8,2)", "--jobs", str(jobs), "--out", str(out)])
+        assert rc == EXIT_OK
+        stdout = capsys.readouterr().out
+        files = {p.name[len(out.name):]: p.read_bytes()
+                 for p in tmp_path.glob(out.name + ".*") if "manifest" not in p.name}
+        return stdout, files
+
+    def test_jobs_output_is_byte_identical(self, tmp_path, capsys):
+        # A seed no other test uses: the threads of --jobs 2 build the size
+        # tables concurrently, and --jobs 1 then reads them from the cache.
+        pooled = self._simulate(tmp_path, capsys, 2, seed=9173)
+        serial = self._simulate(tmp_path, capsys, 1, seed=9173)
+        assert len(serial[1]) == 6
+        assert pooled == serial
+
+    def test_report_p95_equals_latency_summary(self, tmp_path, capsys):
+        stdout, _ = self._simulate(tmp_path, capsys, 1, seed=1)
+        simulated = {e["scheme"]: e for e in map(json.loads, stdout.splitlines())}
+        assert main(["report", *sorted(str(p) for p in tmp_path.glob("jobs1.*.csv"))]) == EXIT_OK
+        reported = json.loads(capsys.readouterr().out)
+        assert len({e["p95_mthq_ms"] for e in reported}) > 1
+        for entry in reported:
+            assert entry["p95_mthq_ms"] == simulated[entry["scheme"]]["p95_mthq_ms"]

@@ -40,7 +40,7 @@ from svbs.container import (
     serialize,
     validate_structure,
 )
-from svbs.errors import BadDimensionsError, CorruptRleError
+from svbs.errors import BadConfigError, BadDimensionsError, CorruptRleError
 from svbs.rewriter import rewrite_viewport_frame
 
 from helpers import (
@@ -401,6 +401,11 @@ class TestTrackEncoder:
         assert validate_structure(stream) == []
         assert stream.config.width == config.base_width
         assert stream.config.tile_count == 1
+
+    @pytest.mark.parametrize("resolution", ["full", "base", "half", None])
+    def test_only_a_track_resolution_is_accepted(self, resolution):
+        with pytest.raises(BadConfigError):
+            encode_track(generate_content(1, small_config(), 2), 2, resolution)
 
     def test_smaller_gop_never_cheaper(self):
         source = generate_content(2, small_config(gop_size=30), 30)

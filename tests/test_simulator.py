@@ -7,7 +7,10 @@ import random
 import statistics
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import reference_run_session
 from svbs.codec import encode_svc, generate_content
 from svbs.config import SequenceConfig
 from svbs.container import serialized_frame_size
@@ -204,6 +207,117 @@ class TestMultitrackScheme:
                 1,
                 cycle_frames=10,
             )
+
+
+def assert_same_session(got, want):
+    """Equal switches, per-second bytes (in insertion order, which the JSON
+    report keeps) and FrameLogs; every FrameLog owns its byte dict."""
+    assert got.scheme_label == want.scheme_label
+    assert got.frame_period_ms == want.frame_period_ms
+    assert got.switches == want.switches
+    assert list(got.seconds) == list(want.seconds)
+    for sec, streams in want.seconds.items():
+        assert list(got.seconds[sec].items()) == list(streams.items())
+    assert got.frames == want.frames
+    for a, b in zip(got.frames, want.frames):
+        assert list(a.bytes_by_stream.items()) == list(b.bytes_by_stream.items())
+    assert len({id(f.bytes_by_stream) for f in got.frames}) == len(got.frames)
+    assert json.dumps(report_to_json(got)) == json.dumps(report_to_json(want))
+
+
+# Small frames keep each reference session (which rebuilds its tables) cheap.
+# The cube map needs a 3:2 frame.
+_SHAPES = {ProjectionKind.ERP: (96, 48), ProjectionKind.CUBEMAP_3x2: (96, 64)}
+_POOL = [
+    Viewport.from_degrees(0, 0, 90, 90),
+    Viewport.from_degrees(120, 20, 90, 60),
+    Viewport.from_degrees(-150, -70, 60, 90),
+]
+
+
+@st.composite
+def sessions(draw):
+    kind = draw(st.sampled_from(list(_SHAPES)))
+    width, height = _SHAPES[kind]
+    cols, rows = draw(st.sampled_from([(6, 4), (3, 2), (1, 1)]))
+    gop = draw(st.sampled_from([1, 2, 3, 5]))
+    config = SequenceConfig(width=width, height=height, tile_cols=cols, tile_rows=rows,
+                            gop_size=gop)
+    if draw(st.booleans()):
+        scheme = Scheme(SchemeKind.SVC)
+        lcm = gop
+    else:
+        scheme = Scheme(
+            SchemeKind.MULTITRACK,
+            long_gop=draw(st.sampled_from([1, 2, 3, 6])),
+            short_gop=draw(st.sampled_from([0, 0, 1, 2])),
+            low_gop=draw(st.sampled_from([None, 1, 2, 3])),
+        )
+        lcm = math.lcm(scheme.long_gop, scheme.short_gop or 1, scheme.low_gop or 1)
+    multiple = draw(st.sampled_from([None, 1, 2]))
+    cycle_frames = None if multiple is None else multiple * lcm
+    network = NetworkModel(
+        uplink_delay_ms=draw(st.floats(0, 150)),
+        downlink_delay_ms=draw(st.floats(0, 150)),
+        bandwidth_bytes_per_s=draw(st.none() | st.floats(1e4, 1e6)),
+    )
+    view = st.sampled_from(_POOL) | st.builds(
+        Viewport.from_degrees, st.floats(-180, 180), st.floats(-90, 90),
+        st.floats(1, 200), st.floats(1, 180))
+    t = draw(st.floats(0, 100))
+    trace = [(t, draw(view))]
+    for _ in range(draw(st.integers(0, 12))):
+        t += draw(st.floats(1, 400))
+        trace.append((t, draw(view)))
+    duration_ms = draw(st.none() | st.floats(0, t + 600))
+    seed = draw(st.integers(1, 3))
+    return scheme, trace, network, config, seed, dict(
+        projection_kind=kind, duration_ms=duration_ms, cycle_frames=cycle_frames)
+
+
+class TestMatchesReference:
+    """``run_session`` builds each size table once per process and charges
+    each (frame, tile set) once; the reference rebuilds and recomputes
+    everything per call."""
+
+    @given(sessions())
+    @settings(max_examples=120, deadline=None)
+    def test_equals_reference(self, session):
+        scheme, trace, network, config, seed, kwargs = session
+        got = run_session(scheme, trace, network, config, seed, **kwargs)
+        assert_same_session(got, reference_run_session(scheme, trace, network, config, seed,
+                                                       **kwargs))
+
+    def test_cache_key_holds_every_field(self):
+        """Sessions that differ in one of config, seed, cycle, GOP or track
+        resolution alternate in one process, so a cached table built for one
+        would be served to the next if its key lacked that field."""
+        base = SequenceConfig(width=96, height=48, tile_cols=6, tile_rows=4, gop_size=3)
+        other_grid = SequenceConfig(width=96, height=48, tile_cols=3, tile_rows=2, gop_size=3)
+        other_gop = SequenceConfig(width=96, height=48, tile_cols=6, tile_rows=4, gop_size=6)
+        svc = Scheme(SchemeKind.SVC)
+        multitrack = Scheme(SchemeKind.MULTITRACK, 6, 0)
+        trace = switching_trace(random.Random(13), 6, 3 * T, 9 * T)
+        net = NetworkModel(10.0, 20.0)
+        # (scheme, config, seed, cycle): each differs from the first of its
+        # scheme kind in one field.  The long and low tracks of
+        # multitrack(6,0) share a GOP and differ only in resolution.
+        runs = [
+            (svc, base, 1, 6), (svc, other_grid, 1, 6), (svc, other_gop, 1, 6),
+            (svc, base, 2, 6), (svc, base, 1, 12),
+            (multitrack, base, 1, 6), (multitrack, other_grid, 1, 6),
+            (multitrack, base, 2, 6), (multitrack, base, 1, 12),
+            (Scheme(SchemeKind.MULTITRACK, 3, 0), base, 1, 6),
+            (Scheme(SchemeKind.MULTITRACK, 6, 0, low_gop=3), base, 1, 6),
+            (Scheme(SchemeKind.MULTITRACK, 6, 3), base, 1, 6),
+            (Scheme(SchemeKind.MULTITRACK, 6, 2), base, 1, 6),
+        ]
+        for _ in range(2):  # the second pass is served from the cache
+            for scheme, config, seed, cycle in runs:
+                got = run_session(scheme, trace, net, config, seed, cycle_frames=cycle)
+                want = reference_run_session(scheme, trace, net, config, seed,
+                                             cycle_frames=cycle)
+                assert_same_session(got, want)
 
 
 class TestTraceValidation:
