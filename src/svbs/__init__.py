@@ -42,7 +42,6 @@ from .geometry import (
 )
 from .rewriter import (
     CANONICAL_SKIPPED_MODE,
-    rewrite_session_frame,
     rewrite_viewport_frame,
     synthesize_skipped_tile,
 )

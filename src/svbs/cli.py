@@ -30,7 +30,7 @@ from .codec import (
 )
 from .config import SequenceConfig
 from .container import parse, serialize, validate_structure
-from .errors import SvbsError
+from .errors import BadArgsError, SvbsError
 from .geometry import (
     Projection,
     ProjectionKind,
@@ -259,14 +259,13 @@ def _build_scheme(text: str) -> Scheme:
         return Scheme(SchemeKind.SVC)
     if text.startswith("multitrack"):
         inner = text[len("multitrack"):].strip("():")
-        if inner:
-            parts = [int(x) for x in inner.split(",")]
-            long_gop = parts[0]
-            short_gop = parts[1] if len(parts) > 1 else 0
-        else:
-            long_gop, short_gop = 30, 0
-        return Scheme(SchemeKind.MULTITRACK, long_gop=long_gop, short_gop=short_gop)
-    raise SvbsError(f"unknown scheme {text!r} (svc or multitrack(LONG,SHORT))")
+        try:
+            parts = [int(x) for x in inner.split(",")] if inner else [30]
+        except ValueError:
+            raise BadArgsError(f"--scheme {text!r}: LONG and SHORT must be integers") from None
+        short_gop = parts[1] if len(parts) > 1 else 0
+        return Scheme(SchemeKind.MULTITRACK, long_gop=parts[0], short_gop=short_gop)
+    raise BadArgsError(f"unknown scheme {text!r} (svc or multitrack(LONG,SHORT))")
 
 
 def _cmd_simulate(args) -> int:
@@ -316,15 +315,25 @@ def _cmd_report(args) -> int:
     byte_rows: dict[str, int] = {}
     for path in args.csv:
         with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                scheme = row["scheme"]
-                if row["row"] == "switch":
-                    mtp = float(row["mtp_ms"]) if row["mtp_ms"] else None
-                    raw = row["mthq_ms"]
-                    mthq = float(raw) if raw and raw != "NOT_REACHED" else None
-                    switch_rows.setdefault(scheme, []).append((mtp, mthq))
-                elif row["row"] == "second":
-                    byte_rows[scheme] = byte_rows.get(scheme, 0) + int(row["bytes"])
+            reader = csv.DictReader(fh)
+            try:
+                for row in reader:
+                    scheme = row["scheme"]
+                    if row["row"] == "switch":
+                        mtp = float(row["mtp_ms"]) if row["mtp_ms"] else None
+                        raw = row["mthq_ms"]
+                        mthq = float(raw) if raw and raw != "NOT_REACHED" else None
+                        switch_rows.setdefault(scheme, []).append((mtp, mthq))
+                    elif row["row"] == "second":
+                        byte_rows[scheme] = byte_rows.get(scheme, 0) + int(row["bytes"])
+            except KeyError as exc:
+                raise SvbsError(f"report {path} has no {exc} column") from None
+            # Text is decoded in chunks, so a decode error has no exact line.
+            except UnicodeDecodeError as exc:
+                raise SvbsError(f"report {path} is not UTF-8 text: {exc}") from None
+            # A short row reads its missing fields as None (TypeError).
+            except (ValueError, TypeError, csv.Error) as exc:
+                raise SvbsError(f"report {path} line {reader.line_num}: {exc}") from None
     summary = []
     for scheme, samples in sorted(switch_rows.items()):
         mthq = [m for _, m in samples if m is not None]

@@ -10,9 +10,11 @@ reconstruction stays bit-exact.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -28,8 +30,6 @@ from .container import (
     Tile,
     TileGroup,
     TileKind,
-    frame_header_size,
-    tile_group_size,
     validate_structure,
 )
 from .errors import (
@@ -38,12 +38,17 @@ from .errors import (
     CorruptRleError,
     InvalidStructureError,
     MissingBaseError,
+    TooLargeError,
 )
 
 PSNR_INF = math.inf
 
 # Zero runs shorter than this are cheaper as literals.
 MIN_ZERO_RUN = 6
+
+# 12K ERP (11520x5760), the largest frame the paper names.  A larger declared
+# frame is refused before the decoder allocates anything from its size.
+DECODE_PIXEL_BUDGET = 11520 * 5760
 
 _RUN_ZERO = 0
 _RUN_LITERAL = 1
@@ -84,16 +89,6 @@ class VideoSource:
     config: SequenceConfig
     frames: tuple[RasterFrame, ...]
     seed: int
-
-
-@dataclass(frozen=True)
-class RateRecord:
-    """Serialized byte cost of one container unit, attributed to a tile."""
-
-    frame_index: int
-    layer_id: LayerId
-    tile_index: int | None  # None for frame headers / delimiters
-    n_bytes: int
 
 
 # --- content generation ------------------------------------------------------
@@ -262,38 +257,52 @@ def rle_decompress(data: bytes, size: int) -> bytes:
     return b"".join(out)
 
 
-# --- residual helpers --------------------------------------------------------
+# --- tiled delta coding ------------------------------------------------------
 
 
-def _residual(cur: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """Mod-256 difference bytes; zero byte means no change."""
-    return (cur.astype(np.int16) - ref.astype(np.int16)).astype(np.uint8)
+def _grid_regions(width: int, height: int, grid: tuple[int, int]) -> list[tuple[slice, slice]]:
+    """(row slice, column slice) of each tile of a (cols, rows) ``grid``
+    over a width x height plane, by tile index in raster order."""
+    cols, rows = grid
+    tw, th = width // cols, height // rows
+    return [
+        (slice(r * th, (r + 1) * th), slice(c * tw, (c + 1) * tw))
+        for r in range(rows)
+        for c in range(cols)
+    ]
 
 
-def _apply_residual(ref: np.ndarray, res: np.ndarray) -> np.ndarray:
-    return (ref.astype(np.int16) + res.astype(np.int16)).astype(np.uint8)
+def _tile_groups(
+    cur: np.ndarray, ref: np.ndarray | None, grid: tuple[int, int]
+) -> tuple[TileGroup, ...]:
+    """One single-tile CODED group per tile of ``grid`` over the plane ``cur``,
+    in raster order.  A tile codes its samples, or with a ``ref`` plane their
+    mod-256 difference from it (uint8 arithmetic wraps)."""
+    h, w = cur.shape
+    cols = grid[0]
+    groups = []
+    for t, (rs, cs) in enumerate(_grid_regions(w, h, grid)):
+        data = cur[rs, cs] if ref is None else cur[rs, cs] - ref[rs, cs]
+        payload = rle_compress(data.tobytes())
+        tile = Tile(t, t % cols, t // cols, TileKind.CODED, coded_payload=payload)
+        groups.append(TileGroup(tg_start=t, tg_end=t, tiles=(tile,)))
+    return tuple(groups)
 
 
-def _tile_region(config: SequenceConfig, tile_index: int) -> tuple[slice, slice]:
-    col, row = config.tile_position(tile_index)
-    tw, th = config.tile_width, config.tile_height
-    return slice(row * th, (row + 1) * th), slice(col * tw, (col + 1) * tw)
-
-
-def _coded_tile_group(tile_index: int, cols: int, payload: bytes) -> TileGroup:
-    tile = Tile(
-        tile_index=tile_index,
-        tile_col=tile_index % cols,
-        tile_row=tile_index // cols,
-        tile_kind=TileKind.CODED,
-        coded_payload=payload,
+def _delta_layer(
+    frames: Sequence[RasterFrame], i: int, gop: int, grid: tuple[int, int]
+) -> LayerFrame:
+    """Frame ``i`` of a closed-GOP delta-coded layer over ``grid``: a GOP
+    start codes each tile's samples (KEY), any other frame their difference
+    from frame ``i - 1`` (INTER)."""
+    key = i % gop == 0
+    header = FrameHeader(
+        frame_index=i,
+        layer_id=LayerId.BASE,
+        frame_type=FrameType.KEY if key else FrameType.INTER,
     )
-    return TileGroup(tg_start=tile_index, tg_end=tile_index, tiles=(tile,))
-
-
-def _single_group_covering(payloads: list[bytes], cols: int) -> tuple[TileGroup, ...]:
-    """One single-tile TileGroup per payload, raster order."""
-    return tuple(_coded_tile_group(i, cols, p) for i, p in enumerate(payloads))
+    ref = None if key else frames[i - 1].samples
+    return LayerFrame(header, _tile_groups(frames[i].samples, ref, grid))
 
 
 # --- encoders ----------------------------------------------------------------
@@ -310,79 +319,34 @@ def encode_svc(source: VideoSource) -> Bitstream:
     config = source.config
     gop = config.gop_size
     sf = config.scale_factor
+    base_grid = config.layer_grid(base=True)
+    grid = config.layer_grid(base=False)
     bases = [downsample(f, sf) for f in source.frames]
-    ups_cache: dict[int, np.ndarray] = {}
 
+    @functools.cache
     def upsampled(i: int) -> np.ndarray:
-        if i not in ups_cache:
-            ups_cache[i] = upsample_nearest(bases[i], sf).samples
-        return ups_cache[i]
+        return upsample_nearest(bases[i], sf).samples
 
     frames = []
     for i, frame in enumerate(source.frames):
-        key = i % gop == 0
-        base_header = FrameHeader(
-            frame_index=i,
-            layer_id=LayerId.BASE,
-            frame_type=FrameType.KEY if key else FrameType.INTER,
-        )
-        if key:
-            base_bytes = bases[i].tobytes()
-        else:
-            base_bytes = _residual(bases[i].samples, bases[i - 1].samples).tobytes()
-        if config.base_single_tile:
-            base_groups = (_coded_tile_group(0, 1, rle_compress(base_bytes)),)
-        else:
-            base_groups = _encode_base_tiled(config, bases, i, key)
-
+        base_layer = _delta_layer(bases, i, gop, base_grid)
         gop_start = (i // gop) * gop
         candidates = [o for o in range(config.ref_window) if i - o >= gop_start]
         best = None
         for off in candidates:
-            ref = upsampled(i - off)
-            payloads = []
-            for t in range(config.tile_count):
-                rs, cs = _tile_region(config, t)
-                res = _residual(frame.samples[rs, cs], ref[rs, cs])
-                payloads.append(rle_compress(res.tobytes()))
-            total = sum(len(p) for p in payloads)
+            groups = _tile_groups(frame.samples, upsampled(i - off), grid)
+            total = sum(len(g.tiles[0].coded_payload) for g in groups)
             if best is None or total < best[0]:
-                best = (total, off, payloads)
-        _, best_off, payloads = best
+                best = (total, off, groups)
+        _, best_off, enh_groups = best
         enh_header = FrameHeader(
             frame_index=i,
             layer_id=LayerId.ENHANCED,
             frame_type=FrameType.INTER,
             base_ref_offset=best_off,
         )
-        enh_groups = _single_group_covering(payloads, config.tile_cols)
-        frames.append(
-            Frame(
-                layers=(
-                    LayerFrame(base_header, base_groups),
-                    LayerFrame(enh_header, enh_groups),
-                )
-            )
-        )
+        frames.append(Frame(layers=(base_layer, LayerFrame(enh_header, enh_groups))))
     return Bitstream(config=config, frames=tuple(frames))
-
-
-def _encode_base_tiled(
-    config: SequenceConfig, bases: list[RasterFrame], i: int, key: bool
-) -> tuple[TileGroup, ...]:
-    bw, bh = config.base_width, config.base_height
-    tw, th = bw // config.tile_cols, bh // config.tile_rows
-    payloads = []
-    for t in range(config.tile_count):
-        col, row = config.tile_position(t)
-        rs, cs = slice(row * th, (row + 1) * th), slice(col * tw, (col + 1) * tw)
-        cur = bases[i].samples[rs, cs]
-        if key:
-            data = cur.tobytes()
-        else:
-            data = _residual(cur, bases[i - 1].samples[rs, cs]).tobytes()
-        payloads.append(rle_compress(data))
-    return _single_group_covering(payloads, config.tile_cols)
 
 
 class TrackResolution(Enum):
@@ -400,28 +364,15 @@ def encode_track(source: VideoSource, gop: int, resolution: TrackResolution) -> 
         raise BadConfigError("gop must be >= 1")
     config = source.config
     if resolution is TrackResolution.FULL:
-        track_config = SequenceConfig(
-            width=config.width,
-            height=config.height,
-            scale_factor=config.scale_factor,
-            tile_cols=config.tile_cols,
-            tile_rows=config.tile_rows,
-            fps_num=config.fps_num,
-            fps_den=config.fps_den,
-            gop_size=gop,
-            base_single_tile=False,
-            ref_window=1,
-        )
+        track_config = replace(config, gop_size=gop, base_single_tile=False, ref_window=1)
         track_frames = source.frames
     elif resolution is TrackResolution.BASE:
-        track_config = SequenceConfig(
+        track_config = replace(
+            config,
             width=config.base_width,
             height=config.base_height,
-            scale_factor=config.scale_factor,
             tile_cols=1,
             tile_rows=1,
-            fps_num=config.fps_num,
-            fps_den=config.fps_den,
             gop_size=gop,
             base_single_tile=True,
             ref_window=1,
@@ -430,40 +381,21 @@ def encode_track(source: VideoSource, gop: int, resolution: TrackResolution) -> 
     else:
         raise BadConfigError(f"unknown track resolution {resolution!r}")
 
-    cols, rows = _layer_tile_grid(track_config)
-    tw = track_config.width // cols
-    th = track_config.height // rows
-    frames = []
-    for i, frame in enumerate(track_frames):
-        key = i % gop == 0
-        header = FrameHeader(
-            frame_index=i,
-            layer_id=LayerId.BASE,
-            frame_type=FrameType.KEY if key else FrameType.INTER,
-        )
-        payloads = []
-        for t in range(cols * rows):
-            col, row = t % cols, t // cols
-            rs, cs = slice(row * th, (row + 1) * th), slice(col * tw, (col + 1) * tw)
-            cur = frame.samples[rs, cs]
-            if key:
-                data = cur.tobytes()
-            else:
-                data = _residual(cur, track_frames[i - 1].samples[rs, cs]).tobytes()
-            payloads.append(rle_compress(data))
-        frames.append(
-            Frame(layers=(LayerFrame(header, _single_group_covering(payloads, cols)),))
-        )
-    return Bitstream(config=track_config, frames=tuple(frames))
-
-
-def _layer_tile_grid(config: SequenceConfig) -> tuple[int, int]:
-    if config.base_single_tile:
-        return 1, 1
-    return config.tile_cols, config.tile_rows
+    grid = track_config.layer_grid(base=True)
+    frames = tuple(
+        Frame(layers=(_delta_layer(track_frames, i, gop, grid),))
+        for i in range(len(track_frames))
+    )
+    return Bitstream(config=track_config, frames=frames)
 
 
 # --- decoding ----------------------------------------------------------------
+
+
+def _decoded_tile(tile: Tile, view: np.ndarray) -> np.ndarray:
+    """The decompressed samples of a CODED tile, shaped like its region."""
+    raw = rle_decompress(tile.coded_payload, view.size)
+    return np.frombuffer(raw, dtype=np.uint8).reshape(view.shape)
 
 
 def _decode_base_frames(bitstream: Bitstream, first: int, last: int) -> list[np.ndarray]:
@@ -471,29 +403,19 @@ def _decode_base_frames(bitstream: Bitstream, first: int, last: int) -> list[np.
     as every GOP start of a valid stream does."""
     config = bitstream.config
     bw, bh = config.base_width, config.base_height
-    cols, rows = _layer_tile_grid(config)
-    tw, th = bw // cols, bh // rows
+    regions = _grid_regions(bw, bh, config.layer_grid(base=True))
     decoded: list[np.ndarray] = []
     for i in range(first, last + 1):
-        frame = bitstream.frames[i]
-        base = next(
-            (l for l in frame.layers if l.header.layer_id == LayerId.BASE), None
-        )
+        base = bitstream.frames[i].layer(LayerId.BASE)
         if base is None:
             raise MissingBaseError(i)
         key = base.header.frame_type == FrameType.KEY
         out = np.empty((bh, bw), dtype=np.uint8)
         for group in base.tile_groups:
             for tile in group.tiles:
-                col, row = tile.tile_index % cols, tile.tile_index // cols
-                rs = slice(row * th, (row + 1) * th)
-                cs = slice(col * tw, (col + 1) * tw)
-                raw = rle_decompress(tile.coded_payload, th * tw)
-                region = np.frombuffer(raw, dtype=np.uint8).reshape(th, tw)
-                if key:
-                    out[rs, cs] = region
-                else:
-                    out[rs, cs] = _apply_residual(decoded[-1][rs, cs], region)
+                rs, cs = regions[tile.tile_index]
+                region = _decoded_tile(tile, out[rs, cs])
+                out[rs, cs] = region if key else decoded[-1][rs, cs] + region
         decoded.append(out)
     return decoded
 
@@ -515,6 +437,8 @@ def decode_frame(
             f"stream fails validation: {report[0].rule} at frame {report[0].frame_index}"
         )
     config = bitstream.config
+    if config.width * config.height > DECODE_PIXEL_BUDGET:
+        raise TooLargeError(f"{config.width}x{config.height} exceeds the decode pixel budget")
     if not 0 <= frame_index < len(bitstream.frames):
         raise MissingBaseError(frame_index)
     gop_start = (frame_index // config.gop_size) * config.gop_size
@@ -526,10 +450,10 @@ def decode_frame(
         return upsample_nearest(RasterFrame(config.base_width, config.base_height, base), sf).samples
 
     out = upsampled(frame_index).copy()
-    frame = bitstream.frames[frame_index]
-    enh = next((l for l in frame.layers if l.header.layer_id == LayerId.ENHANCED), None)
+    enh = bitstream.frames[frame_index].layer(LayerId.ENHANCED)
     if enh is None:
         return RasterFrame(config.width, config.height, out)
+    regions = _grid_regions(config.width, config.height, config.layer_grid(base=False))
     ref = None
     for group in enh.tile_groups:
         for tile in group.tiles:
@@ -537,16 +461,12 @@ def decode_frame(
                 continue
             if ref is None:
                 ref = upsampled(frame_index - enh.header.base_ref_offset)
-            rs, cs = _tile_region(config, tile.tile_index)
-            raw = rle_decompress(tile.coded_payload, config.tile_height * config.tile_width)
-            res = np.frombuffer(raw, dtype=np.uint8).reshape(
-                config.tile_height, config.tile_width
-            )
-            out[rs, cs] = _apply_residual(ref[rs, cs], res)
+            rs, cs = regions[tile.tile_index]
+            out[rs, cs] = ref[rs, cs] + _decoded_tile(tile, out[rs, cs])
     return RasterFrame(config.width, config.height, out)
 
 
-# --- metrics and accounting --------------------------------------------------
+# --- metrics -----------------------------------------------------------------
 
 
 def psnr(a: RasterFrame, b: RasterFrame) -> float:
@@ -558,15 +478,3 @@ def psnr(a: RasterFrame, b: RasterFrame) -> float:
         return PSNR_INF
     return 10.0 * math.log10(255.0 * 255.0 / mse)
 
-
-def rate_records(bitstream: Bitstream) -> list[RateRecord]:
-    """Serialized unit costs per frame: tile groups attributed to their tile,
-    frame headers and delimiters to tile_index None."""
-    records = []
-    for pos, frame in enumerate(bitstream.frames):
-        for layer in frame.layers:
-            layer_id = layer.header.layer_id
-            records.append(RateRecord(pos, layer_id, None, frame_header_size(layer.header)))
-            for group in layer.tile_groups:
-                records.append(RateRecord(pos, layer_id, group.tg_start, tile_group_size(group)))
-    return records

@@ -94,3 +94,10 @@ class SequenceConfig:
         if not 0 <= tile_index < self.tile_count:
             raise BadConfigError(f"tile index {tile_index} outside grid")
         return tile_index % self.tile_cols, tile_index // self.tile_cols
+
+    def layer_grid(self, base: bool) -> tuple[int, int]:
+        """(cols, rows) of a layer's tile grid: a single tile for the base
+        layer when ``base_single_tile`` is set, else the configured grid."""
+        if base and self.base_single_tile:
+            return 1, 1
+        return self.tile_cols, self.tile_rows

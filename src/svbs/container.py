@@ -169,6 +169,10 @@ class Frame:
     delimiter_count: int = 1
     metadata: tuple[bytes, ...] = ()
 
+    def layer(self, layer_id: LayerId) -> LayerFrame | None:
+        """The frame's first layer with ``layer_id``, or None."""
+        return next((l for l in self.layers if l.header.layer_id == layer_id), None)
+
 
 @dataclass(frozen=True)
 class Bitstream:
@@ -193,6 +197,16 @@ class FrameSizes:
     @property
     def total(self) -> int:
         return self.delimiter_bytes + self.metadata_bytes + sum(self.layer_bytes.values())
+
+
+@dataclass(frozen=True)
+class RateRecord:
+    """Serialized byte cost of one container unit, attributed to a tile."""
+
+    frame_index: int
+    layer_id: LayerId
+    tile_index: int | None  # None for frame headers / delimiters
+    n_bytes: int
 
 
 # --- serialization -----------------------------------------------------------
@@ -501,17 +515,10 @@ R_SKIP_IN_BASE = "R_SKIP_IN_BASE"
 R_SKIP_FLAGS = "R_SKIP_FLAGS"
 
 
-def _layer_grid(config: SequenceConfig, layer_id: LayerId) -> tuple[int, int]:
-    """(cols, rows) of the tile grid a layer is expected to cover."""
-    if layer_id == LayerId.BASE and config.base_single_tile:
-        return 1, 1
-    return config.tile_cols, config.tile_rows
-
-
 def _check_layer_tiles(
     out: list[Violation], pos: int, layer: LayerFrame, config: SequenceConfig
 ) -> None:
-    cols, rows = _layer_grid(config, layer.header.layer_id)
+    cols, rows = config.layer_grid(layer.header.layer_id == LayerId.BASE)
     count = cols * rows
     seen: set[int] = set()
     has_skipped = False
@@ -638,12 +645,22 @@ def frame_byte_sizes(bitstream: Bitstream) -> list[FrameSizes]:
         raise InvalidStructureError(f"{len(report)} structural violation(s)")
     sizes = []
     for pos, frame in enumerate(bitstream.frames):
-        delim = frame.delimiter_count * UNIT_HEADER_SIZE
         meta = sum(UNIT_HEADER_SIZE + len(m) for m in frame.metadata)
-        per_layer: dict[LayerId, int] = {}
-        for layer in frame.layers:
-            n = frame_header_size(layer.header)
-            n += sum(tile_group_size(group) for group in layer.tile_groups)
-            per_layer[layer.header.layer_id] = per_layer.get(layer.header.layer_id, 0) + n
-        sizes.append(FrameSizes(pos, delim, meta, per_layer))
+        sizes.append(FrameSizes(pos, frame.delimiter_count * UNIT_HEADER_SIZE, meta))
+    for rec in rate_records(bitstream):
+        per_layer = sizes[rec.frame_index].layer_bytes
+        per_layer[rec.layer_id] = per_layer.get(rec.layer_id, 0) + rec.n_bytes
     return sizes
+
+
+def rate_records(bitstream: Bitstream) -> list[RateRecord]:
+    """Serialized unit costs per frame: tile groups attributed to their tile,
+    frame headers and delimiters to tile_index None."""
+    records = []
+    for pos, frame in enumerate(bitstream.frames):
+        for layer in frame.layers:
+            layer_id = layer.header.layer_id
+            records.append(RateRecord(pos, layer_id, None, frame_header_size(layer.header)))
+            for group in layer.tile_groups:
+                records.append(RateRecord(pos, layer_id, group.tg_start, tile_group_size(group)))
+    return records

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from .config import SequenceConfig
 from .container import (
-    Bitstream,
     Frame,
     FrameHeader,
     InterMode,
@@ -25,7 +24,6 @@ from .container import (
     TileKind,
 )
 from .errors import BadIndexError, InvalidStructureError, TileMissingError
-from .geometry import Projection, Viewport, select_tiles
 
 SUPERBLOCK_SIZE = 64
 
@@ -74,13 +72,7 @@ def rewrite_viewport_frame(frame: Frame, selected: set[int], config: SequenceCon
     """
     if not set(selected) <= set(range(config.tile_count)):
         raise BadIndexError("selected tiles outside grid")
-    base = None
-    enhanced = None
-    for layer in frame.layers:
-        if layer.header.layer_id == LayerId.BASE and base is None:
-            base = layer
-        elif layer.header.layer_id == LayerId.ENHANCED and enhanced is None:
-            enhanced = layer
+    base, enhanced = frame.layer(LayerId.BASE), frame.layer(LayerId.ENHANCED)
     if base is None or enhanced is None:
         raise InvalidStructureError("input frame must carry a base and an enhanced layer")
 
@@ -115,15 +107,3 @@ def rewrite_viewport_frame(frame: Frame, selected: set[int], config: SequenceCon
         metadata=frame.metadata,
     )
 
-
-def rewrite_session_frame(
-    bitstream: Bitstream,
-    frame_index: int,
-    viewport: Viewport,
-    projection: Projection,
-) -> Frame:
-    """Map the viewport to tiles, then rewrite one frame of the stream."""
-    if not 0 <= frame_index < len(bitstream.frames):
-        raise InvalidStructureError(f"frame {frame_index} not in stream")
-    selected = select_tiles(viewport, projection, bitstream.config)
-    return rewrite_viewport_frame(bitstream.frames[frame_index], selected, bitstream.config)

@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 
-from .codec import encode_svc, encode_track, generate_content, rate_records, TrackResolution
+from .codec import encode_svc, encode_track, generate_content, TrackResolution
 from .config import SequenceConfig
-from .container import UNIT_HEADER_SIZE, LayerId, tile_group_size
+from .container import UNIT_HEADER_SIZE, LayerId, rate_records, tile_group_size
 from .errors import BadArgsError, EmptyTraceError, NoStreamError
 from .geometry import Projection, ProjectionKind, Viewport, select_tiles
 from .rewriter import _skipped_tile_group
@@ -71,10 +71,10 @@ class NetworkModel:
     bandwidth_bytes_per_s: float | None = None  # None = unlimited
 
     def __post_init__(self) -> None:
-        if self.uplink_delay_ms < 0 or self.downlink_delay_ms < 0:
-            raise BadArgsError("delays must be nonnegative")
-        if self.bandwidth_bytes_per_s is not None and self.bandwidth_bytes_per_s <= 0:
-            raise BadArgsError("bandwidth must be positive")
+        if not (0 <= self.uplink_delay_ms < math.inf and 0 <= self.downlink_delay_ms < math.inf):
+            raise BadArgsError("delays must be nonnegative and finite")
+        if self.bandwidth_bytes_per_s is not None and not 0 < self.bandwidth_bytes_per_s < math.inf:
+            raise BadArgsError("bandwidth must be positive and finite")
 
     def serialization_ms(self, n_bytes: int) -> float:
         if self.bandwidth_bytes_per_s is None:
@@ -187,14 +187,6 @@ def _track_tables(
     return tuple(out)
 
 
-def _lcm(*values: int) -> int:
-    out = 1
-    for v in values:
-        if v:
-            out = math.lcm(out, v)
-    return out
-
-
 def _region_bytes(header, tiles):
     """``(j, region) -> header[j] + the bytes of region's tiles in frame j``,
     summed once per pair."""
@@ -258,7 +250,7 @@ def run_session(
     else:
         long_gop, short_gop = scheme.long_gop, scheme.short_gop
         low_gop = scheme.low_gop or long_gop
-        cycle = cycle_frames or _lcm(long_gop, short_gop, low_gop)
+        cycle = cycle_frames or math.lcm(*filter(None, (long_gop, short_gop, low_gop)))
         for g in (long_gop, short_gop, low_gop):
             if g and cycle % g:
                 raise BadArgsError("cycle_frames must be a multiple of every track GOP")
@@ -470,6 +462,14 @@ def read_session_config(path) -> dict[str, str]:
     return out
 
 
+def _mapping_number(m: dict[str, str], key: str, kind: type, default=None):
+    """``kind(m[key])``, or ``default`` when ``key`` is absent."""
+    try:
+        return kind(m[key]) if key in m else default
+    except ValueError:
+        raise BadArgsError(f"{key} wants {kind.__name__}, not {m[key]!r}") from None
+
+
 def scheme_from_mapping(m: dict[str, str]) -> Scheme:
     kind = m.get("scheme", "svc").lower()
     if kind == "svc":
@@ -477,17 +477,17 @@ def scheme_from_mapping(m: dict[str, str]) -> Scheme:
     if kind == "multitrack":
         return Scheme(
             SchemeKind.MULTITRACK,
-            long_gop=int(m.get("long_gop", 30)),
-            short_gop=int(m.get("short_gop", 0)),
-            low_gop=int(m["low_gop"]) if "low_gop" in m else None,
+            long_gop=_mapping_number(m, "long_gop", int, 30),
+            short_gop=_mapping_number(m, "short_gop", int, 0),
+            low_gop=_mapping_number(m, "low_gop", int),
         )
     raise NoStreamError(f"unknown scheme {kind!r}")
 
 
 def network_from_mapping(m: dict[str, str]) -> NetworkModel:
-    bandwidth = m.get("bandwidth_Bps")
+    unlimited = m.get("bandwidth_Bps") in (None, "", "unlimited")
     return NetworkModel(
-        uplink_delay_ms=float(m.get("uplink_ms", 0.0)),
-        downlink_delay_ms=float(m.get("downlink_ms", 0.0)),
-        bandwidth_bytes_per_s=float(bandwidth) if bandwidth not in (None, "", "unlimited") else None,
+        uplink_delay_ms=_mapping_number(m, "uplink_ms", float, 0.0),
+        downlink_delay_ms=_mapping_number(m, "downlink_ms", float, 0.0),
+        bandwidth_bytes_per_s=None if unlimited else _mapping_number(m, "bandwidth_Bps", float),
     )

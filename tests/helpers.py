@@ -28,6 +28,7 @@ from svbs.container import (
     TileGroup,
     TileKind,
     UnitType,
+    rate_records,
     tile_group_size,
     validate_structure,
 )
@@ -35,13 +36,9 @@ from svbs.codec import (
     MIN_ZERO_RUN,
     RasterFrame,
     TrackResolution,
-    _apply_residual,
-    _layer_tile_grid,
-    _tile_region,
     encode_svc,
     encode_track,
     generate_content,
-    rate_records,
     rle_decompress,
     upsample_nearest,
 )
@@ -427,10 +424,28 @@ def reference_parse(data: bytes) -> Bitstream:
     return Bitstream(config=config, frames=tuple(frames))
 
 
+# The decoder's original residual arithmetic (through int16) and tile
+# geometry, kept here so the reference does not move with the code under test.
+def _ref_apply_residual(ref: np.ndarray, res: np.ndarray) -> np.ndarray:
+    return (ref.astype(np.int16) + res.astype(np.int16)).astype(np.uint8)
+
+
+def _ref_tile_region(config: SequenceConfig, tile_index: int) -> tuple[slice, slice]:
+    col, row = config.tile_position(tile_index)
+    tw, th = config.tile_width, config.tile_height
+    return slice(row * th, (row + 1) * th), slice(col * tw, (col + 1) * tw)
+
+
+def _ref_layer_tile_grid(config: SequenceConfig) -> tuple[int, int]:
+    if config.base_single_tile:
+        return 1, 1
+    return config.tile_cols, config.tile_rows
+
+
 def _ref_decode_base_frames(bitstream: Bitstream, upto: int) -> list[np.ndarray]:
     config = bitstream.config
     bw, bh = config.base_width, config.base_height
-    cols, rows = _layer_tile_grid(config)
+    cols, rows = _ref_layer_tile_grid(config)
     tw, th = bw // cols, bh // rows
     decoded: list[np.ndarray] = []
     for i in range(upto + 1):
@@ -452,7 +467,7 @@ def _ref_decode_base_frames(bitstream: Bitstream, upto: int) -> list[np.ndarray]
                 if key:
                     out[rs, cs] = region
                 else:
-                    out[rs, cs] = _apply_residual(decoded[i - 1][rs, cs], region)
+                    out[rs, cs] = _ref_apply_residual(decoded[i - 1][rs, cs], region)
         decoded.append(out)
     return decoded
 
@@ -488,12 +503,12 @@ def reference_decode_frame(
                 continue
             if ref is None:
                 ref = upsampled(frame_index - enh.header.base_ref_offset)
-            rs, cs = _tile_region(config, tile.tile_index)
+            rs, cs = _ref_tile_region(config, tile.tile_index)
             raw = rle_decompress(tile.coded_payload, config.tile_height * config.tile_width)
             res = np.frombuffer(raw, dtype=np.uint8).reshape(
                 config.tile_height, config.tile_width
             )
-            out[rs, cs] = _apply_residual(ref[rs, cs], res)
+            out[rs, cs] = _ref_apply_residual(ref[rs, cs], res)
     return RasterFrame(config.width, config.height, out)
 
 

@@ -161,6 +161,18 @@ class TestFrameBounds:
         assert not out.exists()
 
 
+# Input files the malformed-argument cases name as {dir}/<name>.
+MALFORMED_INPUTS = {
+    "trace.jsonl": b'{"t_ms": 0, "yaw_deg": 0, "pitch_deg": 0, "h_fov_deg": 90, "v_fov_deg": 90}\n',
+    "gop.net": b"scheme=multitrack\nlong_gop=abc\n",
+    "uplink.net": b"uplink_ms=nan\n",
+    "mtp.csv": b"row,scheme,t_ms,mtp_ms,mthq_ms,second,stream,bytes\nswitch,svc,0,abc,1,,,\n",
+    "noscheme.csv": b"row,t_ms,mtp_ms,mthq_ms,second,stream,bytes\nswitch,0,1,1,,,\n",
+    "binary.csv": b"\x89PNG\r\n\x1a\n\xff\xfe\x00",
+}
+SIMULATE = ["simulate", *SMALL, "--trace", "{dir}/trace.jsonl", "--out", "{out}"]
+
+
 class TestMalformedArguments:
     @pytest.mark.parametrize(
         "argv, message",
@@ -175,17 +187,29 @@ class TestMalformedArguments:
              "--tiles -1 outside"),
             (["select-tiles", "--fps", "abc", "--viewport", "0,0,90,90"], "--fps wants"),
             (["select-tiles", "--viewport", "nan,0,90,90"], "yaw must be finite"),
+            ([*SIMULATE, "--net", "{dir}/gop.net"], "long_gop wants int, not 'abc'"),
+            ([*SIMULATE, "--net", "{dir}/uplink.net"], "delays must be nonnegative and finite"),
+            ([*SIMULATE, "--uplink-ms", "nan"], "delays must be nonnegative and finite"),
+            ([*SIMULATE, "--bandwidth-bps", "nan"], "bandwidth must be positive and finite"),
+            ([*SIMULATE, "--scheme", "multitrack(a)"], "LONG and SHORT must be integers"),
+            (["report", "{dir}/mtp.csv"], "mtp.csv line 2: could not convert"),
+            (["report", "{dir}/noscheme.csv"], "noscheme.csv has no 'scheme' column"),
+            (["report", "{dir}/binary.csv"], "binary.csv is not UTF-8 text"),
         ],
         ids=["viewport-not-numbers", "rewrite-without-pose", "tiles-not-numbers",
              "tiles-empty-entry", "tile-outside-grid", "negative-tile", "fps-not-a-number",
-             "yaw-not-finite"],
+             "yaw-not-finite", "net-gop-not-a-number", "net-uplink-nan", "uplink-nan",
+             "bandwidth-nan", "scheme-gop-not-a-number", "report-mtp-not-a-number",
+             "report-without-scheme", "report-binary"],
     )
     def test_is_data_error_without_traceback(self, tmp_path, capsys, argv, message):
         stream_path = tmp_path / "s.svb"
         out = tmp_path / "out"
+        for name, content in MALFORMED_INPUTS.items():
+            (tmp_path / name).write_bytes(content)
         main(["encode", *SMALL, "--frames", "1", "--out", str(stream_path)])
         capsys.readouterr()
-        rc = main([a.format(stream=stream_path, out=out) for a in argv])
+        rc = main([a.format(stream=stream_path, out=out, dir=tmp_path) for a in argv])
         err = capsys.readouterr().err
         assert rc == EXIT_DATA
         assert err.startswith("error: ") and message in err

@@ -25,7 +25,6 @@ from svbs.codec import (
     encode_track,
     generate_content,
     psnr,
-    rate_records,
     rle_compress,
     rle_decompress,
     upsample_nearest,
@@ -37,10 +36,12 @@ from svbs.container import (
     FrameType,
     LayerId,
     frame_byte_sizes,
+    parse,
+    rate_records,
     serialize,
     validate_structure,
 )
-from svbs.errors import BadConfigError, BadDimensionsError, CorruptRleError
+from svbs.errors import BadConfigError, BadDimensionsError, CorruptRleError, TooLargeError
 from svbs.rewriter import rewrite_viewport_frame
 
 from helpers import (
@@ -446,6 +447,20 @@ class TestDecode:
             region = (slice(row * th, (row + 1) * th), slice(col * tw, (col + 1) * tw))
             want = source.frames[2] if t in received else base_up
             assert np.array_equal(out.samples[region], want.samples[region])
+
+    def test_declared_size_over_budget_is_refused_before_allocating(self):
+        data = bytearray(serialize(encode_svc(generate_content(1, SequenceConfig(32, 16), 1))))
+        struct.pack_into("<HH", data, 5, 32768, 16384)  # the header's width and height
+        tracemalloc.start()
+        try:
+            stream = parse(bytes(data))
+            assert validate_structure(stream) == []
+            with pytest.raises(TooLargeError):
+                decode_frame(stream, 0, {0})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_base_only_stream_decodes(self):
         config = small_config()

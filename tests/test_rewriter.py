@@ -23,7 +23,6 @@ from svbs.geometry import Projection, ProjectionKind, Viewport, select_tiles
 from svbs.rewriter import (
     CANONICAL_SKIPPED_MODE,
     SUPERBLOCK_SIZE,
-    rewrite_session_frame,
     rewrite_viewport_frame,
     synthesize_skipped_tile,
 )
@@ -167,21 +166,10 @@ class TestRewriteSession:
         stream = encode_svc(generate_content(2, config, 2))
         projection = Projection(ProjectionKind.ERP, 768, 384)
         vp = Viewport.from_degrees(0, 0, 90, 90)
-        out = rewrite_session_frame(stream, 1, vp, projection)
-        selected = select_tiles(vp, projection, config)
-        expect = rewrite_viewport_frame(stream.frames[1], selected, config)
-        assert out == expect
+        out = rewrite_viewport_frame(stream.frames[1], select_tiles(vp, projection, config), config)
         coded = {
             g.tiles[0].tile_index
             for g in out.layers[1].tile_groups
             if g.tiles[0].tile_kind == TileKind.CODED
         }
         assert coded == {8, 9, 14, 15}
-
-    def test_frame_index_bounds(self):
-        stream = small_stream(2)
-        projection = Projection(ProjectionKind.ERP, 64, 32)
-        with pytest.raises(InvalidStructureError):
-            rewrite_session_frame(
-                stream, 5, Viewport.from_degrees(0, 0, 90, 90), projection
-            )
