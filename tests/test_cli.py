@@ -389,3 +389,80 @@ class TestSimulateAndReport:
         assert len({e["p95_mthq_ms"] for e in reported}) > 1
         for entry in reported:
             assert entry["p95_mthq_ms"] == simulated[entry["scheme"]]["p95_mthq_ms"]
+
+
+def _golden_trace(path) -> None:
+    """About 40 switches among 4 views at unaligned times, written as fixed
+    JSON text so the digests depend on nothing but the simulator."""
+    rng = random.Random(2024)
+    views = [(0, 0), (90, 30), (180, 0), (-90, -30)]
+    current, t = 0, 0.0
+    lines = []
+    for i in range(41):
+        yaw, pitch = views[current]
+        lines.append(json.dumps({"t_ms": t, "yaw_deg": yaw, "pitch_deg": pitch,
+                                 "h_fov_deg": 90, "v_fov_deg": 90}))
+        t = round(t + rng.uniform(20.0, 900.0), 3)
+        current = (current + rng.randrange(1, len(views))) % len(views)
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestGoldenReports:
+    """SHA-256 of every report file `svbs simulate` writes at the simulator's
+    reference config (384×192, 6×4 tiles, GOP 10).  The trace leaves some
+    multitrack switches NOT_REACHED, and some seconds of multitrack(30,5)
+    carry no short track.  A change to the session loop or the report
+    writers must keep these bytes."""
+
+    GOLDEN = {
+        "delays": {
+            "multitrack_10_0.csv":
+                "d29d195397b4296f147b7e4bcbd6682f17e91b862b773fe2b035f2d6fc5080c8",
+            "multitrack_10_0.json":
+                "200868852b6d15d983f6c42fdd9a2ed72309e7e7704f3ee03f51d89f887ab343",
+            "multitrack_30_5.csv":
+                "50ce99af043b90dc021349aac88ed04cab1009dd5f90749fd3f8a597c4b642e7",
+            "multitrack_30_5.json":
+                "b695c7e357689e28e901f3f46f775b69ebfedbd4a608d9991cfb92b3f14df0f8",
+            "svc.csv":
+                "58204b8c38532764fc1a3a492f72fcfdbc5478731981d860261f6aa04e8684b2",
+            "svc.json":
+                "d5a7bc8bf061a7f5b2e00e2caadfcbcf10e10a9ad1b873ef84b4f192196aa52e",
+        },
+        "bandwidth": {
+            "multitrack_10_0.csv":
+                "c6235a2bbd3fa072a0384607c770076bcee3f7732b7e2e713d3320faba2a15c9",
+            "multitrack_10_0.json":
+                "0fd0c5e11fe3bdde64c28b63e8030c0de7340dde25f17fdda8365914f84e9e79",
+            "multitrack_30_5.csv":
+                "f8fc8b8a03f569e71fac2748d08686055a85915da704de00e37f2f8095397ebf",
+            "multitrack_30_5.json":
+                "51bb183b4538d463a0598c66ba4d95f6a233b87da388fb838303d71f8957ea98",
+            "svc.csv":
+                "1538f001dc7045f829d8bc1fd75e39f5b24c6a574890bb96f0676f61ce4a2bca",
+            "svc.json":
+                "46457da2a0d26b4fc286a2db52df088f7d62c974dc066d66056f7fd3b5ca0553",
+        },
+    }
+
+    @pytest.mark.parametrize(
+        "case, net",
+        [("delays", ["--uplink-ms", "20", "--downlink-ms", "35"]),
+         ("bandwidth", ["--uplink-ms", "10", "--downlink-ms", "15",
+                        "--bandwidth-bps", "200000"])],
+        ids=["delays", "bandwidth"],
+    )
+    def test_report_digests(self, tmp_path, capsys, case, net):
+        trace_path = tmp_path / "t.jsonl"
+        _golden_trace(trace_path)
+        out = tmp_path / "sim"
+        rc = main(["simulate", "--width", "384", "--height", "192", "--tile-cols", "6",
+                   "--tile-rows", "4", "--gop", "10", "--seed", "5",
+                   "--trace", str(trace_path), *net, "--scheme", "svc",
+                   "--scheme", "multitrack(10,0)", "--scheme", "multitrack(30,5)",
+                   "--out", str(out)])
+        assert rc == EXIT_OK
+        capsys.readouterr()
+        got = {p.name[len("sim."):]: sha256(p)
+               for p in sorted(tmp_path.glob("sim.*")) if "manifest" not in p.name}
+        assert got == self.GOLDEN[case]
