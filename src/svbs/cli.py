@@ -255,17 +255,20 @@ def _cmd_select_tiles(args) -> int:
 
 
 def _build_scheme(text: str) -> Scheme:
+    """``svc``, ``multitrack``, ``multitrack(LONG)`` or ``multitrack(LONG,SHORT)``."""
     if text == "svc":
         return Scheme(SchemeKind.SVC)
-    if text.startswith("multitrack"):
-        inner = text[len("multitrack"):].strip("():")
-        try:
-            parts = [int(x) for x in inner.split(",")] if inner else [30]
-        except ValueError:
-            raise BadArgsError(f"--scheme {text!r}: LONG and SHORT must be integers") from None
-        short_gop = parts[1] if len(parts) > 1 else 0
-        return Scheme(SchemeKind.MULTITRACK, long_gop=parts[0], short_gop=short_gop)
-    raise BadArgsError(f"unknown scheme {text!r} (svc or multitrack(LONG,SHORT))")
+    if text == "multitrack":
+        return Scheme(SchemeKind.MULTITRACK)
+    parts = text[len("multitrack("):-1].split(",")
+    if not (text.startswith("multitrack(") and text.endswith(")")) or len(parts) > 2:
+        raise BadArgsError(f"unknown scheme {text!r} (svc or multitrack(LONG,SHORT))")
+    try:
+        gops = [int(x) for x in parts]
+    except ValueError:
+        raise BadArgsError(f"--scheme {text!r}: LONG and SHORT must be integers") from None
+    long_gop, short_gop = gops if len(gops) == 2 else (gops[0], 0)
+    return Scheme(SchemeKind.MULTITRACK, long_gop=long_gop, short_gop=short_gop)
 
 
 def _cmd_simulate(args) -> int:
@@ -326,6 +329,11 @@ def _cmd_report(args) -> int:
                         switch_rows.setdefault(scheme, []).append((mtp, mthq))
                     elif row["row"] == "second":
                         byte_rows[scheme] = byte_rows.get(scheme, 0) + int(row["bytes"])
+                    else:
+                        raise SvbsError(f"report {path} line {reader.line_num}: row kind "
+                                        f"{row['row']!r} is neither switch nor second")
+                if reader.fieldnames is None:
+                    raise SvbsError(f"report {path} is empty")
             except KeyError as exc:
                 raise SvbsError(f"report {path} has no {exc} column") from None
             # Text is decoded in chunks, so a decode error has no exact line.

@@ -18,9 +18,12 @@ import csv
 import json
 import math
 import statistics
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
+
+import numpy as np
 
 from .codec import encode_svc, encode_track, generate_content, TrackResolution
 from .config import SequenceConfig
@@ -100,8 +103,46 @@ class FrameLog:
     tick: int
     display_ms: float
     hq_tiles: frozenset[int]
-    sent_tiles: frozenset[int]
+    sent_tiles: frozenset[int]  # always hq_tiles
     bytes_by_stream: dict[str, int]
+
+
+class _FrameLogs(Sequence):
+    """A session's FrameLogs, one per tick, built from its columns the first
+    time they are read and kept from then on.
+
+    ``streams`` maps each stream name to its bytes per tick and the mask of
+    ticks that send it (None: every tick).
+    """
+
+    def __init__(self, display, hq_sets, hq_ids, streams):
+        self._columns = display, hq_sets, hq_ids, streams
+        self._logs: tuple[FrameLog, ...] | None = None
+
+    def _built(self) -> tuple[FrameLog, ...]:
+        if self._logs is None:
+            display, hq_sets, hq_ids, streams = self._columns
+            cols = [(name, col.tolist(), None if sent is None else sent.tolist())
+                    for name, (col, sent) in streams.items()]
+            hq = [hq_sets[h] for h in hq_ids.tolist()]
+            self._logs = tuple(
+                FrameLog(k, display_ms, hq[k], hq[k],
+                         {name: col[k] for name, col, sent in cols if sent is None or sent[k]})
+                for k, display_ms in enumerate(display.tolist())
+            )
+        return self._logs
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, index):
+        return self._built()[index]
+
+    # Equal to a list or tuple of the same FrameLogs.
+    def __eq__(self, other):
+        if isinstance(other, (list, tuple, _FrameLogs)):
+            return list(self) == list(other)
+        return NotImplemented
 
 
 @dataclass(frozen=True)
@@ -110,7 +151,7 @@ class SessionReport:
     frame_period_ms: float
     switches: list[SwitchSample]
     seconds: dict[int, dict[str, int]]  # second -> stream -> bytes
-    frames: list[FrameLog] = field(repr=False, default_factory=list)
+    frames: Sequence[FrameLog] = field(repr=False, default=())
 
     @property
     def mthq_samples(self) -> list[float]:
@@ -137,30 +178,47 @@ def expected_gop_wait_ms(gop: int, fps) -> float:
 
 # --- per-frame size tables ---------------------------------------------------
 
-# Entries kept by each size-table cache.  An entry holds only integer tuples,
-# a few KiB at any resolution; frames and sources are never cached.
+# Entries kept by each size-table cache.  An entry holds only read-only
+# integer arrays, a few KiB at any resolution; frames and sources are never
+# cached.
 _TABLE_CACHE_SIZE = 32
+
+
+def _layer_tables(stream, cycle: int) -> dict[LayerId, tuple[np.ndarray, np.ndarray]]:
+    """Per layer of ``stream``, per frame of the cycle: frame-header bytes and
+    bytes per tile, from one walk of its rate records."""
+    tables = {}
+    for rec in rate_records(stream):
+        if rec.layer_id not in tables:
+            tables[rec.layer_id] = (np.zeros(cycle, np.int64),
+                                    np.zeros((cycle, stream.config.tile_count), np.int64))
+        header, tiles = tables[rec.layer_id]
+        if rec.tile_index is None:
+            header[rec.frame_index] += rec.n_bytes
+        else:
+            tiles[rec.frame_index, rec.tile_index] = rec.n_bytes
+    return tables
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _svc_tables(config: SequenceConfig, seed: int, cycle: int):
-    """Per frame of the cycle: base-layer bytes, enhanced frame-header bytes
-    and enhanced bytes per tile; then the bytes of one skipped-tile stub."""
+    """Per frame of the cycle: base-layer bytes (with the frame's temporal
+    delimiter), enhanced frame-header bytes and enhanced bytes per tile; then
+    the bytes of one skipped-tile stub."""
     source = generate_content(seed, config, cycle)
-    stream = encode_svc(source)
-    base_bytes = [UNIT_HEADER_SIZE] * cycle  # temporal delimiter per frame
-    enh_header = [0] * cycle
-    coded = [[0] * config.tile_count for _ in range(cycle)]
-    for rec in rate_records(stream):
-        if rec.layer_id == LayerId.BASE:
-            base_bytes[rec.frame_index] += rec.n_bytes
-        elif rec.tile_index is None:
-            enh_header[rec.frame_index] += rec.n_bytes
-        else:
-            coded[rec.frame_index][rec.tile_index] = rec.n_bytes
+    layers = _layer_tables(encode_svc(source), cycle)
+    base_header, base_tiles = layers[LayerId.BASE]
+    enh_header, coded = layers[LayerId.ENHANCED]
     # Every stub of a grid has the same size.
     skip_group_bytes = tile_group_size(_skipped_tile_group(0, config))
-    return tuple(base_bytes), tuple(enh_header), tuple(map(tuple, coded)), skip_group_bytes
+    return (*_read_only(UNIT_HEADER_SIZE + base_header + base_tiles.sum(axis=1),
+                        enh_header, coded), skip_group_bytes)
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
@@ -170,40 +228,18 @@ def _track_tables(
     cycle: int,
     tracks: tuple[tuple[int, TrackResolution], ...],
 ):
-    """Per (gop, resolution) track, per frame of the cycle: header bytes and
-    bytes per tile.  The tracks are encoded from one generated content."""
+    """Per (gop, resolution) track, per frame of the cycle: header bytes (with
+    the temporal delimiter) and bytes per tile.  The tracks are encoded from
+    one generated content and hold one layer each."""
     source = generate_content(seed, config, cycle)
     out = []
     for gop, resolution in tracks:
-        stream = encode_track(source, gop, resolution)
-        header = [UNIT_HEADER_SIZE] * cycle
-        tiles = [[0] * stream.config.tile_count for _ in range(cycle)]
-        for rec in rate_records(stream):
-            if rec.tile_index is None:
-                header[rec.frame_index] += rec.n_bytes
-            else:
-                tiles[rec.frame_index][rec.tile_index] = rec.n_bytes
-        out.append((tuple(header), tuple(map(tuple, tiles))))
+        (header, tiles), = _layer_tables(encode_track(source, gop, resolution), cycle).values()
+        out.append(_read_only(UNIT_HEADER_SIZE + header, tiles))
     return tuple(out)
 
 
-def _region_bytes(header, tiles):
-    """``(j, region) -> header[j] + the bytes of region's tiles in frame j``,
-    summed once per pair."""
-    memo: dict[tuple[int, frozenset[int]], int] = {}
-
-    def charge(j: int, region: frozenset[int]) -> int:
-        key = (j, region)
-        n = memo.get(key)
-        if n is None:
-            row = tiles[j]
-            n = memo[key] = header[j] + sum(row[t] for t in region)
-        return n
-
-    return charge
-
-
-# --- the session loop --------------------------------------------------------
+# --- the session -------------------------------------------------------------
 
 
 def run_session(
@@ -229,6 +265,10 @@ def run_session(
     cyclically, which keeps long sessions cheap without changing the rate
     structure.  The size tables of a (config, seed, cycle, track GOPs)
     combination are built once per process.
+
+    Every tick is computed at once as a column (the pose the server knows,
+    the bytes of each stream, the display time), with the same float
+    operations a per-tick loop would do, so the results are the same bits.
     """
     if not trace:
         raise EmptyTraceError("viewport trace is empty")
@@ -245,7 +285,6 @@ def run_session(
         if cycle % config.gop_size:
             raise BadArgsError("cycle_frames must be a multiple of gop_size")
         base_bytes, enh_header, coded, skip_bytes = _svc_tables(config, source_seed, cycle)
-        enhanced_bytes = _region_bytes(enh_header, coded)
         settle_ticks = 4
     else:
         long_gop, short_gop = scheme.long_gop, scheme.short_gop
@@ -258,103 +297,135 @@ def run_session(
         if short_gop > 0:
             tracks += ((short_gop, TrackResolution.FULL),)
         tables = _track_tables(config, source_seed, cycle, tracks)
-        long_bytes = _region_bytes(*tables[0])
-        low_header, low_tiles = tables[1]
-        low_bytes = [low_header[j] + sum(low_tiles[j]) for j in range(cycle)]
-        short_bytes = _region_bytes(*tables[2]) if short_gop > 0 else None
         settle_ticks = long_gop + short_gop + 4
 
     if duration_ms is None:
         duration_ms = times[-1] + settle_ticks * period
     n_ticks = int(math.ceil(duration_ms / period)) + 1
 
-    # The tile set of every trace entry, selected once per distinct viewport.
-    selected: dict[Viewport, frozenset[int]] = {}
+    # The tile set of every trace entry, selected once per distinct viewport;
+    # pose_set[i] indexes tile_sets, the distinct sets.
+    view_set: dict[Viewport, int] = {}
+    set_ids: dict[frozenset[int], int] = {}
+    pose_set_ids = []
     for _, vp in trace:
-        if vp not in selected:
-            selected[vp] = frozenset(select_tiles(vp, projection, config))
-    pose_tiles = [selected[vp] for _, vp in trace]
+        set_id = view_set.get(vp)
+        if set_id is None:
+            tiles = frozenset(select_tiles(vp, projection, config))
+            set_id = view_set[vp] = set_ids.setdefault(tiles, len(set_ids))
+        pose_set_ids.append(set_id)
+    pose_set = np.array(pose_set_ids)
+    tile_sets = list(set_ids)
+    member = np.zeros((len(tile_sets), config.tile_count), np.int64)
+    for s, tiles in enumerate(tile_sets):
+        member[s, list(tiles)] = 1
 
     # Pose arrival times at the server; the initial pose is known from t=0.
-    pose_known_at = [times[0]] + [t + network.uplink_delay_ms for t in times[1:]]
-    last_pose = len(trace) - 1
-    tick_eps = period * _TICK_EPS
-    downlink_ms = network.downlink_delay_ms
-    unlimited = network.bandwidth_bytes_per_s is None
+    pose_known_at = np.array([times[0]] + [t + network.uplink_delay_ms for t in times[1:]])
+    ks = np.arange(n_ticks)
+    t_k = ks * period
+    known = np.searchsorted(pose_known_at[1:], t_k + period * _TICK_EPS, side="right")
+    j = ks % cycle
 
-    frames: list[FrameLog] = []
-    seconds: dict[int, dict[str, int]] = {}
-    bucket_second: int | None = None
-    bucket: dict[str, int] = {}
-    known_idx = 0
-    committed_long_idx = 0
-    committed_short_idx: int | None = None
+    if svc:
+        hq_sets, hq_ids = tile_sets, pose_set[known]
+        # The region's coded tiles plus a skipped stub for every other tile.
+        enhanced = (_region_bytes(enh_header, coded, member)
+                    + (config.tile_count - member.sum(axis=1))[:, None] * skip_bytes)
+        streams = {"base": (base_bytes[j], None), "enhanced": (enhanced[hq_ids, j], None)}
+    else:
+        # The long track commits the known pose on its GOP boundaries.
+        long_pose = known[ks - ks % long_gop]
+        long_set = pose_set[long_pose]
+        low_header, low_tiles = tables[1]
+        streams = {
+            "low": ((low_header + low_tiles.sum(axis=1))[j], None),
+            "long": (_region_bytes(*tables[0], member)[long_set, j], None),
+        }
+        n_keys = len(tile_sets) + 1
+        hq_key = long_set * n_keys
+        if short_gop > 0:
+            # The short track runs from a short-GOP boundary where the long
+            # track lags the known pose until the long track catches up.
+            caught_up = long_pose == known
+            last_event = np.maximum.accumulate(np.where(caught_up | (ks % short_gop == 0), ks, 0))
+            short_pose = np.where(caught_up, -1, known)[last_event]
+            sent = short_pose >= 0
+            short_set = np.where(sent, pose_set[short_pose], -1)
+            short_bytes = _region_bytes(*tables[2], member)[short_set, j]
+            streams["short"] = (np.where(sent, short_bytes, 0), sent)
+            hq_key = hq_key + short_set + 1
+        # HQ tiles: the long region, joined by the short region while sent.
+        keys, hq_ids = np.unique(hq_key, return_inverse=True)
+        hq_sets = [tile_sets[key // n_keys] | (tile_sets[key % n_keys - 1] if key % n_keys
+                                               else frozenset())
+                   for key in keys.tolist()]
 
-    for k in range(n_ticks):
-        t_k = k * period
-        while known_idx < last_pose and pose_known_at[known_idx + 1] <= t_k + tick_eps:
-            known_idx += 1
-        j = k % cycle
+    total = sum(col for col, _ in streams.values())
+    arrival = t_k + network.downlink_delay_ms + network.serialization_ms(total)
+    display = (np.floor(arrival / period + _TICK_EPS) + 1) * period
 
-        if svc:
-            hq = pose_tiles[known_idx]
-            # The region's coded tiles plus a skipped stub for every other tile.
-            payload = {
-                "base": base_bytes[j],
-                "enhanced": enhanced_bytes(j, hq) + (config.tile_count - len(hq)) * skip_bytes,
-            }
-        else:
-            if k % long_gop == 0:
-                committed_long_idx = known_idx
-            if short_gop > 0:
-                if committed_long_idx == known_idx:
-                    committed_short_idx = None
-                elif k % short_gop == 0:
-                    committed_short_idx = known_idx
-            hq = pose_tiles[committed_long_idx]
-            payload = {"low": low_bytes[j], "long": long_bytes(j, hq)}
-            if committed_short_idx is not None:
-                short_region = pose_tiles[committed_short_idx]
-                payload["short"] = short_bytes(j, short_region)
-                hq = hq | short_region
+    # Bytes per second and stream, in the order the streams were first sent.
+    second = t_k // 1000.0
+    starts = np.flatnonzero(np.diff(second, prepend=-1.0))
+    sums = [(name, np.add.reduceat(col, starts).tolist(),
+             None if sent is None else np.logical_or.reduceat(sent, starts).tolist())
+            for name, (col, sent) in streams.items()]
+    seconds = {
+        sec: {name: n[g] for name, n, sent in sums if sent is None or sent[g]}
+        for g, sec in enumerate(second[starts].astype(np.int64).tolist())
+    }
 
-        if unlimited:
-            arrival = t_k + downlink_ms
-        else:
-            arrival = t_k + downlink_ms + network.serialization_ms(sum(payload.values()))
-        display = (math.floor(arrival / period + _TICK_EPS) + 1) * period
-        frames.append(FrameLog(k, display, hq, hq, payload))
-        second = int(t_k // 1000.0)
-        if second != bucket_second:
-            bucket_second, bucket = second, seconds.setdefault(second, {})
-        for name, n in payload.items():
-            bucket[name] = bucket.get(name, 0) + n
-
-    switches = _resolve_switches(trace, pose_known_at, frames, period, pose_tiles, n_ticks)
+    switches = _resolve_switches(times, pose_known_at, pose_set_ids, tile_sets,
+                                 display, hq_ids, hq_sets, period)
     return SessionReport(
         scheme_label=scheme.label,
         frame_period_ms=period,
         switches=switches,
         seconds=seconds,
-        frames=frames,
+        frames=_FrameLogs(display, hq_sets, hq_ids, streams),
     )
 
 
-def _resolve_switches(trace, pose_known_at, frames, period, pose_tiles, n_ticks):
+def _region_bytes(header, tiles, member):
+    """Bytes of every tile set (a row of ``member``) in every frame of the
+    cycle: the frame's header plus the set's tiles."""
+    return header + member @ tiles.T
+
+
+def _resolve_switches(times, pose_known_at, pose_set, tile_sets, display, hq_ids, hq_sets,
+                      period):
+    """MTP and MTHQ of each switch: the display time of the first tick that
+    knows its pose, and of the first such tick, before the next switch is
+    known, whose HQ tiles cover the pose's tiles."""
+    n_ticks = len(display)
+    # A pose known before the session starts is first served at tick 0.
+    first_tick = np.maximum(np.ceil(pose_known_at / period - _TICK_EPS), 0).astype(np.int64)
+    stop_tick = np.minimum(np.append(first_tick[2:], n_ticks), n_ticks)
+    # The ticks where the HQ set changes, the set from each on, and the run
+    # holding each switch's first tick.
+    run_starts = np.flatnonzero(np.diff(hq_ids, prepend=-1))
+    first_run = np.searchsorted(run_starts, first_tick[1:], side="right") - 1
+    run_ids = hq_ids[run_starts].tolist()
+    run_starts = run_starts.tolist()
+    display_ms = display.tolist()
+    covers: dict[tuple[int, int], bool] = {}
     switches = []
-    for i in range(1, len(trace)):
-        t = trace[i][0]
-        required = pose_tiles[i]
-        k0 = math.ceil(pose_known_at[i] / period - _TICK_EPS)
-        k_stop = n_ticks
-        if i + 1 < len(trace):
-            k_stop = min(n_ticks, math.ceil(pose_known_at[i + 1] / period - _TICK_EPS))
-        mtp = frames[k0].display_ms - t if k0 < n_ticks else None
+    for t, need, k, k_stop, run in zip(times[1:], pose_set[1:], first_tick[1:].tolist(),
+                                       stop_tick.tolist(), first_run.tolist()):
+        mtp = display_ms[k] - t if k < n_ticks else None
         mthq = None
-        for k in range(min(k0, n_ticks), k_stop):
-            if required <= frames[k].hq_tiles:
-                mthq = frames[k].display_ms - t
+        while k < k_stop:
+            key = (need, run_ids[run])
+            if key not in covers:
+                covers[key] = tile_sets[need] <= hq_sets[key[1]]
+            if covers[key]:
+                mthq = display_ms[k] - t
                 break
+            run += 1
+            if run == len(run_starts):
+                break
+            k = run_starts[run]
         switches.append(SwitchSample(t_ms=t, mtp_ms=mtp, mthq_ms=mthq))
     return switches
 
@@ -424,10 +495,53 @@ def report_to_json(report: SessionReport) -> dict:
     }
 
 
+def _indented(open_: str, close: str, members: list[str], level: int) -> str:
+    """A JSON container in the layout of ``json.dump(..., indent=2)``, from
+    its members, each already written for nesting ``level``."""
+    if not members:
+        return open_ + close
+    pad = "\n" + "  " * level
+    return open_ + pad + ("," + pad).join(members) + "\n" + "  " * (level - 1) + close
+
+
 def write_report_json(report: SessionReport, path) -> None:
+    """Write ``json.dump(report_to_json(report), fh, indent=2)`` and a
+    newline, byte for byte.  The layout is written here; the numbers, nulls
+    and second keys go through one call of the C encoder."""
+    seconds = sorted(report.seconds.items())
+    leaves: list = [report.frame_period_ms, report.total_bytes]
+    for s in report.switches:
+        leaves += (s.t_ms, s.mtp_ms, s.mthq_ms)
+    for sec, streams in seconds:
+        leaves += (str(sec), *streams.values())
+    # No encoded number, null or integer string holds ", ", so the list
+    # splits back into its leaves.
+    leaf = iter(json.dumps(leaves)[1:-1].split(", "))
+    period, total = next(leaf), next(leaf)
+    switches = [
+        _indented("{", "}", [f'"t_ms": {next(leaf)}', f'"mtp_ms": {next(leaf)}',
+                             f'"mthq_ms": {next(leaf)}'], 3)
+        for _ in report.switches
+    ]
+    names: dict[str, str] = {}
+    buckets = []
+    for _, streams in seconds:
+        key = next(leaf)
+        members = []
+        for name in streams:
+            if name not in names:
+                names[name] = json.dumps(name)
+            members.append(f"{names[name]}: {next(leaf)}")
+        buckets.append(f"{key}: {_indented('{', '}', members, 3)}")
+    top = [
+        f'"scheme": {json.dumps(report.scheme_label)}',
+        f'"frame_period_ms": {period}',
+        f'"switches": {_indented("[", "]", switches, 2)}',
+        f'"seconds": {_indented("{", "}", buckets, 2)}',
+        f'"total_bytes": {total}',
+    ]
     with open(path, "w") as fh:
-        json.dump(report_to_json(report), fh, indent=2)
-        fh.write("\n")
+        fh.write(_indented("{", "}", top, 1) + "\n")
 
 
 def write_report_csv(report: SessionReport, path) -> None:

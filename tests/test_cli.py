@@ -169,6 +169,8 @@ MALFORMED_INPUTS = {
     "mtp.csv": b"row,scheme,t_ms,mtp_ms,mthq_ms,second,stream,bytes\nswitch,svc,0,abc,1,,,\n",
     "noscheme.csv": b"row,t_ms,mtp_ms,mthq_ms,second,stream,bytes\nswitch,0,1,1,,,\n",
     "binary.csv": b"\x89PNG\r\n\x1a\n\xff\xfe\x00",
+    "empty.csv": b"",
+    "bogus.csv": b"row,scheme,t_ms,mtp_ms,mthq_ms,second,stream,bytes\nbogus,svc,,,,,,\n",
 }
 SIMULATE = ["simulate", *SMALL, "--trace", "{dir}/trace.jsonl", "--out", "{out}"]
 
@@ -195,12 +197,18 @@ class TestMalformedArguments:
             (["report", "{dir}/mtp.csv"], "mtp.csv line 2: could not convert"),
             (["report", "{dir}/noscheme.csv"], "noscheme.csv has no 'scheme' column"),
             (["report", "{dir}/binary.csv"], "binary.csv is not UTF-8 text"),
+            ([*SIMULATE, "--scheme", "multitrack(30,5,1)"], "unknown scheme 'multitrack(30,5,1)'"),
+            ([*SIMULATE, "--scheme", "multitrack(30"], "unknown scheme 'multitrack(30'"),
+            (["report", "{dir}/empty.csv"], "empty.csv is empty"),
+            (["report", "{dir}/bogus.csv"],
+             "bogus.csv line 2: row kind 'bogus' is neither switch nor second"),
         ],
         ids=["viewport-not-numbers", "rewrite-without-pose", "tiles-not-numbers",
              "tiles-empty-entry", "tile-outside-grid", "negative-tile", "fps-not-a-number",
              "yaw-not-finite", "net-gop-not-a-number", "net-uplink-nan", "uplink-nan",
              "bandwidth-nan", "scheme-gop-not-a-number", "report-mtp-not-a-number",
-             "report-without-scheme", "report-binary"],
+             "report-without-scheme", "report-binary", "scheme-three-gops",
+             "scheme-unclosed", "report-empty", "report-unknown-row-kind"],
     )
     def test_is_data_error_without_traceback(self, tmp_path, capsys, argv, message):
         stream_path = tmp_path / "s.svb"
@@ -353,6 +361,18 @@ class TestSimulateAndReport:
         for entry in summary:
             assert entry["switches"] == 8
             assert entry["total_bytes"] > 0
+
+    def test_simulate_builds_no_frame_logs(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("svbs simulate built a FrameLog")
+
+        monkeypatch.setattr("svbs.simulator.FrameLog", refuse)
+        trace_path = tmp_path / "t.jsonl"
+        _golden_trace(trace_path)
+        rc = main(["simulate", *SMALL, "--trace", str(trace_path), "--scheme", "svc",
+                   "--scheme", "multitrack(4,2)", "--out", str(tmp_path / "sim")])
+        assert rc == EXIT_OK
+        capsys.readouterr()
 
     def _simulate(self, tmp_path, capsys, jobs: int, seed: int):
         trace_path = tmp_path / "t.jsonl"

@@ -7,7 +7,7 @@ import random
 import statistics
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import reference_run_session
@@ -19,9 +19,12 @@ from svbs.geometry import ProjectionKind, Viewport
 from svbs.rewriter import rewrite_viewport_frame
 from svbs.simulator import (
     MTHQ_COMPLIANCE_MS,
+    FrameLog,
     NetworkModel,
     Scheme,
     SchemeKind,
+    SessionReport,
+    SwitchSample,
     bitrate_report,
     expected_gop_wait_ms,
     latency_summary,
@@ -196,6 +199,19 @@ class TestMultitrackScheme:
         )
         assert all(f.bytes_by_stream.get("low", 0) > 0 for f in report.frames)
 
+    def test_short_track_stops_off_its_own_boundaries(self):
+        """With a long GOP that is not a multiple of the short GOP, the long
+        track can catch up between short-GOP boundaries; the short stream
+        stops on that tick."""
+        scheme = Scheme(SchemeKind.MULTITRACK, 3, 2)
+        trace = switching_trace(random.Random(15), 30, 2 * T, 9 * T)
+        net = NetworkModel(5.0, 10.0)
+        report = run_session(scheme, trace, net, CONFIG, 1)
+        assert_same_session(report, reference_run_session(scheme, trace, net, CONFIG, 1))
+        stops = [g.tick for f, g in zip(report.frames, report.frames[1:])
+                 if "short" in f.bytes_by_stream and "short" not in g.bytes_by_stream]
+        assert any(k % 2 for k in stops)
+
     def test_cycle_must_cover_gops(self):
         trace = [(0.0, VIEW_A)]
         with pytest.raises(BadArgsError):
@@ -325,6 +341,14 @@ class TestTraceValidation:
         with pytest.raises(EmptyTraceError):
             run_session(Scheme(SchemeKind.SVC), [], NetworkModel(), CONFIG, 1)
 
+    def test_poses_before_the_session_start_are_served_from_tick_0(self):
+        trace = [(-500.0, VIEW_A), (-300.0, VIEW_B), (2000.0, VIEW_C)]
+        report = run_session(Scheme(SchemeKind.SVC), trace, NetworkModel(), CONFIG, 1)
+        assert report.switches[0] == SwitchSample(-300.0, T + 300.0, T + 300.0)
+        # A session whose trace ends before it starts has no ticks to serve.
+        report = run_session(Scheme(SchemeKind.SVC), trace[:2], NetworkModel(), CONFIG, 1)
+        assert [(s.mtp_ms, s.mthq_ms) for s in report.switches] == [(None, None)]
+
     def test_nonmonotonic_times(self):
         trace = [(0.0, VIEW_A), (100.0, VIEW_B), (50.0, VIEW_C)]
         with pytest.raises(BadArgsError):
@@ -376,6 +400,65 @@ class TestReporting:
         second_rows = [r for r in rows if r["row"] == "second"]
         assert len(switch_rows) == len(report.switches)
         assert sum(int(r["bytes"]) for r in second_rows) == report.total_bytes
+
+
+_AWKWARD_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-7, 1e16, 1e22, 0.1 + 0.2, 1 / 3,
+                   1.7976931348623157e308, float("inf"), float("-inf"), float("nan")]
+_floats = st.sampled_from(_AWKWARD_FLOATS) | st.floats()
+_streams = st.sampled_from(["base", "enhanced", "low", "long", "short"]) | st.text(max_size=8)
+_byte_counts = st.sampled_from([0, 2**53, 2**53 + 1, 2**64 + 7]) | st.integers(0, 2**70)
+
+
+@st.composite
+def reports(draw):
+    switches = draw(st.lists(st.builds(SwitchSample, _floats, st.none() | _floats,
+                                       st.none() | _floats), max_size=6))
+    seconds = draw(st.dictionaries(st.integers(-5, 10**6),
+                                   st.dictionaries(_streams, _byte_counts, max_size=4),
+                                   max_size=6))
+    label = draw(st.sampled_from(["svc", "multitrack(30,5)"]) | st.text(max_size=12))
+    return SessionReport(label, draw(_floats), switches, seconds)
+
+
+class TestReportWriter:
+    """``write_report_json`` lays out the indented JSON itself; it must equal
+    ``json.dump(..., indent=2)`` byte for byte."""
+
+    @given(reports())
+    @settings(max_examples=200, deadline=None)
+    @example(SessionReport("svc", 1000 / 30, [], {}))
+    @example(SessionReport(
+        "multitrack(30,5)", -0.0,
+        [SwitchSample(5e-324, None, None), SwitchSample(1e16, 1e-7, None)],
+        {3: {"low": 2**53 + 1, "long": 7}, 0: {"low": 1, "long": 2, "short": 3}, 9: {}}))
+    def test_equals_json_dump_indent_2(self, tmp_path_factory, report):
+        path = tmp_path_factory.getbasetemp() / "report-writer.json"
+        write_report_json(report, path)
+        got = path.read_bytes()
+        with open(path, "w") as fh:
+            json.dump(report_to_json(report), fh, indent=2)
+            fh.write("\n")
+        assert got == path.read_bytes()
+
+
+class TestFrameLogs:
+    def test_built_once_on_first_access(self, monkeypatch):
+        built = []
+
+        def counting(*args):
+            built.append(args[0])
+            return FrameLog(*args)
+
+        monkeypatch.setattr("svbs.simulator.FrameLog", counting)
+        trace = switching_trace(random.Random(14), 6, 6 * T, 12 * T)
+        report = run_session(Scheme(SchemeKind.MULTITRACK, 10, 5), trace, NetworkModel(),
+                             CONFIG, 1)
+        assert built == [] and len(report.frames) > 0
+        first = report.frames[0]
+        assert built == list(range(len(report.frames)))
+        assert report.frames[0] is first and list(report.frames) == list(report.frames)
+        with pytest.raises(TypeError):
+            report.frames[0] = first
 
 
 class TestSessionConfigFiles:
