@@ -10,7 +10,6 @@ reproduced from the manifest alone.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import functools
 import hashlib
@@ -287,18 +286,9 @@ def _cmd_simulate(args) -> int:
         schemes = None
     if schemes is None:
         schemes = [_build_scheme(s) for s in (args.scheme or ["svc"])]
-
-    def one(scheme):
-        return run_session(
-            scheme, trace, network, config, args.seed,
-            projection_kind=_projection_kind(args.projection),
-        )
-
-    if args.jobs > 1 and len(schemes) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(one, schemes))
-    else:
-        reports = [one(s) for s in schemes]
+    projection_kind = _projection_kind(args.projection)
+    reports = [run_session(scheme, trace, network, config, args.seed,
+                           projection_kind=projection_kind) for scheme in schemes]
 
     outputs = []
     for scheme, report in zip(schemes, reports):
@@ -424,7 +414,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--bandwidth-bps", type=float, default=None,
                    help="bytes per second; omit for unlimited")
     p.add_argument("--projection", choices=["erp", "cubemap"], default="erp")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted and ignored: the sessions run one after another")
     p.add_argument("--out", required=True, help="output stem for report files")
     p.set_defaults(func=_cmd_simulate)
 

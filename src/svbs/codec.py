@@ -50,6 +50,9 @@ MIN_ZERO_RUN = 6
 # frame is refused before the decoder allocates anything from its size.
 DECODE_PIXEL_BUDGET = 11520 * 5760
 
+# Samples one generated content may hold, 1 GiB: frames times frame pixels.
+CONTENT_PIXEL_BUDGET = 1 << 30
+
 _RUN_ZERO = 0
 _RUN_LITERAL = 1
 _RECORD = struct.Struct("<BI")  # run_type u8, length u32
@@ -104,7 +107,12 @@ def generate_content(seed: int, config: SequenceConfig, frame_count: int) -> Vid
     """
     if frame_count < 1:
         raise BadConfigError("frame_count must be >= 1")
+    if seed < 0:
+        raise BadConfigError(f"seed must be >= 0, not {seed}")
     w, h = config.width, config.height
+    if frame_count * w * h > CONTENT_PIXEL_BUDGET:
+        raise TooLargeError(f"{frame_count} frames of {w}x{h} exceed the content pixel "
+                            f"budget {CONTENT_PIXEL_BUDGET}")
     rng = np.random.default_rng(seed)
 
     ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)

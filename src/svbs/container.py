@@ -205,7 +205,7 @@ class RateRecord:
 
     frame_index: int
     layer_id: LayerId
-    tile_index: int | None  # None for frame headers / delimiters
+    tile_index: int | None  # None for frame headers
     n_bytes: int
 
 
@@ -654,8 +654,9 @@ def frame_byte_sizes(bitstream: Bitstream) -> list[FrameSizes]:
 
 
 def rate_records(bitstream: Bitstream) -> list[RateRecord]:
-    """Serialized unit costs per frame: tile groups attributed to their tile,
-    frame headers and delimiters to tile_index None."""
+    """Serialized unit costs per frame and layer: tile groups attributed to
+    their tile, frame headers to tile_index None.  No record covers a
+    frame's temporal delimiters or metadata."""
     records = []
     for pos, frame in enumerate(bitstream.frames):
         for layer in frame.layers:

@@ -104,58 +104,43 @@ def _project_erp(dirs: np.ndarray, width: int, height: int) -> tuple[np.ndarray,
     return u, v
 
 
-# Face order and packing: top row left/front/right, bottom row bottom/back/top.
-_FACE_LEFT, _FACE_FRONT, _FACE_RIGHT, _FACE_BOTTOM, _FACE_BACK, _FACE_TOP = range(6)
-_FACE_CELL = {
-    _FACE_LEFT: (0, 0),
-    _FACE_FRONT: (1, 0),
-    _FACE_RIGHT: (2, 0),
-    _FACE_BOTTOM: (0, 1),
-    _FACE_BACK: (1, 1),
-    _FACE_TOP: (2, 1),
-}
-_CELL_FACE = {cell: face for face, cell in _FACE_CELL.items()}
-_FACE_COL = np.array([_FACE_CELL[f][0] for f in range(6)])
-_FACE_ROW = np.array([_FACE_CELL[f][1] for f in range(6)])
-
-
-def _cubemap_faces(dirs: np.ndarray) -> np.ndarray:
-    x, y, z = dirs[:, 0], dirs[:, 1], dirs[:, 2]
-    ax, ay, az = np.abs(x), np.abs(y), np.abs(z)
-    dominant = np.argmax(np.stack([ax, ay, az], axis=0), axis=0)
-    faces = np.empty(len(dirs), dtype=np.int64)
-    faces[(dominant == 0) & (x >= 0)] = _FACE_FRONT
-    faces[(dominant == 0) & (x < 0)] = _FACE_BACK
-    faces[(dominant == 1) & (y >= 0)] = _FACE_RIGHT
-    faces[(dominant == 1) & (y < 0)] = _FACE_LEFT
-    faces[(dominant == 2) & (z >= 0)] = _FACE_TOP
-    faces[(dominant == 2) & (z < 0)] = _FACE_BOTTOM
-    return faces
+# One row per face: its (col, row) cell in the 3x2 packing (top row
+# left/front/right, bottom row bottom/back/top), then the axis and sign of
+# its outward normal, of its in-face coordinate a (along the frame's columns)
+# and of b (along its rows).  A face's direction is
+# n_sign * e_n + a_sign * a * e_a + b_sign * b * e_b for a, b in [-1, 1].
+_FACES = np.array([
+    # col, row, n, n_sign, a, a_sign, b, b_sign
+    (0, 0, 1, -1, 0, 1, 2, -1),  # left
+    (1, 0, 0, 1, 1, 1, 2, -1),  # front
+    (2, 0, 1, 1, 0, -1, 2, -1),  # right
+    (0, 1, 2, -1, 1, 1, 0, -1),  # bottom
+    (1, 1, 0, -1, 1, -1, 2, -1),  # back
+    (2, 1, 2, 1, 1, 1, 0, 1),  # top
+])
+_COL, _ROW, _N, _N_SIGN, _A, _A_SIGN, _B, _B_SIGN = _FACES.T
+# The face at 2 * normal axis + (normal component < 0), and at 3 * row + col.
+_FACE_OF_NORMAL = np.zeros(6, np.int64)
+_FACE_OF_NORMAL[2 * _N + (_N_SIGN < 0)] = range(6)
+_FACE_OF_CELL = np.zeros(6, np.int64)
+_FACE_OF_CELL[3 * _ROW + _COL] = range(6)
 
 
 def _project_cubemap(
     dirs: np.ndarray, width: int, height: int
 ) -> tuple[np.ndarray, np.ndarray]:
     s = width / 3.0
-    x, y, z = dirs[:, 0], dirs[:, 1], dirs[:, 2]
-    faces = _cubemap_faces(dirs)
-    a = np.empty(len(dirs))
-    b = np.empty(len(dirs))
-    for face, (a_expr, b_expr) in {
-        _FACE_FRONT: (lambda x, y, z: y / x, lambda x, y, z: -z / x),
-        _FACE_BACK: (lambda x, y, z: y / x, lambda x, y, z: z / x),
-        _FACE_RIGHT: (lambda x, y, z: -x / y, lambda x, y, z: -z / y),
-        _FACE_LEFT: (lambda x, y, z: -x / y, lambda x, y, z: z / y),
-        _FACE_TOP: (lambda x, y, z: y / z, lambda x, y, z: x / z),
-        _FACE_BOTTOM: (lambda x, y, z: -y / z, lambda x, y, z: x / z),
-    }.items():
-        m = faces == face
-        if m.any():
-            a[m] = a_expr(x[m], y[m], z[m])
-            b[m] = b_expr(x[m], y[m], z[m])
+    rows = np.arange(len(dirs))
+    # The dominant axis, the first on a tie; a zero component counts as +.
+    axis = np.argmax(np.abs(dirs), axis=1)
+    n = dirs[rows, axis]
+    faces = _FACE_OF_NORMAL[2 * axis + (n < 0)]
+    # The signs are exact, so a = a_sign * n_sign * d_a / d_n keeps its bits.
+    a = (_A_SIGN * _N_SIGN)[faces] * dirs[rows, _A[faces]] / n
+    b = (_B_SIGN * _N_SIGN)[faces] * dirs[rows, _B[faces]] / n
     fa = np.clip((a + 1.0) / 2.0, 0.0, np.nextafter(1.0, 0.0))
     fb = np.clip((b + 1.0) / 2.0, 0.0, np.nextafter(1.0, 0.0))
-    return (_FACE_COL[faces] + fa) * s, (_FACE_ROW[faces] + fb) * s
+    return (_COL[faces] + fa) * s, (_ROW[faces] + fb) * s
 
 
 def project_erp(direction, width: int, height: int) -> tuple[float, float]:
@@ -190,26 +175,12 @@ def _unproject_cubemap(u: np.ndarray, v: np.ndarray, width: int, height: int) ->
     rows = np.minimum((v / s).astype(np.int64), 1)
     a = (u - cols * s) / s * 2.0 - 1.0
     b = (v - rows * s) / s * 2.0 - 1.0
+    faces = _FACE_OF_CELL[3 * rows + cols]
     dirs = np.empty((len(u), 3))
-    for (col, row), face in _CELL_FACE.items():
-        m = (cols == col) & (rows == row)
-        if not m.any():
-            continue
-        am, bm = a[m], b[m]
-        one = np.ones_like(am)
-        if face == _FACE_FRONT:
-            d = np.stack([one, am, -bm], axis=-1)
-        elif face == _FACE_BACK:
-            d = np.stack([-one, -am, -bm], axis=-1)
-        elif face == _FACE_RIGHT:
-            d = np.stack([-am, one, -bm], axis=-1)
-        elif face == _FACE_LEFT:
-            d = np.stack([am, -one, -bm], axis=-1)
-        elif face == _FACE_TOP:
-            d = np.stack([bm, am, one], axis=-1)
-        else:  # _FACE_BOTTOM
-            d = np.stack([-bm, am, -one], axis=-1)
-        dirs[m] = d
+    ids = np.arange(len(u))
+    dirs[ids, _N[faces]] = _N_SIGN[faces]
+    dirs[ids, _A[faces]] = _A_SIGN[faces] * a
+    dirs[ids, _B[faces]] = _B_SIGN[faces] * b
     return dirs / np.linalg.norm(dirs, axis=-1, keepdims=True)
 
 

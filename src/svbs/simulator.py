@@ -28,7 +28,7 @@ import numpy as np
 from .codec import encode_svc, encode_track, generate_content, TrackResolution
 from .config import SequenceConfig
 from .container import UNIT_HEADER_SIZE, LayerId, rate_records, tile_group_size
-from .errors import BadArgsError, EmptyTraceError, NoStreamError
+from .errors import BadArgsError, EmptyTraceError, NoStreamError, TooLargeError
 from .geometry import Projection, ProjectionKind, Viewport, select_tiles
 from .rewriter import _skipped_tile_group
 
@@ -37,6 +37,9 @@ MTHQ_COMPLIANCE_MS = 50.0
 # Tolerance, as a fraction of one tick, absorbing float error in time/tick
 # conversions so boundary-aligned events resolve to the intended tick.
 _TICK_EPS = 1e-9
+
+# Ticks in one session: about 39 h at 30 fps, and about 0.7 GiB of columns.
+SESSION_TICK_BUDGET = 1 << 22
 
 
 class SchemeKind(Enum):
@@ -59,6 +62,8 @@ class Scheme:
                 raise BadArgsError("short_gop must be >= 0")
             if self.low_gop is not None and self.low_gop < 1:
                 raise BadArgsError("low_gop must be >= 1")
+            if max(self.long_gop, self.short_gop, self.low_gop or 0) > 0xFFFF:
+                raise BadArgsError("a GOP exceeds the u16 wire range")
 
     @property
     def label(self) -> str:
@@ -86,12 +91,6 @@ class NetworkModel:
 
 
 @dataclass(frozen=True)
-class SwitchEvent:
-    t_ms: float
-    viewport: Viewport
-
-
-@dataclass(frozen=True)
 class SwitchSample:
     t_ms: float
     mtp_ms: float | None
@@ -111,8 +110,9 @@ class _FrameLogs(Sequence):
     """A session's FrameLogs, one per tick, built from its columns the first
     time they are read and kept from then on.
 
-    ``streams`` maps each stream name to its bytes per tick and the mask of
-    ticks that send it (None: every tick).
+    ``streams`` maps each stream name to its bytes per tick.  A tick lists
+    the streams it sends bytes on: every frame a stream sends carries a frame
+    header, so a sent stream never has 0 bytes.
     """
 
     def __init__(self, display, hq_sets, hq_ids, streams):
@@ -122,12 +122,11 @@ class _FrameLogs(Sequence):
     def _built(self) -> tuple[FrameLog, ...]:
         if self._logs is None:
             display, hq_sets, hq_ids, streams = self._columns
-            cols = [(name, col.tolist(), None if sent is None else sent.tolist())
-                    for name, (col, sent) in streams.items()]
+            cols = [(name, col.tolist()) for name, col in streams.items()]
             hq = [hq_sets[h] for h in hq_ids.tolist()]
             self._logs = tuple(
                 FrameLog(k, display_ms, hq[k], hq[k],
-                         {name: col[k] for name, col, sent in cols if sent is None or sent[k]})
+                         {name: col[k] for name, col in cols if col[k]})
                 for k, display_ms in enumerate(display.tolist())
             )
         return self._logs
@@ -208,17 +207,16 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _svc_tables(config: SequenceConfig, seed: int, cycle: int):
-    """Per frame of the cycle: base-layer bytes (with the frame's temporal
-    delimiter), enhanced frame-header bytes and enhanced bytes per tile; then
-    the bytes of one skipped-tile stub."""
+    """The ``base`` and ``enhanced`` streams of one SVC encode, each as (header
+    bytes per frame of the cycle, with the temporal delimiter on the base;
+    bytes per frame and tile; bytes per tile outside the region: one
+    skipped-tile stub, all stubs of a grid being the same size)."""
     source = generate_content(seed, config, cycle)
     layers = _layer_tables(encode_svc(source), cycle)
     base_header, base_tiles = layers[LayerId.BASE]
-    enh_header, coded = layers[LayerId.ENHANCED]
-    # Every stub of a grid has the same size.
-    skip_group_bytes = tile_group_size(_skipped_tile_group(0, config))
-    return (*_read_only(UNIT_HEADER_SIZE + base_header + base_tiles.sum(axis=1),
-                        enh_header, coded), skip_group_bytes)
+    stub = tile_group_size(_skipped_tile_group(0, config))
+    return ((*_read_only(UNIT_HEADER_SIZE + base_header, base_tiles), 0),
+            (*_read_only(*layers[LayerId.ENHANCED]), stub))
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
@@ -228,14 +226,14 @@ def _track_tables(
     cycle: int,
     tracks: tuple[tuple[int, TrackResolution], ...],
 ):
-    """Per (gop, resolution) track, per frame of the cycle: header bytes (with
-    the temporal delimiter) and bytes per tile.  The tracks are encoded from
-    one generated content and hold one layer each."""
+    """One stream per (gop, resolution) track, as in :func:`_svc_tables` but
+    sending nothing for a tile outside the region.  The tracks are encoded
+    from one generated content and hold one layer each."""
     source = generate_content(seed, config, cycle)
     out = []
     for gop, resolution in tracks:
         (header, tiles), = _layer_tables(encode_track(source, gop, resolution), cycle).values()
-        out.append(_read_only(UNIT_HEADER_SIZE + header, tiles))
+        out.append((*_read_only(UNIT_HEADER_SIZE + header, tiles), 0))
     return tuple(out)
 
 
@@ -266,6 +264,10 @@ def run_session(
     structure.  The size tables of a (config, seed, cycle, track GOPs)
     combination are built once per process.
 
+    Both kinds send an always-on stream (``base``, ``low``), a region stream
+    committing the known pose on its GOP boundaries (``enhanced`` on every
+    frame, ``long``) and, with a short GOP, a ``short`` track.
+
     Every tick is computed at once as a column (the pose the server knows,
     the bytes of each stream, the display time), with the same float
     operations a per-tick loop would do, so the results are the same bits.
@@ -278,30 +280,27 @@ def run_session(
 
     period = config.frame_period_ms
     projection = Projection(projection_kind, config.width, config.height)
-    svc = scheme.kind == SchemeKind.SVC
-
-    if svc:
-        cycle = cycle_frames or config.gop_size
-        if cycle % config.gop_size:
-            raise BadArgsError("cycle_frames must be a multiple of gop_size")
-        base_bytes, enh_header, coded, skip_bytes = _svc_tables(config, source_seed, cycle)
-        settle_ticks = 4
+    if scheme.kind == SchemeKind.SVC:
+        names, gops, commit_gop, short_gop = ("base", "enhanced"), (config.gop_size,), 1, 0
+        tracks, settle_ticks = None, 4
     else:
-        long_gop, short_gop = scheme.long_gop, scheme.short_gop
-        low_gop = scheme.low_gop or long_gop
-        cycle = cycle_frames or math.lcm(*filter(None, (long_gop, short_gop, low_gop)))
-        for g in (long_gop, short_gop, low_gop):
-            if g and cycle % g:
-                raise BadArgsError("cycle_frames must be a multiple of every track GOP")
-        tracks = ((long_gop, TrackResolution.FULL), (low_gop, TrackResolution.BASE))
-        if short_gop > 0:
-            tracks += ((short_gop, TrackResolution.FULL),)
-        tables = _track_tables(config, source_seed, cycle, tracks)
-        settle_ticks = long_gop + short_gop + 4
+        commit_gop, short_gop = scheme.long_gop, scheme.short_gop
+        gops = (scheme.low_gop or commit_gop, commit_gop, short_gop)
+        names, settle_ticks = ("low", "long", "short"), commit_gop + short_gop + 4
+        tracks = tuple(zip(gops, (TrackResolution.BASE, TrackResolution.FULL,
+                                  TrackResolution.FULL)))[:3 if short_gop else 2]
+    cycle = cycle_frames or math.lcm(*filter(None, gops))
+    if any(g and cycle % g for g in gops):
+        raise BadArgsError("cycle_frames must be a multiple of every GOP")
 
     if duration_ms is None:
         duration_ms = times[-1] + settle_ticks * period
     n_ticks = int(math.ceil(duration_ms / period)) + 1
+    if n_ticks > SESSION_TICK_BUDGET:
+        raise TooLargeError(f"{n_ticks} ticks exceed the session tick budget "
+                            f"{SESSION_TICK_BUDGET}")
+    tables = (_svc_tables(config, source_seed, cycle) if tracks is None
+              else _track_tables(config, source_seed, cycle, tracks))
 
     # The tile set of every trace entry, selected once per distinct viewport;
     # pose_set[i] indexes tile_sets, the distinct sets.
@@ -319,6 +318,7 @@ def run_session(
     member = np.zeros((len(tile_sets), config.tile_count), np.int64)
     for s, tiles in enumerate(tile_sets):
         member[s, list(tiles)] = 1
+    outside = (config.tile_count - member.sum(axis=1))[:, None]
 
     # Pose arrival times at the server; the initial pose is known from t=0.
     pose_known_at = np.array([times[0]] + [t + network.uplink_delay_ms for t in times[1:]])
@@ -327,52 +327,43 @@ def run_session(
     known = np.searchsorted(pose_known_at[1:], t_k + period * _TICK_EPS, side="right")
     j = ks % cycle
 
-    if svc:
-        hq_sets, hq_ids = tile_sets, pose_set[known]
-        # The region's coded tiles plus a skipped stub for every other tile.
-        enhanced = (_region_bytes(enh_header, coded, member)
-                    + (config.tile_count - member.sum(axis=1))[:, None] * skip_bytes)
-        streams = {"base": (base_bytes[j], None), "enhanced": (enhanced[hq_ids, j], None)}
-    else:
-        # The long track commits the known pose on its GOP boundaries.
-        long_pose = known[ks - ks % long_gop]
-        long_set = pose_set[long_pose]
-        low_header, low_tiles = tables[1]
-        streams = {
-            "low": ((low_header + low_tiles.sum(axis=1))[j], None),
-            "long": (_region_bytes(*tables[0], member)[long_set, j], None),
-        }
+    def region(header, tiles, stub):
+        # Bytes of every tile set (a row of member) in every frame of the cycle.
+        return header + member @ tiles.T + outside * stub
+
+    (always_header, always_tiles, _), region_table, *short_table = tables
+    region_pose = known[ks - ks % commit_gop]
+    region_set = pose_set[region_pose]
+    streams = {names[0]: (always_header + always_tiles.sum(axis=1))[j],
+               names[1]: region(*region_table)[region_set, j]}
+    if short_table:
+        # The short track runs from a short-GOP boundary where the region
+        # stream lags the known pose until the region stream catches up.
+        caught_up = region_pose == known
+        last_event = np.maximum.accumulate(np.where(caught_up | (ks % short_gop == 0), ks, 0))
+        short_pose = np.where(caught_up, -1, known)[last_event]
+        sent = short_pose >= 0
+        short_set = np.where(sent, pose_set[short_pose], -1)
+        streams[names[2]] = np.where(sent, region(*short_table[0])[short_set, j], 0)
+        # HQ tiles: the region, joined by the short region while sent.
         n_keys = len(tile_sets) + 1
-        hq_key = long_set * n_keys
-        if short_gop > 0:
-            # The short track runs from a short-GOP boundary where the long
-            # track lags the known pose until the long track catches up.
-            caught_up = long_pose == known
-            last_event = np.maximum.accumulate(np.where(caught_up | (ks % short_gop == 0), ks, 0))
-            short_pose = np.where(caught_up, -1, known)[last_event]
-            sent = short_pose >= 0
-            short_set = np.where(sent, pose_set[short_pose], -1)
-            short_bytes = _region_bytes(*tables[2], member)[short_set, j]
-            streams["short"] = (np.where(sent, short_bytes, 0), sent)
-            hq_key = hq_key + short_set + 1
-        # HQ tiles: the long region, joined by the short region while sent.
-        keys, hq_ids = np.unique(hq_key, return_inverse=True)
+        keys, hq_ids = np.unique(region_set * n_keys + short_set + 1, return_inverse=True)
         hq_sets = [tile_sets[key // n_keys] | (tile_sets[key % n_keys - 1] if key % n_keys
                                                else frozenset())
                    for key in keys.tolist()]
+    else:
+        hq_sets, hq_ids = tile_sets, region_set
 
-    total = sum(col for col, _ in streams.values())
+    total = sum(streams.values())
     arrival = t_k + network.downlink_delay_ms + network.serialization_ms(total)
     display = (np.floor(arrival / period + _TICK_EPS) + 1) * period
 
     # Bytes per second and stream, in the order the streams were first sent.
     second = t_k // 1000.0
     starts = np.flatnonzero(np.diff(second, prepend=-1.0))
-    sums = [(name, np.add.reduceat(col, starts).tolist(),
-             None if sent is None else np.logical_or.reduceat(sent, starts).tolist())
-            for name, (col, sent) in streams.items()]
+    sums = [(name, np.add.reduceat(col, starts).tolist()) for name, col in streams.items()]
     seconds = {
-        sec: {name: n[g] for name, n, sent in sums if sent is None or sent[g]}
+        sec: {name: n[g] for name, n in sums if n[g]}
         for g, sec in enumerate(second[starts].astype(np.int64).tolist())
     }
 
@@ -385,12 +376,6 @@ def run_session(
         seconds=seconds,
         frames=_FrameLogs(display, hq_sets, hq_ids, streams),
     )
-
-
-def _region_bytes(header, tiles, member):
-    """Bytes of every tile set (a row of ``member``) in every frame of the
-    cycle: the frame's header plus the set's tiles."""
-    return header + member @ tiles.T
 
 
 def _resolve_switches(times, pose_known_at, pose_set, tile_sets, display, hq_ids, hq_sets,

@@ -184,6 +184,94 @@ def brute_force_tiles(viewport, projection, config, band_rows: int = 64) -> set[
     return tiles
 
 
+# The cube-map face code as it was before the face table: six-way branches
+# over face constants.  geometry._project_cubemap and _unproject_cubemap
+# must equal these bit for bit.
+# Face order and packing: top row left/front/right, bottom row bottom/back/top.
+_FACE_LEFT, _FACE_FRONT, _FACE_RIGHT, _FACE_BOTTOM, _FACE_BACK, _FACE_TOP = range(6)
+_FACE_CELL = {
+    _FACE_LEFT: (0, 0),
+    _FACE_FRONT: (1, 0),
+    _FACE_RIGHT: (2, 0),
+    _FACE_BOTTOM: (0, 1),
+    _FACE_BACK: (1, 1),
+    _FACE_TOP: (2, 1),
+}
+_CELL_FACE = {cell: face for face, cell in _FACE_CELL.items()}
+_FACE_COL = np.array([_FACE_CELL[f][0] for f in range(6)])
+_FACE_ROW = np.array([_FACE_CELL[f][1] for f in range(6)])
+
+
+def reference_cubemap_faces(dirs: np.ndarray) -> np.ndarray:
+    x, y, z = dirs[:, 0], dirs[:, 1], dirs[:, 2]
+    ax, ay, az = np.abs(x), np.abs(y), np.abs(z)
+    dominant = np.argmax(np.stack([ax, ay, az], axis=0), axis=0)
+    faces = np.empty(len(dirs), dtype=np.int64)
+    faces[(dominant == 0) & (x >= 0)] = _FACE_FRONT
+    faces[(dominant == 0) & (x < 0)] = _FACE_BACK
+    faces[(dominant == 1) & (y >= 0)] = _FACE_RIGHT
+    faces[(dominant == 1) & (y < 0)] = _FACE_LEFT
+    faces[(dominant == 2) & (z >= 0)] = _FACE_TOP
+    faces[(dominant == 2) & (z < 0)] = _FACE_BOTTOM
+    return faces
+
+
+def reference_project_cubemap(
+    dirs: np.ndarray, width: int, height: int
+) -> tuple[np.ndarray, np.ndarray]:
+    s = width / 3.0
+    x, y, z = dirs[:, 0], dirs[:, 1], dirs[:, 2]
+    faces = reference_cubemap_faces(dirs)
+    a = np.empty(len(dirs))
+    b = np.empty(len(dirs))
+    for face, (a_expr, b_expr) in {
+        _FACE_FRONT: (lambda x, y, z: y / x, lambda x, y, z: -z / x),
+        _FACE_BACK: (lambda x, y, z: y / x, lambda x, y, z: z / x),
+        _FACE_RIGHT: (lambda x, y, z: -x / y, lambda x, y, z: -z / y),
+        _FACE_LEFT: (lambda x, y, z: -x / y, lambda x, y, z: z / y),
+        _FACE_TOP: (lambda x, y, z: y / z, lambda x, y, z: x / z),
+        _FACE_BOTTOM: (lambda x, y, z: -y / z, lambda x, y, z: x / z),
+    }.items():
+        m = faces == face
+        if m.any():
+            a[m] = a_expr(x[m], y[m], z[m])
+            b[m] = b_expr(x[m], y[m], z[m])
+    fa = np.clip((a + 1.0) / 2.0, 0.0, np.nextafter(1.0, 0.0))
+    fb = np.clip((b + 1.0) / 2.0, 0.0, np.nextafter(1.0, 0.0))
+    return (_FACE_COL[faces] + fa) * s, (_FACE_ROW[faces] + fb) * s
+
+
+def reference_unproject_cubemap(
+    u: np.ndarray, v: np.ndarray, width: int, height: int
+) -> np.ndarray:
+    s = width / 3.0
+    cols = np.minimum((u / s).astype(np.int64), 2)
+    rows = np.minimum((v / s).astype(np.int64), 1)
+    a = (u - cols * s) / s * 2.0 - 1.0
+    b = (v - rows * s) / s * 2.0 - 1.0
+    dirs = np.empty((len(u), 3))
+    for (col, row), face in _CELL_FACE.items():
+        m = (cols == col) & (rows == row)
+        if not m.any():
+            continue
+        am, bm = a[m], b[m]
+        one = np.ones_like(am)
+        if face == _FACE_FRONT:
+            d = np.stack([one, am, -bm], axis=-1)
+        elif face == _FACE_BACK:
+            d = np.stack([-one, -am, -bm], axis=-1)
+        elif face == _FACE_RIGHT:
+            d = np.stack([-am, one, -bm], axis=-1)
+        elif face == _FACE_LEFT:
+            d = np.stack([am, -one, -bm], axis=-1)
+        elif face == _FACE_TOP:
+            d = np.stack([bm, am, one], axis=-1)
+        else:  # _FACE_BOTTOM
+            d = np.stack([-bm, am, -one], axis=-1)
+        dirs[m] = d
+    return dirs / np.linalg.norm(dirs, axis=-1, keepdims=True)
+
+
 def reference_generate_content_frames(seed: int, width: int, height: int, frame_count: int):
     """The content generator evaluated over the full float64 grid for every
     blob; ``codec.generate_content`` must match it byte for byte."""

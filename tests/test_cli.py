@@ -171,6 +171,8 @@ MALFORMED_INPUTS = {
     "binary.csv": b"\x89PNG\r\n\x1a\n\xff\xfe\x00",
     "empty.csv": b"",
     "bogus.csv": b"row,scheme,t_ms,mtp_ms,mthq_ms,second,stream,bytes\nbogus,svc,,,,,,\n",
+    "far.jsonl": b'{"t_ms": 0, "yaw_deg": 0, "pitch_deg": 0, "h_fov_deg": 90, "v_fov_deg": 90}\n'
+                 b'{"t_ms": 1e13, "yaw_deg": 9, "pitch_deg": 0, "h_fov_deg": 90, "v_fov_deg": 90}\n',
 }
 SIMULATE = ["simulate", *SMALL, "--trace", "{dir}/trace.jsonl", "--out", "{out}"]
 
@@ -202,13 +204,25 @@ class TestMalformedArguments:
             (["report", "{dir}/empty.csv"], "empty.csv is empty"),
             (["report", "{dir}/bogus.csv"],
              "bogus.csv line 2: row kind 'bogus' is neither switch nor second"),
+            (["generate", *SMALL, "--seed", "-1", "--out", "{out}"], "seed must be >= 0"),
+            (["encode", *SMALL, "--seed", "-1", "--out", "{out}"], "seed must be >= 0"),
+            ([*SIMULATE, "--seed", "-1"], "seed must be >= 0"),
+            (["generate", *SMALL, "--frames", "100000000", "--out", "{out}"],
+             "exceed the content pixel budget"),
+            ([*SIMULATE, "--scheme", "multitrack(1000,999)"], "exceed the content pixel budget"),
+            ([*SIMULATE, "--scheme", "multitrack(70000)"], "a GOP exceeds the u16 wire range"),
+            ([*SIMULATE, "--scheme", "multitrack(99999999999)"], "a GOP exceeds the u16"),
+            ([*SIMULATE, "--trace", "{dir}/far.jsonl"], "exceed the session tick budget"),
         ],
         ids=["viewport-not-numbers", "rewrite-without-pose", "tiles-not-numbers",
              "tiles-empty-entry", "tile-outside-grid", "negative-tile", "fps-not-a-number",
              "yaw-not-finite", "net-gop-not-a-number", "net-uplink-nan", "uplink-nan",
              "bandwidth-nan", "scheme-gop-not-a-number", "report-mtp-not-a-number",
              "report-without-scheme", "report-binary", "scheme-three-gops",
-             "scheme-unclosed", "report-empty", "report-unknown-row-kind"],
+             "scheme-unclosed", "report-empty", "report-unknown-row-kind",
+             "generate-negative-seed", "encode-negative-seed", "simulate-negative-seed",
+             "generate-over-pixel-budget", "scheme-cycle-over-pixel-budget",
+             "scheme-gop-over-u16", "scheme-gop-huge", "trace-over-tick-budget"],
     )
     def test_is_data_error_without_traceback(self, tmp_path, capsys, argv, message):
         stream_path = tmp_path / "s.svb"
@@ -394,8 +408,8 @@ class TestSimulateAndReport:
         return stdout, files
 
     def test_jobs_output_is_byte_identical(self, tmp_path, capsys):
-        # A seed no other test uses: the threads of --jobs 2 build the size
-        # tables concurrently, and --jobs 1 then reads them from the cache.
+        # A seed no other test uses: the --jobs 2 run builds the size tables
+        # and the --jobs 1 run reads them from the cache.  --jobs is ignored.
         pooled = self._simulate(tmp_path, capsys, 2, seed=9173)
         serial = self._simulate(tmp_path, capsys, 1, seed=9173)
         assert len(serial[1]) == 6

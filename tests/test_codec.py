@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from svbs.codec import (
+    CONTENT_PIXEL_BUDGET,
     MIN_ZERO_RUN,
     PSNR_INF,
     RasterFrame,
@@ -222,6 +223,22 @@ class TestContent:
         a = generate_content(1, config, 1)
         b = generate_content(2, config, 1)
         assert a.frames[0] != b.frames[0]
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(BadConfigError, match="seed must be >= 0"):
+            generate_content(-1, small_config(), 1)
+
+    def test_over_budget_is_refused_before_allocating(self):
+        config = SequenceConfig(width=768, height=384)
+        for frames in (CONTENT_PIXEL_BUDGET // (768 * 384) + 1, 100_000_000):
+            tracemalloc.start()
+            try:
+                with pytest.raises(TooLargeError, match="content pixel budget"):
+                    generate_content(1, config, frames)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
 
     def test_temporal_change_sparser_than_downscale_loss(self):
         # Premise of the layering: consecutive frames differ on few pixels,

@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_tiles
+from helpers import brute_force_tiles, reference_project_cubemap, reference_unproject_cubemap
 from svbs.config import SequenceConfig
 from svbs.errors import BadConfigError, TooLargeError
 from svbs.geometry import (
     ORACLE_PIXEL_BUDGET,
+    _project_cubemap,
+    _unproject_cubemap,
     Projection,
     ProjectionKind,
     Viewport,
@@ -104,6 +106,51 @@ class TestCubemapProjection:
         back = _unproject(np.array([u]), np.array([v]), proj)[0]
         angle = math.acos(float(np.clip(np.dot(back, d[0]), -1.0, 1.0)))
         assert angle <= 2 * math.pi / proj.width * 3
+
+
+def _bits(x) -> np.ndarray:
+    """The int64 bit patterns of a float64 array, zero signs included."""
+    return np.asarray(x, np.float64).view(np.int64)
+
+
+# Exact ties, zero signs and face edges, then any component.
+_COMPONENT = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 1e-300]),
+                       st.floats(-1.0, 1.0))
+
+
+class TestCubemapFaceTable:
+    """The face table projects and unprojects exactly like the six-way
+    branches it replaced (``helpers.reference_*_cubemap``)."""
+
+    @pytest.mark.parametrize("width, height", [(96, 64), (768, 512)])
+    def test_every_pixel_center_is_bit_identical(self, width, height):
+        ys, xs = np.mgrid[0:height, 0:width]
+        u, v = xs.ravel() + 0.5, ys.ravel() + 0.5
+        dirs = _unproject_cubemap(u, v, width, height)
+        assert np.array_equal(_bits(dirs), _bits(reference_unproject_cubemap(u, v, width, height)))
+        for got, want in zip(_project_cubemap(dirs, width, height),
+                             reference_project_cubemap(dirs, width, height)):
+            assert np.array_equal(_bits(got), _bits(want))
+
+    @given(st.lists(st.tuples(_COMPONENT, _COMPONENT, _COMPONENT)
+                    .filter(lambda d: any(d)), min_size=1, max_size=64),
+           st.integers(1, 256))
+    @settings(max_examples=200, deadline=None)
+    def test_projection_is_bit_identical(self, dirs, face):
+        dirs = np.array(dirs, np.float64)
+        for got, want in zip(_project_cubemap(dirs, 3 * face, 2 * face),
+                             reference_project_cubemap(dirs, 3 * face, 2 * face)):
+            assert np.array_equal(_bits(got), _bits(want))
+
+    @given(st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True),
+                              st.floats(0.0, 1.0, exclude_max=True)), min_size=1, max_size=64),
+           st.integers(1, 256))
+    @settings(max_examples=200, deadline=None)
+    def test_unprojection_is_bit_identical(self, fractions, face):
+        u, v = (np.array(x) * n for x, n in zip(zip(*fractions), (3 * face, 2 * face)))
+        got = _unproject_cubemap(u, v, 3 * face, 2 * face)
+        assert np.array_equal(_bits(got), _bits(reference_unproject_cubemap(u, v, 3 * face,
+                                                                           2 * face)))
 
 
 class TestSelectTiles:

@@ -5,6 +5,7 @@ import json
 import math
 import random
 import statistics
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,7 +15,7 @@ from helpers import reference_run_session
 from svbs.codec import encode_svc, generate_content
 from svbs.config import SequenceConfig
 from svbs.container import serialized_frame_size
-from svbs.errors import BadArgsError, EmptyTraceError, NoStreamError
+from svbs.errors import BadArgsError, EmptyTraceError, NoStreamError, TooLargeError
 from svbs.geometry import ProjectionKind, Viewport
 from svbs.rewriter import rewrite_viewport_frame
 from svbs.simulator import (
@@ -91,6 +92,12 @@ class TestSchemeAndNetwork:
             Scheme(SchemeKind.MULTITRACK, long_gop=0)
         with pytest.raises(BadArgsError):
             Scheme(SchemeKind.MULTITRACK, short_gop=-1)
+
+    def test_gop_above_u16_rejected(self):
+        for gops in ((0x10000, 0), (30, 0x10000), (30, 5, 0x10000)):
+            with pytest.raises(BadArgsError, match="u16 wire range"):
+                Scheme(SchemeKind.MULTITRACK, *gops)
+        Scheme(SchemeKind.MULTITRACK, 0xFFFF, 0xFFFF, 0xFFFF)
 
     def test_network_validation_and_serialization(self):
         with pytest.raises(BadArgsError):
@@ -348,6 +355,23 @@ class TestTraceValidation:
         # A session whose trace ends before it starts has no ticks to serve.
         report = run_session(Scheme(SchemeKind.SVC), trace[:2], NetworkModel(), CONFIG, 1)
         assert [(s.mtp_ms, s.mthq_ms) for s in report.switches] == [(None, None)]
+
+    @pytest.mark.parametrize(
+        "scheme, trace, message",
+        [(Scheme(SchemeKind.SVC), [(0.0, VIEW_A), (1e13, VIEW_B)], "session tick budget"),
+         (Scheme(SchemeKind.MULTITRACK, 1000, 999), [(0.0, VIEW_A)], "content pixel budget")],
+        ids=["ticks", "content-cycle"],
+    )
+    def test_over_budget_is_refused_before_allocating(self, scheme, trace, message):
+        config = SequenceConfig(width=96, height=48, tile_cols=6, tile_rows=4, gop_size=10)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLargeError, match=message):
+                run_session(scheme, trace, NetworkModel(), config, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_nonmonotonic_times(self):
         trace = [(0.0, VIEW_A), (100.0, VIEW_B), (50.0, VIEW_C)]
