@@ -15,7 +15,6 @@ import functools
 import hashlib
 import json
 import os
-import statistics
 import sys
 import tempfile
 
@@ -42,9 +41,10 @@ from .simulator import (
     NetworkModel,
     Scheme,
     SchemeKind,
+    SessionReport,
+    SwitchSample,
     latency_summary,
     network_from_mapping,
-    p95,
     read_session_config,
     run_session,
     scheme_from_mapping,
@@ -304,7 +304,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    switch_rows: dict[str, list[tuple[float | None, float | None]]] = {}
+    switches: dict[str, list[SwitchSample]] = {}
     byte_rows: dict[str, int] = {}
     for path in args.csv:
         with open(path, newline="") as fh:
@@ -316,7 +316,8 @@ def _cmd_report(args) -> int:
                         mtp = float(row["mtp_ms"]) if row["mtp_ms"] else None
                         raw = row["mthq_ms"]
                         mthq = float(raw) if raw and raw != "NOT_REACHED" else None
-                        switch_rows.setdefault(scheme, []).append((mtp, mthq))
+                        sample = SwitchSample(float(row["t_ms"]), mtp, mthq)
+                        switches.setdefault(scheme, []).append(sample)
                     elif row["row"] == "second":
                         byte_rows[scheme] = byte_rows.get(scheme, 0) + int(row["bytes"])
                     else:
@@ -332,18 +333,14 @@ def _cmd_report(args) -> int:
             # A short row reads its missing fields as None (TypeError).
             except (ValueError, TypeError, csv.Error) as exc:
                 raise SvbsError(f"report {path} line {reader.line_num}: {exc}") from None
-    summary = []
-    for scheme, samples in sorted(switch_rows.items()):
-        mthq = [m for _, m in samples if m is not None]
-        summary.append(
-            {
-                "scheme": scheme,
-                "switches": len(samples),
-                "mean_mthq_ms": statistics.fmean(mthq) if mthq else None,
-                "p95_mthq_ms": p95(mthq) if mthq else None,
-                "total_bytes": byte_rows.get(scheme, 0),
-            }
-        )
+    # A CSV holds no frame period, which the summary does not read.
+    reports = [SessionReport(scheme, 0.0, samples, {})
+               for scheme, samples in sorted(switches.items())]
+    summary = [
+        {key: entry[key] for key in ("scheme", "switches", "mean_mthq_ms", "p95_mthq_ms")}
+        | {"total_bytes": byte_rows.get(entry["scheme"], 0)}
+        for entry in (latency_summary(reports) if reports else [])
+    ]
     print(json.dumps(summary, indent=2))
     return EXIT_OK
 

@@ -287,12 +287,11 @@ def _tile_groups(
     in raster order.  A tile codes its samples, or with a ``ref`` plane their
     mod-256 difference from it (uint8 arithmetic wraps)."""
     h, w = cur.shape
-    cols = grid[0]
     groups = []
     for t, (rs, cs) in enumerate(_grid_regions(w, h, grid)):
         data = cur[rs, cs] if ref is None else cur[rs, cs] - ref[rs, cs]
         payload = rle_compress(data.tobytes())
-        tile = Tile(t, t % cols, t // cols, TileKind.CODED, coded_payload=payload)
+        tile = Tile(t, TileKind.CODED, coded_payload=payload)
         groups.append(TileGroup(tg_start=t, tg_end=t, tiles=(tile,)))
     return tuple(groups)
 

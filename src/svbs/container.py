@@ -16,6 +16,11 @@ FrameHeader payload: frame_index u32, layer_id u8, frame_type u8, flags u8
 TileGroup payload: tg_start u16, tg_end u16, then per tile: tile_index u16,
 tile_kind u8, then either coded length u32 + bytes (CODED) or
 superblock_count u16 + 6-byte superblock mode record (SKIPPED).
+
+Temporal delimiters carry no payload, unnamed flag bits are 0, boolean
+bytes are 0 or 1, and a frame's metadata precedes its layers.  The parser
+refuses anything else, so parsing and serialization map the model and the
+bytes one to one.
 """
 
 from __future__ import annotations
@@ -37,6 +42,8 @@ VERSION = 1
 HEADER_SIZE = 20
 UNIT_HEADER_SIZE = 5
 SUPERBLOCK_MODE_SIZE = 6
+# A frame header unit: the unit header and its fixed 8-byte payload.
+FRAME_HEADER_UNIT_SIZE = UNIT_HEADER_SIZE + 8
 
 
 class UnitType(IntEnum):
@@ -90,34 +97,26 @@ class SuperblockMode:
     use_obmc: bool
 
     def to_bytes(self) -> bytes:
-        return struct.pack(
-            "<6B",
-            int(self.partition_mode),
-            int(self.skip),
-            int(self.is_inter),
-            int(self.ref_frames),
-            int(self.inter_mode),
-            int(self.use_obmc),
-        )
+        """One byte per field, in field order."""
+        return bytes((self.partition_mode, self.skip, self.is_inter, self.ref_frames,
+                      self.inter_mode, self.use_obmc))
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "SuperblockMode":
         p, s, i, r, m, o = struct.unpack("<6B", raw)
-        return cls(
-            partition_mode=PartitionMode(p),
-            skip=bool(s),
-            is_inter=bool(i),
-            ref_frames=RefFrames(r),
-            inter_mode=InterMode(m),
-            use_obmc=bool(o),
-        )
+        return cls(PartitionMode(p), _flag(s), _flag(i), RefFrames(r), InterMode(m), _flag(o))
+
+
+def _flag(byte: int) -> bool:
+    """A boolean byte, which is written as 0 or 1 only."""
+    if byte > 1:
+        raise ValueError(f"{byte} is not a valid bool")
+    return byte == 1
 
 
 @dataclass(frozen=True)
 class Tile:
     tile_index: int
-    tile_col: int
-    tile_row: int
     tile_kind: TileKind
     coded_payload: bytes | None = None
     superblock_count: int | None = None
@@ -271,11 +270,6 @@ def iter_frame_units(frame: Frame):
             yield UnitType.TILE_GROUP, _tile_group_payload(group)
 
 
-def frame_header_size(header: FrameHeader) -> int:
-    """Serialized bytes of one frame header unit."""
-    return UNIT_HEADER_SIZE + len(_frame_header_payload(header))
-
-
 def tile_group_size(group: TileGroup) -> int:
     """Serialized bytes of one tile group unit."""
     return UNIT_HEADER_SIZE + len(_tile_group_payload(group))
@@ -289,19 +283,16 @@ def serialized_frame_size(frame: Frame) -> int:
     return sum(UNIT_HEADER_SIZE + len(p) for _, p in iter_frame_units(frame))
 
 
-def serialize(bitstream: Bitstream, check: bool = True) -> bytes:
-    """Serialize an object model to bytes; deterministic and injective.
-
-    With ``check`` (the default) the model must pass :func:`validate_structure`.
-    """
-    if check:
-        report = validate_structure(bitstream)
-        if report:
-            first = report[0]
-            raise InvalidStructureError(
-                f"refusing to serialize: {first.rule} at frame {first.frame_index}"
-                f" ({len(report)} violation(s) total)"
-            )
+def serialize(bitstream: Bitstream) -> bytes:
+    """Serialize an object model that passes :func:`validate_structure` to
+    bytes; deterministic and injective."""
+    report = validate_structure(bitstream)
+    if report:
+        first = report[0]
+        raise InvalidStructureError(
+            f"refusing to serialize: {first.rule} at frame {first.frame_index}"
+            f" ({len(report)} violation(s) total)"
+        )
     parts = [serialize_sequence_header(bitstream.config)]
     for frame in bitstream.frames:
         parts.append(serialize_frame(frame))
@@ -342,18 +333,10 @@ def _parse_sequence_header(data: bytes) -> SequenceConfig:
     if n < HEADER_SIZE:
         raise TruncatedError(5)
     (w, h, sf, tc, tr, fn, fd, gop, flags, rw) = _SEQUENCE_FIELDS.unpack_from(data, 5)
-    return SequenceConfig(
-        width=w,
-        height=h,
-        scale_factor=sf,
-        tile_cols=tc,
-        tile_rows=tr,
-        fps_num=fn,
-        fps_den=fd,
-        gop_size=gop,
-        base_single_tile=bool(flags & 1),
-        ref_window=rw,
-    )
+    if flags > 1:
+        raise InvalidStructureError(f"reserved sequence flag bits 0x{flags:02x} at offset 18")
+    # The wire order is the field order.
+    return SequenceConfig(w, h, sf, tc, tr, fn, fd, gop, flags == 1, rw)
 
 
 def _parse_frame_header(data: bytes, start: int, size: int) -> FrameHeader:
@@ -365,18 +348,13 @@ def _parse_frame_header(data: bytes, start: int, size: int) -> FrameHeader:
         frame_type = FrameType(ftype)
     except ValueError as exc:
         raise InvalidStructureError(f"bad frame header enum at offset {start}: {exc}") from exc
-    return FrameHeader(
-        frame_index=idx,
-        layer_id=layer_id,
-        frame_type=frame_type,
-        cdf_update_disabled=bool(flags & 1),
-        global_mv_zero=bool(flags & 2),
-        base_ref_offset=ref,
-    )
+    if flags > 3:
+        raise InvalidStructureError(f"reserved frame flag bits 0x{flags:02x} at offset {start + 6}")
+    return FrameHeader(idx, layer_id, frame_type, bool(flags & 1), bool(flags & 2), ref)
 
 
 def _parse_tile_group(
-    data: bytes, start: int, end: int, cols: int, modes: dict[bytes, SuperblockMode]
+    data: bytes, start: int, end: int, modes: dict[bytes, SuperblockMode]
 ) -> TileGroup:
     """The tile group unit whose payload is ``data[start:end]``, read in place.
 
@@ -401,8 +379,7 @@ def _parse_tile_group(
             if end - pos < size:
                 raise TruncatedError(pos)
             tiles.append(
-                Tile(tile_index, tile_index % cols, tile_index // cols, TileKind.CODED,
-                     coded_payload=data[pos : pos + size])
+                Tile(tile_index, TileKind.CODED, coded_payload=data[pos : pos + size])
             )
             pos += size
         elif kind == _SKIPPED:
@@ -423,8 +400,7 @@ def _parse_tile_group(
                     ) from exc
             pos += SUPERBLOCK_MODE_SIZE
             tiles.append(
-                Tile(tile_index, tile_index % cols, tile_index // cols, TileKind.SKIPPED,
-                     superblock_count=sb_count, skipped_mode=mode)
+                Tile(tile_index, TileKind.SKIPPED, superblock_count=sb_count, skipped_mode=mode)
             )
         else:
             raise InvalidStructureError(f"bad tile kind {kind} at offset {pos - 1}")
@@ -432,13 +408,14 @@ def _parse_tile_group(
 
 
 def parse(data: bytes) -> Bitstream:
-    """Decode bytes into the object model; inverse of :func:`serialize`.
+    """Decode bytes into the object model; the exact inverse of serialization.
 
-    Every unit is read in place; each coded payload and metadata blob is
-    copied once.  Errors carry the absolute byte offset of the fault.
+    Only bytes the serializer writes are accepted, so re-serializing the
+    header and frames of a parsed stream gives back ``data``.  Every unit is
+    read in place; each coded payload and metadata blob is copied once.
+    Errors carry the absolute byte offset of the fault.
     """
     config = _parse_sequence_header(data)
-    cols = config.tile_cols
     modes: dict[bytes, SuperblockMode] = {}
 
     frames: list[Frame] = []
@@ -481,17 +458,22 @@ def parse(data: bytes) -> Bitstream:
                 raise InvalidStructureError(
                     f"tile group without preceding frame header at offset {unit_offset}"
                 )
-            layers[-1][1].append(_parse_tile_group(data, start, pos, cols, modes))
+            layers[-1][1].append(_parse_tile_group(data, start, pos, modes))
         elif type_byte == _UNIT_FRAME_HEADER:
             header = _parse_frame_header(data, start, size)
             open_frame = True
             layers.append((header, []))
         elif type_byte == _UNIT_DELIMITER:
+            if size:
+                raise InvalidStructureError(f"temporal delimiter payload at offset {unit_offset}")
             if open_frame and (layers or metadata):
                 flush()
             open_frame = True
             delims += 1
         elif type_byte == _UNIT_METADATA:
+            if layers:
+                # Serialization writes a frame's metadata before its layers.
+                raise InvalidStructureError(f"metadata after frame header at offset {unit_offset}")
             open_frame = True
             metadata.append(data[start:pos])
         else:
@@ -509,7 +491,6 @@ R_CLOSED_GOP = "R_CLOSED_GOP"
 R_REF_WINDOW = "R_REF_WINDOW"
 R_FRAME_INDEX = "R_FRAME_INDEX"
 R_TG_RANGE = "R_TG_RANGE"
-R_TILE_INDEX = "R_TILE_INDEX"
 R_TILE_COVERAGE = "R_TILE_COVERAGE"
 R_SKIP_IN_BASE = "R_SKIP_IN_BASE"
 R_SKIP_FLAGS = "R_SKIP_FLAGS"
@@ -540,15 +521,6 @@ def _check_layer_tiles(
             )
             range_broken = True
         for tile in group.tiles:
-            if tile.tile_index != tile.tile_row * cols + tile.tile_col:
-                out.append(
-                    Violation(
-                        pos,
-                        R_TILE_INDEX,
-                        f"tile {tile.tile_index} inconsistent with col/row "
-                        f"({tile.tile_col},{tile.tile_row})",
-                    )
-                )
             if tile.tile_index in seen:
                 out.append(Violation(pos, R_TILE_COVERAGE, f"tile {tile.tile_index} covered twice"))
             seen.add(tile.tile_index)
@@ -661,7 +633,7 @@ def rate_records(bitstream: Bitstream) -> list[RateRecord]:
     for pos, frame in enumerate(bitstream.frames):
         for layer in frame.layers:
             layer_id = layer.header.layer_id
-            records.append(RateRecord(pos, layer_id, None, frame_header_size(layer.header)))
+            records.append(RateRecord(pos, layer_id, None, FRAME_HEADER_UNIT_SIZE))
             for group in layer.tile_groups:
                 records.append(RateRecord(pos, layer_id, group.tg_start, tile_group_size(group)))
     return records

@@ -265,12 +265,12 @@ def _block_table(
     kind: ProjectionKind, width: int, height: int, tile_cols: int, tile_rows: int
 ) -> _BlockTable:
     projection = Projection(kind, width, height)
-    xs, ws, tile_col = _block_intervals(width, tile_cols)
-    ys, hs, tile_row = _block_intervals(height, tile_rows)
+    xs, ws, x_tile = _block_intervals(width, tile_cols)
+    ys, hs, y_tile = _block_intervals(height, tile_rows)
     nx, ny = len(xs), len(ys)
     x0, w = np.tile(xs, ny), np.tile(ws, ny)
     y0, h = np.repeat(ys, nx), np.repeat(hs, nx)
-    tile = np.repeat(tile_row, nx) * tile_cols + np.tile(tile_col, ny)
+    tile = np.repeat(y_tile, nx) * tile_cols + np.tile(x_tile, ny)
     center = _unproject(x0 + w / 2.0, y0 + h / 2.0, projection)
     # The pixel nearest the block center, then the four corner pixels.
     rep_x = np.stack([x0 + w // 2, x0, x0 + w - 1, x0, x0 + w - 1], axis=1)

@@ -41,14 +41,11 @@ def synthesize_skipped_tile(tile_index: int, config: SequenceConfig) -> Tile:
     """Skipped stub for one grid tile; constant size for a given grid."""
     if not 0 <= tile_index < config.tile_count:
         raise BadIndexError(f"tile index {tile_index} outside grid")
-    col, row = config.tile_position(tile_index)
     area = config.tile_width * config.tile_height
     sb_area = SUPERBLOCK_SIZE * SUPERBLOCK_SIZE
     count = -(-area // sb_area)  # ceil
     return Tile(
         tile_index=tile_index,
-        tile_col=col,
-        tile_row=row,
         tile_kind=TileKind.SKIPPED,
         superblock_count=count,
         skipped_mode=CANONICAL_SKIPPED_MODE,

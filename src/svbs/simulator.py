@@ -355,8 +355,12 @@ def run_session(
         hq_sets, hq_ids = tile_sets, region_set
 
     total = sum(streams.values())
-    arrival = t_k + network.downlink_delay_ms + network.serialization_ms(total)
-    display = (np.floor(arrival / period + _TICK_EPS) + 1) * period
+    with np.errstate(over="ignore"):
+        arrival = t_k + network.downlink_delay_ms + network.serialization_ms(total)
+        display = (np.floor(arrival / period + _TICK_EPS) + 1) * period
+    if not np.isfinite(display).all():
+        raise TooLargeError("display times overflow a float; raise the bandwidth or "
+                            "lower the downlink delay")
 
     # Bytes per second and stream, in the order the streams were first sent.
     second = t_k // 1000.0
@@ -384,9 +388,10 @@ def _resolve_switches(times, pose_known_at, pose_set, tile_sets, display, hq_ids
     knows its pose, and of the first such tick, before the next switch is
     known, whose HQ tiles cover the pose's tiles."""
     n_ticks = len(display)
-    # A pose known before the session starts is first served at tick 0.
-    first_tick = np.maximum(np.ceil(pose_known_at / period - _TICK_EPS), 0).astype(np.int64)
-    stop_tick = np.minimum(np.append(first_tick[2:], n_ticks), n_ticks)
+    # A pose known before the session starts is first served at tick 0, one
+    # known after it ends never (tick n_ticks, clipped before the int cast).
+    first_tick = np.clip(np.ceil(pose_known_at / period - _TICK_EPS), 0, n_ticks).astype(np.int64)
+    stop_tick = np.append(first_tick[2:], n_ticks)
     # The ticks where the HQ set changes, the set from each on, and the run
     # holding each switch's first tick.
     run_starts = np.flatnonzero(np.diff(hq_ids, prepend=-1))
@@ -547,17 +552,31 @@ def write_report_csv(report: SessionReport, path) -> None:
 # --- key=value session config files ------------------------------------------
 
 
+SESSION_KEYS = ("scheme", "long_gop", "short_gop", "low_gop", "uplink_ms", "downlink_ms",
+                "bandwidth_Bps")
+
+
 def read_session_config(path) -> dict[str, str]:
+    """The ``key=value`` lines of a UTF-8 session file; ``#`` starts a
+    comment line.  Every key is one of :data:`SESSION_KEYS`."""
     out = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise BadArgsError(f"bad config line: {line!r}")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    for n, raw in enumerate(lines, 1):
+        try:
+            line = raw.decode().strip()
+        except UnicodeDecodeError:
+            raise BadArgsError(f"{path} line {n} is not UTF-8 text") from None
+        if not line or line.startswith("#"):
+            continue
+        key, eq, value = line.partition("=")
+        key = key.strip()
+        if not eq:
+            raise BadArgsError(f"bad config line: {line!r}")
+        if key not in SESSION_KEYS:
+            raise BadArgsError(f"{path} line {n}: unknown key {key!r} "
+                               f"(known: {', '.join(SESSION_KEYS)})")
+        out[key] = value.strip()
     return out
 
 

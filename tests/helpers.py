@@ -95,8 +95,6 @@ def _random_tiles(rng: random.Random, cols: int, rows: int, allow_skipped: bool)
             tiles.append(
                 Tile(
                     tile_index=t,
-                    tile_col=t % cols,
-                    tile_row=t // cols,
                     tile_kind=TileKind.SKIPPED,
                     superblock_count=rng.randint(1, 100),
                     skipped_mode=random_mode(rng),
@@ -106,8 +104,6 @@ def _random_tiles(rng: random.Random, cols: int, rows: int, allow_skipped: bool)
             tiles.append(
                 Tile(
                     tile_index=t,
-                    tile_col=t % cols,
-                    tile_row=t // cols,
                     tile_kind=TileKind.CODED,
                     coded_payload=rng.randbytes(rng.randint(0, 12)),
                 )
@@ -373,6 +369,10 @@ def _ref_parse_sequence_header(reader: _RefReader) -> SequenceConfig:
     if version != VERSION:
         raise BadMagicError(f"unsupported container version {version}")
     (w, h, sf, tc, tr, fn, fd, gop, flags, rw) = reader.unpack("<HHBBBHHHBB")
+    if flags & ~1:
+        raise InvalidStructureError(
+            f"reserved sequence flag bits 0x{flags:02x} at offset {reader.pos - 2}"
+        )
     return SequenceConfig(
         width=w,
         height=h,
@@ -396,6 +396,10 @@ def _ref_parse_frame_header(payload: bytes, offset: int) -> FrameHeader:
         frame_type = FrameType(ftype)
     except ValueError as exc:
         raise InvalidStructureError(f"bad frame header enum at offset {offset}: {exc}") from exc
+    if flags & ~3:
+        raise InvalidStructureError(
+            f"reserved frame flag bits 0x{flags:02x} at offset {offset + 6}"
+        )
     return FrameHeader(
         frame_index=idx,
         layer_id=layer_id,
@@ -406,7 +410,19 @@ def _ref_parse_frame_header(payload: bytes, offset: int) -> FrameHeader:
     )
 
 
-def _ref_parse_tile_group(payload: bytes, offset: int, config: SequenceConfig) -> TileGroup:
+def _ref_flag(byte: int) -> bool:
+    if byte not in (0, 1):
+        raise ValueError(f"{byte} is not a valid bool")
+    return bool(byte)
+
+
+def _ref_mode(raw: bytes) -> SuperblockMode:
+    p, s, i, r, m, o = raw
+    return SuperblockMode(PartitionMode(p), _ref_flag(s), _ref_flag(i), RefFrames(r),
+                          InterMode(m), _ref_flag(o))
+
+
+def _ref_parse_tile_group(payload: bytes, offset: int) -> TileGroup:
     sub = _RefReader(payload)
     try:
         tg_start, tg_end = sub.unpack("<HH")
@@ -419,30 +435,21 @@ def _ref_parse_tile_group(payload: bytes, offset: int, config: SequenceConfig) -
                 raise InvalidStructureError(
                     f"bad tile kind {kind} at offset {offset + sub.pos - 1}"
                 ) from exc
-            col = tile_index % config.tile_cols
-            row = tile_index // config.tile_cols
             if tile_kind == TileKind.CODED:
                 (size,) = sub.unpack("<I")
                 coded = sub.take(size)
-                tiles.append(Tile(tile_index, col, row, tile_kind, coded_payload=coded))
+                tiles.append(Tile(tile_index, tile_kind, coded_payload=coded))
             else:
                 (sb_count,) = sub.unpack("<H")
                 mode_offset = offset + sub.pos
                 try:
-                    mode = SuperblockMode.from_bytes(sub.take(SUPERBLOCK_MODE_SIZE))
+                    mode = _ref_mode(sub.take(SUPERBLOCK_MODE_SIZE))
                 except ValueError as exc:
                     raise InvalidStructureError(
                         f"bad superblock mode at offset {mode_offset}: {exc}"
                     ) from exc
                 tiles.append(
-                    Tile(
-                        tile_index,
-                        col,
-                        row,
-                        tile_kind,
-                        superblock_count=sb_count,
-                        skipped_mode=mode,
-                    )
+                    Tile(tile_index, tile_kind, superblock_count=sb_count, skipped_mode=mode)
                 )
     except TruncatedError as exc:
         # Re-position relative to the whole stream.
@@ -490,11 +497,15 @@ def reference_parse(data: bytes) -> Bitstream:
             raise UnknownUnitTypeError(type_byte, unit_offset) from None
 
         if unit_type == UnitType.TEMPORAL_DELIMITER:
+            if payload:
+                raise InvalidStructureError(f"temporal delimiter payload at offset {unit_offset}")
             if open_frame and (layers or metadata):
                 flush()
             open_frame = True
             delims += 1
         elif unit_type == UnitType.METADATA:
+            if layers:
+                raise InvalidStructureError(f"metadata after frame header at offset {unit_offset}")
             open_frame = True
             metadata.append(payload)
         elif unit_type == UnitType.FRAME_HEADER:
@@ -506,7 +517,7 @@ def reference_parse(data: bytes) -> Bitstream:
                 raise InvalidStructureError(
                     f"tile group without preceding frame header at offset {unit_offset}"
                 )
-            group = _ref_parse_tile_group(payload, unit_offset + UNIT_HEADER_SIZE, config)
+            group = _ref_parse_tile_group(payload, unit_offset + UNIT_HEADER_SIZE)
             layers[-1][1].append(group)
     flush()
     return Bitstream(config=config, frames=tuple(frames))

@@ -269,7 +269,7 @@ def _closed_gop_case() -> Bitstream:
     config = SequenceConfig(width=32, height=16, gop_size=2, ref_window=2)
 
     def tile(payload=b"\x01"):
-        return Tile(0, 0, 0, TileKind.CODED, coded_payload=payload)
+        return Tile(0, TileKind.CODED, coded_payload=payload)
 
     def frame(pos, offset=0):
         base = LayerFrame(
@@ -290,7 +290,7 @@ def _closed_gop_case() -> Bitstream:
 
 def _stacked_enhanced_case() -> Bitstream:
     config = SequenceConfig(width=32, height=16)
-    tile = Tile(0, 0, 0, TileKind.CODED, coded_payload=b"\x01")
+    tile = Tile(0, TileKind.CODED, coded_payload=b"\x01")
     base = LayerFrame(
         FrameHeader(0, LayerId.BASE, FrameType.KEY), (TileGroup(0, 0, (tile,)),)
     )

@@ -14,7 +14,7 @@ import svbs
 from svbs.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from svbs.codec import encode_svc, generate_content
 from svbs.config import SequenceConfig
-from svbs.container import Bitstream, Frame, serialize
+from svbs.container import Frame, serialize_frame, serialize_sequence_header
 from svbs.geometry import Viewport, write_viewport_trace
 
 SMALL = [
@@ -69,18 +69,10 @@ class TestEncodeValidateDecode:
     def test_validate_flags_bad_structure(self, tmp_path, capsys):
         config = SequenceConfig(width=64, height=32, tile_cols=2, tile_rows=2, gop_size=4)
         stream = encode_svc(generate_content(1, config, 2))
-        doctored = Bitstream(
-            config=config,
-            frames=(
-                Frame(
-                    layers=stream.frames[0].layers,
-                    delimiter_count=2,
-                ),
-                stream.frames[1],
-            ),
-        )
+        frames = (Frame(layers=stream.frames[0].layers, delimiter_count=2), stream.frames[1])
         path = tmp_path / "bad.svb"
-        path.write_bytes(serialize(doctored, check=False))
+        path.write_bytes(serialize_sequence_header(config)
+                         + b"".join(map(serialize_frame, frames)))
         assert main(["validate", "--in", str(path)]) == EXIT_DATA
         assert "R_TEMPORAL_DELIM" in capsys.readouterr().out
 
@@ -166,6 +158,8 @@ MALFORMED_INPUTS = {
     "trace.jsonl": b'{"t_ms": 0, "yaw_deg": 0, "pitch_deg": 0, "h_fov_deg": 90, "v_fov_deg": 90}\n',
     "gop.net": b"scheme=multitrack\nlong_gop=abc\n",
     "uplink.net": b"uplink_ms=nan\n",
+    "latin1.net": b"scheme=svc\n# caf\xe9\n",
+    "unknown.net": b"scheme=svc\nuplink=50\n",
     "mtp.csv": b"row,scheme,t_ms,mtp_ms,mthq_ms,second,stream,bytes\nswitch,svc,0,abc,1,,,\n",
     "noscheme.csv": b"row,t_ms,mtp_ms,mthq_ms,second,stream,bytes\nswitch,0,1,1,,,\n",
     "binary.csv": b"\x89PNG\r\n\x1a\n\xff\xfe\x00",
@@ -195,6 +189,10 @@ class TestMalformedArguments:
             ([*SIMULATE, "--net", "{dir}/uplink.net"], "delays must be nonnegative and finite"),
             ([*SIMULATE, "--uplink-ms", "nan"], "delays must be nonnegative and finite"),
             ([*SIMULATE, "--bandwidth-bps", "nan"], "bandwidth must be positive and finite"),
+            ([*SIMULATE, "--bandwidth-bps", "1e-305"], "display times overflow a float"),
+            ([*SIMULATE, "--net", "{dir}/latin1.net"], "latin1.net line 2 is not UTF-8 text"),
+            ([*SIMULATE, "--net", "{dir}/unknown.net"],
+             "unknown.net line 2: unknown key 'uplink'"),
             ([*SIMULATE, "--scheme", "multitrack(a)"], "LONG and SHORT must be integers"),
             (["report", "{dir}/mtp.csv"], "mtp.csv line 2: could not convert"),
             (["report", "{dir}/noscheme.csv"], "noscheme.csv has no 'scheme' column"),
@@ -217,7 +215,8 @@ class TestMalformedArguments:
         ids=["viewport-not-numbers", "rewrite-without-pose", "tiles-not-numbers",
              "tiles-empty-entry", "tile-outside-grid", "negative-tile", "fps-not-a-number",
              "yaw-not-finite", "net-gop-not-a-number", "net-uplink-nan", "uplink-nan",
-             "bandwidth-nan", "scheme-gop-not-a-number", "report-mtp-not-a-number",
+             "bandwidth-nan", "bandwidth-overflows", "net-not-utf8", "net-unknown-key",
+             "scheme-gop-not-a-number", "report-mtp-not-a-number",
              "report-without-scheme", "report-binary", "scheme-three-gops",
              "scheme-unclosed", "report-empty", "report-unknown-row-kind",
              "generate-negative-seed", "encode-negative-seed", "simulate-negative-seed",

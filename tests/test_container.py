@@ -24,7 +24,6 @@ from svbs.container import (
     R_TEMPORAL_IN_ENH,
     R_TG_RANGE,
     R_TILE_COVERAGE,
-    R_TILE_INDEX,
     UNIT_HEADER_SIZE,
     Bitstream,
     Frame,
@@ -40,6 +39,8 @@ from svbs.container import (
     frame_byte_sizes,
     parse,
     serialize,
+    serialize_frame,
+    serialize_sequence_header,
     serialized_frame_size,
     validate_structure,
 )
@@ -59,15 +60,15 @@ def small_config(**overrides) -> SequenceConfig:
     return SequenceConfig(**kw)
 
 
-def coded_tile(index: int, cols: int, payload: bytes = b"\x01\x02") -> Tile:
-    return Tile(index, index % cols, index // cols, TileKind.CODED, coded_payload=payload)
+def coded_tile(index: int, payload: bytes = b"\x01\x02") -> Tile:
+    return Tile(index, TileKind.CODED, coded_payload=payload)
 
 
 def coded_layer(pos: int, layer_id: LayerId, cols: int, rows: int, **hdr) -> LayerFrame:
     frame_type = hdr.pop("frame_type", FrameType.KEY if layer_id == LayerId.BASE else FrameType.INTER)
     header = FrameHeader(pos, layer_id, frame_type, **hdr)
     groups = tuple(
-        TileGroup(t, t, (coded_tile(t, cols),)) for t in range(cols * rows)
+        TileGroup(t, t, (coded_tile(t),)) for t in range(cols * rows)
     )
     return LayerFrame(header, groups)
 
@@ -161,8 +162,8 @@ class TestParseErrors:
 
     @pytest.mark.parametrize(
         "field, value",
-        [(0, 9), (3, 7), (4, 5)],
-        ids=["partition_mode", "ref_frames", "inter_mode"],
+        [(0, 9), (3, 7), (4, 5), (1, 2), (2, 2), (5, 2)],
+        ids=["partition_mode", "ref_frames", "inter_mode", "skip", "is_inter", "use_obmc"],
     )
     def test_bad_superblock_mode_enum(self, field, value):
         stream = valid_stream(1)
@@ -174,6 +175,49 @@ class TestParseErrors:
         data[mode_offset + field] = value
         with pytest.raises(InvalidStructureError, match=f"offset {mode_offset}:"):
             parse(bytes(data))
+
+
+def _delimiter_payload(data: bytes) -> bytes:
+    # The first unit is the first frame's temporal delimiter.
+    return data[:HEADER_SIZE] + struct.pack("<BI", UnitType.TEMPORAL_DELIMITER, 1) + b"\0" + (
+        data[HEADER_SIZE + UNIT_HEADER_SIZE :]
+    )
+
+
+def _set_bit(at: int, mask: int):
+    def mutate(data: bytes) -> bytes:
+        out = bytearray(data)
+        out[at] |= mask
+        return bytes(out)
+    return mutate
+
+
+# Frame 0 is a delimiter unit then the frame header unit, whose flags byte
+# is the 7th of its payload.
+_FRAME_FLAGS = HEADER_SIZE + 2 * UNIT_HEADER_SIZE + 6
+
+
+class TestParseOnlyCanonicalBytes:
+    """Bytes that serialization never writes are refused, so a parse is
+    the exact inverse of serialization."""
+
+    @pytest.mark.parametrize(
+        "mutate, offset",
+        [
+            (_delimiter_payload, HEADER_SIZE),
+            (_set_bit(HEADER_SIZE - 2, 0x80), HEADER_SIZE - 2),
+            (_set_bit(_FRAME_FLAGS, 0x40), _FRAME_FLAGS),
+            (lambda data: data + struct.pack("<BI", UnitType.METADATA, 0), None),
+        ],
+        ids=["delimiter_payload", "sequence_flag_bit7", "frame_flag_bit6",
+             "metadata_after_layers"],
+    )
+    def test_refused_with_offset(self, mutate, offset):
+        data = serialize(valid_stream(1))
+        mutant = mutate(data)
+        with pytest.raises(InvalidStructureError, match=f"at offset {offset or len(data)}$"):
+            parse(mutant)
+        assert outcome(parse, mutant) == outcome(reference_parse, mutant)
 
 
 class TestValidation:
@@ -236,7 +280,7 @@ class TestValidation:
     def test_tg_range_violation(self):
         config = small_config()
         base = coded_layer(0, LayerId.BASE, 1, 1)
-        groups = (TileGroup(0, 3, (coded_tile(0, 2), coded_tile(1, 2))),)
+        groups = (TileGroup(0, 3, (coded_tile(0), coded_tile(1))),)
         enh = LayerFrame(FrameHeader(0, LayerId.ENHANCED, FrameType.INTER), groups)
         report = validate_structure(
             Bitstream(config=config, frames=(Frame(layers=(base, enh)),))
@@ -246,34 +290,16 @@ class TestValidation:
     def test_tile_coverage_violation(self):
         config = small_config()
         base = coded_layer(0, LayerId.BASE, 1, 1)
-        groups = tuple(TileGroup(t, t, (coded_tile(t, 2),)) for t in range(3))
+        groups = tuple(TileGroup(t, t, (coded_tile(t),)) for t in range(3))
         enh = LayerFrame(FrameHeader(0, LayerId.ENHANCED, FrameType.INTER), groups)
         report = validate_structure(
             Bitstream(config=config, frames=(Frame(layers=(base, enh)),))
         )
         assert any(v.rule == R_TILE_COVERAGE for v in report)
 
-    def test_tile_index_violation(self):
-        config = small_config()
-        base = coded_layer(0, LayerId.BASE, 1, 1)
-        wrong = Tile(1, 0, 0, TileKind.CODED, coded_payload=b"x")
-        groups = (
-            TileGroup(0, 0, (coded_tile(0, 2),)),
-            TileGroup(1, 1, (wrong,)),
-            TileGroup(2, 2, (coded_tile(2, 2),)),
-            TileGroup(3, 3, (coded_tile(3, 2),)),
-        )
-        enh = LayerFrame(FrameHeader(0, LayerId.ENHANCED, FrameType.INTER), groups)
-        report = validate_structure(
-            Bitstream(config=config, frames=(Frame(layers=(base, enh)),))
-        )
-        assert any(v.rule == R_TILE_INDEX for v in report)
-
     def test_skipped_in_base_violation(self):
         config = small_config()
-        tile = Tile(
-            0, 0, 0, TileKind.SKIPPED, superblock_count=4, skipped_mode=CANONICAL_SKIPPED_MODE
-        )
+        tile = Tile(0, TileKind.SKIPPED, superblock_count=4, skipped_mode=CANONICAL_SKIPPED_MODE)
         base = LayerFrame(
             FrameHeader(0, LayerId.BASE, FrameType.KEY), (TileGroup(0, 0, (tile,)),)
         )
@@ -283,9 +309,9 @@ class TestValidation:
     def test_skip_flags_violation(self):
         config = small_config()
         base = coded_layer(0, LayerId.BASE, 1, 1)
-        tiles = [coded_tile(t, 2) for t in range(3)]
+        tiles = [coded_tile(t) for t in range(3)]
         tiles.append(
-            Tile(3, 1, 1, TileKind.SKIPPED, superblock_count=4, skipped_mode=CANONICAL_SKIPPED_MODE)
+            Tile(3, TileKind.SKIPPED, superblock_count=4, skipped_mode=CANONICAL_SKIPPED_MODE)
         )
         groups = tuple(TileGroup(t, t, (tiles[t],)) for t in range(4))
         enh = LayerFrame(FrameHeader(0, LayerId.ENHANCED, FrameType.INTER), groups)
@@ -299,8 +325,8 @@ class TestValidation:
         frame = Frame(layers=(coded_layer(0, LayerId.BASE, 1, 1),), delimiter_count=2)
         with pytest.raises(InvalidStructureError):
             serialize(Bitstream(config=config, frames=(frame,)))
-        # check=False still emits bytes for the malformed model.
-        data = serialize(Bitstream(config=config, frames=(frame,)), check=False)
+        # The frame itself still serializes, for tests that need malformed bytes.
+        data = serialize_sequence_header(config) + serialize_frame(frame)
         assert len(data) > HEADER_SIZE
 
 
@@ -337,9 +363,9 @@ class TestSuperblockMode:
 
     def test_tile_invariants(self):
         with pytest.raises(InvalidStructureError):
-            Tile(0, 0, 0, TileKind.CODED)
+            Tile(0, TileKind.CODED)
         with pytest.raises(InvalidStructureError):
-            Tile(0, 0, 0, TileKind.SKIPPED, superblock_count=4)
+            Tile(0, TileKind.SKIPPED, superblock_count=4)
 
 
 # --- parse against the reference parser, on mutated streams ---------------
@@ -503,3 +529,13 @@ class TestParseMatchesReference:
     @settings(max_examples=300, deadline=None)
     def test_mutants(self, data):
         check_mutant(data)
+
+    @given(mutants())
+    @settings(max_examples=300, deadline=None)
+    def test_parsed_mutants_reserialize_exactly(self, data):
+        try:
+            stream = parse(data)
+        except SvbsError:
+            return
+        frames = b"".join(map(serialize_frame, stream.frames))
+        assert serialize_sequence_header(stream.config) + frames == data

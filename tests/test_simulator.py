@@ -373,6 +373,14 @@ class TestTraceValidation:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_pose_known_past_the_int64_range_is_never_served(self):
+        # 1e21 ms is more than 2**63 ticks: the first tick of every switch
+        # lies past the session's end.
+        trace = [(0.0, VIEW_A), (100.0, VIEW_B), (200.0, VIEW_C)]
+        report = run_session(Scheme(SchemeKind.SVC), trace, NetworkModel(uplink_delay_ms=1e21),
+                             CONFIG, 1)
+        assert [(s.mtp_ms, s.mthq_ms) for s in report.switches] == [(None, None)] * 2
+
     def test_nonmonotonic_times(self):
         trace = [(0.0, VIEW_A), (100.0, VIEW_B), (50.0, VIEW_C)]
         with pytest.raises(BadArgsError):
