@@ -10,7 +10,6 @@ from .container import (
     FrameType,
     LayerFrame,
     LayerId,
-    SuperblockMode,
     Tile,
     TileGroup,
     TileKind,
@@ -41,7 +40,6 @@ from .geometry import (
     tile_coverage_oracle,
 )
 from .rewriter import (
-    CANONICAL_SKIPPED_MODE,
     rewrite_viewport_frame,
     synthesize_skipped_tile,
 )

@@ -38,7 +38,6 @@ from .geometry import (
 )
 from .rewriter import rewrite_viewport_frame
 from .simulator import (
-    NetworkModel,
     Scheme,
     SchemeKind,
     SessionReport,
@@ -192,6 +191,7 @@ def _cmd_encode(args) -> int:
 def _cmd_rewrite(args) -> int:
     data = _read_bytes(args.input)
     stream = parse(data)
+    inputs = {args.input: data}
     if args.viewport:
         viewport = _parse_viewport(args.viewport)
     elif args.trace is None:
@@ -201,6 +201,7 @@ def _cmd_rewrite(args) -> int:
         if not trace:
             raise SvbsError("trace is empty")
         viewport = trace[0][1]
+        inputs[args.trace] = _read_bytes(args.trace)
     projection = Projection(_projection_kind(args.projection), stream.config.width,
                             stream.config.height)
     selected = select_tiles(viewport, projection, stream.config)
@@ -214,7 +215,7 @@ def _cmd_rewrite(args) -> int:
     out_stream = stream.__class__(config=stream.config, frames=tuple(frames))
     with open(args.out, "wb") as fh:
         fh.write(serialize(out_stream))
-    _write_manifest(args.out, args, {args.input: data}, [args.out])
+    _write_manifest(args.out, args, inputs, [args.out])
     print(f"rewrote {len(list(targets))} frame(s), kept tiles {sorted(selected)} -> {args.out}")
     return EXIT_OK
 
@@ -273,19 +274,14 @@ def _build_scheme(text: str) -> Scheme:
 def _cmd_simulate(args) -> int:
     config = _config_from_args(args)
     trace = read_viewport_trace(args.trace)
-    if args.net:
-        mapping = read_session_config(args.net)
-        network = network_from_mapping(mapping)
-        schemes = [scheme_from_mapping(mapping)] if not args.scheme else None
-    else:
-        network = NetworkModel(
-            uplink_delay_ms=args.uplink_ms,
-            downlink_delay_ms=args.downlink_ms,
-            bandwidth_bytes_per_s=args.bandwidth_bps,
-        )
-        schemes = None
-    if schemes is None:
-        schemes = [_build_scheme(s) for s in (args.scheme or ["svc"])]
+    # A flag given on the command line wins over the --net file.
+    mapping = read_session_config(args.net) if args.net else {}
+    flags = {"uplink_ms": args.uplink_ms, "downlink_ms": args.downlink_ms,
+             "bandwidth_Bps": args.bandwidth_bps}
+    network = network_from_mapping(mapping | {k: repr(v) for k, v in flags.items()
+                                              if v is not None})
+    schemes = ([_build_scheme(s) for s in args.scheme] if args.scheme
+               else [scheme_from_mapping(mapping)])
     projection_kind = _projection_kind(args.projection)
     reports = [run_session(scheme, trace, network, config, args.seed,
                            projection_kind=projection_kind) for scheme in schemes]
@@ -405,11 +401,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--trace", required=True)
     p.add_argument("--scheme", action="append",
                    help="svc or multitrack(LONG,SHORT); repeatable")
-    p.add_argument("--net", help="key=value session config file")
-    p.add_argument("--uplink-ms", type=float, default=0.0)
-    p.add_argument("--downlink-ms", type=float, default=0.0)
-    p.add_argument("--bandwidth-bps", type=float, default=None,
-                   help="bytes per second; omit for unlimited")
+    p.add_argument("--net", help="key=value session config file; flags given win over it")
+    p.add_argument("--uplink-ms", type=float, help="default: --net file, else 0")
+    p.add_argument("--downlink-ms", type=float, help="default: --net file, else 0")
+    p.add_argument("--bandwidth-bps", type=float,
+                   help="bytes per second; default: --net file, else unlimited")
     p.add_argument("--projection", choices=["erp", "cubemap"], default="erp")
     p.add_argument("--jobs", type=int, default=1,
                    help="accepted and ignored: the sessions run one after another")

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import BadConfigError
+
+SUPERBLOCK_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -62,10 +63,6 @@ class SequenceConfig:
                 raise BadConfigError(f"{field} exceeds the u8 wire range")
 
     @property
-    def fps(self) -> Fraction:
-        return Fraction(self.fps_num, self.fps_den)
-
-    @property
     def frame_period_ms(self) -> float:
         return 1000.0 * self.fps_den / self.fps_num
 
@@ -80,6 +77,12 @@ class SequenceConfig:
     @property
     def tile_height(self) -> int:
         return self.height // self.tile_rows
+
+    @property
+    def tile_superblocks(self) -> int:
+        """Superblocks covering one enhanced tile, partial ones included:
+        the superblock_count of its skipped stub."""
+        return -(-self.tile_width * self.tile_height // SUPERBLOCK_SIZE**2)
 
     @property
     def base_width(self) -> int:

@@ -15,12 +15,13 @@ FrameHeader payload: frame_index u32, layer_id u8, frame_type u8, flags u8
 
 TileGroup payload: tg_start u16, tg_end u16, then per tile: tile_index u16,
 tile_kind u8, then either coded length u32 + bytes (CODED) or
-superblock_count u16 + 6-byte superblock mode record (SKIPPED).
+superblock_count u16 + the 6-byte superblock mode record
+SKIPPED_MODE_RECORD (SKIPPED).
 
-Temporal delimiters carry no payload, unnamed flag bits are 0, boolean
-bytes are 0 or 1, and a frame's metadata precedes its layers.  The parser
-refuses anything else, so parsing and serialization map the model and the
-bytes one to one.
+Temporal delimiters carry no payload, unnamed flag bits are 0, every
+skipped tile carries SKIPPED_MODE_RECORD, and a frame's metadata precedes
+its layers.  The parser refuses anything else, so parsing and serialization
+map the model and the bytes one to one.
 """
 
 from __future__ import annotations
@@ -68,50 +69,11 @@ class TileKind(IntEnum):
     SKIPPED = 1
 
 
-class PartitionMode(IntEnum):
-    PARTITION_NONE = 0
-    PARTITION_HORZ = 1
-    PARTITION_VERT = 2
-    PARTITION_SPLIT = 3
-
-
-class RefFrames(IntEnum):
-    REF_TO_BASE_LAYER_ONLY = 0
-    REF_TO_PREVIOUS_FRAME = 1
-
-
-class InterMode(IntEnum):
-    ZERO_MV = 0
-    NEW_MV = 1
-
-
-@dataclass(frozen=True)
-class SuperblockMode:
-    """Per-superblock syntax elements carried by a skipped tile stub."""
-
-    partition_mode: PartitionMode
-    skip: bool
-    is_inter: bool
-    ref_frames: RefFrames
-    inter_mode: InterMode
-    use_obmc: bool
-
-    def to_bytes(self) -> bytes:
-        """One byte per field, in field order."""
-        return bytes((self.partition_mode, self.skip, self.is_inter, self.ref_frames,
-                      self.inter_mode, self.use_obmc))
-
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> "SuperblockMode":
-        p, s, i, r, m, o = struct.unpack("<6B", raw)
-        return cls(PartitionMode(p), _flag(s), _flag(i), RefFrames(r), InterMode(m), _flag(o))
-
-
-def _flag(byte: int) -> bool:
-    """A boolean byte, which is written as 0 or 1 only."""
-    if byte > 1:
-        raise ValueError(f"{byte} is not a valid bool")
-    return byte == 1
+# The 6-byte superblock mode record of every skipped tile, one byte per
+# syntax element: partition_mode PARTITION_NONE (0), skip (1), is_inter (1),
+# ref_frames REF_TO_BASE_LAYER_ONLY (0), inter_mode ZERO_MV (0), use_obmc (0).
+# Such a superblock decodes as the upscaled base; parse refuses any other.
+SKIPPED_MODE_RECORD = bytes((0, 1, 1, 0, 0, 0))
 
 
 @dataclass(frozen=True)
@@ -120,17 +82,13 @@ class Tile:
     tile_kind: TileKind
     coded_payload: bytes | None = None
     superblock_count: int | None = None
-    skipped_mode: SuperblockMode | None = None
 
     def __post_init__(self) -> None:
         if self.tile_kind == TileKind.CODED:
             if self.coded_payload is None:
                 raise InvalidStructureError("CODED tile requires coded_payload")
-        else:
-            if self.superblock_count is None or self.skipped_mode is None:
-                raise InvalidStructureError(
-                    "SKIPPED tile requires superblock_count and skipped_mode"
-                )
+        elif self.superblock_count is None:
+            raise InvalidStructureError("SKIPPED tile requires superblock_count")
 
 
 @dataclass(frozen=True)
@@ -254,7 +212,7 @@ def _tile_group_payload(group: TileGroup) -> bytes:
             parts.append(tile.coded_payload)
         else:
             parts.append(struct.pack("<H", tile.superblock_count))
-            parts.append(tile.skipped_mode.to_bytes())
+            parts.append(SKIPPED_MODE_RECORD)
     return b"".join(parts)
 
 
@@ -353,13 +311,10 @@ def _parse_frame_header(data: bytes, start: int, size: int) -> FrameHeader:
     return FrameHeader(idx, layer_id, frame_type, bool(flags & 1), bool(flags & 2), ref)
 
 
-def _parse_tile_group(
-    data: bytes, start: int, end: int, modes: dict[bytes, SuperblockMode]
-) -> TileGroup:
+def _parse_tile_group(data: bytes, start: int, end: int) -> TileGroup:
     """The tile group unit whose payload is ``data[start:end]``, read in place.
 
-    Offsets in errors are absolute.  ``modes`` maps each 6-byte mode record
-    already seen in this parse to its SuperblockMode.
+    Offsets in errors are absolute.
     """
     if end - start < 4:
         raise TruncatedError(start)
@@ -390,18 +345,13 @@ def _parse_tile_group(
             if end - pos < SUPERBLOCK_MODE_SIZE:
                 raise TruncatedError(pos)
             raw = data[pos : pos + SUPERBLOCK_MODE_SIZE]
-            mode = modes.get(raw)
-            if mode is None:
-                try:
-                    mode = modes[raw] = SuperblockMode.from_bytes(raw)
-                except ValueError as exc:
-                    raise InvalidStructureError(
-                        f"bad superblock mode at offset {pos}: {exc}"
-                    ) from exc
+            if raw != SKIPPED_MODE_RECORD:
+                raise InvalidStructureError(
+                    f"bad superblock mode at offset {pos}: {raw.hex()}, "
+                    f"want {SKIPPED_MODE_RECORD.hex()}"
+                )
             pos += SUPERBLOCK_MODE_SIZE
-            tiles.append(
-                Tile(tile_index, TileKind.SKIPPED, superblock_count=sb_count, skipped_mode=mode)
-            )
+            tiles.append(Tile(tile_index, TileKind.SKIPPED, superblock_count=sb_count))
         else:
             raise InvalidStructureError(f"bad tile kind {kind} at offset {pos - 1}")
     return TileGroup(tg_start=tg_start, tg_end=tg_end, tiles=tuple(tiles))
@@ -416,7 +366,6 @@ def parse(data: bytes) -> Bitstream:
     Errors carry the absolute byte offset of the fault.
     """
     config = _parse_sequence_header(data)
-    modes: dict[bytes, SuperblockMode] = {}
 
     frames: list[Frame] = []
     # Pending state of the frame being assembled.
@@ -458,7 +407,7 @@ def parse(data: bytes) -> Bitstream:
                 raise InvalidStructureError(
                     f"tile group without preceding frame header at offset {unit_offset}"
                 )
-            layers[-1][1].append(_parse_tile_group(data, start, pos, modes))
+            layers[-1][1].append(_parse_tile_group(data, start, pos))
         elif type_byte == _UNIT_FRAME_HEADER:
             header = _parse_frame_header(data, start, size)
             open_frame = True
@@ -528,6 +477,10 @@ def _check_layer_tiles(
                 has_skipped = True
                 if layer.header.layer_id == LayerId.BASE:
                     out.append(Violation(pos, R_SKIP_IN_BASE, f"tile {tile.tile_index}"))
+                elif tile.superblock_count != config.tile_superblocks:
+                    out.append(Violation(
+                        pos, R_SKIP_FLAGS, f"tile {tile.tile_index} has {tile.superblock_count}"
+                        f" superblocks, want {config.tile_superblocks}"))
     if len(seen) != count and not range_broken:
         out.append(
             Violation(pos, R_TILE_COVERAGE, f"layer covers {len(seen)} of {count} grid tiles")

@@ -13,43 +13,20 @@ from .config import SequenceConfig
 from .container import (
     Frame,
     FrameHeader,
-    InterMode,
     LayerFrame,
     LayerId,
-    PartitionMode,
-    RefFrames,
-    SuperblockMode,
     Tile,
     TileGroup,
     TileKind,
 )
 from .errors import BadIndexError, InvalidStructureError, TileMissingError
 
-SUPERBLOCK_SIZE = 64
-
-CANONICAL_SKIPPED_MODE = SuperblockMode(
-    partition_mode=PartitionMode.PARTITION_NONE,
-    skip=True,
-    is_inter=True,
-    ref_frames=RefFrames.REF_TO_BASE_LAYER_ONLY,
-    inter_mode=InterMode.ZERO_MV,
-    use_obmc=False,
-)
-
 
 def synthesize_skipped_tile(tile_index: int, config: SequenceConfig) -> Tile:
     """Skipped stub for one grid tile; constant size for a given grid."""
     if not 0 <= tile_index < config.tile_count:
         raise BadIndexError(f"tile index {tile_index} outside grid")
-    area = config.tile_width * config.tile_height
-    sb_area = SUPERBLOCK_SIZE * SUPERBLOCK_SIZE
-    count = -(-area // sb_area)  # ceil
-    return Tile(
-        tile_index=tile_index,
-        tile_kind=TileKind.SKIPPED,
-        superblock_count=count,
-        skipped_mode=CANONICAL_SKIPPED_MODE,
-    )
+    return Tile(tile_index, TileKind.SKIPPED, superblock_count=config.tile_superblocks)
 
 
 def _skipped_tile_group(tile_index: int, config: SequenceConfig) -> TileGroup:

@@ -447,14 +447,18 @@ def latency_summary(reports: list[SessionReport]) -> list[dict]:
         entry = {"scheme": label, "switches": sum(len(r.switches) for r in group),
                  "not_reached": not_reached}
         for name, samples in (("mthq", mthq), ("mtp", mtp)):
+            mean = median = high = None
             if samples:
-                entry[f"mean_{name}_ms"] = statistics.fmean(samples)
-                entry[f"median_{name}_ms"] = statistics.median(samples)
-                entry[f"p95_{name}_ms"] = p95(samples)
-            else:
-                entry[f"mean_{name}_ms"] = None
-                entry[f"median_{name}_ms"] = None
-                entry[f"p95_{name}_ms"] = None
+                try:
+                    mean = statistics.fmean(samples)
+                except OverflowError:  # the sum leaves the float range
+                    mean = math.inf
+                median, high = statistics.median(samples), p95(samples)
+                if not (math.isfinite(mean) and math.isfinite(median)):
+                    raise TooLargeError(f"{label}: the mean or median {name.upper()} is not finite")
+            entry[f"mean_{name}_ms"] = mean
+            entry[f"median_{name}_ms"] = median
+            entry[f"p95_{name}_ms"] = high
         p95_mthq = entry["p95_mthq_ms"]
         entry["mthq_50ms_compliant"] = (
             p95_mthq is not None and not_reached == 0 and p95_mthq <= MTHQ_COMPLIANCE_MS

@@ -18,12 +18,8 @@ from svbs.container import (
     Frame,
     FrameHeader,
     FrameType,
-    InterMode,
     LayerFrame,
     LayerId,
-    PartitionMode,
-    RefFrames,
-    SuperblockMode,
     Tile,
     TileGroup,
     TileKind,
@@ -77,29 +73,13 @@ def random_config(rng: random.Random) -> SequenceConfig:
     )
 
 
-def random_mode(rng: random.Random) -> SuperblockMode:
-    return SuperblockMode(
-        partition_mode=rng.choice(list(PartitionMode)),
-        skip=rng.random() < 0.5,
-        is_inter=rng.random() < 0.5,
-        ref_frames=rng.choice(list(RefFrames)),
-        inter_mode=rng.choice(list(InterMode)),
-        use_obmc=rng.random() < 0.5,
-    )
-
-
-def _random_tiles(rng: random.Random, cols: int, rows: int, allow_skipped: bool):
+def _random_tiles(rng: random.Random, cols: int, rows: int, sb_count: int | None):
+    """Coded tiles, with about 30% skipped stubs of ``sb_count`` superblocks
+    unless it is None."""
     tiles = []
     for t in range(cols * rows):
-        if allow_skipped and rng.random() < 0.3:
-            tiles.append(
-                Tile(
-                    tile_index=t,
-                    tile_kind=TileKind.SKIPPED,
-                    superblock_count=rng.randint(1, 100),
-                    skipped_mode=random_mode(rng),
-                )
-            )
+        if sb_count is not None and rng.random() < 0.3:
+            tiles.append(Tile(tile_index=t, tile_kind=TileKind.SKIPPED, superblock_count=sb_count))
         else:
             tiles.append(
                 Tile(
@@ -133,12 +113,14 @@ def random_layer(
         else:
             frame_type = rng.choice([FrameType.KEY, FrameType.INTER])
         header = FrameHeader(pos, layer_id, frame_type)
-        tiles = _random_tiles(rng, cols, rows, allow_skipped=False)
+        tiles = _random_tiles(rng, cols, rows, None)
     else:
         cols, rows = config.tile_cols, config.tile_rows
         gop_start = (pos // gop) * gop
         offsets = [o for o in range(config.ref_window) if pos - o >= gop_start]
-        tiles = _random_tiles(rng, cols, rows, allow_skipped=True)
+        # 64x64 superblocks per enhanced tile, rounded up.
+        sb_count = -(-(config.tile_width * config.tile_height) // 4096)
+        tiles = _random_tiles(rng, cols, rows, sb_count)
         any_skipped = any(t.tile_kind == TileKind.SKIPPED for t in tiles)
         header = FrameHeader(
             frame_index=pos,
@@ -410,16 +392,8 @@ def _ref_parse_frame_header(payload: bytes, offset: int) -> FrameHeader:
     )
 
 
-def _ref_flag(byte: int) -> bool:
-    if byte not in (0, 1):
-        raise ValueError(f"{byte} is not a valid bool")
-    return bool(byte)
-
-
-def _ref_mode(raw: bytes) -> SuperblockMode:
-    p, s, i, r, m, o = raw
-    return SuperblockMode(PartitionMode(p), _ref_flag(s), _ref_flag(i), RefFrames(r),
-                          InterMode(m), _ref_flag(o))
+# The one superblock mode record a skipped tile may carry.
+_REF_SKIPPED_MODE = bytes([0, 1, 1, 0, 0, 0])
 
 
 def _ref_parse_tile_group(payload: bytes, offset: int) -> TileGroup:
@@ -442,15 +416,13 @@ def _ref_parse_tile_group(payload: bytes, offset: int) -> TileGroup:
             else:
                 (sb_count,) = sub.unpack("<H")
                 mode_offset = offset + sub.pos
-                try:
-                    mode = _ref_mode(sub.take(SUPERBLOCK_MODE_SIZE))
-                except ValueError as exc:
+                mode = sub.take(SUPERBLOCK_MODE_SIZE)
+                if mode != _REF_SKIPPED_MODE:
                     raise InvalidStructureError(
-                        f"bad superblock mode at offset {mode_offset}: {exc}"
-                    ) from exc
-                tiles.append(
-                    Tile(tile_index, tile_kind, superblock_count=sb_count, skipped_mode=mode)
-                )
+                        f"bad superblock mode at offset {mode_offset}: {mode.hex()}, "
+                        f"want {_REF_SKIPPED_MODE.hex()}"
+                    )
+                tiles.append(Tile(tile_index, tile_kind, superblock_count=sb_count))
     except TruncatedError as exc:
         # Re-position relative to the whole stream.
         raise TruncatedError(offset + exc.offset) from exc

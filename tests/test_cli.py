@@ -16,6 +16,7 @@ from svbs.codec import encode_svc, generate_content
 from svbs.config import SequenceConfig
 from svbs.container import Frame, serialize_frame, serialize_sequence_header
 from svbs.geometry import Viewport, write_viewport_trace
+from svbs.rewriter import rewrite_viewport_frame
 
 SMALL = [
     "--width", "64", "--height", "32", "--tile-cols", "2", "--tile-rows", "2",
@@ -75,6 +76,18 @@ class TestEncodeValidateDecode:
                          + b"".join(map(serialize_frame, frames)))
         assert main(["validate", "--in", str(path)]) == EXIT_DATA
         assert "R_TEMPORAL_DELIM" in capsys.readouterr().out
+
+    def test_validate_refuses_stub_predicting_from_previous_frame(self, tmp_path, capsys):
+        config = SequenceConfig(width=64, height=32, tile_cols=2, tile_rows=2, gop_size=4)
+        frame = rewrite_viewport_frame(encode_svc(generate_content(1, config, 1)).frames[0],
+                                       set(), config)
+        data = bytearray(serialize_sequence_header(config) + serialize_frame(frame))
+        # The last stub's mode record ends the stream; ref_frames is its 4th byte.
+        data[-3] = 1
+        path = tmp_path / "temporal.svb"
+        path.write_bytes(bytes(data))
+        assert main(["validate", "--in", str(path)]) == EXIT_DATA
+        assert f"bad superblock mode at offset {len(data) - 6}:" in capsys.readouterr().err
 
     def test_corrupt_file_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "junk.svb"
@@ -167,6 +180,10 @@ MALFORMED_INPUTS = {
     "bogus.csv": b"row,scheme,t_ms,mtp_ms,mthq_ms,second,stream,bytes\nbogus,svc,,,,,,\n",
     "far.jsonl": b'{"t_ms": 0, "yaw_deg": 0, "pitch_deg": 0, "h_fov_deg": 90, "v_fov_deg": 90}\n'
                  b'{"t_ms": 1e13, "yaw_deg": 9, "pitch_deg": 0, "h_fov_deg": 90, "v_fov_deg": 90}\n',
+    "forty.jsonl": b"".join(b'{"t_ms": %d, "yaw_deg": %d, "pitch_deg": 0, "h_fov_deg": 90, '
+                            b'"v_fov_deg": 90}\n' % (100 * i, 90 * (i % 4)) for i in range(40)),
+    "huge.csv": b"row,scheme,t_ms,mtp_ms,mthq_ms,second,stream,bytes\n"
+                b"switch,svc,0,1,1e308,,,\nswitch,svc,1,1,1e308,,,\n",
 }
 SIMULATE = ["simulate", *SMALL, "--trace", "{dir}/trace.jsonl", "--out", "{out}"]
 
@@ -190,6 +207,9 @@ class TestMalformedArguments:
             ([*SIMULATE, "--uplink-ms", "nan"], "delays must be nonnegative and finite"),
             ([*SIMULATE, "--bandwidth-bps", "nan"], "bandwidth must be positive and finite"),
             ([*SIMULATE, "--bandwidth-bps", "1e-305"], "display times overflow a float"),
+            ([*SIMULATE, "--trace", "{dir}/forty.jsonl", "--bandwidth-bps", "1e-301"],
+             "svc: the mean or median MTHQ is not finite"),
+            (["report", "{dir}/huge.csv"], "svc: the mean or median MTHQ is not finite"),
             ([*SIMULATE, "--net", "{dir}/latin1.net"], "latin1.net line 2 is not UTF-8 text"),
             ([*SIMULATE, "--net", "{dir}/unknown.net"],
              "unknown.net line 2: unknown key 'uplink'"),
@@ -215,7 +235,8 @@ class TestMalformedArguments:
         ids=["viewport-not-numbers", "rewrite-without-pose", "tiles-not-numbers",
              "tiles-empty-entry", "tile-outside-grid", "negative-tile", "fps-not-a-number",
              "yaw-not-finite", "net-gop-not-a-number", "net-uplink-nan", "uplink-nan",
-             "bandwidth-nan", "bandwidth-overflows", "net-not-utf8", "net-unknown-key",
+             "bandwidth-nan", "bandwidth-overflows", "bandwidth-mean-overflows",
+             "report-mean-overflows", "net-not-utf8", "net-unknown-key",
              "scheme-gop-not-a-number", "report-mtp-not-a-number",
              "report-without-scheme", "report-binary", "scheme-three-gops",
              "scheme-unclosed", "report-empty", "report-unknown-row-kind",
@@ -318,6 +339,8 @@ class TestManifestDigests:
                         "--out", str(tmp_path / "d.yuv")], [stream_path]),
             "rewrite": (["rewrite", "--in", str(stream_path), "--viewport", "0,0,90,90",
                          "--out", str(tmp_path / "r.svb")], [stream_path]),
+            "rewrite-trace": (["rewrite", "--in", str(stream_path), "--trace", str(trace_path),
+                               "--out", str(tmp_path / "rt.svb")], [stream_path, trace_path]),
             "simulate": (["simulate", *SMALL, "--trace", str(trace_path), "--net",
                           str(net_path), "--out", str(tmp_path / "sim")],
                          [trace_path, net_path]),
@@ -413,6 +436,25 @@ class TestSimulateAndReport:
         serial = self._simulate(tmp_path, capsys, 1, seed=9173)
         assert len(serial[1]) == 6
         assert pooled == serial
+
+    def test_flags_win_over_net_file(self, tmp_path, capsys):
+        trace_path = tmp_path / "t.jsonl"
+        _golden_trace(trace_path)
+        net_path = tmp_path / "f.net"
+        net_path.write_text("uplink_ms = 5\ndownlink_ms = 7\nbandwidth_Bps = 4000\n")
+
+        def summary(*flags):
+            assert main(["simulate", *SMALL, "--trace", str(trace_path), *flags,
+                         "--out", str(tmp_path / "sim")]) == EXIT_OK
+            return capsys.readouterr().out
+
+        from_file = summary("--net", str(net_path))
+        assert from_file == summary("--uplink-ms", "5", "--downlink-ms", "7",
+                                    "--bandwidth-bps", "4000")
+        overridden = summary("--net", str(net_path), "--uplink-ms", "500")
+        assert overridden != from_file
+        assert overridden == summary("--uplink-ms", "500", "--downlink-ms", "7",
+                                     "--bandwidth-bps", "4000")
 
     def test_report_p95_equals_latency_summary(self, tmp_path, capsys):
         stdout, _ = self._simulate(tmp_path, capsys, 1, seed=1)

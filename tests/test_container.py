@@ -24,6 +24,7 @@ from svbs.container import (
     R_TEMPORAL_IN_ENH,
     R_TG_RANGE,
     R_TILE_COVERAGE,
+    SKIPPED_MODE_RECORD,
     UNIT_HEADER_SIZE,
     Bitstream,
     Frame,
@@ -31,11 +32,11 @@ from svbs.container import (
     FrameType,
     LayerFrame,
     LayerId,
-    SuperblockMode,
     Tile,
     TileGroup,
     TileKind,
     UnitType,
+    Violation,
     frame_byte_sizes,
     parse,
     serialize,
@@ -51,7 +52,7 @@ from svbs.errors import (
     TruncatedError,
     UnknownUnitTypeError,
 )
-from svbs.rewriter import CANONICAL_SKIPPED_MODE, rewrite_viewport_frame
+from svbs.rewriter import rewrite_viewport_frame
 
 
 def small_config(**overrides) -> SequenceConfig:
@@ -77,6 +78,10 @@ def two_layer_frame(pos: int, config: SequenceConfig, **enh_hdr) -> Frame:
     base = coded_layer(pos, LayerId.BASE, 1, 1)
     enh = coded_layer(pos, LayerId.ENHANCED, config.tile_cols, config.tile_rows, **enh_hdr)
     return Frame(layers=(base, enh))
+
+
+def _enhanced(groups) -> LayerFrame:
+    return LayerFrame(FrameHeader(0, LayerId.ENHANCED, FrameType.INTER), tuple(groups))
 
 
 def valid_stream(n_frames: int = 2) -> Bitstream:
@@ -162,8 +167,10 @@ class TestParseErrors:
 
     @pytest.mark.parametrize(
         "field, value",
-        [(0, 9), (3, 7), (4, 5), (1, 2), (2, 2), (5, 2)],
-        ids=["partition_mode", "ref_frames", "inter_mode", "skip", "is_inter", "use_obmc"],
+        [(0, 9), (3, 7), (4, 5), (1, 2), (2, 2), (5, 2),
+         (0, 3), (1, 0), (2, 0), (3, 1), (4, 1), (5, 1)],
+        ids=["partition_mode", "ref_frames", "inter_mode", "skip", "is_inter", "use_obmc",
+             "partition_split", "no_skip", "intra", "ref_previous_frame", "new_mv", "obmc"],
     )
     def test_bad_superblock_mode_enum(self, field, value):
         stream = valid_stream(1)
@@ -299,7 +306,7 @@ class TestValidation:
 
     def test_skipped_in_base_violation(self):
         config = small_config()
-        tile = Tile(0, TileKind.SKIPPED, superblock_count=4, skipped_mode=CANONICAL_SKIPPED_MODE)
+        tile = Tile(0, TileKind.SKIPPED, superblock_count=4)
         base = LayerFrame(
             FrameHeader(0, LayerId.BASE, FrameType.KEY), (TileGroup(0, 0, (tile,)),)
         )
@@ -310,15 +317,48 @@ class TestValidation:
         config = small_config()
         base = coded_layer(0, LayerId.BASE, 1, 1)
         tiles = [coded_tile(t) for t in range(3)]
-        tiles.append(
-            Tile(3, TileKind.SKIPPED, superblock_count=4, skipped_mode=CANONICAL_SKIPPED_MODE)
-        )
+        tiles.append(Tile(3, TileKind.SKIPPED, superblock_count=config.tile_superblocks))
         groups = tuple(TileGroup(t, t, (tiles[t],)) for t in range(4))
         enh = LayerFrame(FrameHeader(0, LayerId.ENHANCED, FrameType.INTER), groups)
         report = validate_structure(
             Bitstream(config=config, frames=(Frame(layers=(base, enh)),))
         )
         assert any(v.rule == R_SKIP_FLAGS for v in report)
+
+    def test_stub_superblock_count_violation(self):
+        config = small_config()
+        stub = rewrite_viewport_frame(two_layer_frame(0, config), {0, 1, 2}, config)
+        data = bytearray(serialize(Bitstream(config, (stub,))))
+        # The stream ends with tile 3's stub: superblock_count u16, then the
+        # 6-byte mode record.  A 16x8 tile is one superblock.
+        data[-8:-6] = struct.pack("<H", 65535)
+        report = validate_structure(parse(bytes(data)))
+        assert report == [Violation(0, R_SKIP_FLAGS, "tile 3 has 65535 superblocks, want 1")]
+
+    @pytest.mark.parametrize(
+        "layers, rule, detail",
+        [
+            (lambda base, enh: (base, _enhanced((TileGroup(2, 1, ()),))),
+             R_TG_RANGE, "tg_start 2 > tg_end 1"),
+            (lambda base, enh: (base, _enhanced((TileGroup(3, 4, (coded_tile(3),)),))),
+             R_TG_RANGE, "tg_end 4 outside 2x2 grid"),
+            (lambda base, enh: (base, _enhanced(enh.tile_groups + enh.tile_groups[:1])),
+             R_TILE_COVERAGE, "tile 0 covered twice"),
+            (lambda base, enh: (), R_TEMPORAL_DELIM, "frame has no layers"),
+            (lambda base, enh: (base, base, enh), R_LAYER_ORDER, "duplicate base layer"),
+            (lambda base, enh: (enh, base), R_LAYER_ORDER, "base layer after enhanced"),
+            (lambda base, enh: (coded_layer(0, LayerId.BASE, 1, 1, base_ref_offset=1), enh),
+             R_CLOSED_GOP, "KEY frame with nonzero reference"),
+        ],
+        ids=["tg_start_after_end", "tg_end_outside_grid", "tile_covered_twice",
+             "no_layers", "duplicate_base", "base_after_enhanced", "key_with_reference"],
+    )
+    def test_rule_detail(self, layers, rule, detail):
+        config = small_config()
+        base, enh = two_layer_frame(0, config).layers
+        frame = Frame(layers=layers(base, enh))
+        report = validate_structure(Bitstream(config=config, frames=(frame,)))
+        assert Violation(0, rule, detail) in report
 
     def test_serialize_refuses_invalid_model(self):
         config = small_config()
@@ -357,15 +397,19 @@ class TestByteAccounting:
 
 class TestSuperblockMode:
     def test_mode_round_trip(self):
-        mode = CANONICAL_SKIPPED_MODE
-        assert SuperblockMode.from_bytes(mode.to_bytes()) == mode
-        assert len(mode.to_bytes()) == 6
+        # partition none, skip, inter, base layer only, zero motion, no OBMC.
+        assert SKIPPED_MODE_RECORD == b"\x00\x01\x01\x00\x00\x00"
+        stream = valid_stream(1)
+        stub = rewrite_viewport_frame(stream.frames[0], set(), stream.config)
+        data = serialize(Bitstream(stream.config, (stub,)))
+        assert data.endswith(SKIPPED_MODE_RECORD)
+        assert parse(data).frames == (stub,)
 
     def test_tile_invariants(self):
         with pytest.raises(InvalidStructureError):
             Tile(0, TileKind.CODED)
         with pytest.raises(InvalidStructureError):
-            Tile(0, TileKind.SKIPPED, superblock_count=4)
+            Tile(0, TileKind.SKIPPED)
 
 
 # --- parse against the reference parser, on mutated streams ---------------

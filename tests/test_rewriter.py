@@ -5,10 +5,12 @@ import math
 import pytest
 
 from svbs.codec import encode_svc, generate_content
-from svbs.config import SequenceConfig
+from svbs.config import SUPERBLOCK_SIZE, SequenceConfig
 from svbs.container import (
+    SKIPPED_MODE_RECORD,
     Bitstream,
     LayerId,
+    TileGroup,
     TileKind,
     UNIT_HEADER_SIZE,
     frame_byte_sizes,
@@ -20,12 +22,7 @@ from svbs.container import (
 )
 from svbs.errors import BadIndexError, InvalidStructureError, TileMissingError
 from svbs.geometry import Projection, ProjectionKind, Viewport, select_tiles
-from svbs.rewriter import (
-    CANONICAL_SKIPPED_MODE,
-    SUPERBLOCK_SIZE,
-    rewrite_viewport_frame,
-    synthesize_skipped_tile,
-)
+from svbs.rewriter import rewrite_viewport_frame, synthesize_skipped_tile
 
 
 def small_config(**overrides) -> SequenceConfig:
@@ -54,15 +51,13 @@ class TestSkippedTileSynthesis:
     def test_canonical_mode(self):
         tile = synthesize_skipped_tile(0, small_config())
         assert tile.tile_kind == TileKind.SKIPPED
-        mode = tile.skipped_mode
-        assert mode == CANONICAL_SKIPPED_MODE
-        assert mode.skip and mode.is_inter and not mode.use_obmc
+        payload = _tile_group_payload(TileGroup(0, 0, (tile,)))
+        # partition none, skip, inter, base layer only, zero motion, no OBMC.
+        assert payload[-6:] == SKIPPED_MODE_RECORD == bytes((0, 1, 1, 0, 0, 0))
 
     def test_group_payload_is_compact(self):
         config = small_config()
         tile = synthesize_skipped_tile(3, config)
-        from svbs.container import TileGroup
-
         payload = _tile_group_payload(TileGroup(3, 3, (tile,)))
         assert len(payload) <= 16
         assert UNIT_HEADER_SIZE + len(payload) == 20
