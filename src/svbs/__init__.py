@@ -27,7 +27,6 @@ from .codec import (
     encode_svc,
     encode_track,
     generate_content,
-    psnr,
     rle_compress,
     rle_decompress,
     upsample_nearest,
@@ -48,7 +47,6 @@ from .simulator import (
     Scheme,
     SchemeKind,
     SessionReport,
-    bitrate_report,
     expected_gop_wait_ms,
     latency_summary,
     run_session,

@@ -38,15 +38,13 @@ from .geometry import (
 )
 from .rewriter import rewrite_viewport_frame
 from .simulator import (
+    NetworkModel,
     Scheme,
     SchemeKind,
     SessionReport,
     SwitchSample,
     latency_summary,
-    network_from_mapping,
-    read_session_config,
     run_session,
-    scheme_from_mapping,
     write_report_csv,
     write_report_json,
 )
@@ -274,14 +272,8 @@ def _build_scheme(text: str) -> Scheme:
 def _cmd_simulate(args) -> int:
     config = _config_from_args(args)
     trace = read_viewport_trace(args.trace)
-    # A flag given on the command line wins over the --net file.
-    mapping = read_session_config(args.net) if args.net else {}
-    flags = {"uplink_ms": args.uplink_ms, "downlink_ms": args.downlink_ms,
-             "bandwidth_Bps": args.bandwidth_bps}
-    network = network_from_mapping(mapping | {k: repr(v) for k, v in flags.items()
-                                              if v is not None})
-    schemes = ([_build_scheme(s) for s in args.scheme] if args.scheme
-               else [scheme_from_mapping(mapping)])
+    network = NetworkModel(args.uplink_ms, args.downlink_ms, args.bandwidth_bps)
+    schemes = [_build_scheme(s) for s in args.scheme or ["svc"]]
     projection_kind = _projection_kind(args.projection)
     reports = [run_session(scheme, trace, network, config, args.seed,
                            projection_kind=projection_kind) for scheme in schemes]
@@ -294,8 +286,7 @@ def _cmd_simulate(args) -> int:
         outputs += [stem + ".json", stem + ".csv"]
     for entry in latency_summary(reports):
         print(json.dumps(entry))
-    inputs = [args.trace] + ([args.net] if args.net else [])
-    _write_manifest(args.out, args, {p: _read_bytes(p) for p in inputs}, outputs)
+    _write_manifest(args.out, args, {args.trace: _read_bytes(args.trace)}, outputs)
     return EXIT_OK
 
 
@@ -400,12 +391,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--trace", required=True)
     p.add_argument("--scheme", action="append",
-                   help="svc or multitrack(LONG,SHORT); repeatable")
-    p.add_argument("--net", help="key=value session config file; flags given win over it")
-    p.add_argument("--uplink-ms", type=float, help="default: --net file, else 0")
-    p.add_argument("--downlink-ms", type=float, help="default: --net file, else 0")
-    p.add_argument("--bandwidth-bps", type=float,
-                   help="bytes per second; default: --net file, else unlimited")
+                   help="svc or multitrack(LONG,SHORT); repeatable; default: svc")
+    p.add_argument("--uplink-ms", type=float, default=0.0)
+    p.add_argument("--downlink-ms", type=float, default=0.0)
+    p.add_argument("--bandwidth-bps", type=float, help="bytes per second; default: unlimited")
     p.add_argument("--projection", choices=["erp", "cubemap"], default="erp")
     p.add_argument("--jobs", type=int, default=1,
                    help="accepted and ignored: the sessions run one after another")

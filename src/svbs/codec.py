@@ -41,14 +41,8 @@ from .errors import (
     TooLargeError,
 )
 
-PSNR_INF = math.inf
-
 # Zero runs shorter than this are cheaper as literals.
 MIN_ZERO_RUN = 6
-
-# 12K ERP (11520x5760), the largest frame the paper names.  A larger declared
-# frame is refused before the decoder allocates anything from its size.
-DECODE_PIXEL_BUDGET = 11520 * 5760
 
 # Samples one generated content may hold, 1 GiB: frames times frame pixels.
 CONTENT_PIXEL_BUDGET = 1 << 30
@@ -444,8 +438,6 @@ def decode_frame(
             f"stream fails validation: {report[0].rule} at frame {report[0].frame_index}"
         )
     config = bitstream.config
-    if config.width * config.height > DECODE_PIXEL_BUDGET:
-        raise TooLargeError(f"{config.width}x{config.height} exceeds the decode pixel budget")
     if not 0 <= frame_index < len(bitstream.frames):
         raise MissingBaseError(frame_index)
     gop_start = (frame_index // config.gop_size) * config.gop_size
@@ -471,17 +463,3 @@ def decode_frame(
             rs, cs = regions[tile.tile_index]
             out[rs, cs] = ref[rs, cs] + _decoded_tile(tile, out[rs, cs])
     return RasterFrame(config.width, config.height, out)
-
-
-# --- metrics -----------------------------------------------------------------
-
-
-def psnr(a: RasterFrame, b: RasterFrame) -> float:
-    if (a.width, a.height) != (b.width, b.height):
-        raise BadDimensionsError("frames differ in dimensions")
-    diff = a.samples.astype(np.float64) - b.samples.astype(np.float64)
-    mse = float(np.mean(diff * diff))
-    if mse == 0.0:
-        return PSNR_INF
-    return 10.0 * math.log10(255.0 * 255.0 / mse)
-

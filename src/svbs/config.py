@@ -4,9 +4,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BadConfigError
+from .errors import BadConfigError, TooLargeError
 
 SUPERBLOCK_SIZE = 64
+
+# 12K ERP (11520x5760), the largest frame the paper names.  No config, and so
+# no parsed header, declares a larger frame: every stage may allocate from the
+# declared size, and a tile's stub count stays within its u16 wire field.
+FRAME_PIXEL_BUDGET = 11520 * 5760
 
 
 @dataclass(frozen=True)
@@ -61,6 +66,8 @@ class SequenceConfig:
         for field in ("scale_factor", "tile_cols", "tile_rows", "ref_window"):
             if getattr(self, field) > 0xFF:
                 raise BadConfigError(f"{field} exceeds the u8 wire range")
+        if self.width * self.height > FRAME_PIXEL_BUDGET:
+            raise TooLargeError(f"{self.width}x{self.height} exceeds the frame pixel budget")
 
     @property
     def frame_period_ms(self) -> float:

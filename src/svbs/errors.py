@@ -58,10 +58,6 @@ class TileMissingError(SvbsError):
         super().__init__(f"selected tile {tile_index} absent from input frame")
 
 
-class NoStreamError(SvbsError):
-    pass
-
-
 class EmptyTraceError(SvbsError):
     pass
 

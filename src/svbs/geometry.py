@@ -336,8 +336,9 @@ def select_tiles(
 ) -> set[int]:
     """Tiles with at least one pixel center inside the viewport's frustum.
 
-    Equal to tile_coverage_oracle at any frame size, with no pixel budget:
-    memory and time scale with the block count, not the pixel count.
+    Equal to tile_coverage_oracle at any frame size a config allows (up to
+    ``config.FRAME_PIXEL_BUDGET``), with no budget of its own: memory and time
+    scale with the block count, not the pixel count.
     """
     _check_projection(projection, config)
     table = _block_table(

@@ -28,7 +28,7 @@ import numpy as np
 from .codec import encode_svc, encode_track, generate_content, TrackResolution
 from .config import SequenceConfig
 from .container import UNIT_HEADER_SIZE, LayerId, rate_records, tile_group_size
-from .errors import BadArgsError, EmptyTraceError, NoStreamError, TooLargeError
+from .errors import BadArgsError, EmptyTraceError, TooLargeError
 from .geometry import Projection, ProjectionKind, Viewport, select_tiles
 from .rewriter import _skipped_tile_group
 
@@ -38,8 +38,9 @@ MTHQ_COMPLIANCE_MS = 50.0
 # conversions so boundary-aligned events resolve to the intended tick.
 _TICK_EPS = 1e-9
 
-# Ticks in one session: about 39 h at 30 fps, and about 0.7 GiB of columns.
-SESSION_TICK_BUDGET = 1 << 22
+# Ticks in one session: about 9.7 h at 30 fps, and under 256 MiB of columns
+# (about 180 bytes per tick).
+SESSION_TICK_BUDGET = 1 << 20
 
 
 class SchemeKind(Enum):
@@ -52,7 +53,6 @@ class Scheme:
     kind: SchemeKind
     long_gop: int = 30
     short_gop: int = 0  # 0 = no short track
-    low_gop: int | None = None  # defaults to long_gop
 
     def __post_init__(self) -> None:
         if self.kind == SchemeKind.MULTITRACK:
@@ -60,9 +60,7 @@ class Scheme:
                 raise BadArgsError("long_gop must be >= 1")
             if self.short_gop < 0:
                 raise BadArgsError("short_gop must be >= 0")
-            if self.low_gop is not None and self.low_gop < 1:
-                raise BadArgsError("low_gop must be >= 1")
-            if max(self.long_gop, self.short_gop, self.low_gop or 0) > 0xFFFF:
+            if max(self.long_gop, self.short_gop) > 0xFFFF:
                 raise BadArgsError("a GOP exceeds the u16 wire range")
 
     @property
@@ -285,10 +283,11 @@ def run_session(
         tracks, settle_ticks = None, 4
     else:
         commit_gop, short_gop = scheme.long_gop, scheme.short_gop
-        gops = (scheme.low_gop or commit_gop, commit_gop, short_gop)
+        gops = (commit_gop, short_gop)
         names, settle_ticks = ("low", "long", "short"), commit_gop + short_gop + 4
-        tracks = tuple(zip(gops, (TrackResolution.BASE, TrackResolution.FULL,
-                                  TrackResolution.FULL)))[:3 if short_gop else 2]
+        # The always-on low track runs at the region track's GOP.
+        tracks = ((commit_gop, TrackResolution.BASE), (commit_gop, TrackResolution.FULL),
+                  (short_gop, TrackResolution.FULL))[:3 if short_gop else 2]
     cycle = cycle_frames or math.lcm(*filter(None, gops))
     if any(g and cycle % g for g in gops):
         raise BadArgsError("cycle_frames must be a multiple of every GOP")
@@ -423,15 +422,6 @@ def _resolve_switches(times, pose_known_at, pose_set, tile_sets, display, hq_ids
 # --- reporting ---------------------------------------------------------------
 
 
-def bitrate_report(report: SessionReport) -> dict[str, dict[int, int]]:
-    """Per-stream bytes for each whole second of the session."""
-    out: dict[str, dict[int, int]] = {}
-    for sec, streams in sorted(report.seconds.items()):
-        for name, n in streams.items():
-            out.setdefault(name, {})[sec] = n
-    return out
-
-
 def latency_summary(reports: list[SessionReport]) -> list[dict]:
     """Mean/median/p95 MTP and MTHQ per scheme, with a 50 ms MTHQ flag."""
     if not reports:
@@ -551,65 +541,3 @@ def write_report_csv(report: SessionReport, path) -> None:
         for sec, streams in sorted(report.seconds.items()):
             for name, n in sorted(streams.items()):
                 writer.writerow(["second", report.scheme_label, "", "", "", sec, name, n])
-
-
-# --- key=value session config files ------------------------------------------
-
-
-SESSION_KEYS = ("scheme", "long_gop", "short_gop", "low_gop", "uplink_ms", "downlink_ms",
-                "bandwidth_Bps")
-
-
-def read_session_config(path) -> dict[str, str]:
-    """The ``key=value`` lines of a UTF-8 session file; ``#`` starts a
-    comment line.  Every key is one of :data:`SESSION_KEYS`."""
-    out = {}
-    with open(path, "rb") as fh:
-        lines = fh.read().splitlines()
-    for n, raw in enumerate(lines, 1):
-        try:
-            line = raw.decode().strip()
-        except UnicodeDecodeError:
-            raise BadArgsError(f"{path} line {n} is not UTF-8 text") from None
-        if not line or line.startswith("#"):
-            continue
-        key, eq, value = line.partition("=")
-        key = key.strip()
-        if not eq:
-            raise BadArgsError(f"bad config line: {line!r}")
-        if key not in SESSION_KEYS:
-            raise BadArgsError(f"{path} line {n}: unknown key {key!r} "
-                               f"(known: {', '.join(SESSION_KEYS)})")
-        out[key] = value.strip()
-    return out
-
-
-def _mapping_number(m: dict[str, str], key: str, kind: type, default=None):
-    """``kind(m[key])``, or ``default`` when ``key`` is absent."""
-    try:
-        return kind(m[key]) if key in m else default
-    except ValueError:
-        raise BadArgsError(f"{key} wants {kind.__name__}, not {m[key]!r}") from None
-
-
-def scheme_from_mapping(m: dict[str, str]) -> Scheme:
-    kind = m.get("scheme", "svc").lower()
-    if kind == "svc":
-        return Scheme(SchemeKind.SVC)
-    if kind == "multitrack":
-        return Scheme(
-            SchemeKind.MULTITRACK,
-            long_gop=_mapping_number(m, "long_gop", int, 30),
-            short_gop=_mapping_number(m, "short_gop", int, 0),
-            low_gop=_mapping_number(m, "low_gop", int),
-        )
-    raise NoStreamError(f"unknown scheme {kind!r}")
-
-
-def network_from_mapping(m: dict[str, str]) -> NetworkModel:
-    unlimited = m.get("bandwidth_Bps") in (None, "", "unlimited")
-    return NetworkModel(
-        uplink_delay_ms=_mapping_number(m, "uplink_ms", float, 0.0),
-        downlink_delay_ms=_mapping_number(m, "downlink_ms", float, 0.0),
-        bandwidth_bytes_per_s=None if unlimited else _mapping_number(m, "bandwidth_Bps", float),
-    )

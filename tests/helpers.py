@@ -643,8 +643,7 @@ def reference_run_session(
         base_bytes, enh_header, coded, skip_bytes = _ref_svc_tables(config, source_seed, cycle)
         settle_ticks = 4
     else:
-        low_gop = scheme.low_gop or scheme.long_gop
-        cycle = cycle_frames or _ref_lcm(scheme.long_gop, scheme.short_gop, low_gop)
+        cycle = cycle_frames or _ref_lcm(scheme.long_gop, scheme.short_gop)
         source = generate_content(source_seed, config, cycle)
         long_header, long_tiles = _ref_track_tables(
             source, scheme.long_gop, TrackResolution.FULL, cycle)
@@ -653,7 +652,8 @@ def reference_run_session(
                 source, scheme.short_gop, TrackResolution.FULL, cycle)
         else:
             short_header, short_tiles = None, None
-        low_header, low_tiles = _ref_track_tables(source, low_gop, TrackResolution.BASE, cycle)
+        low_header, low_tiles = _ref_track_tables(
+            source, scheme.long_gop, TrackResolution.BASE, cycle)
         settle_ticks = scheme.long_gop + scheme.short_gop + 4
 
     if duration_ms is None:

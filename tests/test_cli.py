@@ -1,20 +1,26 @@
 """Command-line interface: exit codes, pipelines, manifests."""
 
+import contextlib
+import functools
 import hashlib
+import io
 import json
 import os
 import random
+import struct
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import svbs
 
 from svbs.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from svbs.codec import encode_svc, generate_content
 from svbs.config import SequenceConfig
-from svbs.container import Frame, serialize_frame, serialize_sequence_header
+from svbs.container import Frame, serialize, serialize_frame, serialize_sequence_header
 from svbs.geometry import Viewport, write_viewport_trace
 from svbs.rewriter import rewrite_viewport_frame
 
@@ -96,6 +102,19 @@ class TestEncodeValidateDecode:
         assert main(["decode", "--in", str(path), "--out", str(tmp_path / "x")]) == EXIT_DATA
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", ["validate", "decode"])
+    def test_header_over_pixel_budget_is_data_error(self, tmp_path, capsys, command):
+        # The 20-byte header-only stream of a 65532x65532 frame with 1x1 tiles.
+        data = bytearray(serialize_sequence_header(SequenceConfig(64, 32)))
+        struct.pack_into("<HH", data, 5, 65532, 65532)
+        path = tmp_path / "huge.svb"
+        path.write_bytes(bytes(data))
+        out = tmp_path / "out"
+        argv = [command, "--in", str(path)] + (["--out", str(out)] if command == "decode" else [])
+        assert main(argv) == EXIT_DATA
+        assert "exceeds the frame pixel budget" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file_is_data_error(self, tmp_path):
         assert main(["validate", "--in", str(tmp_path / "absent.svb")]) == EXIT_DATA
 
@@ -169,10 +188,6 @@ class TestFrameBounds:
 # Input files the malformed-argument cases name as {dir}/<name>.
 MALFORMED_INPUTS = {
     "trace.jsonl": b'{"t_ms": 0, "yaw_deg": 0, "pitch_deg": 0, "h_fov_deg": 90, "v_fov_deg": 90}\n',
-    "gop.net": b"scheme=multitrack\nlong_gop=abc\n",
-    "uplink.net": b"uplink_ms=nan\n",
-    "latin1.net": b"scheme=svc\n# caf\xe9\n",
-    "unknown.net": b"scheme=svc\nuplink=50\n",
     "mtp.csv": b"row,scheme,t_ms,mtp_ms,mthq_ms,second,stream,bytes\nswitch,svc,0,abc,1,,,\n",
     "noscheme.csv": b"row,t_ms,mtp_ms,mthq_ms,second,stream,bytes\nswitch,0,1,1,,,\n",
     "binary.csv": b"\x89PNG\r\n\x1a\n\xff\xfe\x00",
@@ -202,17 +217,12 @@ class TestMalformedArguments:
              "--tiles -1 outside"),
             (["select-tiles", "--fps", "abc", "--viewport", "0,0,90,90"], "--fps wants"),
             (["select-tiles", "--viewport", "nan,0,90,90"], "yaw must be finite"),
-            ([*SIMULATE, "--net", "{dir}/gop.net"], "long_gop wants int, not 'abc'"),
-            ([*SIMULATE, "--net", "{dir}/uplink.net"], "delays must be nonnegative and finite"),
             ([*SIMULATE, "--uplink-ms", "nan"], "delays must be nonnegative and finite"),
             ([*SIMULATE, "--bandwidth-bps", "nan"], "bandwidth must be positive and finite"),
             ([*SIMULATE, "--bandwidth-bps", "1e-305"], "display times overflow a float"),
             ([*SIMULATE, "--trace", "{dir}/forty.jsonl", "--bandwidth-bps", "1e-301"],
              "svc: the mean or median MTHQ is not finite"),
             (["report", "{dir}/huge.csv"], "svc: the mean or median MTHQ is not finite"),
-            ([*SIMULATE, "--net", "{dir}/latin1.net"], "latin1.net line 2 is not UTF-8 text"),
-            ([*SIMULATE, "--net", "{dir}/unknown.net"],
-             "unknown.net line 2: unknown key 'uplink'"),
             ([*SIMULATE, "--scheme", "multitrack(a)"], "LONG and SHORT must be integers"),
             (["report", "{dir}/mtp.csv"], "mtp.csv line 2: could not convert"),
             (["report", "{dir}/noscheme.csv"], "noscheme.csv has no 'scheme' column"),
@@ -234,9 +244,9 @@ class TestMalformedArguments:
         ],
         ids=["viewport-not-numbers", "rewrite-without-pose", "tiles-not-numbers",
              "tiles-empty-entry", "tile-outside-grid", "negative-tile", "fps-not-a-number",
-             "yaw-not-finite", "net-gop-not-a-number", "net-uplink-nan", "uplink-nan",
+             "yaw-not-finite", "uplink-nan",
              "bandwidth-nan", "bandwidth-overflows", "bandwidth-mean-overflows",
-             "report-mean-overflows", "net-not-utf8", "net-unknown-key",
+             "report-mean-overflows",
              "scheme-gop-not-a-number", "report-mtp-not-a-number",
              "report-without-scheme", "report-binary", "scheme-three-gops",
              "scheme-unclosed", "report-empty", "report-unknown-row-kind",
@@ -296,6 +306,73 @@ class TestMalformedTrace:
         assert not out.exists()
 
 
+# Valid command lines for every subcommand at 64x32, 2x2 tiles, GOP 4 and at
+# most 4 frames; {dir} holds the files _fuzz_files names.
+FUZZ_COMMANDS = [
+    ["generate", *SMALL, "--seed", "3", "--frames", "4", "--out", "{dir}/out"],
+    ["encode", *SMALL, "--frames", "4", "--out", "{dir}/out"],
+    ["encode", *SMALL, "--frames", "4", "--schema", "track", "--resolution", "base",
+     "--out", "{dir}/out"],
+    ["rewrite", "--in", "{dir}/s.svb", "--viewport", "0,0,90,90", "--frame", "1",
+     "--projection", "erp", "--out", "{dir}/out"],
+    ["rewrite", "--in", "{dir}/s.svb", "--trace", "{dir}/t.jsonl", "--out", "{dir}/out"],
+    ["decode", "--in", "{dir}/s.svb", "--frame", "2", "--tiles", "0,3", "--out", "{dir}/out"],
+    ["validate", "--in", "{dir}/s.svb"],
+    ["select-tiles", *SMALL, "--viewport", "0,0,90,90", "--projection", "erp"],
+    ["simulate", *SMALL, "--seed", "2", "--trace", "{dir}/t.jsonl", "--scheme", "svc",
+     "--scheme", "multitrack(4,2)", "--uplink-ms", "10", "--downlink-ms", "20",
+     "--bandwidth-bps", "100000", "--projection", "erp", "--out", "{dir}/out"],
+    ["report", "{dir}/r.csv"],
+]
+FUZZ_VALUES = ["nan", "inf", "-1", "1e3", "1099511627776", "", "{dir}/absent/x", "{dir}/bin"]
+
+
+@functools.cache
+def _fuzz_files() -> dict[str, bytes]:
+    config = SequenceConfig(width=64, height=32, tile_cols=2, tile_rows=2, gop_size=4)
+    return {
+        "s.svb": serialize(encode_svc(generate_content(1, config, 4))),
+        "t.jsonl": b"".join(b'{"t_ms": %d, "yaw_deg": %d, "pitch_deg": 0, "h_fov_deg": 90, '
+                            b'"v_fov_deg": 90}\n' % (150 * i, 90 * i) for i in range(4)),
+        "r.csv": b"row,scheme,t_ms,mtp_ms,mthq_ms,second,stream,bytes\n"
+                 b"switch,svc,0,33.3,33.3,,,\nsecond,svc,,,,0,base,120\n",
+        "bin": b"\x89PNG\r\n\x1a\n\xff\xfe\x00" * 4,
+    }
+
+
+@st.composite
+def mutated_argvs(draw):
+    argv = list(draw(st.sampled_from(FUZZ_COMMANDS)))
+    for at in draw(st.lists(st.integers(0, len(argv) - 1), min_size=1, max_size=2,
+                            unique=True)):
+        argv[at] = draw(st.sampled_from(FUZZ_VALUES))
+    return argv
+
+
+class TestArgvFuzz:
+    """A valid command line with one or two tokens replaced by a hostile
+    value ends in exit 0, 1 or 2: no exception escapes ``main``."""
+
+    @given(argv=mutated_argvs())
+    @settings(max_examples=60, deadline=None)
+    def test_ends_in_an_exit_code(self, tmp_path_factory, argv):
+        directory = tmp_path_factory.mktemp("fuzz")
+        for name, content in _fuzz_files().items():
+            (directory / name).write_bytes(content)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        # A bare value standing in for an output path names a file in the
+        # working directory.
+        cwd = os.getcwd()
+        os.chdir(directory)
+        try:
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                rc = main([a.format(dir=directory) for a in argv])
+        finally:
+            os.chdir(cwd)
+        assert rc in (EXIT_OK, EXIT_USAGE, EXIT_DATA)
+        assert "Traceback" not in stderr.getvalue()
+
+
 class TestParserReuse:
     """``main`` builds its argument parser once per process; a later call
     must see none of an earlier call's arguments."""
@@ -329,11 +406,9 @@ class TestManifestDigests:
     def test_input_digests_match_the_files(self, tmp_path, capsys):
         stream_path = tmp_path / "s.svb"
         trace_path = tmp_path / "t.jsonl"
-        net_path = tmp_path / "net.conf"
         main(["encode", *SMALL, "--frames", "3", "--out", str(stream_path)])
         write_viewport_trace(trace_path, [(0.0, Viewport.from_degrees(0, 0, 90, 90)),
                                           (400.0, Viewport.from_degrees(120, 0, 90, 90))])
-        net_path.write_text("scheme = svc\nuplink_ms = 10\n")
         runs = {
             "decode": (["decode", "--in", str(stream_path), "--frame", "2",
                         "--out", str(tmp_path / "d.yuv")], [stream_path]),
@@ -341,9 +416,8 @@ class TestManifestDigests:
                          "--out", str(tmp_path / "r.svb")], [stream_path]),
             "rewrite-trace": (["rewrite", "--in", str(stream_path), "--trace", str(trace_path),
                                "--out", str(tmp_path / "rt.svb")], [stream_path, trace_path]),
-            "simulate": (["simulate", *SMALL, "--trace", str(trace_path), "--net",
-                          str(net_path), "--out", str(tmp_path / "sim")],
-                         [trace_path, net_path]),
+            "simulate": (["simulate", *SMALL, "--trace", str(trace_path), "--uplink-ms", "10",
+                          "--out", str(tmp_path / "sim")], [trace_path]),
         }
         for argv, inputs in runs.values():
             assert main(argv) == EXIT_OK
@@ -437,24 +511,22 @@ class TestSimulateAndReport:
         assert len(serial[1]) == 6
         assert pooled == serial
 
-    def test_flags_win_over_net_file(self, tmp_path, capsys):
+    def test_settings_come_from_flags_alone(self, tmp_path, capsys):
         trace_path = tmp_path / "t.jsonl"
         _golden_trace(trace_path)
-        net_path = tmp_path / "f.net"
-        net_path.write_text("uplink_ms = 5\ndownlink_ms = 7\nbandwidth_Bps = 4000\n")
-
-        def summary(*flags):
-            assert main(["simulate", *SMALL, "--trace", str(trace_path), *flags,
-                         "--out", str(tmp_path / "sim")]) == EXIT_OK
-            return capsys.readouterr().out
-
-        from_file = summary("--net", str(net_path))
-        assert from_file == summary("--uplink-ms", "5", "--downlink-ms", "7",
-                                    "--bandwidth-bps", "4000")
-        overridden = summary("--net", str(net_path), "--uplink-ms", "500")
-        assert overridden != from_file
-        assert overridden == summary("--uplink-ms", "500", "--downlink-ms", "7",
-                                     "--bandwidth-bps", "4000")
+        argv = ["simulate", *SMALL, "--trace", str(trace_path), "--out", str(tmp_path / "sim")]
+        assert main([*argv, "--net", str(trace_path)]) == EXIT_USAGE
+        assert "unrecognized arguments: --net" in capsys.readouterr().err
+        assert main(argv) == EXIT_OK
+        unset = capsys.readouterr().out
+        manifest = json.loads((tmp_path / "sim.manifest.json").read_text())
+        assert manifest["inputs"] == {str(trace_path): sha256(trace_path)}
+        assert {k: manifest["args"][k] for k in ("uplink_ms", "downlink_ms", "bandwidth_bps")} == {
+            "uplink_ms": 0.0, "downlink_ms": 0.0, "bandwidth_bps": None}
+        # Unset delays are 0 ms, the unset scheme is svc.
+        explicit = ["--uplink-ms", "0", "--downlink-ms", "0", "--scheme", "svc"]
+        assert main([*argv, *explicit]) == EXIT_OK
+        assert capsys.readouterr().out == unset
 
     def test_report_p95_equals_latency_summary(self, tmp_path, capsys):
         stdout, _ = self._simulate(tmp_path, capsys, 1, seed=1)

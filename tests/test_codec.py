@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from svbs.codec import (
     CONTENT_PIXEL_BUDGET,
     MIN_ZERO_RUN,
-    PSNR_INF,
     RasterFrame,
     TrackResolution,
     VideoSource,
@@ -25,7 +24,6 @@ from svbs.codec import (
     encode_svc,
     encode_track,
     generate_content,
-    psnr,
     rle_compress,
     rle_decompress,
     upsample_nearest,
@@ -470,10 +468,8 @@ class TestDecode:
         struct.pack_into("<HH", data, 5, 32768, 16384)  # the header's width and height
         tracemalloc.start()
         try:
-            stream = parse(bytes(data))
-            assert validate_structure(stream) == []
-            with pytest.raises(TooLargeError):
-                decode_frame(stream, 0, {0})
+            with pytest.raises(TooLargeError, match="frame pixel budget"):
+                parse(bytes(data))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -566,21 +562,6 @@ class TestRandomAccessDecode:
 
 
 class TestMetrics:
-    def test_psnr_identical_is_infinite(self):
-        frame = generate_content(1, small_config(), 1).frames[0]
-        assert psnr(frame, frame) == PSNR_INF
-
-    def test_psnr_known_value(self):
-        a = RasterFrame(4, 4, np.zeros((4, 4), dtype=np.uint8))
-        b = RasterFrame(4, 4, np.ones((4, 4), dtype=np.uint8))
-        assert psnr(a, b) == pytest.approx(10 * math.log10(255.0 * 255.0), abs=1e-9)
-
-    def test_psnr_dimension_mismatch(self):
-        a = RasterFrame(4, 4, np.zeros((4, 4), dtype=np.uint8))
-        b = RasterFrame(4, 2, np.zeros((2, 4), dtype=np.uint8))
-        with pytest.raises(BadDimensionsError):
-            psnr(a, b)
-
     def test_rate_records_match_byte_accounting(self):
         stream = encode_svc(generate_content(1, small_config(), 4))
         sizes = frame_byte_sizes(stream)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from helpers import random_bitstream, reference_parse
 from svbs.codec import decode_frame, encode_svc, generate_content
-from svbs.config import SequenceConfig
+from svbs.config import FRAME_PIXEL_BUDGET, SequenceConfig
 from svbs.container import (
     HEADER_SIZE,
     R_CLOSED_GOP,
@@ -49,6 +49,7 @@ from svbs.errors import (
     BadMagicError,
     InvalidStructureError,
     SvbsError,
+    TooLargeError,
     TruncatedError,
     UnknownUnitTypeError,
 )
@@ -164,6 +165,20 @@ class TestParseErrors:
         broken = loose[: HEADER_SIZE + td] + loose[HEADER_SIZE + td + fh :]
         with pytest.raises(InvalidStructureError):
             parse(broken)
+
+    def test_frame_over_pixel_budget_is_refused(self):
+        # At 65532x65532 a 1x1-tile stub would need 1,048,449 superblocks,
+        # more than its u16 superblock_count holds; at 12K ERP it needs 16,200.
+        largest = SequenceConfig(11520, 5760)
+        assert largest.width * largest.height == FRAME_PIXEL_BUDGET
+        assert largest.tile_superblocks == 16200
+        with pytest.raises(TooLargeError, match="frame pixel budget"):
+            SequenceConfig(65532, 65532)
+        data = bytearray(serialize_sequence_header(largest))
+        assert parse(bytes(data)).config == largest
+        struct.pack_into("<HH", data, 5, 65532, 65532)
+        with pytest.raises(TooLargeError, match="65532x65532 exceeds the frame pixel budget"):
+            parse(bytes(data))
 
     @pytest.mark.parametrize(
         "field, value",

@@ -15,25 +15,22 @@ from helpers import reference_run_session
 from svbs.codec import encode_svc, generate_content
 from svbs.config import SequenceConfig
 from svbs.container import serialized_frame_size
-from svbs.errors import BadArgsError, EmptyTraceError, NoStreamError, TooLargeError
+from svbs.errors import BadArgsError, EmptyTraceError, TooLargeError
 from svbs.geometry import ProjectionKind, Viewport
 from svbs.rewriter import rewrite_viewport_frame
 from svbs.simulator import (
     MTHQ_COMPLIANCE_MS,
+    SESSION_TICK_BUDGET,
     FrameLog,
     NetworkModel,
     Scheme,
     SchemeKind,
     SessionReport,
     SwitchSample,
-    bitrate_report,
     expected_gop_wait_ms,
     latency_summary,
-    network_from_mapping,
-    read_session_config,
     report_to_json,
     run_session,
-    scheme_from_mapping,
     write_report_csv,
     write_report_json,
 )
@@ -94,10 +91,10 @@ class TestSchemeAndNetwork:
             Scheme(SchemeKind.MULTITRACK, short_gop=-1)
 
     def test_gop_above_u16_rejected(self):
-        for gops in ((0x10000, 0), (30, 0x10000), (30, 5, 0x10000)):
+        for gops in ((0x10000, 0), (30, 0x10000)):
             with pytest.raises(BadArgsError, match="u16 wire range"):
                 Scheme(SchemeKind.MULTITRACK, *gops)
-        Scheme(SchemeKind.MULTITRACK, 0xFFFF, 0xFFFF, 0xFFFF)
+        Scheme(SchemeKind.MULTITRACK, 0xFFFF, 0xFFFF)
 
     def test_network_validation_and_serialization(self):
         with pytest.raises(BadArgsError):
@@ -274,9 +271,8 @@ def sessions(draw):
             SchemeKind.MULTITRACK,
             long_gop=draw(st.sampled_from([1, 2, 3, 6])),
             short_gop=draw(st.sampled_from([0, 0, 1, 2])),
-            low_gop=draw(st.sampled_from([None, 1, 2, 3])),
         )
-        lcm = math.lcm(scheme.long_gop, scheme.short_gop or 1, scheme.low_gop or 1)
+        lcm = math.lcm(scheme.long_gop, scheme.short_gop or 1)
     multiple = draw(st.sampled_from([None, 1, 2]))
     cycle_frames = None if multiple is None else multiple * lcm
     network = NetworkModel(
@@ -331,7 +327,6 @@ class TestMatchesReference:
             (multitrack, base, 1, 6), (multitrack, other_grid, 1, 6),
             (multitrack, base, 2, 6), (multitrack, base, 1, 12),
             (Scheme(SchemeKind.MULTITRACK, 3, 0), base, 1, 6),
-            (Scheme(SchemeKind.MULTITRACK, 6, 0, low_gop=3), base, 1, 6),
             (Scheme(SchemeKind.MULTITRACK, 6, 3), base, 1, 6),
             (Scheme(SchemeKind.MULTITRACK, 6, 2), base, 1, 6),
         ]
@@ -373,6 +368,21 @@ class TestTraceValidation:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_session_at_the_tick_budget_stays_under_256_mib(self):
+        config = SequenceConfig(width=96, height=48, tile_cols=2, tile_rows=2, gop_size=10)
+        trace = switching_trace(random.Random(15), 6, 6 * T, 12 * T)
+        # Half a tick short of the budget, clear of float error in the tick count.
+        duration_ms = (SESSION_TICK_BUDGET - 1.5) * T
+        tracemalloc.start()
+        try:
+            report = run_session(Scheme(SchemeKind.MULTITRACK, 10, 5), trace, NetworkModel(),
+                                 config, 1, duration_ms=duration_ms)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(report.frames) == SESSION_TICK_BUDGET
+        assert peak < 256 << 20
+
     def test_pose_known_past_the_int64_range_is_never_served(self):
         # 1e21 ms is more than 2**63 ticks: the first tick of every switch
         # lies past the session's end.
@@ -405,14 +415,6 @@ class TestReporting:
     def test_latency_summary_requires_reports(self):
         with pytest.raises(BadArgsError):
             latency_summary([])
-
-    def test_bitrate_report_buckets(self):
-        report = self._small_report()
-        rates = bitrate_report(report)
-        assert set(rates) == {"base", "enhanced"}
-        assert sum(rates["base"].values()) + sum(rates["enhanced"].values()) == (
-            report.total_bytes
-        )
 
     def test_json_report(self, tmp_path):
         report = self._small_report()
@@ -491,31 +493,3 @@ class TestFrameLogs:
         assert report.frames[0] is first and list(report.frames) == list(report.frames)
         with pytest.raises(TypeError):
             report.frames[0] = first
-
-
-class TestSessionConfigFiles:
-    def test_read_and_build(self, tmp_path):
-        path = tmp_path / "net.conf"
-        path.write_text(
-            "# comment\nscheme = multitrack\nlong_gop = 20\nshort_gop = 5\n"
-            "uplink_ms = 10\ndownlink_ms = 5\nbandwidth_Bps = 125000\n"
-        )
-        mapping = read_session_config(path)
-        scheme = scheme_from_mapping(mapping)
-        assert scheme.kind == SchemeKind.MULTITRACK
-        assert (scheme.long_gop, scheme.short_gop) == (20, 5)
-        net = network_from_mapping(mapping)
-        assert net.uplink_delay_ms == 10.0
-        assert net.bandwidth_bytes_per_s == 125000.0
-
-    def test_defaults_and_errors(self, tmp_path):
-        path = tmp_path / "net.conf"
-        path.write_text("scheme = svc\n")
-        mapping = read_session_config(path)
-        assert scheme_from_mapping(mapping).kind == SchemeKind.SVC
-        assert network_from_mapping(mapping).bandwidth_bytes_per_s is None
-        path.write_text("no equals sign\n")
-        with pytest.raises(BadArgsError):
-            read_session_config(path)
-        with pytest.raises(NoStreamError):
-            scheme_from_mapping({"scheme": "bogus"})
