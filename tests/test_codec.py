@@ -30,6 +30,7 @@ from svbs.codec import (
 )
 from svbs.config import SequenceConfig
 from svbs.container import (
+    HEADER_SIZE,
     Bitstream,
     Frame,
     FrameType,
@@ -267,7 +268,8 @@ class TestContent:
 # SHA-256 digests of the content generator and of both encoders' serialized
 # output, recorded from the full-grid generator and the straightforward
 # kernels.  Any change to these bytes is a format or content change, not an
-# optimization.
+# optimization.  A ``*_body`` digest covers a track's bytes after the
+# sequence header: its frames, whatever the header declares.
 GOLDEN = {
     "768x384": (
         SequenceConfig(width=768, height=384, tile_cols=6, tile_rows=4, gop_size=30),
@@ -277,6 +279,8 @@ GOLDEN = {
             "svc": "2f3ecf5dc79eb55d65c7fc50ecf060109d32bd57aaf560bd2d7c51e1664e1751",
             "track_full": "89410e22517ab8ebf9fa78f9385d5f05052ae94bb705bbc372afe91bb49f71c4",
             "track_base": "0f46bf62bd158eb119fd2184b7bf995d2ac90de0596b5c6eb1bbbbb16e2e6c06",
+            "track_full_body": "ee002bdb30e2d5b43d2689cccb6518dcfe55bf07a1a3ca1e87f6798a9099b658",
+            "track_base_body": "22ad219ed74d6382709967be2d879faad194dde22ca701b1b434c6db88bd5a67",
         },
     ),
     "384x192": (
@@ -288,6 +292,8 @@ GOLDEN = {
             "svc": "6985036dae496210a63d3d9f0b508cf57f6cba9a88142fbed8eba553a3fa0c85",
             "track_full": "f8e8244298a73fa7ab1c68c2427cf19152b7935539f4a0c1147d2ca11129a0a3",
             "track_base": "f59b2f064581b8c3e90eed1af01bd04ef5c55ffd091efae6c5689a7469cf1e73",
+            "track_full_body": "c2d70334d30fba33d776e13530149e2967e9c3f4b950b1c4c31364ab7f356252",
+            "track_base_body": "6ea17df608ccb24bcc886698098c097b8848b1f9c86c3df5590d11de23ff7fd6",
         },
     ),
     # Odd tile grid and a tiled base layer.
@@ -300,6 +306,8 @@ GOLDEN = {
             "svc": "6be0c94ef4d15c52c4dd1f18367b2b403d6c912591b6e1bca7a7c8e40499cfd6",
             "track_full": "6eb8f717c8a2ed3ffdf47fa4f37e4ce1c8bf7ee9ba9271753d8060f0f29fbaad",
             "track_base": "1e399fa2c05d7e3ed486d8b89d8455da215c6f4b71789469aa3b410d3ab981c5",
+            "track_full_body": "02d3f039c9dbfcaa77c8a828886de78b400321b360f2dddd4751d5cbe6356072",
+            "track_base_body": "80a7664b15d52a292026e7ed799ea0c9e84ff8af98d9dd7d3873b9c59724694f",
         },
     ),
     # A blob's radius plus its one-pixel slack spans the whole 4-pixel height.
@@ -311,6 +319,8 @@ GOLDEN = {
             "svc": "432daa42cb4b0f49b4617f1cb8164295cb473743d11f92d8fd99a47dcfd8cb32",
             "track_full": "81598d433da51a51c2fa61b2988e796f9cb5305d5c60f8877e594cf89b51ca76",
             "track_base": "f2deb0a21c8d17bcedbbc35c69435280eeccd6027eb3b498d31be868769fbb4d",
+            "track_full_body": "8317a5e3df115bb87c0040c765d08a3c54b48a386e1c4384ea9945c75df1f6f5",
+            "track_base_body": "3b944b9241f7b376177faaca5d47cdcb4f98c3ad1de024580122f42afc648e2e",
         },
     ),
 }
@@ -332,9 +342,11 @@ class TestGolden:
         got = {
             "content": _sha256(*(frame.tobytes() for frame in source.frames)),
             "svc": _sha256(serialize(encode_svc(source))),
-            "track_full": _sha256(serialize(encode_track(source, gop, TrackResolution.FULL))),
-            "track_base": _sha256(serialize(encode_track(source, gop, TrackResolution.BASE))),
         }
+        for resolution in TrackResolution:
+            data = serialize(encode_track(source, gop, resolution))
+            got[f"track_{resolution.value}"] = _sha256(data)
+            got[f"track_{resolution.value}_body"] = _sha256(data[HEADER_SIZE:])
         assert got == want
 
 
