@@ -358,36 +358,24 @@ class TrackResolution(Enum):
 def encode_track(source: VideoSource, gop: int, resolution: TrackResolution) -> Bitstream:
     """Conventional single-layer tiled track with closed GOPs.
 
-    FULL keeps the source resolution and tile grid; BASE downscales by the
-    configured factor and uses a single tile.
+    A track keeps the source's header and holds only layer 0, which
+    ``decode_frame`` reads at ``width / scale_factor`` over the base grid.
+    FULL codes the source at ``scale_factor`` 1 over the source's tile grid,
+    so it decodes to the source.  BASE codes the source's base layer as one
+    tile, so it decodes to the upscaled base, and at the source's GOP it
+    carries exactly :func:`encode_svc`'s base layers.
     """
-    if gop < 1:
-        raise BadConfigError("gop must be >= 1")
-    config = source.config
-    if resolution is TrackResolution.FULL:
-        track_config = replace(config, gop_size=gop, base_single_tile=False, ref_window=1)
-        track_frames = source.frames
-    elif resolution is TrackResolution.BASE:
-        track_config = replace(
-            config,
-            width=config.base_width,
-            height=config.base_height,
-            tile_cols=1,
-            tile_rows=1,
-            gop_size=gop,
-            base_single_tile=True,
-            ref_window=1,
-        )
-        track_frames = tuple(downsample(f, config.scale_factor) for f in source.frames)
-    else:
+    if not isinstance(resolution, TrackResolution):
         raise BadConfigError(f"unknown track resolution {resolution!r}")
-
-    grid = track_config.layer_grid(base=True)
-    frames = tuple(
-        Frame(layers=(_delta_layer(track_frames, i, gop, grid),))
-        for i in range(len(track_frames))
-    )
-    return Bitstream(config=track_config, frames=frames)
+    full = resolution is TrackResolution.FULL
+    sf = 1 if full else source.config.scale_factor
+    config = replace(source.config, scale_factor=sf, gop_size=gop, ref_window=1,
+                     base_single_tile=not full)
+    frames = source.frames if full else [downsample(f, sf) for f in source.frames]
+    grid = config.layer_grid(base=True)
+    return Bitstream(config=config, frames=tuple(
+        Frame(layers=(_delta_layer(frames, i, gop, grid),)) for i in range(len(frames))
+    ))
 
 
 # --- decoding ----------------------------------------------------------------

@@ -19,9 +19,9 @@ class SequenceConfig:
     """Dimensions, tiling, GOP and layering parameters of one stream.
 
     ``width``/``height`` are the enhanced-layer dimensions; the base layer is
-    ``scale_factor`` times smaller along each axis.  ``ref_window`` bounds how
-    many previous base frames an enhanced frame may predict from (1 means
-    same-index base frame only).
+    ``scale_factor`` times smaller along each axis, or full size at
+    ``scale_factor`` 1.  ``ref_window`` bounds how many previous base frames
+    an enhanced frame may predict from (1 means same-index base frame only).
     """
 
     width: int
@@ -38,8 +38,8 @@ class SequenceConfig:
     def __post_init__(self) -> None:
         if self.width <= 0 or self.height <= 0:
             raise BadConfigError("frame dimensions must be positive")
-        if self.scale_factor < 2:
-            raise BadConfigError("scale_factor must be >= 2")
+        if self.scale_factor < 1:
+            raise BadConfigError("scale_factor must be >= 1")
         if self.tile_cols < 1 or self.tile_rows < 1:
             raise BadConfigError("tile grid must be at least 1x1")
         if self.fps_num <= 0 or self.fps_den <= 0:

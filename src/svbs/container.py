@@ -6,9 +6,10 @@ Wire layout (little-endian throughout):
     magic "SVBS" | version u8=1 | sequence header (15 bytes)
     then repeated units: unit_type u8 | payload_size u32 | payload
 
-Sequence header: width u16, height u16, scale_factor u8, tile_cols u8,
-tile_rows u8, fps_num u16, fps_den u16, gop_size u16, flags u8
-(bit0=base_single_tile), ref_window u8.
+Sequence header: width u16, height u16, scale_factor u8 (>= 1; 1 is a
+full-size base layer), tile_cols u8, tile_rows u8, fps_num u16, fps_den u16,
+gop_size u16, flags u8 (bit0=base_single_tile), ref_window u8.  A
+multi-track track is a stream whose frames hold the base layer alone.
 
 FrameHeader payload: frame_index u32, layer_id u8, frame_type u8, flags u8
 (bit0=cdf_update_disabled, bit1=global_mv_zero), base_ref_offset u8.

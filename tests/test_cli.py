@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import svbs
 
 from svbs.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from svbs.codec import encode_svc, generate_content
+from svbs.codec import downsample, encode_svc, generate_content, upsample_nearest
 from svbs.config import SequenceConfig
 from svbs.container import Frame, serialize, serialize_frame, serialize_sequence_header
 from svbs.geometry import Viewport, write_viewport_trace
@@ -135,6 +135,23 @@ class TestEncodeValidateDecode:
         assert raw_path.read_bytes() == source.frames[2].tobytes()
         capsys.readouterr()
 
+    @pytest.mark.parametrize("resolution", ["full", "base"])
+    def test_track_encode_validate_decode(self, tmp_path, capsys, resolution):
+        stream_path = tmp_path / "t.svb"
+        assert main(["encode", *SMALL, "--frames", "5", "--schema", "track",
+                     "--resolution", resolution, "--out", str(stream_path)]) == EXIT_OK
+        assert main(["validate", "--in", str(stream_path)]) == EXIT_OK
+        source = generate_content(
+            1, SequenceConfig(width=64, height=32, tile_cols=2, tile_rows=2, gop_size=4), 5
+        )
+        for i, frame in enumerate(source.frames):
+            raw_path = tmp_path / f"f{i}.yuv"
+            assert main(["decode", "--in", str(stream_path), "--frame", str(i), "--tiles", "0",
+                         "--out", str(raw_path)]) == EXIT_OK
+            want = frame if resolution == "full" else upsample_nearest(downsample(frame, 2), 2)
+            assert raw_path.read_bytes() == want.tobytes()
+        capsys.readouterr()
+
 
 class TestRewritePipeline:
     def test_rewrite_then_validate_then_decode(self, tmp_path, capsys):
@@ -234,6 +251,8 @@ class TestMalformedArguments:
              "bogus.csv line 2: row kind 'bogus' is neither switch nor second"),
             (["generate", *SMALL, "--seed", "-1", "--out", "{out}"], "seed must be >= 0"),
             (["encode", *SMALL, "--seed", "-1", "--out", "{out}"], "seed must be >= 0"),
+            (["encode", *SMALL, "--scale-factor", "0", "--out", "{out}"],
+             "scale_factor must be >= 1"),
             ([*SIMULATE, "--seed", "-1"], "seed must be >= 0"),
             (["generate", *SMALL, "--frames", "100000000", "--out", "{out}"],
              "exceed the content pixel budget"),
@@ -250,7 +269,8 @@ class TestMalformedArguments:
              "scheme-gop-not-a-number", "report-mtp-not-a-number",
              "report-without-scheme", "report-binary", "scheme-three-gops",
              "scheme-unclosed", "report-empty", "report-unknown-row-kind",
-             "generate-negative-seed", "encode-negative-seed", "simulate-negative-seed",
+             "generate-negative-seed", "encode-negative-seed", "encode-scale-factor-0",
+             "simulate-negative-seed",
              "generate-over-pixel-budget", "scheme-cycle-over-pixel-budget",
              "scheme-gop-over-u16", "scheme-gop-huge", "trace-over-tick-budget"],
     )
@@ -527,6 +547,18 @@ class TestSimulateAndReport:
         explicit = ["--uplink-ms", "0", "--downlink-ms", "0", "--scheme", "svc"]
         assert main([*argv, *explicit]) == EXIT_OK
         assert capsys.readouterr().out == unset
+
+    def test_multitrack_runs_where_svc_runs(self, tmp_path, capsys):
+        # At 36x18 with 3x3 tiles the base layer is 18x9, which cannot be
+        # halved again: the low track must code it as the source's base.
+        trace_path = tmp_path / "t.jsonl"
+        _golden_trace(trace_path)
+        argv = ["simulate", "--width", "36", "--height", "18", "--tile-cols", "3",
+                "--tile-rows", "3", "--gop", "6", "--trace", str(trace_path),
+                "--out", str(tmp_path / "sim")]
+        for scheme in ("svc", "multitrack(6,2)"):
+            assert main([*argv, "--scheme", scheme]) == EXIT_OK
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_report_p95_equals_latency_summary(self, tmp_path, capsys):
         stdout, _ = self._simulate(tmp_path, capsys, 1, seed=1)

@@ -277,8 +277,8 @@ GOLDEN = {
         {
             "content": "32972ea7eca7861251aead0ae850bb5498ac71ed265d5dfe547a8f91b1352c8e",
             "svc": "2f3ecf5dc79eb55d65c7fc50ecf060109d32bd57aaf560bd2d7c51e1664e1751",
-            "track_full": "89410e22517ab8ebf9fa78f9385d5f05052ae94bb705bbc372afe91bb49f71c4",
-            "track_base": "0f46bf62bd158eb119fd2184b7bf995d2ac90de0596b5c6eb1bbbbb16e2e6c06",
+            "track_full": "8212a506d52236b0c35881b555e67828a610b5ce7d766351f620788f45a3bea4",
+            "track_base": "ca805668d2648e2962c20f5e868128c2055ecf480adfe00058aff53b0a914935",
             "track_full_body": "ee002bdb30e2d5b43d2689cccb6518dcfe55bf07a1a3ca1e87f6798a9099b658",
             "track_base_body": "22ad219ed74d6382709967be2d879faad194dde22ca701b1b434c6db88bd5a67",
         },
@@ -290,8 +290,8 @@ GOLDEN = {
         {
             "content": "dc5aade2d1a545d983bb1c8044a71e2bf4e189af80d234afb72d57a648bdaad1",
             "svc": "6985036dae496210a63d3d9f0b508cf57f6cba9a88142fbed8eba553a3fa0c85",
-            "track_full": "f8e8244298a73fa7ab1c68c2427cf19152b7935539f4a0c1147d2ca11129a0a3",
-            "track_base": "f59b2f064581b8c3e90eed1af01bd04ef5c55ffd091efae6c5689a7469cf1e73",
+            "track_full": "aa2bc5465070c60a40c9eb3a1fdfe8f62d28df987383b41dcd6c1b1fdf2d23a5",
+            "track_base": "d8dd42fd329f9b5c92c076fce8ac307a6d8a83d23f5f0ed2c8f3a09c42c7728f",
             "track_full_body": "c2d70334d30fba33d776e13530149e2967e9c3f4b950b1c4c31364ab7f356252",
             "track_base_body": "6ea17df608ccb24bcc886698098c097b8848b1f9c86c3df5590d11de23ff7fd6",
         },
@@ -304,8 +304,8 @@ GOLDEN = {
         {
             "content": "f6e4196169c89d70a746c109cfe79967114570fb1316849b4598fd15f6690acf",
             "svc": "6be0c94ef4d15c52c4dd1f18367b2b403d6c912591b6e1bca7a7c8e40499cfd6",
-            "track_full": "6eb8f717c8a2ed3ffdf47fa4f37e4ce1c8bf7ee9ba9271753d8060f0f29fbaad",
-            "track_base": "1e399fa2c05d7e3ed486d8b89d8455da215c6f4b71789469aa3b410d3ab981c5",
+            "track_full": "ccf268510cef8e7ca21107f1ce7cd9f84e9c7a611300d1827dbe526e4b7befa5",
+            "track_base": "9413241fca0d7d43e421e34d6ad3dc2ac69f58ab0f8969bf977f4c8613752def",
             "track_full_body": "02d3f039c9dbfcaa77c8a828886de78b400321b360f2dddd4751d5cbe6356072",
             "track_base_body": "80a7664b15d52a292026e7ed799ea0c9e84ff8af98d9dd7d3873b9c59724694f",
         },
@@ -317,8 +317,8 @@ GOLDEN = {
         {
             "content": "3aab1f12f13bceb289c28c29b496a9917477ec88d6001fa74e041cbfa3da3572",
             "svc": "432daa42cb4b0f49b4617f1cb8164295cb473743d11f92d8fd99a47dcfd8cb32",
-            "track_full": "81598d433da51a51c2fa61b2988e796f9cb5305d5c60f8877e594cf89b51ca76",
-            "track_base": "f2deb0a21c8d17bcedbbc35c69435280eeccd6027eb3b498d31be868769fbb4d",
+            "track_full": "7189d00d80aa8b97b81eeea536e89d2d1a2874bd4e3b36171ca46bdf1a915759",
+            "track_base": "11730cfa2a4006491b22cbd0acca39fea085a3c6b753ddb5252f726a6f1220db",
             "track_full_body": "8317a5e3df115bb87c0040c765d08a3c54b48a386e1c4384ea9945c75df1f6f5",
             "track_base_body": "3b944b9241f7b376177faaca5d47cdcb4f98c3ad1de024580122f42afc648e2e",
         },
@@ -427,8 +427,14 @@ class TestTrackEncoder:
         config = small_config()
         stream = encode_track(generate_content(1, config, 4), 2, TrackResolution.BASE)
         assert validate_structure(stream) == []
-        assert stream.config.width == config.base_width
-        assert stream.config.tile_count == 1
+        assert stream.config == dataclasses.replace(config, gop_size=2)
+        assert stream.config.layer_grid(base=True) == (1, 1)
+        for frame in stream.frames:
+            (layer,) = frame.layers
+            (group,) = layer.tile_groups
+            (tile,) = group.tiles
+            # Raises unless the one tile codes exactly a base-size plane.
+            rle_decompress(tile.coded_payload, config.base_width * config.base_height)
 
     @pytest.mark.parametrize("resolution", ["full", "base", "half", None])
     def test_only_a_track_resolution_is_accepted(self, resolution):
@@ -442,6 +448,64 @@ class TestTrackEncoder:
             for gop in (3, 5, 30)
         }
         assert sizes[3] >= sizes[5] >= sizes[30]
+
+
+# 64x32 with 2x2 tiles, 36x18 with 3x3 tiles (its base layer cannot be halved
+# again) and 72x36 at scale factor 3.
+TRACK_CONFIGS = [
+    small_config(),
+    SequenceConfig(width=36, height=18, tile_cols=3, tile_rows=3, gop_size=6),
+    SequenceConfig(width=72, height=36, tile_cols=2, tile_rows=1, scale_factor=3, gop_size=5),
+]
+TRACK_CONFIG_IDS = ["64x32", "36x18", "72x36-sf3"]
+
+
+class TestTrackDecode:
+    """A track is a one-layer stream that ``decode_frame`` reads as it reads
+    an SVC stream's base layer."""
+
+    @pytest.mark.parametrize("config", TRACK_CONFIGS, ids=TRACK_CONFIG_IDS)
+    def test_full_track_is_the_source(self, config):
+        gop = 3
+        source = generate_content(2, config, 2 * gop)
+        stream = parse(serialize(encode_track(source, gop, TrackResolution.FULL)))
+        tile_sets = [set(), {0}, set(range(1, config.tile_count)), set(range(config.tile_count))]
+        for i, frame in enumerate(source.frames):
+            for tiles in tile_sets:
+                assert decode_frame(stream, i, tiles) == frame
+
+    @pytest.mark.parametrize("config", TRACK_CONFIGS, ids=TRACK_CONFIG_IDS)
+    def test_base_track_is_the_upscaled_base(self, config):
+        sf = config.scale_factor
+        source = generate_content(2, config, 6)
+        stream = parse(serialize(encode_track(source, 4, TrackResolution.BASE)))
+        for i, frame in enumerate(source.frames):
+            want = upsample_nearest(downsample(frame, sf), sf)
+            assert decode_frame(stream, i, set(range(config.tile_count))) == want
+
+    @pytest.mark.parametrize("config", TRACK_CONFIGS, ids=TRACK_CONFIG_IDS)
+    def test_base_track_at_the_svc_gop_is_the_svc_base_layer(self, config):
+        source = generate_content(3, config, 2 * config.gop_size + 1)
+        track = encode_track(source, config.gop_size, TrackResolution.BASE)
+        svc = encode_svc(source)
+        assert [f.layers for f in track.frames] == [f.layers[:1] for f in svc.frames]
+
+
+class TestScaleFactorOne:
+    """At scale factor 1 the base layer is the source, so every tile set
+    decodes to the source, rewritten or not."""
+
+    @given(tiles=st.sets(st.integers(0, 3)), received=st.sets(st.integers(0, 3)))
+    @settings(max_examples=30, deadline=None)
+    def test_encode_rewrite_decode_is_bit_exact(self, tiles, received):
+        config = small_config(scale_factor=1, gop_size=3)
+        source = generate_content(5, config, 5)
+        stream = encode_svc(source)
+        frames = tuple(rewrite_viewport_frame(f, tiles, config) for f in stream.frames)
+        rewritten = parse(serialize(Bitstream(config, frames)))
+        for i, frame in enumerate(source.frames):
+            assert decode_frame(rewritten, i, received) == frame
+            assert decode_frame(stream, i, received) == frame
 
 
 class TestDecode:
@@ -502,15 +566,20 @@ class TestDecode:
 
 
 @functools.cache
-def gop_stream(gop: int, rewritten: bool) -> Bitstream:
+def gop_stream(gop: int, kind: str) -> Bitstream:
     """12 frames at 64x32, 2x2 tiles; a tiled base at GOP 3.  Odd frames
     inside a GOP predict their enhanced tiles from the previous base frame
     where ``ref_window`` allows it (the encoder picks offset 0 on this
     content, so the headers are set by hand; both decoders read the same
-    payloads against the same reference).  ``rewritten`` turns every third
-    frame into a viewport frame with skipped stubs."""
+    payloads against the same reference).  Kind ``rewritten`` turns every
+    third frame into a viewport frame with skipped stubs; kinds ``full`` and
+    ``base`` are that resolution's track at the GOP instead."""
     config = small_config(gop_size=gop, ref_window=min(2, gop), base_single_tile=gop != 3)
-    stream = encode_svc(generate_content(gop, config, 12))
+    source = generate_content(gop, config, 12)
+    if kind in ("full", "base"):
+        return encode_track(source, gop, TrackResolution(kind))
+    rewritten = kind == "rewritten"
+    stream = encode_svc(source)
     frames = []
     for i, frame in enumerate(stream.frames):
         if i % 2 and i % gop and config.ref_window > 1:
@@ -545,17 +614,17 @@ class TestRandomAccessDecode:
 
     @given(
         gop=st.sampled_from([1, 3, 10]),
-        rewritten=st.booleans(),
+        kind=st.sampled_from(["svc", "rewritten", "full", "base"]),
         frame=st.integers(0, 11),
         tiles=st.sets(st.integers(0, 3)),
     )
     @settings(max_examples=200, deadline=None)
-    def test_matches_decode_from_frame_zero(self, gop, rewritten, frame, tiles):
-        stream = gop_stream(gop, rewritten)
+    def test_matches_decode_from_frame_zero(self, gop, kind, frame, tiles):
+        stream = gop_stream(gop, kind)
         assert decode_frame(stream, frame, tiles) == reference_decode_frame(stream, frame, tiles)
 
     def test_corrupt_base_in_the_frames_gop_raises(self):
-        stream = gop_stream(3, False)
+        stream = gop_stream(3, "svc")
         bad = with_base_payload(stream, 4, b"\x07")  # a truncated RLE record
         assert validate_structure(bad) == []
         for target in (4, 5):
@@ -564,7 +633,7 @@ class TestRandomAccessDecode:
         assert decode_frame(bad, 3, {0, 1}) == decode_frame(stream, 3, {0, 1})
 
     def test_corrupt_base_in_an_earlier_gop_is_not_read(self):
-        stream = gop_stream(3, False)
+        stream = gop_stream(3, "svc")
         bad = with_base_payload(stream, 1, b"\x07")
         all_tiles = set(range(4))
         assert decode_frame(bad, 4, all_tiles) == decode_frame(stream, 4, all_tiles)

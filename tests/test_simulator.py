@@ -203,6 +203,21 @@ class TestMultitrackScheme:
         )
         assert all(f.bytes_by_stream.get("low", 0) > 0 for f in report.frames)
 
+    @pytest.mark.parametrize("config", [
+        CONFIG, SequenceConfig(width=36, height=18, tile_cols=3, tile_rows=3, gop_size=6)],
+        ids=["384x192", "36x18"])
+    def test_low_track_costs_the_svc_base_layer(self, config):
+        """At equal GOP the low track carries the SVC base layer, so the two
+        cost the same bytes in every second."""
+        trace = switching_trace(random.Random(12), 10, 12 * T, 20 * T)
+        duration = trace[-1][0] + 30 * T
+        svc = run_session(Scheme(SchemeKind.SVC), trace, NetworkModel(), config, 1,
+                          duration_ms=duration)
+        multitrack = run_session(Scheme(SchemeKind.MULTITRACK, config.gop_size, 0), trace,
+                                 NetworkModel(), config, 1, duration_ms=duration)
+        svc_base = {second: row["base"] for second, row in svc.seconds.items()}
+        assert svc_base == {second: row["low"] for second, row in multitrack.seconds.items()}
+
     def test_short_track_stops_off_its_own_boundaries(self):
         """With a long GOP that is not a multiple of the short GOP, the long
         track can catch up between short-GOP boundaries; the short stream
