@@ -14,7 +14,6 @@ from .container import (
     TileGroup,
     TileKind,
     UnitType,
-    frame_byte_sizes,
     parse,
     serialize,
     validate_structure,

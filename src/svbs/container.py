@@ -19,16 +19,17 @@ tile_kind u8, then either coded length u32 + bytes (CODED) or
 superblock_count u16 + the 6-byte superblock mode record
 SKIPPED_MODE_RECORD (SKIPPED).
 
-Temporal delimiters carry no payload, unnamed flag bits are 0, every
-skipped tile carries SKIPPED_MODE_RECORD, and a frame's metadata precedes
-its layers.  The parser refuses anything else, so parsing and serialization
-map the model and the bytes one to one.
+A frame is one temporal delimiter, then its layers: each a frame header
+followed by its tile groups.  Delimiters carry no payload, unnamed flag bits
+are 0 and every skipped tile carries SKIPPED_MODE_RECORD.  The parser
+refuses anything else, so parsing and serialization map the model and the
+bytes one to one.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 
 from .config import SequenceConfig
@@ -52,7 +53,6 @@ class UnitType(IntEnum):
     TEMPORAL_DELIMITER = 0
     FRAME_HEADER = 1
     TILE_GROUP = 2
-    METADATA = 3
 
 
 class LayerId(IntEnum):
@@ -117,15 +117,9 @@ class LayerFrame:
 
 @dataclass(frozen=True)
 class Frame:
-    """One temporal unit: delimiter(s), optional metadata, then layers.
-
-    A well-formed frame has exactly one temporal delimiter; the count is kept
-    so malformed streams can still be parsed and reported by the validator.
-    """
+    """One temporal unit: a temporal delimiter, then its layers."""
 
     layers: tuple[LayerFrame, ...]
-    delimiter_count: int = 1
-    metadata: tuple[bytes, ...] = ()
 
     def layer(self, layer_id: LayerId) -> LayerFrame | None:
         """The frame's first layer with ``layer_id``, or None."""
@@ -146,20 +140,9 @@ class Violation:
 
 
 @dataclass(frozen=True)
-class FrameSizes:
-    frame_index: int
-    delimiter_bytes: int
-    metadata_bytes: int
-    layer_bytes: dict[LayerId, int] = field(default_factory=dict)
-
-    @property
-    def total(self) -> int:
-        return self.delimiter_bytes + self.metadata_bytes + sum(self.layer_bytes.values())
-
-
-@dataclass(frozen=True)
 class RateRecord:
-    """Serialized byte cost of one container unit, attributed to a tile."""
+    """Serialized byte cost of one container unit, attributed to a tile; the
+    header record of a frame's first layer also holds the frame's delimiter."""
 
     frame_index: int
     layer_id: LayerId
@@ -219,10 +202,7 @@ def _tile_group_payload(group: TileGroup) -> bytes:
 
 def iter_frame_units(frame: Frame):
     """Yield (unit_type, payload) pairs for one frame in wire order."""
-    for _ in range(frame.delimiter_count):
-        yield UnitType.TEMPORAL_DELIMITER, b""
-    for blob in frame.metadata:
-        yield UnitType.METADATA, blob
+    yield UnitType.TEMPORAL_DELIMITER, b""
     for layer in frame.layers:
         yield UnitType.FRAME_HEADER, _frame_header_payload(layer.header)
         for group in layer.tile_groups:
@@ -270,9 +250,8 @@ _U32 = struct.Struct("<I")
 _U16 = struct.Struct("<H")
 # Wire bytes compared as plain ints, which is cheaper than building enums.
 _CODED, _SKIPPED = int(TileKind.CODED), int(TileKind.SKIPPED)
-_UNIT_DELIMITER, _UNIT_FRAME_HEADER, _UNIT_TILE_GROUP, _UNIT_METADATA = (
-    int(UnitType.TEMPORAL_DELIMITER), int(UnitType.FRAME_HEADER),
-    int(UnitType.TILE_GROUP), int(UnitType.METADATA),
+_UNIT_DELIMITER, _UNIT_FRAME_HEADER, _UNIT_TILE_GROUP = (
+    int(UnitType.TEMPORAL_DELIMITER), int(UnitType.FRAME_HEADER), int(UnitType.TILE_GROUP),
 )
 
 
@@ -362,35 +341,18 @@ def parse(data: bytes) -> Bitstream:
     """Decode bytes into the object model; the exact inverse of serialization.
 
     Only bytes the serializer writes are accepted, so re-serializing the
-    header and frames of a parsed stream gives back ``data``.  Every unit is
-    read in place; each coded payload and metadata blob is copied once.
-    Errors carry the absolute byte offset of the fault.
+    header and frames of a parsed stream gives back ``data``.  Each temporal
+    delimiter opens a frame; a frame header before the first one, a tile
+    group before its frame header and an unknown unit type are refused.
+    Every unit is read in place; each coded payload is copied once.  Errors
+    carry the absolute byte offset of the fault.
     """
     config = _parse_sequence_header(data)
 
-    frames: list[Frame] = []
-    # Pending state of the frame being assembled.
-    delims = 0
-    metadata: list[bytes] = []
-    layers: list[tuple[FrameHeader, list[TileGroup]]] = []
-    open_frame = False
-
-    def flush() -> None:
-        nonlocal delims, metadata, layers, open_frame
-        if not open_frame:
-            return
-        frames.append(
-            Frame(
-                layers=tuple(LayerFrame(h, tuple(gs)) for h, gs in layers),
-                delimiter_count=delims,
-                metadata=tuple(metadata),
-            )
-        )
-        delims = 0
-        metadata = []
-        layers = []
-        open_frame = False
-
+    # The layers of each frame, as (header, tile groups) pairs; ``layers`` is
+    # the open frame's list, None before the first delimiter.
+    frames: list[list[tuple[FrameHeader, list[TileGroup]]]] = []
+    layers = None
     n = len(data)
     pos = HEADER_SIZE
     while pos < n:
@@ -410,26 +372,21 @@ def parse(data: bytes) -> Bitstream:
                 )
             layers[-1][1].append(_parse_tile_group(data, start, pos))
         elif type_byte == _UNIT_FRAME_HEADER:
-            header = _parse_frame_header(data, start, size)
-            open_frame = True
-            layers.append((header, []))
+            if layers is None:
+                raise InvalidStructureError(
+                    f"frame header before the first temporal delimiter at offset {unit_offset}"
+                )
+            layers.append((_parse_frame_header(data, start, size), []))
         elif type_byte == _UNIT_DELIMITER:
             if size:
                 raise InvalidStructureError(f"temporal delimiter payload at offset {unit_offset}")
-            if open_frame and (layers or metadata):
-                flush()
-            open_frame = True
-            delims += 1
-        elif type_byte == _UNIT_METADATA:
-            if layers:
-                # Serialization writes a frame's metadata before its layers.
-                raise InvalidStructureError(f"metadata after frame header at offset {unit_offset}")
-            open_frame = True
-            metadata.append(data[start:pos])
+            layers = []
+            frames.append(layers)
         else:
             raise UnknownUnitTypeError(type_byte, unit_offset)
-    flush()
-    return Bitstream(config=config, frames=tuple(frames))
+    return Bitstream(config, tuple(
+        Frame(tuple(LayerFrame(h, tuple(gs)) for h, gs in f)) for f in frames
+    ))
 
 
 # --- validation --------------------------------------------------------------
@@ -507,10 +464,6 @@ def validate_structure(bitstream: Bitstream) -> list[Violation]:
     config = bitstream.config
     gop = config.gop_size
     for pos, frame in enumerate(bitstream.frames):
-        if frame.delimiter_count != 1:
-            out.append(
-                Violation(pos, R_TEMPORAL_DELIM, f"{frame.delimiter_count} delimiters, want 1")
-            )
         if not frame.layers:
             out.append(Violation(pos, R_TEMPORAL_DELIM, "frame has no layers"))
             continue
@@ -561,33 +514,22 @@ def validate_structure(bitstream: Bitstream) -> list[Violation]:
 # --- byte accounting ---------------------------------------------------------
 
 
-def frame_byte_sizes(bitstream: Bitstream) -> list[FrameSizes]:
-    """Serialized byte count of every frame, split by layer.
-
-    Totals sum to the serialized file size minus the fixed sequence header.
-    """
-    report = validate_structure(bitstream)
-    if report:
-        raise InvalidStructureError(f"{len(report)} structural violation(s)")
-    sizes = []
-    for pos, frame in enumerate(bitstream.frames):
-        meta = sum(UNIT_HEADER_SIZE + len(m) for m in frame.metadata)
-        sizes.append(FrameSizes(pos, frame.delimiter_count * UNIT_HEADER_SIZE, meta))
-    for rec in rate_records(bitstream):
-        per_layer = sizes[rec.frame_index].layer_bytes
-        per_layer[rec.layer_id] = per_layer.get(rec.layer_id, 0) + rec.n_bytes
-    return sizes
-
-
 def rate_records(bitstream: Bitstream) -> list[RateRecord]:
-    """Serialized unit costs per frame and layer: tile groups attributed to
-    their tile, frame headers to tile_index None.  No record covers a
-    frame's temporal delimiters or metadata."""
+    """Serialized byte cost of every unit, per frame and layer.
+
+    A tile group is charged to its first tile (``tg_start``), a frame header
+    to tile_index None, and a frame's temporal delimiter to the header record
+    of its first layer.  So the records of a frame with layers sum to
+    :func:`serialized_frame_size`, and those of a valid stream to its
+    serialized size less ``HEADER_SIZE``.
+    """
     records = []
     for pos, frame in enumerate(bitstream.frames):
+        delimiter = UNIT_HEADER_SIZE
         for layer in frame.layers:
             layer_id = layer.header.layer_id
-            records.append(RateRecord(pos, layer_id, None, FRAME_HEADER_UNIT_SIZE))
+            records.append(RateRecord(pos, layer_id, None, delimiter + FRAME_HEADER_UNIT_SIZE))
+            delimiter = 0
             for group in layer.tile_groups:
                 records.append(RateRecord(pos, layer_id, group.tg_start, tile_group_size(group)))
     return records

@@ -93,15 +93,7 @@ def _frustum_mask(viewport: Viewport, dirs: np.ndarray) -> np.ndarray:
     )
 
 
-# --- forward projections -----------------------------------------------------
-
-
-def _project_erp(dirs: np.ndarray, width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
-    lon = np.arctan2(dirs[:, 1], dirs[:, 0])
-    lat = np.arcsin(np.clip(dirs[:, 2], -1.0, 1.0))
-    u = (lon / TWO_PI + 0.5) * width % width
-    v = np.clip((0.5 - lat / math.pi) * height, 0.0, np.nextafter(float(height), 0.0))
-    return u, v
+# --- inverse projections (pixel centers to directions) -----------------------
 
 
 # One row per face: its (col, row) cell in the 3x2 packing (top row
@@ -119,47 +111,9 @@ _FACES = np.array([
     (2, 1, 2, 1, 1, 1, 0, 1),  # top
 ])
 _COL, _ROW, _N, _N_SIGN, _A, _A_SIGN, _B, _B_SIGN = _FACES.T
-# The face at 2 * normal axis + (normal component < 0), and at 3 * row + col.
-_FACE_OF_NORMAL = np.zeros(6, np.int64)
-_FACE_OF_NORMAL[2 * _N + (_N_SIGN < 0)] = range(6)
+# The face at 3 * row + col.
 _FACE_OF_CELL = np.zeros(6, np.int64)
 _FACE_OF_CELL[3 * _ROW + _COL] = range(6)
-
-
-def _project_cubemap(
-    dirs: np.ndarray, width: int, height: int
-) -> tuple[np.ndarray, np.ndarray]:
-    s = width / 3.0
-    rows = np.arange(len(dirs))
-    # The dominant axis, the first on a tie; a zero component counts as +.
-    axis = np.argmax(np.abs(dirs), axis=1)
-    n = dirs[rows, axis]
-    faces = _FACE_OF_NORMAL[2 * axis + (n < 0)]
-    # The signs are exact, so a = a_sign * n_sign * d_a / d_n keeps its bits.
-    a = (_A_SIGN * _N_SIGN)[faces] * dirs[rows, _A[faces]] / n
-    b = (_B_SIGN * _N_SIGN)[faces] * dirs[rows, _B[faces]] / n
-    fa = np.clip((a + 1.0) / 2.0, 0.0, np.nextafter(1.0, 0.0))
-    fb = np.clip((b + 1.0) / 2.0, 0.0, np.nextafter(1.0, 0.0))
-    return (_COL[faces] + fa) * s, (_ROW[faces] + fb) * s
-
-
-def project_erp(direction, width: int, height: int) -> tuple[float, float]:
-    """Pixel coordinates of one unit direction in an ERP frame."""
-    u, v = _project_erp(np.asarray(direction, dtype=np.float64).reshape(1, 3), width, height)
-    return float(u[0]), float(v[0])
-
-
-def project_cubemap(direction, width: int, height: int) -> tuple[float, float]:
-    """Pixel coordinates of one unit direction in a 3x2 cube-map frame."""
-    if width * 2 != height * 3:
-        raise BadConfigError("3x2 cube map needs width*2 == height*3")
-    u, v = _project_cubemap(
-        np.asarray(direction, dtype=np.float64).reshape(1, 3), width, height
-    )
-    return float(u[0]), float(v[0])
-
-
-# --- inverse projections (pixel centers to directions) -----------------------
 
 
 def _unproject_erp(u: np.ndarray, v: np.ndarray, width: int, height: int) -> np.ndarray:

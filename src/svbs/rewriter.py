@@ -75,9 +75,5 @@ def rewrite_viewport_frame(frame: Frame, selected: set[int], config: SequenceCon
         global_mv_zero=True,
         base_ref_offset=enhanced.header.base_ref_offset,
     )
-    return Frame(
-        layers=(base, LayerFrame(header, tuple(groups))),
-        delimiter_count=frame.delimiter_count,
-        metadata=frame.metadata,
-    )
+    return Frame(layers=(base, LayerFrame(header, tuple(groups))))
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .codec import encode_svc, encode_track, generate_content, TrackResolution
 from .config import SequenceConfig
-from .container import UNIT_HEADER_SIZE, LayerId, rate_records, tile_group_size
+from .container import LayerId, rate_records, tile_group_size
 from .errors import BadArgsError, EmptyTraceError, TooLargeError
 from .geometry import Projection, ProjectionKind, Viewport, select_tiles
 from .rewriter import _skipped_tile_group
@@ -182,8 +182,9 @@ _TABLE_CACHE_SIZE = 32
 
 
 def _layer_tables(stream, cycle: int) -> dict[LayerId, tuple[np.ndarray, np.ndarray]]:
-    """Per layer of ``stream``, per frame of the cycle: frame-header bytes and
-    bytes per tile, from one walk of its rate records."""
+    """Per layer of ``stream``, per frame of the cycle: frame-header bytes
+    (with the temporal delimiter on the first layer) and bytes per tile, from
+    one walk of its rate records."""
     tables = {}
     for rec in rate_records(stream):
         if rec.layer_id not in tables:
@@ -211,9 +212,8 @@ def _svc_tables(config: SequenceConfig, seed: int, cycle: int):
     skipped-tile stub, all stubs of a grid being the same size)."""
     source = generate_content(seed, config, cycle)
     layers = _layer_tables(encode_svc(source), cycle)
-    base_header, base_tiles = layers[LayerId.BASE]
     stub = tile_group_size(_skipped_tile_group(0, config))
-    return ((*_read_only(UNIT_HEADER_SIZE + base_header, base_tiles), 0),
+    return ((*_read_only(*layers[LayerId.BASE]), 0),
             (*_read_only(*layers[LayerId.ENHANCED]), stub))
 
 
@@ -231,7 +231,7 @@ def _track_tables(
     out = []
     for gop, resolution in tracks:
         (header, tiles), = _layer_tables(encode_track(source, gop, resolution), cycle).values()
-        out.append((*_read_only(UNIT_HEADER_SIZE + header, tiles), 0))
+        out.append((*_read_only(header, tiles), 0))
     return tuple(out)
 
 

@@ -140,9 +140,17 @@ def random_bitstream(rng: random.Random):
         layers = [random_layer(rng, config, pos, LayerId.BASE)]
         if rng.random() < 0.8:
             layers.append(random_layer(rng, config, pos, LayerId.ENHANCED))
-        metadata = tuple(rng.randbytes(rng.randint(0, 16)) for _ in range(rng.randint(0, 2)))
-        frames.append(Frame(layers=tuple(layers), metadata=metadata))
+        frames.append(Frame(layers=tuple(layers)))
     return Bitstream(config=config, frames=tuple(frames))
+
+
+def record_bytes_per_frame(stream, layer_id=None) -> list[int]:
+    """The bytes of ``stream``'s rate records per frame, of one layer if given."""
+    out = [0] * len(stream.frames)
+    for rec in rate_records(stream):
+        if layer_id is None or rec.layer_id == layer_id:
+            out[rec.frame_index] += rec.n_bytes
+    return out
 
 
 def brute_force_tiles(viewport, projection, config, band_rows: int = 64) -> set[int]:
@@ -162,9 +170,17 @@ def brute_force_tiles(viewport, projection, config, band_rows: int = 64) -> set[
     return tiles
 
 
+def reference_project_erp(dirs: np.ndarray, width: int, height: int):
+    """Pixel coordinates of unit directions in an ERP frame."""
+    lon, lat = np.arctan2(dirs[:, 1], dirs[:, 0]), np.arcsin(np.clip(dirs[:, 2], -1.0, 1.0))
+    return ((lon / (2 * math.pi) + 0.5) * width % width,
+            np.clip((0.5 - lat / math.pi) * height, 0.0, np.nextafter(float(height), 0.0)))
+
+
 # The cube-map face code as it was before the face table: six-way branches
-# over face constants.  geometry._project_cubemap and _unproject_cubemap
-# must equal these bit for bit.
+# over face constants.  geometry._unproject_cubemap must equal
+# reference_unproject_cubemap bit for bit; reference_project_cubemap is the
+# forward map that the unprojection round trip is checked through.
 # Face order and packing: top row left/front/right, bottom row bottom/back/top.
 _FACE_LEFT, _FACE_FRONT, _FACE_RIGHT, _FACE_BOTTOM, _FACE_BACK, _FACE_TOP = range(6)
 _FACE_CELL = {
@@ -436,29 +452,8 @@ def reference_parse(data: bytes) -> Bitstream:
     reader = _RefReader(data)
     config = _ref_parse_sequence_header(reader)
 
-    frames: list[Frame] = []
-    # Pending state of the frame being assembled.
-    delims = 0
-    metadata: list[bytes] = []
-    layers: list[tuple[FrameHeader, list[TileGroup]]] = []
-    open_frame = False
-
-    def flush() -> None:
-        nonlocal delims, metadata, layers, open_frame
-        if not open_frame:
-            return
-        frames.append(
-            Frame(
-                layers=tuple(LayerFrame(h, tuple(gs)) for h, gs in layers),
-                delimiter_count=delims,
-                metadata=tuple(metadata),
-            )
-        )
-        delims = 0
-        metadata = []
-        layers = []
-        open_frame = False
-
+    # Each delimiter opens a frame: a list of (header, tile groups) pairs.
+    frames: list[list[tuple[FrameHeader, list[TileGroup]]]] = []
     while reader.pos < len(data):
         unit_offset = reader.pos
         type_byte, size = reader.unpack("<BI")
@@ -471,28 +466,28 @@ def reference_parse(data: bytes) -> Bitstream:
         if unit_type == UnitType.TEMPORAL_DELIMITER:
             if payload:
                 raise InvalidStructureError(f"temporal delimiter payload at offset {unit_offset}")
-            if open_frame and (layers or metadata):
-                flush()
-            open_frame = True
-            delims += 1
-        elif unit_type == UnitType.METADATA:
-            if layers:
-                raise InvalidStructureError(f"metadata after frame header at offset {unit_offset}")
-            open_frame = True
-            metadata.append(payload)
+            frames.append([])
         elif unit_type == UnitType.FRAME_HEADER:
+            if not frames:
+                raise InvalidStructureError(
+                    f"frame header before the first temporal delimiter at offset {unit_offset}"
+                )
             header = _ref_parse_frame_header(payload, unit_offset + UNIT_HEADER_SIZE)
-            open_frame = True
-            layers.append((header, []))
+            frames[-1].append((header, []))
         else:  # TILE_GROUP
-            if not layers:
+            if not frames or not frames[-1]:
                 raise InvalidStructureError(
                     f"tile group without preceding frame header at offset {unit_offset}"
                 )
             group = _ref_parse_tile_group(payload, unit_offset + UNIT_HEADER_SIZE)
-            layers[-1][1].append(group)
-    flush()
-    return Bitstream(config=config, frames=tuple(frames))
+            frames[-1][-1][1].append(group)
+    return Bitstream(
+        config=config,
+        frames=tuple(
+            Frame(layers=tuple(LayerFrame(h, tuple(gs)) for h, gs in layers))
+            for layers in frames
+        ),
+    )
 
 
 # The decoder's original residual arithmetic (through int16) and tile
@@ -583,17 +578,27 @@ def reference_decode_frame(
     return RasterFrame(config.width, config.height, out)
 
 
+# Every frame of an encoded stream is a temporal delimiter unit (a bare unit
+# header), then per layer a frame header unit (unit header and 8 bytes) and
+# its tile groups.  The reference tables read only the tile-group records of
+# rate_records and charge the other two units themselves.
+_REF_DELIMITER_BYTES = UNIT_HEADER_SIZE
+_REF_FRAME_HEADER_BYTES = UNIT_HEADER_SIZE + 8
+
+
+def _ref_tile_records(stream):
+    return [rec for rec in rate_records(stream) if rec.tile_index is not None]
+
+
 def _ref_svc_tables(config: SequenceConfig, seed: int, cycle: int):
     source = generate_content(seed, config, cycle)
     stream = encode_svc(source)
-    base_bytes = [UNIT_HEADER_SIZE] * cycle
-    enh_header = [0] * cycle
+    base_bytes = [_REF_DELIMITER_BYTES + _REF_FRAME_HEADER_BYTES] * cycle
+    enh_header = [_REF_FRAME_HEADER_BYTES] * cycle
     coded: list[dict[int, int]] = [dict() for _ in range(cycle)]
-    for rec in rate_records(stream):
+    for rec in _ref_tile_records(stream):
         if rec.layer_id == LayerId.BASE:
             base_bytes[rec.frame_index] += rec.n_bytes
-        elif rec.tile_index is None:
-            enh_header[rec.frame_index] += rec.n_bytes
         else:
             coded[rec.frame_index][rec.tile_index] = rec.n_bytes
     skip_group_bytes = tile_group_size(_skipped_tile_group(0, config))
@@ -602,13 +607,10 @@ def _ref_svc_tables(config: SequenceConfig, seed: int, cycle: int):
 
 def _ref_track_tables(source, gop: int, resolution, cycle: int):
     stream = encode_track(source, gop, resolution)
-    header = [UNIT_HEADER_SIZE] * cycle
+    header = [_REF_DELIMITER_BYTES + _REF_FRAME_HEADER_BYTES] * cycle
     tiles: list[dict[int, int]] = [dict() for _ in range(cycle)]
-    for rec in rate_records(stream):
-        if rec.tile_index is None:
-            header[rec.frame_index] += rec.n_bytes
-        else:
-            tiles[rec.frame_index][rec.tile_index] = rec.n_bytes
+    for rec in _ref_tile_records(stream):
+        tiles[rec.frame_index][rec.tile_index] = rec.n_bytes
     return header, tiles
 
 

@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from helpers import random_bitstream
+from helpers import random_bitstream, record_bytes_per_frame
 from svbs.codec import (
     TrackResolution,
     decode_frame,
@@ -35,7 +35,6 @@ from svbs.container import (
     Tile,
     TileGroup,
     TileKind,
-    frame_byte_sizes,
     parse,
     serialize,
     validate_structure,
@@ -334,10 +333,9 @@ def test_criterion_8_codec_property_substitutions():
     source = generate_content(108, config, 8)
     stream = encode_svc(source)
     key_bytes, inter_bytes = [], []
-    for pos, sizes in enumerate(frame_byte_sizes(stream)):
-        base = stream.frames[pos].layers[0]
-        bucket = key_bytes if base.header.frame_type == FrameType.KEY else inter_bytes
-        bucket.append(sizes.layer_bytes[LayerId.BASE])
+    for frame, n in zip(stream.frames, record_bytes_per_frame(stream, LayerId.BASE)):
+        key = frame.layers[0].header.frame_type == FrameType.KEY
+        (key_bytes if key else inter_bytes).append(n)
     key_over_inter = statistics.fmean(key_bytes) > statistics.fmean(inter_bytes)
 
     wide = SequenceConfig(width=64, height=32, tile_cols=2, tile_rows=2, gop_size=4, ref_window=3)

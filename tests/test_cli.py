@@ -76,12 +76,13 @@ class TestEncodeValidateDecode:
     def test_validate_flags_bad_structure(self, tmp_path, capsys):
         config = SequenceConfig(width=64, height=32, tile_cols=2, tile_rows=2, gop_size=4)
         stream = encode_svc(generate_content(1, config, 2))
-        frames = (Frame(layers=stream.frames[0].layers, delimiter_count=2), stream.frames[1])
+        # Two delimiters in a row: a frame with no layers.
+        frames = (stream.frames[0], Frame(layers=()), stream.frames[1])
         path = tmp_path / "bad.svb"
         path.write_bytes(serialize_sequence_header(config)
                          + b"".join(map(serialize_frame, frames)))
         assert main(["validate", "--in", str(path)]) == EXIT_DATA
-        assert "R_TEMPORAL_DELIM" in capsys.readouterr().out
+        assert "frame 1: R_TEMPORAL_DELIM frame has no layers" in capsys.readouterr().out
 
     def test_validate_refuses_stub_predicting_from_previous_frame(self, tmp_path, capsys):
         config = SequenceConfig(width=64, height=32, tile_cols=2, tile_rows=2, gop_size=4)

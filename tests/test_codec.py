@@ -35,16 +35,16 @@ from svbs.container import (
     Frame,
     FrameType,
     LayerId,
-    frame_byte_sizes,
     parse,
-    rate_records,
     serialize,
+    serialized_frame_size,
     validate_structure,
 )
 from svbs.errors import BadConfigError, BadDimensionsError, CorruptRleError, TooLargeError
 from svbs.rewriter import rewrite_viewport_frame
 
 from helpers import (
+    record_bytes_per_frame,
     reference_decode_frame,
     reference_downsample,
     reference_generate_content_frames,
@@ -384,10 +384,9 @@ class TestSvcEncoder:
         config = small_config(gop_size=4)
         stream = encode_svc(generate_content(2, config, 8))
         key_bytes, inter_bytes = [], []
-        for pos, sizes in enumerate(frame_byte_sizes(stream)):
-            base = stream.frames[pos].layers[0]
-            bucket = key_bytes if base.header.frame_type == FrameType.KEY else inter_bytes
-            bucket.append(sizes.layer_bytes[LayerId.BASE])
+        for frame, n in zip(stream.frames, record_bytes_per_frame(stream, LayerId.BASE)):
+            key = frame.layers[0].header.frame_type == FrameType.KEY
+            (key_bytes if key else inter_bytes).append(n)
         assert np.mean(key_bytes) > np.mean(inter_bytes)
 
     def test_wider_ref_window_never_costs_more(self):
@@ -644,12 +643,16 @@ class TestRandomAccessDecode:
 
 class TestMetrics:
     def test_rate_records_match_byte_accounting(self):
-        stream = encode_svc(generate_content(1, small_config(), 4))
-        sizes = frame_byte_sizes(stream)
-        per_layer: dict[tuple[int, LayerId], int] = {}
-        for rec in rate_records(stream):
-            key = (rec.frame_index, rec.layer_id)
-            per_layer[key] = per_layer.get(key, 0) + rec.n_bytes
-        for pos, s in enumerate(sizes):
-            for layer_id, n in s.layer_bytes.items():
-                assert per_layer[(pos, layer_id)] == n
+        # Encoder output, both track resolutions and rewritten frames: the
+        # records price each frame at its serialized size, and the stream at
+        # its file size less the sequence header.
+        config = small_config()
+        source = generate_content(1, config, 4)
+        svc = encode_svc(source)
+        rewritten = Bitstream(config, tuple(
+            rewrite_viewport_frame(f, {1, 2}, config) for f in svc.frames))
+        tracks = [encode_track(source, 2, r) for r in TrackResolution]
+        for stream in (svc, rewritten, *tracks):
+            per_frame = record_bytes_per_frame(stream)
+            assert per_frame == [serialized_frame_size(f) for f in stream.frames]
+            assert sum(per_frame) == len(serialize(stream)) - HEADER_SIZE

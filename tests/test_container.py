@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_bitstream, reference_parse
-from svbs.codec import decode_frame, encode_svc, generate_content
+from helpers import random_bitstream, record_bytes_per_frame, reference_parse
+from svbs.codec import TrackResolution, decode_frame, encode_svc, encode_track, generate_content
 from svbs.config import FRAME_PIXEL_BUDGET, SequenceConfig
 from svbs.container import (
     HEADER_SIZE,
@@ -24,6 +24,7 @@ from svbs.container import (
     R_TEMPORAL_IN_ENH,
     R_TG_RANGE,
     R_TILE_COVERAGE,
+    FRAME_HEADER_UNIT_SIZE,
     SKIPPED_MODE_RECORD,
     UNIT_HEADER_SIZE,
     Bitstream,
@@ -37,12 +38,13 @@ from svbs.container import (
     TileKind,
     UnitType,
     Violation,
-    frame_byte_sizes,
     parse,
+    rate_records,
     serialize,
     serialize_frame,
     serialize_sequence_header,
     serialized_frame_size,
+    tile_group_size,
     validate_structure,
 )
 from svbs.errors import (
@@ -94,15 +96,6 @@ def valid_stream(n_frames: int = 2) -> Bitstream:
 class TestRoundTrip:
     def test_simple_stream(self):
         stream = valid_stream()
-        assert parse(serialize(stream)) == stream
-
-    def test_metadata_and_delimiters_preserved(self):
-        config = small_config()
-        frame = Frame(
-            layers=(coded_layer(0, LayerId.BASE, 1, 1),),
-            metadata=(b"opaque", b""),
-        )
-        stream = Bitstream(config=config, frames=(frame,))
         assert parse(serialize(stream)) == stream
 
     def test_random_models(self):
@@ -224,20 +217,24 @@ class TestParseOnlyCanonicalBytes:
     the exact inverse of serialization."""
 
     @pytest.mark.parametrize(
-        "mutate, offset",
+        "mutate, error, offset",
         [
-            (_delimiter_payload, HEADER_SIZE),
-            (_set_bit(HEADER_SIZE - 2, 0x80), HEADER_SIZE - 2),
-            (_set_bit(_FRAME_FLAGS, 0x40), _FRAME_FLAGS),
-            (lambda data: data + struct.pack("<BI", UnitType.METADATA, 0), None),
+            (_delimiter_payload, InvalidStructureError, HEADER_SIZE),
+            (_set_bit(HEADER_SIZE - 2, 0x80), InvalidStructureError, HEADER_SIZE - 2),
+            (_set_bit(_FRAME_FLAGS, 0x40), InvalidStructureError, _FRAME_FLAGS),
+            # Unit type 3 was the metadata unit, which no writer produces.
+            (lambda data: data + struct.pack("<BI", 3, 0), UnknownUnitTypeError, None),
+            # The first frame's delimiter dropped: its frame header comes first.
+            (lambda data: data[:HEADER_SIZE] + data[HEADER_SIZE + UNIT_HEADER_SIZE :],
+             InvalidStructureError, HEADER_SIZE),
         ],
         ids=["delimiter_payload", "sequence_flag_bit7", "frame_flag_bit6",
-             "metadata_after_layers"],
+             "metadata_after_layers", "frame_header_before_delimiter"],
     )
-    def test_refused_with_offset(self, mutate, offset):
+    def test_refused_with_offset(self, mutate, error, offset):
         data = serialize(valid_stream(1))
         mutant = mutate(data)
-        with pytest.raises(InvalidStructureError, match=f"at offset {offset or len(data)}$"):
+        with pytest.raises(error, match=f"offset {offset or len(data)}$"):
             parse(mutant)
         assert outcome(parse, mutant) == outcome(reference_parse, mutant)
 
@@ -265,10 +262,16 @@ class TestValidation:
         assert any(v.rule == R_TEMPORAL_IN_ENH for v in report)
 
     def test_double_delimiter_violation(self):
-        config = small_config()
-        frame = Frame(layers=(coded_layer(0, LayerId.BASE, 1, 1),), delimiter_count=2)
-        report = validate_structure(Bitstream(config=config, frames=(frame,)))
-        assert any(v.rule == R_TEMPORAL_DELIM for v in report)
+        # Two delimiters in a row parse as a frame with no layers.
+        stream = valid_stream(2)
+        empty = serialize_frame(Frame(layers=()))
+        assert empty == struct.pack("<BI", UnitType.TEMPORAL_DELIMITER, 0)
+        data = (serialize_sequence_header(stream.config) + serialize_frame(stream.frames[0])
+                + empty + serialize_frame(stream.frames[1]))
+        parsed = parse(data)
+        assert parsed == reference_parse(data)
+        assert parsed.frames == (stream.frames[0], Frame(layers=()), stream.frames[1])
+        assert Violation(1, R_TEMPORAL_DELIM, "frame has no layers") in validate_structure(parsed)
 
     def test_inter_base_at_gop_start(self):
         config = small_config()
@@ -377,7 +380,7 @@ class TestValidation:
 
     def test_serialize_refuses_invalid_model(self):
         config = small_config()
-        frame = Frame(layers=(coded_layer(0, LayerId.BASE, 1, 1),), delimiter_count=2)
+        frame = Frame(layers=())
         with pytest.raises(InvalidStructureError):
             serialize(Bitstream(config=config, frames=(frame,)))
         # The frame itself still serializes, for tests that need malformed bytes.
@@ -385,29 +388,45 @@ class TestValidation:
         assert len(data) > HEADER_SIZE
 
 
+def accounted_streams():
+    """Valid streams of every kind the pipeline writes or the tests build:
+    hand-built, SVC encoder output, both track resolutions, rewritten frames
+    and 100 random models."""
+    config = small_config(base_single_tile=False)
+    source = generate_content(3, config, 6)
+    svc = encode_svc(source)
+    rewritten = tuple(rewrite_viewport_frame(f, {i % 4}, config) for i, f in enumerate(svc.frames))
+    yield valid_stream(3)
+    yield svc
+    for resolution in TrackResolution:
+        yield encode_track(source, 3, resolution)
+    yield Bitstream(config, rewritten)
+    rng = random.Random(20240825)
+    for _ in range(100):
+        yield random_bitstream(rng)
+
+
 class TestByteAccounting:
+    """``rate_records`` prices every serialized byte after the header once."""
+
     def test_totals_match_file_size(self):
-        stream = valid_stream(3)
-        sizes = frame_byte_sizes(stream)
-        assert sum(s.total for s in sizes) == len(serialize(stream)) - HEADER_SIZE
+        for stream in accounted_streams():
+            assert sum(record_bytes_per_frame(stream)) == len(serialize(stream)) - HEADER_SIZE
 
     def test_per_frame_matches_serialized_size(self):
-        stream = valid_stream(3)
-        for frame, sizes in zip(stream.frames, frame_byte_sizes(stream)):
-            assert sizes.total == serialized_frame_size(frame)
+        for stream in accounted_streams():
+            per_frame = record_bytes_per_frame(stream)
+            assert per_frame == [serialized_frame_size(f) for f in stream.frames]
 
     def test_layer_split(self):
+        # Per layer, one header record; the delimiter rides on the first one.
         stream = valid_stream(1)
-        sizes = frame_byte_sizes(stream)[0]
-        assert set(sizes.layer_bytes) == {LayerId.BASE, LayerId.ENHANCED}
-        assert sizes.delimiter_bytes == UNIT_HEADER_SIZE
-        assert sizes.metadata_bytes == 0
-
-    def test_rejects_invalid_stream(self):
-        config = small_config()
-        frame = Frame(layers=(coded_layer(3, LayerId.BASE, 1, 1),))
-        with pytest.raises(InvalidStructureError):
-            frame_byte_sizes(Bitstream(config=config, frames=(frame,)))
+        headers = [(r.layer_id, r.n_bytes) for r in rate_records(stream) if r.tile_index is None]
+        assert headers == [(LayerId.BASE, UNIT_HEADER_SIZE + FRAME_HEADER_UNIT_SIZE),
+                           (LayerId.ENHANCED, FRAME_HEADER_UNIT_SIZE)]
+        tiles = [r for r in rate_records(stream) if r.tile_index is not None]
+        assert [r.n_bytes for r in tiles] == [
+            tile_group_size(g) for layer in stream.frames[0].layers for g in layer.tile_groups]
 
 
 class TestSuperblockMode:

@@ -1,4 +1,4 @@
-"""Viewports, sphere-to-frame projections, tile selection."""
+"""Viewports, frame-to-sphere projections, tile selection."""
 
 import math
 import random
@@ -8,18 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_tiles, reference_project_cubemap, reference_unproject_cubemap
+from helpers import (
+    brute_force_tiles,
+    reference_project_cubemap,
+    reference_project_erp,
+    reference_unproject_cubemap,
+)
 from svbs.config import SequenceConfig
 from svbs.errors import BadConfigError, TooLargeError
 from svbs.geometry import (
     ORACLE_PIXEL_BUDGET,
-    _project_cubemap,
+    _unproject,
     _unproject_cubemap,
     Projection,
     ProjectionKind,
     Viewport,
-    project_cubemap,
-    project_erp,
     read_viewport_trace,
     select_tiles,
     tile_coverage_oracle,
@@ -59,33 +62,38 @@ class TestViewport:
             Projection(ProjectionKind.CUBEMAP_3x2, 768, 384)
 
 
-class TestErpProjection:
-    def test_cardinal_directions(self):
-        assert project_erp((1, 0, 0), 768, 384) == pytest.approx((384.0, 192.0))
-        assert project_erp((0, 1, 0), 768, 384) == pytest.approx((576.0, 192.0))
-        assert project_erp((-1, 0, 0), 768, 384) == pytest.approx((0.0, 192.0))
+def _unproject_point(u: float, v: float, projection: Projection) -> np.ndarray:
+    return _unproject(np.array([u]), np.array([v]), projection)[0]
 
-    def test_poles_clamp_into_frame(self):
-        u, v = project_erp((0, 0, 1), 768, 384)
-        assert v == pytest.approx(0.0)
-        u, v = project_erp((0, 0, -1), 768, 384)
-        assert 0 <= v < 384
+
+class TestErpProjection:
+    """The frame is only ever unprojected: pixel centers to directions."""
+
+    def test_cardinal_directions(self):
+        for (u, v), axis in {
+            (384.0, 192.0): (1, 0, 0),
+            (576.0, 192.0): (0, 1, 0),
+            (0.0, 192.0): (-1, 0, 0),
+            (192.0, 192.0): (0, -1, 0),
+            (100.0, 0.0): (0, 0, 1),
+            (100.0, 384.0): (0, 0, -1),
+        }.items():
+            assert _unproject_point(u, v, ERP_PROJ) == pytest.approx(axis, abs=1e-12)
 
 
 class TestCubemapProjection:
     def test_face_centers(self):
-        s = 768 / 3.0
-        # front at cell (1,0), right at (2,0), top at (2,1)
-        assert project_cubemap((1, 0, 0), 768, 512) == pytest.approx((1.5 * s, 0.5 * s))
-        assert project_cubemap((0, 1, 0), 768, 512) == pytest.approx((2.5 * s, 0.5 * s))
-        assert project_cubemap((0, 0, 1), 768, 512) == pytest.approx((2.5 * s, 1.5 * s))
-        assert project_cubemap((-1, 0, 0), 768, 512) == pytest.approx((1.5 * s, 1.5 * s))
-        assert project_cubemap((0, -1, 0), 768, 512) == pytest.approx((0.5 * s, 0.5 * s))
-        assert project_cubemap((0, 0, -1), 768, 512) == pytest.approx((0.5 * s, 1.5 * s))
-
-    def test_bad_aspect_rejected(self):
-        with pytest.raises(BadConfigError):
-            project_cubemap((1, 0, 0), 768, 384)
+        # A 3x2 map of 3-pixel faces: each face center is a pixel center.
+        proj = Projection(ProjectionKind.CUBEMAP_3x2, 9, 6)
+        for (u, v), axis in {
+            (4.5, 1.5): (1, 0, 0),  # front
+            (7.5, 1.5): (0, 1, 0),  # right
+            (7.5, 4.5): (0, 0, 1),  # top
+            (4.5, 4.5): (-1, 0, 0),  # back
+            (1.5, 1.5): (0, -1, 0),  # left
+            (1.5, 4.5): (0, 0, -1),  # bottom
+        }.items():
+            assert _unproject_point(u, v, proj).tolist() == list(axis)
 
     @given(
         st.floats(-179.9, 179.9),
@@ -94,16 +102,14 @@ class TestCubemapProjection:
     )
     @settings(max_examples=200, deadline=None)
     def test_project_unproject_round_trip(self, lon_deg, lat_deg, kind):
-        # A direction's projected pixel must unproject to a nearby direction:
-        # within the angular diagonal of one pixel.
-        from svbs.geometry import _unproject
-
+        # A direction's pixel under the reference forward map must unproject
+        # to a nearby direction: within the angular diagonal of one pixel.
         proj = ERP_PROJ if kind == ProjectionKind.ERP else CUBE_PROJ
-        project = project_erp if kind == ProjectionKind.ERP else project_cubemap
+        project = reference_project_erp if kind == ProjectionKind.ERP else reference_project_cubemap
         lon, lat = math.radians(lon_deg), math.radians(lat_deg)
         d = np.array([[math.cos(lat) * math.cos(lon), math.cos(lat) * math.sin(lon), math.sin(lat)]])
-        u, v = project(d[0], proj.width, proj.height)
-        back = _unproject(np.array([u]), np.array([v]), proj)[0]
+        u, v = project(d, proj.width, proj.height)
+        back = _unproject(u, v, proj)[0]
         angle = math.acos(float(np.clip(np.dot(back, d[0]), -1.0, 1.0)))
         assert angle <= 2 * math.pi / proj.width * 3
 
@@ -113,14 +119,9 @@ def _bits(x) -> np.ndarray:
     return np.asarray(x, np.float64).view(np.int64)
 
 
-# Exact ties, zero signs and face edges, then any component.
-_COMPONENT = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 1e-300]),
-                       st.floats(-1.0, 1.0))
-
-
 class TestCubemapFaceTable:
-    """The face table projects and unprojects exactly like the six-way
-    branches it replaced (``helpers.reference_*_cubemap``)."""
+    """The face table unprojects exactly like the six-way branches it
+    replaced (``helpers.reference_unproject_cubemap``)."""
 
     @pytest.mark.parametrize("width, height", [(96, 64), (768, 512)])
     def test_every_pixel_center_is_bit_identical(self, width, height):
@@ -128,19 +129,6 @@ class TestCubemapFaceTable:
         u, v = xs.ravel() + 0.5, ys.ravel() + 0.5
         dirs = _unproject_cubemap(u, v, width, height)
         assert np.array_equal(_bits(dirs), _bits(reference_unproject_cubemap(u, v, width, height)))
-        for got, want in zip(_project_cubemap(dirs, width, height),
-                             reference_project_cubemap(dirs, width, height)):
-            assert np.array_equal(_bits(got), _bits(want))
-
-    @given(st.lists(st.tuples(_COMPONENT, _COMPONENT, _COMPONENT)
-                    .filter(lambda d: any(d)), min_size=1, max_size=64),
-           st.integers(1, 256))
-    @settings(max_examples=200, deadline=None)
-    def test_projection_is_bit_identical(self, dirs, face):
-        dirs = np.array(dirs, np.float64)
-        for got, want in zip(_project_cubemap(dirs, 3 * face, 2 * face),
-                             reference_project_cubemap(dirs, 3 * face, 2 * face)):
-            assert np.array_equal(_bits(got), _bits(want))
 
     @given(st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True),
                               st.floats(0.0, 1.0, exclude_max=True)), min_size=1, max_size=64),

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from helpers import record_bytes_per_frame
 from svbs.codec import encode_svc, generate_content
 from svbs.config import SUPERBLOCK_SIZE, SequenceConfig
 from svbs.container import (
@@ -13,7 +14,6 @@ from svbs.container import (
     TileGroup,
     TileKind,
     UNIT_HEADER_SIZE,
-    frame_byte_sizes,
     parse,
     serialize,
     serialized_frame_size,
@@ -150,8 +150,7 @@ class TestRewriteFrame:
             rewrite_viewport_frame(f, {1, 2}, stream.config) for f in stream.frames
         )
         rewritten = Bitstream(stream.config, frames)
-        for frame, sizes in zip(frames, frame_byte_sizes(rewritten)):
-            assert sizes.total == serialized_frame_size(frame)
+        assert record_bytes_per_frame(rewritten) == [serialized_frame_size(f) for f in frames]
         assert parse(serialize(rewritten)) == rewritten
 
 
