@@ -369,6 +369,9 @@ def read_viewport_trace(path) -> list[tuple[float, Viewport]]:
                 obj = json.loads(line)
                 if not isinstance(obj, dict):
                     raise TypeError(f"want a JSON object, not {type(obj).__name__}")
+                for key in ("t_ms", "yaw_deg", "pitch_deg", "h_fov_deg", "v_fov_deg"):
+                    if type(obj[key]) not in (int, float):  # bool and str are not numbers
+                        raise TypeError(f"{key} must be a number, not {type(obj[key]).__name__}")
                 t_ms = float(obj["t_ms"])
                 if not math.isfinite(t_ms):
                     raise BadConfigError("t_ms must be finite")
@@ -377,7 +380,7 @@ def read_viewport_trace(path) -> list[tuple[float, Viewport]]:
                 )
             except KeyError as exc:
                 raise BadTraceError(f"trace {path} line {lineno}: missing key {exc}") from exc
-            except (ValueError, TypeError, RecursionError, BadConfigError) as exc:
+            except (ValueError, TypeError, OverflowError, RecursionError, BadConfigError) as exc:
                 raise BadTraceError(f"trace {path} line {lineno}: {exc}") from exc
             samples.append((t_ms, viewport))
     return samples

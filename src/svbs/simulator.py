@@ -15,6 +15,7 @@ pays exactly one frame period.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import statistics
@@ -235,6 +236,13 @@ def _track_tables(
     return tuple(out)
 
 
+# An entry is one frozenset of at most tile_count ints: at most 2.3 KiB at 6x4.
+@lru_cache(maxsize=1024)
+def _tile_set(viewport: Viewport, projection: Projection, config: SequenceConfig) -> frozenset[int]:
+    """The tiles of ``viewport``, frozen so no caller can change a cached set."""
+    return frozenset(select_tiles(viewport, projection, config))
+
+
 # --- the session -------------------------------------------------------------
 
 
@@ -301,7 +309,7 @@ def run_session(
     tables = (_svc_tables(config, source_seed, cycle) if tracks is None
               else _track_tables(config, source_seed, cycle, tracks))
 
-    # The tile set of every trace entry, selected once per distinct viewport;
+    # The tile set of every trace entry, one lookup per distinct viewport;
     # pose_set[i] indexes tile_sets, the distinct sets.
     view_set: dict[Viewport, int] = {}
     set_ids: dict[frozenset[int], int] = {}
@@ -309,7 +317,7 @@ def run_session(
     for _, vp in trace:
         set_id = view_set.get(vp)
         if set_id is None:
-            tiles = frozenset(select_tiles(vp, projection, config))
+            tiles = _tile_set(vp, projection, config)
             set_id = view_set[vp] = set_ids.setdefault(tiles, len(set_ids))
         pose_set_ids.append(set_id)
     pose_set = np.array(pose_set_ids)
@@ -502,21 +510,12 @@ def write_report_json(report: SessionReport, path) -> None:
     # splits back into its leaves.
     leaf = iter(json.dumps(leaves)[1:-1].split(", "))
     period, total = next(leaf), next(leaf)
-    switches = [
-        _indented("{", "}", [f'"t_ms": {next(leaf)}', f'"mtp_ms": {next(leaf)}',
-                             f'"mthq_ms": {next(leaf)}'], 3)
-        for _ in report.switches
-    ]
-    names: dict[str, str] = {}
-    buckets = []
-    for _, streams in seconds:
-        key = next(leaf)
-        members = []
-        for name in streams:
-            if name not in names:
-                names[name] = json.dumps(name)
-            members.append(f"{names[name]}: {next(leaf)}")
-        buckets.append(f"{key}: {_indented('{', '}', members, 3)}")
+    item = _indented("{", "}", ['"t_ms": %s', '"mtp_ms": %s', '"mthq_ms": %s'], 3)
+    switches = [item % (next(leaf), next(leaf), next(leaf)) for _ in report.switches]
+    names = {name: json.dumps(name) for name in set().union(*report.seconds.values())}
+    buckets = [f"{next(leaf)}: " + _indented("{", "}", [f"{names[name]}: {next(leaf)}"
+                                                        for name in streams], 3)
+               for _, streams in seconds]
     top = [
         f'"scheme": {json.dumps(report.scheme_label)}',
         f'"frame_period_ms": {period}',
@@ -528,16 +527,23 @@ def write_report_json(report: SessionReport, path) -> None:
         fh.write(_indented("{", "}", top, 1) + "\n")
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as one field of a longer ``csv.writer`` row, quoted if needed."""
+    csv.writer(buf := io.StringIO()).writerow([text, 0])
+    return buf.getvalue()[:-len(",0\r\n")]
+
+
 def write_report_csv(report: SessionReport, path) -> None:
-    """Flat CSV: one row per switch, one row per second per stream."""
+    """Flat CSV: one row per switch, one row per second per stream, as ``csv.writer``
+    writes them.  The label and each distinct stream name are quoted once."""
+    label = _csv_field(report.scheme_label)
+    names = {name: _csv_field(name) for name in set().union(*report.seconds.values())}
+    rows = ["row,scheme,t_ms,mtp_ms,mthq_ms,second,stream,bytes\r\n"]
+    rows += [f"switch,{label},{s.t_ms},{'' if s.mtp_ms is None else s.mtp_ms},"
+             f"{'NOT_REACHED' if s.mthq_ms is None else s.mthq_ms},,,\r\n"
+             for s in report.switches]
+    rows += [f"second,{label},,,,{sec},{names[name]},{n}\r\n"
+             for sec, streams in sorted(report.seconds.items())
+             for name, n in sorted(streams.items())]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "scheme", "t_ms", "mtp_ms", "mthq_ms", "second", "stream", "bytes"])
-        for s in report.switches:
-            writer.writerow(
-                ["switch", report.scheme_label, s.t_ms,
-                 s.mtp_ms, s.mthq_ms if s.mthq_ms is not None else "NOT_REACHED", "", "", ""]
-            )
-        for sec, streams in sorted(report.seconds.items()):
-            for name, n in sorted(streams.items()):
-                writer.writerow(["second", report.scheme_label, "", "", "", sec, name, n])
+        fh.write("".join(rows))

@@ -1,7 +1,8 @@
 """Shared builders for randomized, structurally valid stream models, and
 straightforward reference versions of the optimized kernels, the parser,
-the decoder and the session simulator."""
+the decoder, the session simulator and its CSV report."""
 
+import csv
 import math
 import random
 import struct
@@ -747,3 +748,19 @@ def reference_run_session(
         seconds=seconds,
         frames=frames,
     )
+
+
+def reference_write_report_csv(report: SessionReport, path) -> None:
+    """The CSV report written row by row through ``csv.writer``;
+    ``simulator.write_report_csv`` must equal it byte for byte."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["row", "scheme", "t_ms", "mtp_ms", "mthq_ms", "second", "stream", "bytes"])
+        for s in report.switches:
+            writer.writerow(
+                ["switch", report.scheme_label, s.t_ms,
+                 s.mtp_ms, s.mthq_ms if s.mthq_ms is not None else "NOT_REACHED", "", "", ""]
+            )
+        for sec, streams in sorted(report.seconds.items()):
+            for name, n in sorted(streams.items()):
+                writer.writerow(["second", report.scheme_label, "", "", "", sec, name, n])

@@ -15,7 +15,7 @@ from helpers import (
     reference_unproject_cubemap,
 )
 from svbs.config import SequenceConfig
-from svbs.errors import BadConfigError, TooLargeError
+from svbs.errors import BadConfigError, BadTraceError, TooLargeError
 from svbs.geometry import (
     ORACLE_PIXEL_BUDGET,
     _unproject,
@@ -247,3 +247,20 @@ class TestTraces:
         write_viewport_trace(path, [(0.0, Viewport.from_degrees(0, 0, 90, 90))])
         path.write_text(path.read_text() + "\n\n")
         assert len(read_viewport_trace(path)) == 1
+
+    @pytest.mark.parametrize("value", ['"500"', "true"], ids=["string", "bool"])
+    @pytest.mark.parametrize("key", ["t_ms", "yaw_deg", "pitch_deg", "h_fov_deg", "v_fov_deg"])
+    def test_value_that_is_not_a_number_is_refused(self, tmp_path, key, value):
+        pose = {"t_ms": "0", "yaw_deg": "0", "pitch_deg": "0", "h_fov_deg": "90",
+                "v_fov_deg": "90"} | {key: value}
+        path = tmp_path / "trace.jsonl"
+        path.write_text("{%s}\n" % ", ".join(f'"{k}": {v}' for k, v in pose.items()))
+        with pytest.raises(BadTraceError, match=f"line 1: {key} must be a number"):
+            read_viewport_trace(path)
+
+    def test_integer_past_the_float_range_is_refused(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        path.write_text('{"t_ms": 1%s, "yaw_deg": 0, "pitch_deg": 0, "h_fov_deg": 90, '
+                        '"v_fov_deg": 90}\n' % ("0" * 400))
+        with pytest.raises(BadTraceError, match="line 1: int too large"):
+            read_viewport_trace(path)

@@ -1,6 +1,5 @@
 """Streaming session simulation: latency measures, byte accounting, reports."""
 
-import csv
 import json
 import math
 import random
@@ -11,12 +10,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_run_session
+from helpers import reference_run_session, reference_write_report_csv
 from svbs.codec import encode_svc, generate_content
 from svbs.config import SequenceConfig
 from svbs.container import serialized_frame_size
 from svbs.errors import BadArgsError, EmptyTraceError, TooLargeError
-from svbs.geometry import ProjectionKind, Viewport
+from svbs.geometry import Projection, ProjectionKind, Viewport, select_tiles
 from svbs.rewriter import rewrite_viewport_frame
 from svbs.simulator import (
     MTHQ_COMPLIANCE_MS,
@@ -27,6 +26,7 @@ from svbs.simulator import (
     SchemeKind,
     SessionReport,
     SwitchSample,
+    _tile_set,
     expected_gop_wait_ms,
     latency_summary,
     report_to_json,
@@ -353,6 +353,36 @@ class TestMatchesReference:
                 assert_same_session(got, want)
 
 
+class TestTileSetCache:
+    """``_tile_set`` keeps each viewport's tiles across sessions, keyed by
+    (viewport, projection, config): a key lacking the grid, the projection or
+    the frame size would serve one of them the tiles of another."""
+
+    def test_key_holds_grid_projection_and_frame_size(self):
+        view = Viewport.from_degrees(30, 45.5, 30, 1)
+        keys = [
+            (ProjectionKind.ERP, 384, 192, 6, 4),
+            (ProjectionKind.ERP, 384, 192, 4, 2),
+            (ProjectionKind.CUBEMAP_3x2, 384, 256, 6, 4),
+            (ProjectionKind.ERP, 96, 48, 6, 4),
+        ]
+        sets = []
+        for _ in range(2):  # the second pass is served from the cache
+            for kind, width, height, cols, rows in keys:
+                config = SequenceConfig(width=width, height=height, tile_cols=cols,
+                                        tile_rows=rows, gop_size=10)
+                projection = Projection(kind, width, height)
+                tiles = _tile_set(view, projection, config)
+                assert tiles == select_tiles(view, projection, config)
+                sets.append(tiles)
+        assert len(set(sets)) == len(keys)
+
+    def test_bounded_and_frozen(self):
+        assert 0 < _tile_set.cache_info().maxsize < math.inf
+        tiles = _tile_set(VIEW_A, Projection(ProjectionKind.ERP, 384, 192), CONFIG)
+        assert type(tiles) is frozenset
+
+
 class TestTraceValidation:
     def test_empty_trace(self):
         with pytest.raises(EmptyTraceError):
@@ -439,18 +469,6 @@ class TestReporting:
         assert loaded == report_to_json(report)
         assert loaded["total_bytes"] == report.total_bytes
 
-    def test_csv_report(self, tmp_path):
-        report = self._small_report()
-        path = tmp_path / "out.csv"
-        write_report_csv(report, path)
-        with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        switch_rows = [r for r in rows if r["row"] == "switch"]
-        second_rows = [r for r in rows if r["row"] == "second"]
-        assert len(switch_rows) == len(report.switches)
-        assert sum(int(r["bytes"]) for r in second_rows) == report.total_bytes
-
-
 _AWKWARD_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-7, 1e16, 1e22, 0.1 + 0.2, 1 / 3,
                    1.7976931348623157e308, float("inf"), float("-inf"), float("nan")]
 _floats = st.sampled_from(_AWKWARD_FLOATS) | st.floats()
@@ -471,7 +489,8 @@ def reports(draw):
 
 class TestReportWriter:
     """``write_report_json`` lays out the indented JSON itself; it must equal
-    ``json.dump(..., indent=2)`` byte for byte."""
+    ``json.dump(..., indent=2)`` byte for byte.  ``write_report_csv`` formats
+    its rows itself; it must equal ``csv.writer`` byte for byte."""
 
     @given(reports())
     @settings(max_examples=200, deadline=None)
@@ -487,6 +506,22 @@ class TestReportWriter:
         with open(path, "w") as fh:
             json.dump(report_to_json(report), fh, indent=2)
             fh.write("\n")
+        assert got == path.read_bytes()
+
+    @given(reports())
+    @settings(max_examples=200, deadline=None)
+    @example(SessionReport("", 1000 / 30, [SwitchSample(0.0, None, None)], {0: {"": 5}}))
+    @example(SessionReport(
+        'a,"b"\r\n c', 1000 / 30,
+        [SwitchSample(-0.0, float("nan"), None), SwitchSample(float("inf"), -0.0, float("nan")),
+         SwitchSample(1e16, float("-inf"), float("inf"))],
+        {1: {"low": 3, "": 0, "a,b": 1, 'q"': 2, "r\r": 4, " lead": 5}, 0: {}}))
+    @example(SessionReport(" svc", 1000 / 30, [SwitchSample(5.0, 1.0, 2.0)], {}))
+    def test_csv_equals_csv_writer(self, tmp_path_factory, report):
+        path = tmp_path_factory.getbasetemp() / "report-writer.csv"
+        write_report_csv(report, path)
+        got = path.read_bytes()
+        reference_write_report_csv(report, path)
         assert got == path.read_bytes()
 
 
