@@ -190,6 +190,8 @@ def _cmd_rewrite(args) -> int:
     data = _read_bytes(args.input)
     stream = parse(data)
     inputs = {args.input: data}
+    if args.viewport is not None and args.trace is not None:
+        raise SvbsError("rewrite takes --viewport or --trace, not both")
     if args.viewport:
         viewport = _parse_viewport(args.viewport)
     elif args.trace is None:
@@ -274,6 +276,9 @@ def _cmd_simulate(args) -> int:
     trace = read_viewport_trace(args.trace)
     network = NetworkModel(args.uplink_ms, args.downlink_ms, args.bandwidth_bps)
     schemes = [_build_scheme(s) for s in args.scheme or ["svc"]]
+    for i, scheme in enumerate(schemes):
+        if scheme in schemes[:i]:  # a scheme's label holds every field
+            raise BadArgsError(f"--scheme {scheme.label} is given twice")
     projection_kind = _projection_kind(args.projection)
     reports = [run_session(scheme, trace, network, config, args.seed,
                            projection_kind=projection_kind) for scheme in schemes]

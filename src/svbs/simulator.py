@@ -176,11 +176,6 @@ def expected_gop_wait_ms(gop: int, fps) -> float:
 
 # --- per-frame size tables ---------------------------------------------------
 
-# Entries kept by each size-table cache.  An entry holds only read-only
-# integer arrays, a few KiB at any resolution; frames and sources are never
-# cached.
-_TABLE_CACHE_SIZE = 32
-
 
 def _layer_tables(stream, cycle: int) -> dict[LayerId, tuple[np.ndarray, np.ndarray]]:
     """Per layer of ``stream``, per frame of the cycle: frame-header bytes
@@ -205,35 +200,30 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-@lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _svc_tables(config: SequenceConfig, seed: int, cycle: int):
-    """The ``base`` and ``enhanced`` streams of one SVC encode, each as (header
-    bytes per frame of the cycle, with the temporal delimiter on the base;
-    bytes per frame and tile; bytes per tile outside the region: one
-    skipped-tile stub, all stubs of a grid being the same size)."""
-    source = generate_content(seed, config, cycle)
-    layers = _layer_tables(encode_svc(source), cycle)
-    stub = tile_group_size(_skipped_tile_group(0, config))
-    return ((*_read_only(*layers[LayerId.BASE]), 0),
-            (*_read_only(*layers[LayerId.ENHANCED]), stub))
-
-
-@lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _track_tables(
+# An entry holds only read-only integer arrays, a few KiB at any resolution;
+# frames and sources are never cached.
+@lru_cache(maxsize=32)
+def _stream_tables(
     config: SequenceConfig,
     seed: int,
     cycle: int,
-    tracks: tuple[tuple[int, TrackResolution], ...],
+    tracks: tuple[tuple[int, TrackResolution], ...] | None,
 ):
-    """One stream per (gop, resolution) track, as in :func:`_svc_tables` but
-    sending nothing for a tile outside the region.  The tracks are encoded
-    from one generated content and hold one layer each."""
+    """The streams of one scheme, encoded from one generated content, each as
+    (header bytes per frame of the cycle, with the temporal delimiter on its
+    first layer; bytes per frame and tile; bytes per tile outside the region).
+    ``tracks`` None gives the ``base`` and ``enhanced`` layers of one SVC
+    encode, ``enhanced`` sending one skipped-tile stub (all stubs of a grid
+    are one size) per tile outside; otherwise each (gop, resolution) track is
+    one single-layer stream, sending nothing outside."""
     source = generate_content(seed, config, cycle)
-    out = []
-    for gop, resolution in tracks:
-        (header, tiles), = _layer_tables(encode_track(source, gop, resolution), cycle).values()
-        out.append((*_read_only(header, tiles), 0))
-    return tuple(out)
+    if tracks is None:
+        streams, stub = (encode_svc(source),), tile_group_size(_skipped_tile_group(0, config))
+    else:
+        streams, stub = (encode_track(source, gop, res) for gop, res in tracks), 0
+    return tuple((*_read_only(header, tiles), stub if layer == LayerId.ENHANCED else 0)
+                 for stream in streams
+                 for layer, (header, tiles) in _layer_tables(stream, cycle).items())
 
 
 # An entry is one frozenset of at most tile_count ints: at most 2.3 KiB at 6x4.
@@ -306,8 +296,7 @@ def run_session(
     if n_ticks > SESSION_TICK_BUDGET:
         raise TooLargeError(f"{n_ticks} ticks exceed the session tick budget "
                             f"{SESSION_TICK_BUDGET}")
-    tables = (_svc_tables(config, source_seed, cycle) if tracks is None
-              else _track_tables(config, source_seed, cycle, tracks))
+    tables = _stream_tables(config, source_seed, cycle, tracks)
 
     # The tile set of every trace entry, one lookup per distinct viewport;
     # pose_set[i] indexes tile_sets, the distinct sets.
@@ -487,44 +476,11 @@ def report_to_json(report: SessionReport) -> dict:
     }
 
 
-def _indented(open_: str, close: str, members: list[str], level: int) -> str:
-    """A JSON container in the layout of ``json.dump(..., indent=2)``, from
-    its members, each already written for nesting ``level``."""
-    if not members:
-        return open_ + close
-    pad = "\n" + "  " * level
-    return open_ + pad + ("," + pad).join(members) + "\n" + "  " * (level - 1) + close
-
-
 def write_report_json(report: SessionReport, path) -> None:
-    """Write ``json.dump(report_to_json(report), fh, indent=2)`` and a
-    newline, byte for byte.  The layout is written here; the numbers, nulls
-    and second keys go through one call of the C encoder."""
-    seconds = sorted(report.seconds.items())
-    leaves: list = [report.frame_period_ms, report.total_bytes]
-    for s in report.switches:
-        leaves += (s.t_ms, s.mtp_ms, s.mthq_ms)
-    for sec, streams in seconds:
-        leaves += (str(sec), *streams.values())
-    # No encoded number, null or integer string holds ", ", so the list
-    # splits back into its leaves.
-    leaf = iter(json.dumps(leaves)[1:-1].split(", "))
-    period, total = next(leaf), next(leaf)
-    item = _indented("{", "}", ['"t_ms": %s', '"mtp_ms": %s', '"mthq_ms": %s'], 3)
-    switches = [item % (next(leaf), next(leaf), next(leaf)) for _ in report.switches]
-    names = {name: json.dumps(name) for name in set().union(*report.seconds.values())}
-    buckets = [f"{next(leaf)}: " + _indented("{", "}", [f"{names[name]}: {next(leaf)}"
-                                                        for name in streams], 3)
-               for _, streams in seconds]
-    top = [
-        f'"scheme": {json.dumps(report.scheme_label)}',
-        f'"frame_period_ms": {period}',
-        f'"switches": {_indented("[", "]", switches, 2)}',
-        f'"seconds": {_indented("{", "}", buckets, 2)}',
-        f'"total_bytes": {total}',
-    ]
+    """Write ``report_to_json(report)`` on one line, through one call of the
+    C encoder, and a newline."""
     with open(path, "w") as fh:
-        fh.write(_indented("{", "}", top, 1) + "\n")
+        fh.write(json.dumps(report_to_json(report)) + "\n")
 
 
 def _csv_field(text: str) -> str:

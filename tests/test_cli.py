@@ -228,6 +228,9 @@ class TestMalformedArguments:
         [
             (["select-tiles", "--viewport", "a,b,c,d"], "--viewport wants"),
             (["rewrite", "--in", "{stream}", "--out", "{out}"], "needs --viewport or --trace"),
+            (["rewrite", "--in", "{stream}", "--viewport", "0,0,90,90",
+              "--trace", "{dir}/trace.jsonl", "--out", "{out}"],
+             "rewrite takes --viewport or --trace, not both"),
             (["decode", "--in", "{stream}", "--tiles", "a", "--out", "{out}"], "--tiles wants"),
             (["decode", "--in", "{stream}", "--tiles", "0,", "--out", "{out}"], "--tiles wants"),
             (["decode", "--in", "{stream}", "--tiles", "99", "--out", "{out}"],
@@ -248,6 +251,8 @@ class TestMalformedArguments:
             (["report", "{dir}/binary.csv"], "binary.csv is not UTF-8 text"),
             ([*SIMULATE, "--scheme", "multitrack(30,5,1)"], "unknown scheme 'multitrack(30,5,1)'"),
             ([*SIMULATE, "--scheme", "multitrack(30"], "unknown scheme 'multitrack(30'"),
+            ([*SIMULATE, "--scheme", "multitrack", "--scheme", "multitrack(30,0)"],
+             "--scheme multitrack(30,0) is given twice"),
             (["report", "{dir}/empty.csv"], "empty.csv is empty"),
             (["report", "{dir}/bogus.csv"],
              "bogus.csv line 2: row kind 'bogus' is neither switch nor second"),
@@ -263,14 +268,14 @@ class TestMalformedArguments:
             ([*SIMULATE, "--scheme", "multitrack(99999999999)"], "a GOP exceeds the u16"),
             ([*SIMULATE, "--trace", "{dir}/far.jsonl"], "exceed the session tick budget"),
         ],
-        ids=["viewport-not-numbers", "rewrite-without-pose", "tiles-not-numbers",
-             "tiles-empty-entry", "tile-outside-grid", "negative-tile", "fps-not-a-number",
-             "yaw-not-finite", "uplink-nan",
+        ids=["viewport-not-numbers", "rewrite-without-pose", "rewrite-viewport-and-trace",
+             "tiles-not-numbers", "tiles-empty-entry", "tile-outside-grid", "negative-tile",
+             "fps-not-a-number", "yaw-not-finite", "uplink-nan",
              "bandwidth-nan", "bandwidth-overflows", "bandwidth-mean-overflows",
              "report-mean-overflows",
              "scheme-gop-not-a-number", "report-mtp-not-a-number",
              "report-without-scheme", "report-binary", "scheme-three-gops",
-             "scheme-unclosed", "report-empty", "report-unknown-row-kind",
+             "scheme-unclosed", "scheme-repeated", "report-empty", "report-unknown-row-kind",
              "generate-negative-seed", "encode-negative-seed", "encode-scale-factor-0",
              "simulate-negative-seed",
              "generate-over-pixel-budget", "scheme-cycle-over-pixel-budget",
@@ -622,29 +627,29 @@ class TestGoldenReports:
             "multitrack_10_0.csv":
                 "d29d195397b4296f147b7e4bcbd6682f17e91b862b773fe2b035f2d6fc5080c8",
             "multitrack_10_0.json":
-                "200868852b6d15d983f6c42fdd9a2ed72309e7e7704f3ee03f51d89f887ab343",
+                "6aed134133f3c951ecf1d53e31f81ae4128a02d5ded5e1eeab3e7b937bdc6d54",
             "multitrack_30_5.csv":
                 "50ce99af043b90dc021349aac88ed04cab1009dd5f90749fd3f8a597c4b642e7",
             "multitrack_30_5.json":
-                "b695c7e357689e28e901f3f46f775b69ebfedbd4a608d9991cfb92b3f14df0f8",
+                "06795edb6b36d99cc64313eb70001781659b998170af8419f93867c8aaa78989",
             "svc.csv":
                 "58204b8c38532764fc1a3a492f72fcfdbc5478731981d860261f6aa04e8684b2",
             "svc.json":
-                "d5a7bc8bf061a7f5b2e00e2caadfcbcf10e10a9ad1b873ef84b4f192196aa52e",
+                "beb54efa6da66c6ec2f8ac3b86d3905be95925a5eda8c0eff217cab858287a0a",
         },
         "bandwidth": {
             "multitrack_10_0.csv":
                 "c6235a2bbd3fa072a0384607c770076bcee3f7732b7e2e713d3320faba2a15c9",
             "multitrack_10_0.json":
-                "0fd0c5e11fe3bdde64c28b63e8030c0de7340dde25f17fdda8365914f84e9e79",
+                "c73fb43488136fda4726a1102ebec6bf5710b4c47572f05355c5f6dd656f90b5",
             "multitrack_30_5.csv":
                 "f8fc8b8a03f569e71fac2748d08686055a85915da704de00e37f2f8095397ebf",
             "multitrack_30_5.json":
-                "51bb183b4538d463a0598c66ba4d95f6a233b87da388fb838303d71f8957ea98",
+                "cc61a0655997d66cdb27f76a31779b360c70c3488ef5802581bd1b470daf4aee",
             "svc.csv":
                 "1538f001dc7045f829d8bc1fd75e39f5b24c6a574890bb96f0676f61ce4a2bca",
             "svc.json":
-                "46457da2a0d26b4fc286a2db52df088f7d62c974dc066d66056f7fd3b5ca0553",
+                "1c977bcd42cb1c02f5de5b06b109fd967d5d7b4004ed14ba04f6ad5c3a113e60",
         },
     }
 
