@@ -197,11 +197,11 @@ def _cmd_rewrite(args) -> int:
     elif args.trace is None:
         raise SvbsError("rewrite needs --viewport or --trace")
     else:
-        trace = read_viewport_trace(args.trace)
+        inputs[args.trace] = _read_bytes(args.trace)
+        trace = read_viewport_trace(args.trace, inputs[args.trace])
         if not trace:
             raise SvbsError("trace is empty")
         viewport = trace[0][1]
-        inputs[args.trace] = _read_bytes(args.trace)
     projection = Projection(_projection_kind(args.projection), stream.config.width,
                             stream.config.height)
     selected = select_tiles(viewport, projection, stream.config)
@@ -273,7 +273,8 @@ def _build_scheme(text: str) -> Scheme:
 
 def _cmd_simulate(args) -> int:
     config = _config_from_args(args)
-    trace = read_viewport_trace(args.trace)
+    trace_bytes = _read_bytes(args.trace)
+    trace = read_viewport_trace(args.trace, trace_bytes)
     network = NetworkModel(args.uplink_ms, args.downlink_ms, args.bandwidth_bps)
     schemes = [_build_scheme(s) for s in args.scheme or ["svc"]]
     for i, scheme in enumerate(schemes):
@@ -291,13 +292,16 @@ def _cmd_simulate(args) -> int:
         outputs += [stem + ".json", stem + ".csv"]
     for entry in latency_summary(reports):
         print(json.dumps(entry))
-    _write_manifest(args.out, args, {args.trace: _read_bytes(args.trace)}, outputs)
+    _write_manifest(args.out, args, {args.trace: trace_bytes}, outputs)
     return EXIT_OK
 
 
 def _cmd_report(args) -> int:
     switches: dict[str, list[SwitchSample]] = {}
     byte_rows: dict[str, int] = {}
+    for i, path in enumerate(args.csv):  # a file given twice would count its rows twice
+        if os.path.realpath(path) in map(os.path.realpath, args.csv[:i]):
+            raise BadArgsError(f"report {path} is given twice")
     for path in args.csv:
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)

@@ -81,7 +81,7 @@ SKIPPED_MODE_RECORD = bytes((0, 1, 1, 0, 0, 0))
 class Tile:
     tile_index: int
     tile_kind: TileKind
-    coded_payload: bytes | None = None
+    coded_payload: bytes | memoryview | None = None  # parse gives a read-only memoryview
     superblock_count: int | None = None
 
     def __post_init__(self) -> None:
@@ -171,55 +171,61 @@ def serialize_sequence_header(config: SequenceConfig) -> bytes:
     )
 
 
-def _pack_unit(unit_type: UnitType, payload: bytes) -> bytes:
-    return struct.pack("<BI", int(unit_type), len(payload)) + payload
+# Fixed-size wire pieces, each packed in one call: a unit header with the
+# fixed fields after it, or a tile's fields before its coded payload.
+_UNIT_HEADER = struct.Struct("<BI")
+_FRAME_HEADER_UNIT = struct.Struct("<BIIBBBB")
+_TILE_GROUP_UNIT = struct.Struct("<BIHH")
+_CODED_TILE = struct.Struct("<HBI")
+_SKIPPED_TILE = struct.Struct("<HBH6s")
+_DELIMITER_UNIT = _UNIT_HEADER.pack(UnitType.TEMPORAL_DELIMITER, 0)
 
 
-def _frame_header_payload(header: FrameHeader) -> bytes:
-    flags = (1 if header.cdf_update_disabled else 0) | (2 if header.global_mv_zero else 0)
-    return struct.pack(
-        "<IBBBB",
-        header.frame_index,
-        int(header.layer_id),
-        int(header.frame_type),
-        flags,
-        header.base_ref_offset,
-    )
-
-
-def _tile_group_payload(group: TileGroup) -> bytes:
-    parts = [struct.pack("<HH", group.tg_start, group.tg_end)]
+def _group_pieces(pieces: list, group: TileGroup) -> list:
+    """Append one tile group unit's wire pieces to ``pieces`` and return it;
+    coded payloads are appended as they are, not copied."""
+    at = len(pieces)
+    pieces.append(b"")  # the unit header, once the payload size is known
+    size = 4
     for tile in group.tiles:
-        parts.append(struct.pack("<HB", tile.tile_index, int(tile.tile_kind)))
         if tile.tile_kind == TileKind.CODED:
-            parts.append(struct.pack("<I", len(tile.coded_payload)))
-            parts.append(tile.coded_payload)
+            payload = tile.coded_payload
+            pieces += (_CODED_TILE.pack(tile.tile_index, tile.tile_kind, len(payload)), payload)
+            size += _CODED_TILE.size + len(payload)
         else:
-            parts.append(struct.pack("<H", tile.superblock_count))
-            parts.append(SKIPPED_MODE_RECORD)
-    return b"".join(parts)
+            pieces.append(_SKIPPED_TILE.pack(
+                tile.tile_index, tile.tile_kind, tile.superblock_count, SKIPPED_MODE_RECORD))
+            size += _SKIPPED_TILE.size
+    pieces[at] = _TILE_GROUP_UNIT.pack(UnitType.TILE_GROUP, size, group.tg_start, group.tg_end)
+    return pieces
 
 
-def iter_frame_units(frame: Frame):
-    """Yield (unit_type, payload) pairs for one frame in wire order."""
-    yield UnitType.TEMPORAL_DELIMITER, b""
+def _frame_pieces(frame: Frame) -> list:
+    """The wire pieces of one frame, in order: the one walk that serializes
+    and sizes a frame."""
+    pieces = [_DELIMITER_UNIT]
     for layer in frame.layers:
-        yield UnitType.FRAME_HEADER, _frame_header_payload(layer.header)
+        header = layer.header
+        flags = (1 if header.cdf_update_disabled else 0) | (2 if header.global_mv_zero else 0)
+        pieces.append(_FRAME_HEADER_UNIT.pack(
+            UnitType.FRAME_HEADER, 8, header.frame_index, header.layer_id, header.frame_type,
+            flags, header.base_ref_offset))
         for group in layer.tile_groups:
-            yield UnitType.TILE_GROUP, _tile_group_payload(group)
+            _group_pieces(pieces, group)
+    return pieces
 
 
 def tile_group_size(group: TileGroup) -> int:
     """Serialized bytes of one tile group unit."""
-    return UNIT_HEADER_SIZE + len(_tile_group_payload(group))
+    return sum(map(len, _group_pieces([], group)))
 
 
 def serialize_frame(frame: Frame) -> bytes:
-    return b"".join(_pack_unit(t, p) for t, p in iter_frame_units(frame))
+    return b"".join(_frame_pieces(frame))
 
 
 def serialized_frame_size(frame: Frame) -> int:
-    return sum(UNIT_HEADER_SIZE + len(p) for _, p in iter_frame_units(frame))
+    return sum(map(len, _frame_pieces(frame)))
 
 
 def serialize(bitstream: Bitstream) -> bytes:
@@ -241,7 +247,6 @@ def serialize(bitstream: Bitstream) -> bytes:
 # --- parsing -----------------------------------------------------------------
 
 
-_UNIT_HEADER = struct.Struct("<BI")
 _SEQUENCE_FIELDS = struct.Struct("<HHBBBHHHBB")
 _FRAME_HEADER = struct.Struct("<IBBBB")
 _TG_RANGE = struct.Struct("<HH")
@@ -253,6 +258,7 @@ _CODED, _SKIPPED = int(TileKind.CODED), int(TileKind.SKIPPED)
 _UNIT_DELIMITER, _UNIT_FRAME_HEADER, _UNIT_TILE_GROUP = (
     int(UnitType.TEMPORAL_DELIMITER), int(UnitType.FRAME_HEADER), int(UnitType.TILE_GROUP),
 )
+_STUB_GROUP_PAYLOAD_SIZE = _TG_RANGE.size + _SKIPPED_TILE.size  # one skipped stub
 
 
 def _parse_sequence_header(data: bytes) -> SequenceConfig:
@@ -291,8 +297,9 @@ def _parse_frame_header(data: bytes, start: int, size: int) -> FrameHeader:
     return FrameHeader(idx, layer_id, frame_type, bool(flags & 1), bool(flags & 2), ref)
 
 
-def _parse_tile_group(data: bytes, start: int, end: int) -> TileGroup:
-    """The tile group unit whose payload is ``data[start:end]``, read in place.
+def _parse_tile_group(data: memoryview, start: int, end: int) -> TileGroup:
+    """The tile group unit whose payload is ``data[start:end]``, read in place;
+    each coded payload is a slice of ``data``.
 
     Offsets in errors are absolute.
     """
@@ -344,10 +351,16 @@ def parse(data: bytes) -> Bitstream:
     header and frames of a parsed stream gives back ``data``.  Each temporal
     delimiter opens a frame; a frame header before the first one, a tile
     group before its frame header and an unknown unit type are refused.
-    Every unit is read in place; each coded payload is copied once.  Errors
-    carry the absolute byte offset of the fault.
+    Every unit is read in place.  Each coded payload is a read-only
+    memoryview of the input, which is copied once first unless it is
+    ``bytes``.  Tile groups with the same one-stub payload are one object.
+    Errors carry the absolute byte offset of the fault.
     """
+    if not isinstance(data, bytes):
+        data = bytes(data)
+    view = memoryview(data)
     config = _parse_sequence_header(data)
+    stubs: dict[bytes, TileGroup] = {}
 
     # The layers of each frame, as (header, tile groups) pairs; ``layers`` is
     # the open frame's list, None before the first delimiter.
@@ -370,7 +383,11 @@ def parse(data: bytes) -> Bitstream:
                 raise InvalidStructureError(
                     f"tile group without preceding frame header at offset {unit_offset}"
                 )
-            layers[-1][1].append(_parse_tile_group(data, start, pos))
+            if size != _STUB_GROUP_PAYLOAD_SIZE:
+                group = _parse_tile_group(view, start, pos)
+            elif (group := stubs.get(data[start:pos])) is None:
+                group = stubs[data[start:pos]] = _parse_tile_group(view, start, pos)
+            layers[-1][1].append(group)
         elif type_byte == _UNIT_FRAME_HEADER:
             if layers is None:
                 raise InvalidStructureError(

@@ -353,34 +353,37 @@ def write_viewport_trace(path, samples: list[tuple[float, Viewport]]) -> None:
             )
 
 
-def read_viewport_trace(path) -> list[tuple[float, Viewport]]:
-    """Samples of a trace written by :func:`write_viewport_trace`.
+def read_viewport_trace(path, data: bytes | None = None) -> list[tuple[float, Viewport]]:
+    """Samples of a trace written by :func:`write_viewport_trace`, read from
+    ``data`` when the caller has read the file's bytes already.
 
     A line that is not UTF-8 JSON, not an object with the five numeric keys,
     or not a valid pose raises BadTraceError naming the file and the line.
     """
+    if data is None:
+        with open(path, "rb") as fh:
+            data = fh.read()
     samples = []
-    with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            try:
-                line = raw.decode("utf-8").strip()
-                if not line:
-                    continue
-                obj = json.loads(line)
-                if not isinstance(obj, dict):
-                    raise TypeError(f"want a JSON object, not {type(obj).__name__}")
-                for key in ("t_ms", "yaw_deg", "pitch_deg", "h_fov_deg", "v_fov_deg"):
-                    if type(obj[key]) not in (int, float):  # bool and str are not numbers
-                        raise TypeError(f"{key} must be a number, not {type(obj[key]).__name__}")
-                t_ms = float(obj["t_ms"])
-                if not math.isfinite(t_ms):
-                    raise BadConfigError("t_ms must be finite")
-                viewport = Viewport.from_degrees(
-                    obj["yaw_deg"], obj["pitch_deg"], obj["h_fov_deg"], obj["v_fov_deg"]
-                )
-            except KeyError as exc:
-                raise BadTraceError(f"trace {path} line {lineno}: missing key {exc}") from exc
-            except (ValueError, TypeError, OverflowError, RecursionError, BadConfigError) as exc:
-                raise BadTraceError(f"trace {path} line {lineno}: {exc}") from exc
-            samples.append((t_ms, viewport))
+    for lineno, raw in enumerate(data.split(b"\n"), 1):
+        try:
+            line = raw.decode("utf-8").strip()
+            if not line:
+                continue
+            obj = json.loads(line)
+            if not isinstance(obj, dict):
+                raise TypeError(f"want a JSON object, not {type(obj).__name__}")
+            for key in ("t_ms", "yaw_deg", "pitch_deg", "h_fov_deg", "v_fov_deg"):
+                if type(obj[key]) not in (int, float):  # bool and str are not numbers
+                    raise TypeError(f"{key} must be a number, not {type(obj[key]).__name__}")
+            t_ms = float(obj["t_ms"])
+            if not math.isfinite(t_ms):
+                raise BadConfigError("t_ms must be finite")
+            viewport = Viewport.from_degrees(
+                obj["yaw_deg"], obj["pitch_deg"], obj["h_fov_deg"], obj["v_fov_deg"]
+            )
+        except KeyError as exc:
+            raise BadTraceError(f"trace {path} line {lineno}: missing key {exc}") from exc
+        except (ValueError, TypeError, OverflowError, RecursionError, BadConfigError) as exc:
+            raise BadTraceError(f"trace {path} line {lineno}: {exc}") from exc
+        samples.append((t_ms, viewport))
     return samples

@@ -9,6 +9,8 @@ full.
 
 from __future__ import annotations
 
+import functools
+
 from .config import SequenceConfig
 from .container import (
     Frame,
@@ -29,12 +31,13 @@ def synthesize_skipped_tile(tile_index: int, config: SequenceConfig) -> Tile:
     return Tile(tile_index, TileKind.SKIPPED, superblock_count=config.tile_superblocks)
 
 
-def _skipped_tile_group(tile_index: int, config: SequenceConfig) -> TileGroup:
-    return TileGroup(
-        tg_start=tile_index,
-        tg_end=tile_index,
-        tiles=(synthesize_skipped_tile(tile_index, config),),
-    )
+# One entry holds a grid's stubs: about 290 bytes per tile, so at most some
+# 19 MB at the 255x255-tile grid, the most tiles a header can declare.
+@functools.lru_cache(maxsize=8)
+def _stub_groups(config: SequenceConfig) -> tuple[TileGroup, ...]:
+    """The one-stub tile group of every grid tile, shared by all rewrites."""
+    return tuple(TileGroup(t, t, (synthesize_skipped_tile(t, config),))
+                 for t in range(config.tile_count))
 
 
 def rewrite_viewport_frame(frame: Frame, selected: set[int], config: SequenceConfig) -> Frame:
@@ -42,30 +45,27 @@ def rewrite_viewport_frame(frame: Frame, selected: set[int], config: SequenceCon
 
     The output frame carries, in order: the base layer unchanged, then an
     enhanced header with CDF updates disabled and global motion pinned to
-    zero, then one tile group per grid tile in raster order.
+    zero, then one tile group per grid tile in raster order.  A forwarded
+    tile keeps its input group when that group holds it alone.
     """
-    if not set(selected) <= set(range(config.tile_count)):
+    grid = range(config.tile_count)
+    if not all(t in grid for t in selected):
         raise BadIndexError("selected tiles outside grid")
     base, enhanced = frame.layer(LayerId.BASE), frame.layer(LayerId.ENHANCED)
     if base is None or enhanced is None:
         raise InvalidStructureError("input frame must carry a base and an enhanced layer")
 
-    coded: dict[int, TileGroup] = {}
+    stubs = _stub_groups(config)
+    groups = list(stubs)
     for group in enhanced.tile_groups:
         for tile in group.tiles:
-            if tile.tile_kind == TileKind.CODED:
-                coded[tile.tile_index] = TileGroup(
-                    tg_start=tile.tile_index, tg_end=tile.tile_index, tiles=(tile,)
-                )
-
-    groups = []
-    for t in range(config.tile_count):
-        if t in selected:
-            if t not in coded:
-                raise TileMissingError(t)
-            groups.append(coded[t])
-        else:
-            groups.append(_skipped_tile_group(t, config))
+            t = tile.tile_index
+            if tile.tile_kind == TileKind.CODED and t in selected:
+                alone = len(group.tiles) == 1 and group.tg_start == group.tg_end == t
+                groups[t] = group if alone else TileGroup(t, t, (tile,))
+    missing = [t for t in grid if t in selected and groups[t] is stubs[t]]
+    if missing:
+        raise TileMissingError(missing[0])
 
     header = FrameHeader(
         frame_index=enhanced.header.frame_index,
@@ -76,4 +76,3 @@ def rewrite_viewport_frame(frame: Frame, selected: set[int], config: SequenceCon
         base_ref_offset=enhanced.header.base_ref_offset,
     )
     return Frame(layers=(base, LayerFrame(header, tuple(groups))))
-

@@ -31,7 +31,7 @@ from .config import SequenceConfig
 from .container import LayerId, rate_records, tile_group_size
 from .errors import BadArgsError, EmptyTraceError, TooLargeError
 from .geometry import Projection, ProjectionKind, Viewport, select_tiles
-from .rewriter import _skipped_tile_group
+from .rewriter import _stub_groups
 
 MTHQ_COMPLIANCE_MS = 50.0
 
@@ -218,7 +218,7 @@ def _stream_tables(
     one single-layer stream, sending nothing outside."""
     source = generate_content(seed, config, cycle)
     if tracks is None:
-        streams, stub = (encode_svc(source),), tile_group_size(_skipped_tile_group(0, config))
+        streams, stub = (encode_svc(source),), tile_group_size(_stub_groups(config)[0])
     else:
         streams, stub = (encode_track(source, gop, res) for gop, res in tracks), 0
     return tuple((*_read_only(header, tiles), stub if layer == LayerId.ENHANCED else 0)

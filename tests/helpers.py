@@ -47,7 +47,7 @@ from svbs.errors import (
     UnknownUnitTypeError,
 )
 from svbs.geometry import Projection, ProjectionKind, _frustum_mask, _unproject, select_tiles
-from svbs.rewriter import _skipped_tile_group
+from svbs.rewriter import _stub_groups
 from svbs.simulator import (
     _TICK_EPS,
     FrameLog,
@@ -602,7 +602,7 @@ def _ref_svc_tables(config: SequenceConfig, seed: int, cycle: int):
             base_bytes[rec.frame_index] += rec.n_bytes
         else:
             coded[rec.frame_index][rec.tile_index] = rec.n_bytes
-    skip_group_bytes = tile_group_size(_skipped_tile_group(0, config))
+    skip_group_bytes = tile_group_size(_stub_groups(config)[0])
     return base_bytes, enh_header, coded, skip_group_bytes
 
 

@@ -452,6 +452,30 @@ class TestManifestDigests:
             assert manifest["inputs"] == {str(p): sha256(p) for p in inputs}
         capsys.readouterr()
 
+    def test_trace_is_opened_once(self, tmp_path, capsys, monkeypatch):
+        # One read gives both the poses and the digest, so they cannot
+        # disagree when the file changes during the command.
+        stream_path = tmp_path / "s.svb"
+        trace_path = tmp_path / "t.jsonl"
+        main(["encode", *SMALL, "--frames", "2", "--out", str(stream_path)])
+        write_viewport_trace(trace_path, [(0.0, Viewport.from_degrees(0, 0, 90, 90))])
+        opened = []
+        real_open = open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counting_open)
+        for argv in (["rewrite", "--in", str(stream_path), "--trace", str(trace_path),
+                      "--out", str(tmp_path / "r.svb")],
+                     ["simulate", *SMALL, "--trace", str(trace_path),
+                      "--out", str(tmp_path / "sim")]):
+            opened.clear()
+            assert main(argv) == EXIT_OK
+            assert opened.count(str(trace_path)) == 1
+        capsys.readouterr()
+
 
 class TestSelectTiles:
     def test_equatorial_erp_selection(self, capsys):
@@ -498,6 +522,22 @@ class TestSimulateAndReport:
         for entry in summary:
             assert entry["switches"] == 8
             assert entry["total_bytes"] > 0
+
+    def test_report_refuses_a_csv_given_twice(self, tmp_path, capsys):
+        trace_path = tmp_path / "t.jsonl"
+        _golden_trace(trace_path)
+        assert main(["simulate", *SMALL, "--trace", str(trace_path),
+                     "--out", str(tmp_path / "sim")]) == EXIT_OK
+        path = tmp_path / "sim.svc.csv"
+        (tmp_path / "link.csv").symlink_to(path)
+        for other in (path, tmp_path / "." / path.name, tmp_path / "link.csv"):
+            capsys.readouterr()
+            assert main(["report", str(path), str(other)]) == EXIT_DATA
+            err = capsys.readouterr().err
+            assert err.startswith("error: report ") and "given twice" in err
+            assert "Traceback" not in err
+        assert main(["report", str(path)]) == EXIT_OK
+        assert len(json.loads(capsys.readouterr().out)) == 1
 
     def test_simulate_builds_no_frame_logs(self, tmp_path, capsys, monkeypatch):
         def refuse(*args):
@@ -597,6 +637,23 @@ class TestSimulateAndReport:
         assert len({e["p95_mthq_ms"] for e in reported}) > 1
         for entry in reported:
             assert entry["p95_mthq_ms"] == simulated[entry["scheme"]]["p95_mthq_ms"]
+
+
+class TestGoldenRewrite:
+    """SHA-256 of an `svbs rewrite` output at the simulator's reference
+    config.  The viewport spans the ERP seam, so the kept tiles are not
+    adjacent.  A change to the rewriter or the serializer must keep these
+    bytes."""
+
+    def test_rewrite_digest(self, tmp_path, capsys):
+        stream_path, out = tmp_path / "s.svb", tmp_path / "r.svb"
+        assert main(["encode", "--width", "384", "--height", "192", "--tile-cols", "6",
+                     "--tile-rows", "4", "--gop", "10", "--frames", "12", "--seed", "3",
+                     "--out", str(stream_path)]) == EXIT_OK
+        assert main(["rewrite", "--in", str(stream_path), "--viewport", "170,20,100,90",
+                     "--out", str(out)]) == EXIT_OK
+        assert "kept tiles [0, 1, 4, 5, 6, 10, 11, 12, 17]" in capsys.readouterr().out
+        assert sha256(out) == "626d8e0e42abacec4be4ab16d5ca1ff73c4716a1bc9e2cc8a1a33a2681527514"
 
 
 def _golden_trace(path) -> None:

@@ -115,6 +115,35 @@ class TestRoundTrip:
         assert parse(serialize(stream)) == stream
 
 
+class TestPayloadsInPlace:
+    """``parse`` reads coded payloads as read-only views of its input."""
+
+    def test_mutating_a_parsed_bytearray_leaves_the_stream(self):
+        data = serialize(valid_stream(2))
+        buffer = bytearray(data)
+        parsed = parse(buffer)
+        buffer[HEADER_SIZE:] = bytes(len(buffer) - HEADER_SIZE)
+        assert parsed == parse(data) == valid_stream(2)
+        assert serialize(parsed) == data
+
+    def test_parsed_tile_equals_and_hashes_like_a_bytes_tile(self):
+        parsed = parse(serialize(valid_stream(1))).frames[0].layers[1].tile_groups[0].tiles[0]
+        assert isinstance(parsed.coded_payload, memoryview)
+        assert parsed.coded_payload.readonly
+        built = coded_tile(0)
+        assert parsed == built and hash(parsed) == hash(built)
+        with pytest.raises(TypeError):
+            parsed.coded_payload[0] = 0
+
+    def test_one_stub_groups_are_shared_within_a_parse(self):
+        config = small_config()
+        frames = tuple(rewrite_viewport_frame(f, {0}, config) for f in valid_stream(3).frames)
+        parsed = parse(serialize(Bitstream(config, frames)))
+        stubs = {id(g) for f in parsed.frames for g in f.layers[1].tile_groups[1:]}
+        assert len(stubs) == config.tile_count - 1
+        assert parsed.frames == frames
+
+
 class TestParseErrors:
     def test_first_three_bytes_truncated(self):
         data = serialize(valid_stream())[:3]
@@ -417,6 +446,25 @@ class TestByteAccounting:
         for stream in accounted_streams():
             per_frame = record_bytes_per_frame(stream)
             assert per_frame == [serialized_frame_size(f) for f in stream.frames]
+
+    def test_sizes_match_the_serialized_units(self):
+        # Each tile group's size is its unit's share of the frame's bytes:
+        # type TILE_GROUP, a payload size of the rest, and the next unit
+        # starting right after it.
+        rng = random.Random(20240826)
+        for _ in range(100):
+            for frame in random_bitstream(rng).frames:
+                data = serialize_frame(frame)
+                assert serialized_frame_size(frame) == len(data)
+                offset = UNIT_HEADER_SIZE
+                for layer in frame.layers:
+                    offset += FRAME_HEADER_UNIT_SIZE
+                    for group in layer.tile_groups:
+                        size = tile_group_size(group)
+                        kind, payload_size = struct.unpack_from("<BI", data, offset)
+                        assert (kind, payload_size) == (UnitType.TILE_GROUP, size - UNIT_HEADER_SIZE)
+                        offset += size
+                assert offset == len(data)
 
     def test_layer_split(self):
         # Per layer, one header record; the delimiter rides on the first one.

@@ -1,28 +1,35 @@
 """Viewport-dependent frame rewriting with synthesized skipped tiles."""
 
 import math
+import tracemalloc
 
 import pytest
 
 from helpers import record_bytes_per_frame
 from svbs.codec import encode_svc, generate_content
-from svbs.config import SUPERBLOCK_SIZE, SequenceConfig
+from svbs.config import FRAME_PIXEL_BUDGET, SUPERBLOCK_SIZE, SequenceConfig
 from svbs.container import (
+    FRAME_HEADER_UNIT_SIZE,
     SKIPPED_MODE_RECORD,
     Bitstream,
+    Frame,
+    FrameHeader,
+    FrameType,
+    LayerFrame,
     LayerId,
+    Tile,
     TileGroup,
     TileKind,
     UNIT_HEADER_SIZE,
     parse,
     serialize,
+    serialize_frame,
     serialized_frame_size,
     validate_structure,
-    _tile_group_payload,
 )
 from svbs.errors import BadIndexError, InvalidStructureError, TileMissingError
 from svbs.geometry import Projection, ProjectionKind, Viewport, select_tiles
-from svbs.rewriter import rewrite_viewport_frame, synthesize_skipped_tile
+from svbs.rewriter import _stub_groups, rewrite_viewport_frame, synthesize_skipped_tile
 
 
 def small_config(**overrides) -> SequenceConfig:
@@ -33,6 +40,14 @@ def small_config(**overrides) -> SequenceConfig:
 
 def small_stream(n_frames: int = 4) -> Bitstream:
     return encode_svc(generate_content(6, small_config(), n_frames))
+
+
+def _tile_group_unit(group: TileGroup) -> bytes:
+    """The serialized unit of one tile group, read from the frame that holds
+    it alone: after the delimiter and the frame header."""
+    header = FrameHeader(0, LayerId.ENHANCED, FrameType.INTER)
+    data = serialize_frame(Frame((LayerFrame(header, (group,)),)))
+    return data[UNIT_HEADER_SIZE + FRAME_HEADER_UNIT_SIZE:]
 
 
 class TestSkippedTileSynthesis:
@@ -51,14 +66,14 @@ class TestSkippedTileSynthesis:
     def test_canonical_mode(self):
         tile = synthesize_skipped_tile(0, small_config())
         assert tile.tile_kind == TileKind.SKIPPED
-        payload = _tile_group_payload(TileGroup(0, 0, (tile,)))
+        payload = _tile_group_unit(TileGroup(0, 0, (tile,)))[UNIT_HEADER_SIZE:]
         # partition none, skip, inter, base layer only, zero motion, no OBMC.
         assert payload[-6:] == SKIPPED_MODE_RECORD == bytes((0, 1, 1, 0, 0, 0))
 
     def test_group_payload_is_compact(self):
         config = small_config()
         tile = synthesize_skipped_tile(3, config)
-        payload = _tile_group_payload(TileGroup(3, 3, (tile,)))
+        payload = _tile_group_unit(TileGroup(3, 3, (tile,)))[UNIT_HEADER_SIZE:]
         assert len(payload) <= 16
         assert UNIT_HEADER_SIZE + len(payload) == 20
 
@@ -152,6 +167,57 @@ class TestRewriteFrame:
         rewritten = Bitstream(stream.config, frames)
         assert record_bytes_per_frame(rewritten) == [serialized_frame_size(f) for f in frames]
         assert parse(serialize(rewritten)) == rewritten
+
+
+class TestStubCache:
+    """Every rewrite under one config shares one set of stub groups."""
+
+    def test_rewrites_share_the_stub_groups(self):
+        stream = small_stream()
+        first = rewrite_viewport_frame(stream.frames[0], {0}, stream.config)
+        second = rewrite_viewport_frame(stream.frames[1], {3}, stream.config)
+        stubs = _stub_groups(stream.config)
+        for t in (1, 2):
+            assert first.layers[1].tile_groups[t] is second.layers[1].tile_groups[t] is stubs[t]
+
+    def test_another_grid_gets_other_stubs(self):
+        stream = small_stream()
+        wide = small_config(width=128, tile_cols=4)
+        assert _stub_groups(wide)[0] is not _stub_groups(stream.config)[0]
+        rewritten = rewrite_viewport_frame(stream.frames[0], set(), stream.config)
+        assert all(g.tiles[0].superblock_count == stream.config.tile_superblocks
+                   for g in rewritten.layers[1].tile_groups)
+        assert _stub_groups(wide)[0].tiles[0].superblock_count == wide.tile_superblocks
+
+    def test_cache_is_bounded(self):
+        # 255x255 tiles is the most a header can declare (u8 fields).  One
+        # entry there stays under 32 MiB, so the full cache under 256 MiB.
+        config = SequenceConfig(width=255, height=255, scale_factor=1,
+                                tile_cols=255, tile_rows=255)
+        assert config.width * config.height <= FRAME_PIXEL_BUDGET
+        maxsize = _stub_groups.cache_info().maxsize
+        assert maxsize is not None and maxsize * 32 <= 256
+        tracemalloc.start()
+        try:
+            stubs = _stub_groups(config)
+            size, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            _stub_groups.cache_clear()
+        assert len(stubs) == 255 * 255
+        assert size < 32 * 2**20
+
+    def test_multi_tile_group_is_split_per_tile(self):
+        config = small_config()
+        base = small_stream().frames[1].layers[0]
+        tiles = tuple(Tile(t, TileKind.CODED, coded_payload=bytes([t])) for t in range(4))
+        header = FrameHeader(1, LayerId.ENHANCED, FrameType.INTER)
+        frame = Frame((base, LayerFrame(header, (TileGroup(0, 3, tiles),))))
+        out = rewrite_viewport_frame(frame, {1, 2}, config)
+        groups = out.layers[1].tile_groups
+        assert [(g.tg_start, g.tg_end, len(g.tiles)) for g in groups] == [(t, t, 1) for t in range(4)]
+        assert [g.tiles[0] for g in groups[1:3]] == [tiles[1], tiles[2]]
+        assert validate_structure(Bitstream(config, (small_stream().frames[0], out))) == []
 
 
 class TestRewriteSession:
