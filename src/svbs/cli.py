@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import tempfile
+from threading import Thread
 
 from . import __version__
 from .codec import (
@@ -129,18 +130,35 @@ def _check_frame_index(index: int, stream) -> int:
     return index
 
 
-def _read_bytes(path: str) -> bytes:
+# An input this large is hashed on a second thread while the command parses
+# it (hashlib releases the GIL); a smaller one costs less to hash inline.
+THREAD_HASH_MIN_BYTES = 1 << 20
+
+
+def _read_input(path: str, inputs: dict) -> bytes:
+    """Read ``path`` and start its manifest digest, recorded in ``inputs``."""
     with open(path, "rb") as fh:
-        return fh.read()
+        data = fh.read()
+    digest, thread = hashlib.sha256(), None
+    if len(data) >= THREAD_HASH_MIN_BYTES:
+        thread = Thread(target=digest.update, args=(data,))
+        thread.start()  # returns once the worker runs
+    else:
+        digest.update(data)
+    inputs[path] = (thread, digest)
+    return data
 
 
-def _write_manifest(out_path: str, args, inputs: dict[str, bytes], outputs: list[str]) -> None:
-    """``inputs`` maps each input path to the bytes the command read from it."""
+def _write_manifest(out_path: str, args, inputs: dict, outputs: list[str]) -> None:
+    """``inputs`` maps each input path to the (thread, digest) of ``_read_input``."""
+    for thread, _ in inputs.values():
+        if thread is not None:
+            thread.join()
     manifest = {
         "tool_version": __version__,
         "command": getattr(args, "command", ""),
         "args": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
-        "inputs": {p: hashlib.sha256(data).hexdigest() for p, data in inputs.items()},
+        "inputs": {p: digest.hexdigest() for p, (_, digest) in inputs.items()},
         "outputs": outputs,
     }
     path = out_path + ".manifest.json"
@@ -187,9 +205,8 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_rewrite(args) -> int:
-    data = _read_bytes(args.input)
-    stream = parse(data)
-    inputs = {args.input: data}
+    inputs = {}
+    stream = parse(_read_input(args.input, inputs))
     if args.viewport is not None and args.trace is not None:
         raise SvbsError("rewrite takes --viewport or --trace, not both")
     if args.viewport:
@@ -197,8 +214,7 @@ def _cmd_rewrite(args) -> int:
     elif args.trace is None:
         raise SvbsError("rewrite needs --viewport or --trace")
     else:
-        inputs[args.trace] = _read_bytes(args.trace)
-        trace = read_viewport_trace(args.trace, inputs[args.trace])
+        trace = read_viewport_trace(args.trace, _read_input(args.trace, inputs))
         if not trace:
             raise SvbsError("trace is empty")
         viewport = trace[0][1]
@@ -221,13 +237,13 @@ def _cmd_rewrite(args) -> int:
 
 
 def _cmd_decode(args) -> int:
-    data = _read_bytes(args.input)
-    stream = parse(data)
+    inputs = {}
+    stream = parse(_read_input(args.input, inputs))
     tiles = _parse_tiles(args.tiles, stream.config.tile_count)
     frame = decode_frame(stream, _check_frame_index(args.frame, stream), tiles)
     with open(args.out, "wb") as fh:
         fh.write(frame.tobytes())
-    _write_manifest(args.out, args, {args.input: data}, [args.out])
+    _write_manifest(args.out, args, inputs, [args.out])
     print(f"decoded frame {args.frame} ({frame.width}x{frame.height}) -> {args.out}")
     return EXIT_OK
 
@@ -273,8 +289,8 @@ def _build_scheme(text: str) -> Scheme:
 
 def _cmd_simulate(args) -> int:
     config = _config_from_args(args)
-    trace_bytes = _read_bytes(args.trace)
-    trace = read_viewport_trace(args.trace, trace_bytes)
+    inputs = {}
+    trace = read_viewport_trace(args.trace, _read_input(args.trace, inputs))
     network = NetworkModel(args.uplink_ms, args.downlink_ms, args.bandwidth_bps)
     schemes = [_build_scheme(s) for s in args.scheme or ["svc"]]
     for i, scheme in enumerate(schemes):
@@ -292,7 +308,7 @@ def _cmd_simulate(args) -> int:
         outputs += [stem + ".json", stem + ".csv"]
     for entry in latency_summary(reports):
         print(json.dumps(entry))
-    _write_manifest(args.out, args, {args.trace: trace_bytes}, outputs)
+    _write_manifest(args.out, args, inputs, outputs)
     return EXIT_OK
 
 

@@ -77,7 +77,7 @@ class TileKind(IntEnum):
 SKIPPED_MODE_RECORD = bytes((0, 1, 1, 0, 0, 0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tile:
     tile_index: int
     tile_kind: TileKind
@@ -92,14 +92,14 @@ class Tile:
             raise InvalidStructureError("SKIPPED tile requires superblock_count")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TileGroup:
     tg_start: int
     tg_end: int
     tiles: tuple[Tile, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FrameHeader:
     frame_index: int
     layer_id: LayerId
@@ -109,13 +109,13 @@ class FrameHeader:
     base_ref_offset: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LayerFrame:
     header: FrameHeader
     tile_groups: tuple[TileGroup, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Frame:
     """One temporal unit: a temporal delimiter, then its layers."""
 
@@ -126,20 +126,20 @@ class Frame:
         return next((l for l in self.layers if l.header.layer_id == layer_id), None)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bitstream:
     config: SequenceConfig
     frames: tuple[Frame, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Violation:
     frame_index: int
     rule: str
     detail: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RateRecord:
     """Serialized byte cost of one container unit, attributed to a tile; the
     header record of a frame's first layer also holds the frame's delimiter."""
@@ -423,8 +423,10 @@ R_SKIP_FLAGS = "R_SKIP_FLAGS"
 def _check_layer_tiles(
     out: list[Violation], pos: int, layer: LayerFrame, config: SequenceConfig
 ) -> None:
-    cols, rows = config.layer_grid(layer.header.layer_id == LayerId.BASE)
+    is_base = layer.header.layer_id == LayerId.BASE
+    cols, rows = config.layer_grid(is_base)
     count = cols * rows
+    superblocks = config.tile_superblocks
     seen: set[int] = set()
     has_skipped = False
     range_broken = False
@@ -450,25 +452,19 @@ def _check_layer_tiles(
             seen.add(tile.tile_index)
             if tile.tile_kind == TileKind.SKIPPED:
                 has_skipped = True
-                if layer.header.layer_id == LayerId.BASE:
+                if is_base:
                     out.append(Violation(pos, R_SKIP_IN_BASE, f"tile {tile.tile_index}"))
-                elif tile.superblock_count != config.tile_superblocks:
-                    out.append(Violation(
-                        pos, R_SKIP_FLAGS, f"tile {tile.tile_index} has {tile.superblock_count}"
-                        f" superblocks, want {config.tile_superblocks}"))
+                elif tile.superblock_count != superblocks:
+                    detail = f"tile {tile.tile_index} has {tile.superblock_count} superblocks"
+                    out.append(Violation(pos, R_SKIP_FLAGS, f"{detail}, want {superblocks}"))
     if len(seen) != count and not range_broken:
         out.append(
             Violation(pos, R_TILE_COVERAGE, f"layer covers {len(seen)} of {count} grid tiles")
         )
     if has_skipped and layer.header.layer_id == LayerId.ENHANCED:
         if not (layer.header.cdf_update_disabled and layer.header.global_mv_zero):
-            out.append(
-                Violation(
-                    pos,
-                    R_SKIP_FLAGS,
-                    "skipped tiles require cdf_update_disabled and global_mv_zero",
-                )
-            )
+            out.append(Violation(pos, R_SKIP_FLAGS,
+                                 "skipped tiles require cdf_update_disabled and global_mv_zero"))
 
 
 def validate_structure(bitstream: Bitstream) -> list[Violation]:

@@ -31,8 +31,8 @@ def synthesize_skipped_tile(tile_index: int, config: SequenceConfig) -> Tile:
     return Tile(tile_index, TileKind.SKIPPED, superblock_count=config.tile_superblocks)
 
 
-# One entry holds a grid's stubs: about 290 bytes per tile, so at most some
-# 19 MB at the 255x255-tile grid, the most tiles a header can declare.
+# One entry holds a grid's stubs: about 210 bytes per tile, so at most some
+# 14 MB at the 255x255-tile grid, the most tiles a header can declare.
 @functools.lru_cache(maxsize=8)
 def _stub_groups(config: SequenceConfig) -> tuple[TileGroup, ...]:
     """The one-stub tile group of every grid tile, shared by all rewrites."""

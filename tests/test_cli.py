@@ -10,6 +10,7 @@ import random
 import struct
 import subprocess
 import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -427,10 +428,30 @@ class TestParserReuse:
         capsys.readouterr()
 
 
+@pytest.fixture
+def started_threads(monkeypatch) -> list:
+    """Every thread the CLI starts to hash an input, in order."""
+    started = []
+
+    class RecordedThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr("svbs.cli.Thread", RecordedThread)
+    return started
+
+
 class TestManifestDigests:
     """Each manifest's input digest is the SHA-256 of the file the command read."""
 
-    def test_input_digests_match_the_files(self, tmp_path, capsys):
+    @pytest.mark.parametrize("threshold", [None, 0], ids=["inline", "on-thread"])
+    def test_input_digests_match_the_files(self, tmp_path, capsys, monkeypatch,
+                                           started_threads, threshold):
+        # Every input here is far under the threshold, so as-is each digest
+        # is taken inline; at 0 each input gets one hashing thread.
+        if threshold is not None:
+            monkeypatch.setattr("svbs.cli.THREAD_HASH_MIN_BYTES", threshold)
         stream_path = tmp_path / "s.svb"
         trace_path = tmp_path / "t.jsonl"
         main(["encode", *SMALL, "--frames", "3", "--out", str(stream_path)])
@@ -447,10 +468,36 @@ class TestManifestDigests:
                           "--out", str(tmp_path / "sim")], [trace_path]),
         }
         for argv, inputs in runs.values():
+            started_threads.clear()
             assert main(argv) == EXIT_OK
             manifest = json.loads((tmp_path / (argv[-1] + ".manifest.json")).read_text())
             assert manifest["inputs"] == {str(p): sha256(p) for p in inputs}
+            assert len(started_threads) == (0 if threshold is None else len(inputs))
+            assert not any(thread.is_alive() for thread in started_threads)
         capsys.readouterr()
+
+    def test_simulate_hashes_its_trace_inline(self, tmp_path, capsys, started_threads):
+        trace_path = tmp_path / "t.jsonl"
+        _golden_trace(trace_path)
+        assert main(["simulate", *SMALL, "--trace", str(trace_path),
+                     "--out", str(tmp_path / "sim")]) == EXIT_OK
+        assert started_threads == []
+        capsys.readouterr()
+
+    def test_truncated_stream_hashed_on_a_thread_is_data_error(
+            self, tmp_path, capsys, monkeypatch, started_threads):
+        monkeypatch.setattr("svbs.cli.THREAD_HASH_MIN_BYTES", 0)
+        stream_path = tmp_path / "s.svb"
+        main(["encode", *SMALL, "--frames", "3", "--out", str(stream_path)])
+        stream_path.write_bytes(stream_path.read_bytes()[:-7])
+        capsys.readouterr()
+        assert main(["decode", "--in", str(stream_path), "--frame", "2",
+                     "--out", str(tmp_path / "d.yuv")]) == EXIT_DATA
+        assert len(started_threads) == 1
+        started_threads[0].join()  # anything the thread printed is in stderr now
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
 
     def test_trace_is_opened_once(self, tmp_path, capsys, monkeypatch):
         # One read gives both the poses and the digest, so they cannot

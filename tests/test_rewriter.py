@@ -191,12 +191,12 @@ class TestStubCache:
 
     def test_cache_is_bounded(self):
         # 255x255 tiles is the most a header can declare (u8 fields).  One
-        # entry there stays under 32 MiB, so the full cache under 256 MiB.
+        # entry there stays under 16 MiB, so the full cache under 128 MiB.
         config = SequenceConfig(width=255, height=255, scale_factor=1,
                                 tile_cols=255, tile_rows=255)
         assert config.width * config.height <= FRAME_PIXEL_BUDGET
         maxsize = _stub_groups.cache_info().maxsize
-        assert maxsize is not None and maxsize * 32 <= 256
+        assert maxsize is not None and maxsize * 16 <= 128
         tracemalloc.start()
         try:
             stubs = _stub_groups(config)
@@ -205,7 +205,7 @@ class TestStubCache:
             tracemalloc.stop()
             _stub_groups.cache_clear()
         assert len(stubs) == 255 * 255
-        assert size < 32 * 2**20
+        assert size < 16 * 2**20
 
     def test_multi_tile_group_is_split_per_tile(self):
         config = small_config()
