@@ -120,10 +120,6 @@ def _parse_tiles(text: str, tile_count: int) -> set[int]:
     return tiles
 
 
-def _projection_kind(name: str) -> ProjectionKind:
-    return ProjectionKind.ERP if name == "erp" else ProjectionKind.CUBEMAP_3x2
-
-
 def _check_frame_index(index: int, stream) -> int:
     if not 0 <= index < len(stream.frames):
         raise SvbsError(f"--frame {index} outside [0, {len(stream.frames)})")
@@ -218,7 +214,7 @@ def _cmd_rewrite(args) -> int:
         if not trace:
             raise SvbsError("trace is empty")
         viewport = trace[0][1]
-    projection = Projection(_projection_kind(args.projection), stream.config.width,
+    projection = Projection(ProjectionKind(args.projection), stream.config.width,
                             stream.config.height)
     selected = select_tiles(viewport, projection, stream.config)
     if args.frame is None:
@@ -264,7 +260,7 @@ def _cmd_validate(args) -> int:
 def _cmd_select_tiles(args) -> int:
     config = _config_from_args(args)
     viewport = _parse_viewport(args.viewport)
-    projection = Projection(_projection_kind(args.projection), config.width, config.height)
+    projection = Projection(ProjectionKind(args.projection), config.width, config.height)
     tiles = select_tiles(viewport, projection, config)
     print(",".join(str(t) for t in sorted(tiles)))
     return EXIT_OK
@@ -296,7 +292,7 @@ def _cmd_simulate(args) -> int:
     for i, scheme in enumerate(schemes):
         if scheme in schemes[:i]:  # a scheme's label holds every field
             raise BadArgsError(f"--scheme {scheme.label} is given twice")
-    projection_kind = _projection_kind(args.projection)
+    projection_kind = ProjectionKind(args.projection)
     reports = [run_session(scheme, trace, network, config, args.seed,
                            projection_kind=projection_kind) for scheme in schemes]
 

@@ -436,18 +436,21 @@ def decode_frame(
         base = bases[i - gop_start]
         return upsample_nearest(RasterFrame(config.base_width, config.base_height, base), sf).samples
 
-    out = upsampled(frame_index).copy()
+    out = upsampled(frame_index)
     enh = bitstream.frames[frame_index].layer(LayerId.ENHANCED)
     if enh is None:
         return RasterFrame(config.width, config.height, out)
     regions = _grid_regions(config.width, config.height, config.layer_grid(base=False))
-    ref = None
+    # Tiles are disjoint, so a tile's region of ``out`` still holds the
+    # upsampled base until that tile is written.
+    offset = enh.header.base_ref_offset
+    ref = out if offset == 0 else None
     for group in enh.tile_groups:
         for tile in group.tiles:
             if tile.tile_kind != TileKind.CODED or tile.tile_index not in received_tiles:
                 continue
             if ref is None:
-                ref = upsampled(frame_index - enh.header.base_ref_offset)
+                ref = upsampled(frame_index - offset)
             rs, cs = regions[tile.tile_index]
             out[rs, cs] = ref[rs, cs] + _decoded_tile(tile, out[rs, cs])
     return RasterFrame(config.width, config.height, out)

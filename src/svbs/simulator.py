@@ -19,10 +19,10 @@ import io
 import json
 import math
 import statistics
-from collections.abc import Sequence
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -105,51 +105,20 @@ class FrameLog:
     bytes_by_stream: dict[str, int]
 
 
-class _FrameLogs(Sequence):
-    """A session's FrameLogs, one per tick, built from its columns the first
-    time they are read and kept from then on.
-
-    ``streams`` maps each stream name to its bytes per tick.  A tick lists
-    the streams it sends bytes on: every frame a stream sends carries a frame
-    header, so a sent stream never has 0 bytes.
-    """
-
-    def __init__(self, display, hq_sets, hq_ids, streams):
-        self._columns = display, hq_sets, hq_ids, streams
-        self._logs: tuple[FrameLog, ...] | None = None
-
-    def _built(self) -> tuple[FrameLog, ...]:
-        if self._logs is None:
-            display, hq_sets, hq_ids, streams = self._columns
-            cols = [(name, col.tolist()) for name, col in streams.items()]
-            hq = [hq_sets[h] for h in hq_ids.tolist()]
-            self._logs = tuple(
-                FrameLog(k, display_ms, hq[k], hq[k],
-                         {name: col[k] for name, col in cols if col[k]})
-                for k, display_ms in enumerate(display.tolist())
-            )
-        return self._logs
-
-    def __len__(self) -> int:
-        return len(self._columns[0])
-
-    def __getitem__(self, index):
-        return self._built()[index]
-
-    # Equal to a list or tuple of the same FrameLogs.
-    def __eq__(self, other):
-        if isinstance(other, (list, tuple, _FrameLogs)):
-            return list(self) == list(other)
-        return NotImplemented
-
-
 @dataclass(frozen=True)
 class SessionReport:
     scheme_label: str
     frame_period_ms: float
     switches: list[SwitchSample]
     seconds: dict[int, dict[str, int]]  # second -> stream -> bytes
-    frames: Sequence[FrameLog] = field(repr=False, default=())
+    # Builds the per-tick logs; ``frames`` calls it once, on first read.
+    _frame_logs: Callable[[], tuple[FrameLog, ...]] = field(
+        default=tuple, compare=False, repr=False)
+
+    @cached_property
+    def frames(self) -> tuple[FrameLog, ...]:
+        """One FrameLog per tick, built the first time it is read."""
+        return self._frame_logs()
 
     @property
     def mthq_samples(self) -> list[float]:
@@ -316,11 +285,13 @@ def run_session(
         member[s, list(tiles)] = 1
     outside = (config.tile_count - member.sum(axis=1))[:, None]
 
-    # Pose arrival times at the server; the initial pose is known from t=0.
-    pose_known_at = np.array([times[0]] + [t + network.uplink_delay_ms for t in times[1:]])
+    # The one known-pose rule: tick k knows the latest pose whose uplink
+    # arrival is <= k*T (within _TICK_EPS of a tick); the initial pose is
+    # known from t=0.  Switch ticks are read from this column too.
+    arrivals = np.array(times[1:], dtype=np.float64) + network.uplink_delay_ms
     ks = np.arange(n_ticks)
     t_k = ks * period
-    known = np.searchsorted(pose_known_at[1:], t_k + period * _TICK_EPS, side="right")
+    known = np.searchsorted(arrivals, t_k + period * _TICK_EPS, side="right")
     j = ks % cycle
 
     def region(header, tiles, stub):
@@ -367,37 +338,44 @@ def run_session(
         for g, sec in enumerate(second[starts].astype(np.int64).tolist())
     }
 
-    switches = _resolve_switches(times, pose_known_at, pose_set_ids, tile_sets,
-                                 display, hq_ids, hq_sets, period)
+    def frame_logs():
+        # A tick lists the streams it sends bytes on: every frame a stream
+        # sends carries a frame header, so a sent stream never has 0 bytes.
+        cols = [(name, col.tolist()) for name, col in streams.items()]
+        hq = [hq_sets[h] for h in hq_ids.tolist()]
+        return tuple(FrameLog(k, display_ms, hq[k], hq[k],
+                              {name: col[k] for name, col in cols if col[k]})
+                     for k, display_ms in enumerate(display.tolist()))
+
     return SessionReport(
         scheme_label=scheme.label,
         frame_period_ms=period,
-        switches=switches,
+        switches=_resolve_switches(times, known, pose_set_ids, tile_sets,
+                                   display, hq_ids, hq_sets),
         seconds=seconds,
-        frames=_FrameLogs(display, hq_sets, hq_ids, streams),
+        _frame_logs=frame_logs,
     )
 
 
-def _resolve_switches(times, pose_known_at, pose_set, tile_sets, display, hq_ids, hq_sets,
-                      period):
+def _resolve_switches(times, known, pose_set, tile_sets, display, hq_ids, hq_sets):
     """MTP and MTHQ of each switch: the display time of the first tick that
     knows its pose, and of the first such tick, before the next switch is
     known, whose HQ tiles cover the pose's tiles."""
     n_ticks = len(display)
-    # A pose known before the session starts is first served at tick 0, one
-    # known after it ends never (tick n_ticks, clipped before the int cast).
-    first_tick = np.clip(np.ceil(pose_known_at / period - _TICK_EPS), 0, n_ticks).astype(np.int64)
-    stop_tick = np.append(first_tick[2:], n_ticks)
+    # The first tick whose known pose is switch i or a later one, and
+    # n_ticks for a switch never known; switch i stops where i+1 starts.
+    first_tick = np.searchsorted(known, np.arange(1, len(times) + 1))
+    first_tick, stop_tick = first_tick[:-1], first_tick[1:]
     # The ticks where the HQ set changes, the set from each on, and the run
     # holding each switch's first tick.
     run_starts = np.flatnonzero(np.diff(hq_ids, prepend=-1))
-    first_run = np.searchsorted(run_starts, first_tick[1:], side="right") - 1
+    first_run = np.searchsorted(run_starts, first_tick, side="right") - 1
     run_ids = hq_ids[run_starts].tolist()
     run_starts = run_starts.tolist()
     display_ms = display.tolist()
     covers: dict[tuple[int, int], bool] = {}
     switches = []
-    for t, need, k, k_stop, run in zip(times[1:], pose_set[1:], first_tick[1:].tolist(),
+    for t, need, k, k_stop, run in zip(times[1:], pose_set[1:], first_tick.tolist(),
                                        stop_tick.tolist(), first_run.tolist()):
         mtp = display_ms[k] - t if k < n_ticks else None
         mthq = None

@@ -676,6 +676,8 @@ def reference_run_session(
     frames = []
     seconds: dict[int, dict[str, int]] = {}
     known_idx = 0
+    # first_tick[i]: the first tick whose known pose is pose i or a later one.
+    first_tick = []
     committed_long_idx = 0
     committed_short_idx = None
 
@@ -683,6 +685,8 @@ def reference_run_session(
         t_k = k * period
         while known_idx + 1 < len(poses) and pose_known_at[known_idx + 1] <= t_k + period * _TICK_EPS:
             known_idx += 1
+        while len(first_tick) <= known_idx:
+            first_tick.append(k)
         known = poses[known_idx]
         j = k % cycle
         payload: dict[str, int] = {}
@@ -726,17 +730,16 @@ def reference_run_session(
         for name, n in payload.items():
             bucket[name] = bucket.get(name, 0) + n
 
+    # Poses never known, and the stop of the last switch, lie at n_ticks.
+    first_tick += [n_ticks] * (len(trace) + 1 - len(first_tick))
     switches = []
     for i in range(1, len(trace)):
         t, vp = trace[i]
         required = tiles_of(vp)
-        k0 = math.ceil(pose_known_at[i] / period - _TICK_EPS)
-        k_stop = n_ticks
-        if i + 1 < len(trace):
-            k_stop = min(n_ticks, math.ceil(pose_known_at[i + 1] / period - _TICK_EPS))
+        k0, k_stop = first_tick[i], first_tick[i + 1]
         mtp = frames[k0].display_ms - t if k0 < n_ticks else None
         mthq = None
-        for k in range(min(k0, n_ticks), k_stop):
+        for k in range(k0, k_stop):
             if required <= frames[k].hq_tiles:
                 mthq = frames[k].display_ms - t
                 break
@@ -746,7 +749,7 @@ def reference_run_session(
         frame_period_ms=period,
         switches=switches,
         seconds=seconds,
-        frames=frames,
+        _frame_logs=lambda: tuple(frames),
     )
 
 

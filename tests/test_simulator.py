@@ -114,6 +114,20 @@ class TestSvcScheme:
             assert s.mthq_ms == pytest.approx(T, abs=1e-6)
             assert s.mtp_ms == pytest.approx(s.mthq_ms, abs=1e-6)
 
+    @pytest.mark.parametrize("scheme", [Scheme(SchemeKind.SVC),
+                                        Scheme(SchemeKind.MULTITRACK, 3, 0)])
+    def test_switch_on_a_float_edge_is_timed_from_the_tick_that_serves_it(self, scheme):
+        # Just over a billionth of a tick past tick 3, whose known pose is
+        # still the initial one, so tick 4 is the first to serve the switch:
+        # MTP is two frames, not one.
+        assert (CONFIG.fps_num, CONFIG.fps_den) == (30, 1)
+        t = 100.00000003333335
+        report = run_session(scheme, [(0.0, VIEW_A), (t, VIEW_B)], NetworkModel(), CONFIG, 1)
+        [switch] = report.switches
+        assert switch.mtp_ms == 5 * T - t == pytest.approx(2 * T)
+        if scheme.kind == SchemeKind.SVC:
+            assert switch.mthq_ms == switch.mtp_ms
+
     def test_delays_shift_latency_by_whole_frames(self):
         net = NetworkModel(uplink_delay_ms=20.0, downlink_delay_ms=25.0)
         trace = switching_trace(random.Random(6), 40, 6 * T, 12 * T)
@@ -321,6 +335,9 @@ class TestMatchesReference:
         got = run_session(scheme, trace, network, config, seed, **kwargs)
         assert_same_session(got, reference_run_session(scheme, trace, network, config, seed,
                                                        **kwargs))
+        if scheme.kind == SchemeKind.SVC:
+            # One-frame switch: the first tick serving a pose sends its tiles.
+            assert all(s.mthq_ms is None or s.mthq_ms == s.mtp_ms for s in got.switches)
 
     def test_cache_key_holds_every_field(self):
         """Sessions that differ in one of config, seed, cycle, GOP or track
