@@ -28,7 +28,7 @@ from .codec import (
     generate_content,
 )
 from .config import SequenceConfig
-from .container import parse, serialize, validate_structure
+from .container import HEADER_SIZE, parse, serialize, validate_structure
 from .errors import BadArgsError, SvbsError
 from .geometry import (
     Projection,
@@ -234,7 +234,11 @@ def _cmd_rewrite(args) -> int:
 
 def _cmd_decode(args) -> int:
     inputs = {}
-    stream = parse(_read_input(args.input, inputs))
+    data = _read_input(args.input, inputs)
+    # Only the decoded frame's GOP is built and checked; the rest of the
+    # stream is walked unit header by unit header (``svbs validate`` checks it).
+    gop = parse(data[:HEADER_SIZE]).config.gop_size
+    stream = parse(data, range(args.frame // gop * gop, args.frame + 1))
     tiles = _parse_tiles(args.tiles, stream.config.tile_count)
     frame = decode_frame(stream, _check_frame_index(args.frame, stream), tiles)
     with open(args.out, "wb") as fh:

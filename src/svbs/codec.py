@@ -417,18 +417,20 @@ def decode_frame(
     Received CODED tiles reproduce the source bit-exactly; every other tile
     region is filled with the nearest-upscaled co-located base region of the
     same frame index.  GOPs are closed and enhanced tiles predict only from
-    the base layer, so the base layer is decoded from the frame's GOP start:
-    the cost depends on the frame's position in its GOP, not on its index.
+    the base layer, so only the frames from the frame's GOP start to the
+    frame itself are checked and decoded: the cost depends on the frame's
+    position in its GOP, not on its index or the stream's length.  Those are
+    the only frames that need to be built (see ``parse``'s ``frames``).
     """
-    report = validate_structure(bitstream)
-    if report:
-        raise InvalidStructureError(
-            f"stream fails validation: {report[0].rule} at frame {report[0].frame_index}"
-        )
     config = bitstream.config
     if not 0 <= frame_index < len(bitstream.frames):
         raise MissingBaseError(frame_index)
     gop_start = (frame_index // config.gop_size) * config.gop_size
+    report = validate_structure(bitstream, range(gop_start, frame_index + 1))
+    if report:
+        raise InvalidStructureError(
+            f"stream fails validation: {report[0].rule} at frame {report[0].frame_index}"
+        )
     bases = _decode_base_frames(bitstream, gop_start, frame_index)
     sf = config.scale_factor
 

@@ -283,9 +283,7 @@ def _parse_sequence_header(data: bytes) -> SequenceConfig:
     return SequenceConfig(w, h, sf, tc, tr, fn, fd, gop, flags == 1, rw)
 
 
-def _parse_frame_header(data: bytes, start: int, size: int) -> FrameHeader:
-    if size != 8:
-        raise TruncatedError(start, f"frame header payload has {size} bytes, want 8")
+def _parse_frame_header(data: bytes, start: int) -> FrameHeader:
     idx, layer, ftype, flags, ref = _FRAME_HEADER.unpack_from(data, start)
     try:
         layer_id = LayerId(layer)
@@ -344,7 +342,7 @@ def _parse_tile_group(data: memoryview, start: int, end: int) -> TileGroup:
     return TileGroup(tg_start=tg_start, tg_end=tg_end, tiles=tuple(tiles))
 
 
-def parse(data: bytes) -> Bitstream:
+def parse(data: bytes, frames: range | None = None) -> Bitstream:
     """Decode bytes into the object model; the exact inverse of serialization.
 
     Only bytes the serializer writes are accepted, so re-serializing the
@@ -355,6 +353,12 @@ def parse(data: bytes) -> Bitstream:
     memoryview of the input, which is copied once first unless it is
     ``bytes``.  Tile groups with the same one-stub payload are one object.
     Errors carry the absolute byte offset of the fault.
+
+    With ``frames``, only the frames at those positions are built; every
+    other frame is ``Frame(())``, which :func:`validate_structure` flags, so
+    a partly built stream does not serialize.  The unit headers of the whole
+    stream are still walked, so every fault seen from a unit's type and size
+    is refused wherever it lies; faults inside an unbuilt frame's units are not.
     """
     if not isinstance(data, bytes):
         data = bytes(data)
@@ -362,9 +366,10 @@ def parse(data: bytes) -> Bitstream:
     config = _parse_sequence_header(data)
     stubs: dict[bytes, TileGroup] = {}
 
-    # The layers of each frame, as (header, tile groups) pairs; ``layers`` is
-    # the open frame's list, None before the first delimiter.
-    frames: list[list[tuple[FrameHeader, list[TileGroup]]]] = []
+    # The layers of each frame, as (header, tile groups) pairs, or () for an
+    # unbuilt frame; ``layers`` is the open frame's list (one None per layer
+    # when unbuilt), None before the first delimiter.
+    out: list = []
     layers = None
     n = len(data)
     pos = HEADER_SIZE
@@ -383,6 +388,8 @@ def parse(data: bytes) -> Bitstream:
                 raise InvalidStructureError(
                     f"tile group without preceding frame header at offset {unit_offset}"
                 )
+            if not build:
+                continue
             if size != _STUB_GROUP_PAYLOAD_SIZE:
                 group = _parse_tile_group(view, start, pos)
             elif (group := stubs.get(data[start:pos])) is None:
@@ -393,16 +400,19 @@ def parse(data: bytes) -> Bitstream:
                 raise InvalidStructureError(
                     f"frame header before the first temporal delimiter at offset {unit_offset}"
                 )
-            layers.append((_parse_frame_header(data, start, size), []))
+            if size != 8:
+                raise TruncatedError(start, f"frame header payload has {size} bytes, want 8")
+            layers.append((_parse_frame_header(data, start), []) if build else None)
         elif type_byte == _UNIT_DELIMITER:
             if size:
                 raise InvalidStructureError(f"temporal delimiter payload at offset {unit_offset}")
+            build = frames is None or len(out) in frames
             layers = []
-            frames.append(layers)
+            out.append(layers if build else ())
         else:
             raise UnknownUnitTypeError(type_byte, unit_offset)
     return Bitstream(config, tuple(
-        Frame(tuple(LayerFrame(h, tuple(gs)) for h, gs in f)) for f in frames
+        Frame(tuple(LayerFrame(h, tuple(gs)) for h, gs in f)) for f in out
     ))
 
 
@@ -467,16 +477,19 @@ def _check_layer_tiles(
                                  "skipped tiles require cdf_update_disabled and global_mv_zero"))
 
 
-def validate_structure(bitstream: Bitstream) -> list[Violation]:
+def validate_structure(bitstream: Bitstream, frames: range | None = None) -> list[Violation]:
     """Structural rule check; empty list means the stream is well formed.
 
     Violations are data, not exceptions: malformed hand-built models are
-    reported rule by rule with the offending frame position.
+    reported rule by rule with the offending frame position.  Every rule
+    reads only a frame, its position and the config, so ``frames`` (positions
+    in the stream) checks just those frames.
     """
     out: list[Violation] = []
     config = bitstream.config
     gop = config.gop_size
-    for pos, frame in enumerate(bitstream.frames):
+    for pos in range(len(bitstream.frames)) if frames is None else frames:
+        frame = bitstream.frames[pos]
         if not frame.layers:
             out.append(Violation(pos, R_TEMPORAL_DELIM, "frame has no layers"))
             continue

@@ -43,6 +43,7 @@ from svbs.errors import (
     BadMagicError,
     InvalidStructureError,
     MissingBaseError,
+    SvbsError,
     TruncatedError,
     UnknownUnitTypeError,
 )
@@ -489,6 +490,46 @@ def reference_parse(data: bytes) -> Bitstream:
             for layers in frames
         ),
     )
+
+
+def reference_unit_walk(data: bytes) -> tuple[list[int], SvbsError | None]:
+    """The faults seen from the sequence header and from each unit's type
+    byte and size alone, as :func:`reference_parse` reports them: the offset
+    of every temporal delimiter before the first such fault, and the fault
+    (None when there is none).  Nothing inside a unit's payload is read."""
+    delimiters: list[int] = []
+    reader = _RefReader(data)
+    try:
+        _ref_parse_sequence_header(reader)
+        has_header = False
+        while reader.pos < len(data):
+            unit_offset = reader.pos
+            type_byte, size = reader.unpack("<BI")
+            reader.take(size)
+            if type_byte == UnitType.TEMPORAL_DELIMITER:
+                if size:
+                    raise InvalidStructureError(f"temporal delimiter payload at offset {unit_offset}")
+                delimiters.append(unit_offset)
+                has_header = False
+            elif type_byte == UnitType.FRAME_HEADER:
+                if not delimiters:
+                    raise InvalidStructureError(
+                        f"frame header before the first temporal delimiter at offset {unit_offset}"
+                    )
+                if size != 8:
+                    raise TruncatedError(unit_offset + UNIT_HEADER_SIZE,
+                                         f"frame header payload has {size} bytes, want 8")
+                has_header = True
+            elif type_byte == UnitType.TILE_GROUP:
+                if not has_header:
+                    raise InvalidStructureError(
+                        f"tile group without preceding frame header at offset {unit_offset}"
+                    )
+            else:
+                raise UnknownUnitTypeError(type_byte, unit_offset)
+    except SvbsError as exc:
+        return delimiters, exc
+    return delimiters, None
 
 
 # The decoder's original residual arithmetic (through int16) and tile

@@ -11,6 +11,7 @@ import struct
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -19,9 +20,20 @@ from hypothesis import strategies as st
 import svbs
 
 from svbs.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from svbs.codec import downsample, encode_svc, generate_content, upsample_nearest
+from svbs.codec import decode_frame, downsample, encode_svc, generate_content, upsample_nearest
 from svbs.config import SequenceConfig
-from svbs.container import Frame, serialize, serialize_frame, serialize_sequence_header
+from svbs.container import (
+    FRAME_HEADER_UNIT_SIZE,
+    HEADER_SIZE,
+    UNIT_HEADER_SIZE,
+    Bitstream,
+    Frame,
+    parse,
+    serialize,
+    serialize_frame,
+    serialize_sequence_header,
+    serialized_frame_size,
+)
 from svbs.geometry import Viewport, select_tiles, write_viewport_trace
 from svbs.rewriter import rewrite_viewport_frame
 from svbs.simulator import _tile_set
@@ -203,6 +215,84 @@ class TestFrameBounds:
         assert rc == EXIT_DATA
         assert f"--frame {frame} outside [0, 2)" in capsys.readouterr().err
         assert not out.exists()
+
+
+def _decode(tmp_path, stream_path, frame: int) -> bytes | None:
+    """`svbs decode --frame` with every tile: the frame's bytes, or None
+    when it exits 2 with an error line."""
+    out = tmp_path / f"d{frame}.yuv"
+    out.unlink(missing_ok=True)
+    rc = main(["decode", "--in", str(stream_path), "--frame", str(frame), "--tiles", "all",
+               "--out", str(out)])
+    return out.read_bytes() if rc == EXIT_OK else None
+
+
+class TestRandomAccess:
+    """`svbs decode --frame i` parses and checks only frame i's GOP."""
+
+    def _stream(self, tmp_path, gop: int, frames: int, rewritten: bool):
+        path = tmp_path / "s.svb"
+        ref_window = min(gop, 2)
+        assert main(["encode", *SMALL[:-1], str(gop), "--ref-window", str(ref_window),
+                     "--frames", str(frames), "--out", str(path)]) == EXIT_OK
+        if rewritten:
+            assert main(["rewrite", "--in", str(path), "--viewport", "90,45,30,30",
+                         "--out", str(path)]) == EXIT_OK
+        return path
+
+    @pytest.mark.parametrize("gop", [1, 3, 10])
+    @pytest.mark.parametrize("rewritten", [False, True])
+    def test_every_frame_matches_the_whole_stream_path(self, tmp_path, capsys, gop, rewritten):
+        path = self._stream(tmp_path, gop, 21, rewritten)
+        stream = parse(path.read_bytes())
+        for i in range(len(stream.frames)):
+            want = decode_frame(stream, i, set(range(4))).tobytes()
+            assert _decode(tmp_path, path, i) == want
+        capsys.readouterr()
+
+    def test_corrupt_payload_fails_only_its_gop(self, tmp_path, capsys):
+        path = self._stream(tmp_path, 10, 30, False)
+        stream = parse(path.read_bytes())
+        # Frame 10's base layer opens the second GOP; every frame of that GOP
+        # decodes from it.  b"\xff" is not a whole RLE record.
+        base, *rest = stream.frames[10].layers
+        group = base.tile_groups[0]
+        group = replace(group, tiles=(replace(group.tiles[0], coded_payload=b"\xff"),))
+        frames = list(stream.frames)
+        frames[10] = Frame((replace(base, tile_groups=(group,)), *rest))
+        corrupt = tmp_path / "corrupt.svb"
+        corrupt.write_bytes(serialize(Bitstream(stream.config, tuple(frames))))
+        for i in (5, 25):
+            assert _decode(tmp_path, corrupt, i) == _decode(tmp_path, path, i) is not None
+        capsys.readouterr()
+        assert _decode(tmp_path, corrupt, 15) is None
+        assert "error: truncated record header at offset 0" in capsys.readouterr().err
+
+    def test_tile_fault_outside_the_gop_fails_only_validate(self, tmp_path, capsys):
+        path = self._stream(tmp_path, 10, 30, False)
+        data = bytearray(path.read_bytes())
+        stream = parse(bytes(data))
+        # Frame 12's first base tile group, which spans the one-tile base
+        # grid, claims to end at tile 99.
+        at = HEADER_SIZE + sum(map(serialized_frame_size, stream.frames[:12]))
+        at += UNIT_HEADER_SIZE + FRAME_HEADER_UNIT_SIZE + UNIT_HEADER_SIZE + 2
+        assert struct.unpack_from("<H", data, at) == (0,)
+        struct.pack_into("<H", data, at, 99)
+        faulty = tmp_path / "faulty.svb"
+        faulty.write_bytes(bytes(data))
+        assert main(["validate", "--in", str(faulty)]) == EXIT_DATA
+        assert "frame 12: R_TG_RANGE tg_end 99 outside 1x1 grid" in capsys.readouterr().out
+        for i in (5, 25):
+            assert _decode(tmp_path, faulty, i) == _decode(tmp_path, path, i) is not None
+        capsys.readouterr()
+        assert _decode(tmp_path, faulty, 15) is None
+        assert "error: stream fails validation: R_TG_RANGE at frame 12" in capsys.readouterr().err
+
+    def test_truncated_tail_is_refused_outside_the_gop(self, tmp_path, capsys):
+        path = self._stream(tmp_path, 4, 12, False)
+        path.write_bytes(path.read_bytes()[:-3])
+        assert _decode(tmp_path, path, 0) is None
+        assert "error: truncated stream at byte offset" in capsys.readouterr().err
 
 
 # Input files the malformed-argument cases name as {dir}/<name>.

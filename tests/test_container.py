@@ -1,7 +1,9 @@
 """Wire-format round-trip, error reporting, and structural validation."""
 
+import bisect
 import functools
 import random
+import re
 import struct
 import tracemalloc
 
@@ -9,7 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_bitstream, record_bytes_per_frame, reference_parse
+from helpers import (
+    random_bitstream,
+    record_bytes_per_frame,
+    reference_parse,
+    reference_unit_walk,
+)
 from svbs.codec import TrackResolution, decode_frame, encode_svc, encode_track, generate_content
 from svbs.config import FRAME_PIXEL_BUDGET, SequenceConfig
 from svbs.container import (
@@ -543,13 +550,27 @@ def wire_layout(data: bytes) -> tuple[list[int], list[int]]:
     return fields, structure
 
 
+def unit_offsets(data: bytes) -> list[int]:
+    """The offset of every unit of a valid stream."""
+    offsets = []
+    pos = HEADER_SIZE
+    while pos < len(data):
+        offsets.append(pos)
+        pos += UNIT_HEADER_SIZE + struct.unpack_from("<I", data, pos + 1)[0]
+    return offsets
+
+
 def outcome(fn, data):
     """The model ``fn`` returns, or the type, message and offset of the
     SvbsError it raises; any other exception propagates."""
     try:
         return fn(data)
     except SvbsError as exc:
-        return type(exc), str(exc), getattr(exc, "offset", None)
+        return described(exc)
+
+
+def described(exc: SvbsError):
+    return type(exc), str(exc), getattr(exc, "offset", None)
 
 
 # Parse and validate allocate in proportion to the input; a decode also
@@ -579,6 +600,38 @@ def check_mutant(data: bytes) -> None:
         width, height = struct.unpack_from("<HH", data, 5)
         pixels = width * height
     assert peak < MEMORY_FIXED + MEMORY_PER_PIXEL * pixels
+
+
+def _fault_offset(fault) -> int:
+    """The byte offset of a parse fault: its ``offset``, or the one its message names."""
+    return fault[2] if fault[2] is not None else int(re.search(r"offset (\d+)", fault[1])[1])
+
+
+def check_ranged(data: bytes, frames: range) -> None:
+    """``parse(data, frames)`` against the whole-stream parse: the same built
+    frames, ``Frame(())`` for the others, and the same refusal of every fault
+    seen from a unit's type and size, whether its frame is built or not."""
+    whole = outcome(parse, data)
+    ranged = outcome(functools.partial(parse, frames=frames), data)
+    delimiters, walk_fault = reference_unit_walk(data)
+    if isinstance(whole, Bitstream):
+        assert walk_fault is None and len(delimiters) == len(whole.frames)
+        assert ranged.config == whole.config
+        assert ranged.frames == tuple(
+            f if pos in frames else Frame(()) for pos, f in enumerate(whole.frames))
+        if all(pos in frames for pos in range(len(whole.frames))):
+            assert serialize(ranged) == data
+        else:  # a partly built stream never serializes
+            with pytest.raises(InvalidStructureError):
+                serialize(ranged)
+    elif walk_fault is not None and whole == described(walk_fault):
+        assert ranged == whole  # seen from a unit's type and size: refused anywhere
+    else:  # inside a unit: refused only when its frame is built
+        frame = bisect.bisect_left(delimiters, _fault_offset(whole)) - 1
+        if frame in frames:
+            assert ranged == whole
+        elif not isinstance(ranged, Bitstream):  # a later fault; a unit may start where it lies
+            assert ranged != whole and _fault_offset(ranged) >= _fault_offset(whole)
 
 
 @st.composite
@@ -651,10 +704,27 @@ class TestParseMatchesReference:
                     mutant = bytes(mutant)
                     assert outcome(parse, mutant) == outcome(reference_parse, mutant)
 
-    @given(mutants())
+    @given(mutants(), st.integers(0, 6), st.integers(0, 6))
     @settings(max_examples=300, deadline=None)
-    def test_mutants(self, data):
+    def test_mutants(self, data, first, count):
         check_mutant(data)
+        check_ranged(data, range(first, first + count))
+
+    def test_every_unit_type_and_size_field_changed_in_a_ranged_parse(self):
+        # Each of the five frames is built in one range and unbuilt in the other.
+        for data in seed_streams():
+            changed = []
+            for at in wire_layout(data)[0]:
+                for size in range(9):
+                    changed.append(bytearray(data))
+                    struct.pack_into("<I", changed[-1], at, size)
+            for at in unit_offsets(data):
+                for type_byte in range(4):  # every unit type, and an unknown one
+                    changed.append(bytearray(data))
+                    changed[-1][at] = type_byte
+            for mutant in changed:
+                for frames in (range(0, 3), range(3, 5)):
+                    check_ranged(bytes(mutant), frames)
 
     @given(mutants())
     @settings(max_examples=300, deadline=None)
