@@ -322,6 +322,11 @@ def _cmd_report(args) -> int:
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
             try:
+                if reader.fieldnames is None:
+                    raise SvbsError(f"report {path} is empty")
+                for col in ("row", "scheme", "t_ms", "mtp_ms", "mthq_ms", "bytes"):
+                    if col not in reader.fieldnames:
+                        raise SvbsError(f"report {path} has no {col!r} column")
                 for row in reader:
                     scheme = row["scheme"]
                     if row["row"] == "switch":
@@ -335,10 +340,6 @@ def _cmd_report(args) -> int:
                     else:
                         raise SvbsError(f"report {path} line {reader.line_num}: row kind "
                                         f"{row['row']!r} is neither switch nor second")
-                if reader.fieldnames is None:
-                    raise SvbsError(f"report {path} is empty")
-            except KeyError as exc:
-                raise SvbsError(f"report {path} has no {exc} column") from None
             # Text is decoded in chunks, so a decode error has no exact line.
             except UnicodeDecodeError as exc:
                 raise SvbsError(f"report {path} is not UTF-8 text: {exc}") from None

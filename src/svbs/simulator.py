@@ -350,7 +350,7 @@ def run_session(
     return SessionReport(
         scheme_label=scheme.label,
         frame_period_ms=period,
-        switches=_resolve_switches(times, known, pose_set_ids, tile_sets,
+        switches=_resolve_switches(times, known, pose_set, tile_sets,
                                    display, hq_ids, hq_sets),
         seconds=seconds,
         _frame_logs=frame_logs,
@@ -359,39 +359,24 @@ def run_session(
 
 def _resolve_switches(times, known, pose_set, tile_sets, display, hq_ids, hq_sets):
     """MTP and MTHQ of each switch: the display time of the first tick that
-    knows its pose, and of the first such tick, before the next switch is
-    known, whose HQ tiles cover the pose's tiles."""
-    n_ticks = len(display)
-    # The first tick whose known pose is switch i or a later one, and
-    # n_ticks for a switch never known; switch i stops where i+1 starts.
-    first_tick = np.searchsorted(known, np.arange(1, len(times) + 1))
-    first_tick, stop_tick = first_tick[:-1], first_tick[1:]
-    # The ticks where the HQ set changes, the set from each on, and the run
-    # holding each switch's first tick.
-    run_starts = np.flatnonzero(np.diff(hq_ids, prepend=-1))
-    first_run = np.searchsorted(run_starts, first_tick, side="right") - 1
-    run_ids = hq_ids[run_starts].tolist()
-    run_starts = run_starts.tolist()
-    display_ms = display.tolist()
-    covers: dict[tuple[int, int], bool] = {}
-    switches = []
-    for t, need, k, k_stop, run in zip(times[1:], pose_set[1:], first_tick.tolist(),
-                                       stop_tick.tolist(), first_run.tolist()):
-        mtp = display_ms[k] - t if k < n_ticks else None
-        mthq = None
-        while k < k_stop:
-            key = (need, run_ids[run])
-            if key not in covers:
-                covers[key] = tile_sets[need] <= hq_sets[key[1]]
-            if covers[key]:
-                mthq = display_ms[k] - t
-                break
-            run += 1
-            if run == len(run_starts):
-                break
-            k = run_starts[run]
-        switches.append(SwitchSample(t_ms=t, mtp_ms=mtp, mthq_ms=mthq))
-    return switches
+    knows its pose, and of the first tick that knows it and no later pose
+    whose HQ tiles cover the pose's tiles."""
+    # A run of ticks knows one pose and sends one HQ set.  As known never
+    # decreases, the runs knowing pose j and no later pose are j's window.
+    starts = np.flatnonzero((np.diff(known, prepend=-1) != 0) | (np.diff(hq_ids, prepend=-1) != 0))
+    run_pose = known[starts]
+    # One subset test per distinct (pose tile set, HQ set) pair.
+    pairs, pair_of_run = np.unique(pose_set[run_pose] * len(hq_sets) + hq_ids[starts],
+                                   return_inverse=True)
+    covers = np.array([tile_sets[p // len(hq_sets)] <= hq_sets[p % len(hq_sets)]
+                       for p in pairs.tolist()], dtype=bool)[pair_of_run]
+    served, first = np.unique(run_pose[covers], return_index=True)
+    mthq_tick = dict(zip(served.tolist(), starts[covers][first].tolist()))
+    first_tick = np.searchsorted(known, np.arange(1, len(times))).tolist()
+    display_ms, n_ticks = display.tolist(), len(display)
+    return [SwitchSample(t, display_ms[k] - t if k < n_ticks else None,
+                         display_ms[mthq_tick[j]] - t if j in mthq_tick else None)
+            for j, (t, k) in enumerate(zip(times[1:], first_tick), 1)]
 
 
 # --- reporting ---------------------------------------------------------------

@@ -302,6 +302,8 @@ MALFORMED_INPUTS = {
     "noscheme.csv": b"row,t_ms,mtp_ms,mthq_ms,second,stream,bytes\nswitch,0,1,1,,,\n",
     "binary.csv": b"\x89PNG\r\n\x1a\n\xff\xfe\x00",
     "empty.csv": b"",
+    "report.json": b'{"scheme": "svc", "frame_period_ms": 33.333333333333336, "switches": [], '
+                   b'"seconds": {}, "total_bytes": 0}\n',
     "bogus.csv": b"row,scheme,t_ms,mtp_ms,mthq_ms,second,stream,bytes\nbogus,svc,,,,,,\n",
     "far.jsonl": b'{"t_ms": 0, "yaw_deg": 0, "pitch_deg": 0, "h_fov_deg": 90, "v_fov_deg": 90}\n'
                  b'{"t_ms": 1e13, "yaw_deg": 9, "pitch_deg": 0, "h_fov_deg": 90, "v_fov_deg": 90}\n',
@@ -345,6 +347,7 @@ class TestMalformedArguments:
             ([*SIMULATE, "--scheme", "multitrack", "--scheme", "multitrack(30,0)"],
              "--scheme multitrack(30,0) is given twice"),
             (["report", "{dir}/empty.csv"], "empty.csv is empty"),
+            (["report", "{dir}/report.json"], "report.json has no 'row' column"),
             (["report", "{dir}/bogus.csv"],
              "bogus.csv line 2: row kind 'bogus' is neither switch nor second"),
             (["generate", *SMALL, "--seed", "-1", "--out", "{out}"], "seed must be >= 0"),
@@ -366,7 +369,8 @@ class TestMalformedArguments:
              "report-mean-overflows",
              "scheme-gop-not-a-number", "report-mtp-not-a-number",
              "report-without-scheme", "report-binary", "scheme-three-gops",
-             "scheme-unclosed", "scheme-repeated", "report-empty", "report-unknown-row-kind",
+             "scheme-unclosed", "scheme-repeated", "report-empty", "report-json",
+             "report-unknown-row-kind",
              "generate-negative-seed", "encode-negative-seed", "encode-scale-factor-0",
              "simulate-negative-seed",
              "generate-over-pixel-budget", "scheme-cycle-over-pixel-budget",
@@ -675,6 +679,12 @@ class TestSimulateAndReport:
             assert "Traceback" not in err
         assert main(["report", str(path)]) == EXIT_OK
         assert len(json.loads(capsys.readouterr().out)) == 1
+
+    def test_report_of_a_header_only_csv_is_an_empty_list(self, tmp_path, capsys):
+        path = tmp_path / "header.csv"
+        path.write_text("row,scheme,t_ms,mtp_ms,mthq_ms,second,stream,bytes\n")
+        assert main(["report", str(path)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out) == []
 
     def test_simulate_builds_no_frame_logs(self, tmp_path, capsys, monkeypatch):
         def refuse(*args):

@@ -8,7 +8,7 @@ import struct
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -620,7 +620,10 @@ def check_ranged(data: bytes, frames: range) -> None:
         assert ranged.frames == tuple(
             f if pos in frames else Frame(()) for pos, f in enumerate(whole.frames))
         if all(pos in frames for pos in range(len(whole.frames))):
-            assert serialize(ranged) == data
+            if validate_structure(whole):  # parses but breaks a rule: refused alike
+                assert outcome(serialize, ranged) == outcome(serialize, whole)
+            else:
+                assert serialize(ranged) == data
         else:  # a partly built stream never serializes
             with pytest.raises(InvalidStructureError):
                 serialize(ranged)
@@ -705,6 +708,9 @@ class TestParseMatchesReference:
                     assert outcome(parse, mutant) == outcome(reference_parse, mutant)
 
     @given(mutants(), st.integers(0, 6), st.integers(0, 6))
+    # A frame header with no tile group parses but fails R_TILE_COVERAGE.
+    @example(data=b"SVBS\x01 \x00\x10\x00\x02\x02\x02\x1e\x00\x01\x00\x04\x00\x01"
+                  b"\x02\x00\x00\x00\x00\x00\x01\x08" + bytes(11), first=0, count=1)
     @settings(max_examples=300, deadline=None)
     def test_mutants(self, data, first, count):
         check_mutant(data)

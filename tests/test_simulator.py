@@ -258,6 +258,45 @@ class TestMultitrackScheme:
             )
 
 
+class TestSwitchWindows:
+    """A switch is served only by the ticks that know its pose and no later
+    one; the reference test reaches these edges only by chance."""
+
+    SCHEMES = [Scheme(SchemeKind.SVC), Scheme(SchemeKind.MULTITRACK, 10, 0),
+               Scheme(SchemeKind.MULTITRACK, 30, 5)]
+
+    @pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s.label)
+    def test_switches_known_in_one_tick_leave_the_first_not_reached(self, scheme):
+        # Both arrivals fall between ticks 3 and 4, so no tick knows pose 1
+        # alone: tick 4 is its first tick, and it already knows pose 2, whose
+        # tiles (the whole sphere) cover pose 1's.
+        whole = Viewport.from_degrees(0, 0, 360, 180)
+        trace = [(0.0, VIEW_A), (3 * T + 5.0, VIEW_B), (3 * T + 10.0, whole)]
+        report = run_session(scheme, trace, NetworkModel(), CONFIG, 1)
+        first, second = report.switches
+        assert first.mtp_ms == pytest.approx(5 * T - trace[1][0])
+        assert first.mthq_ms is None
+        assert second.mtp_ms == pytest.approx(5 * T - trace[2][0])
+        if scheme.kind == SchemeKind.SVC:
+            assert second.mthq_ms == second.mtp_ms
+        assert_same_session(report, reference_run_session(scheme, trace, NetworkModel(),
+                                                          CONFIG, 1))
+
+    @pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s.label)
+    def test_repeated_viewport_is_timed_from_its_own_switch(self, scheme):
+        # Ticks 7 and 13 are the first to know each switch; both show a frame
+        # later.  By tick 13 every scheme's HQ tiles already hold the viewport.
+        trace = [(0.0, VIEW_A), (205.0, VIEW_B), (415.0, VIEW_B)]
+        report = run_session(scheme, trace, NetworkModel(), CONFIG, 1)
+        first, second = report.switches
+        assert first.mtp_ms == pytest.approx(8 * T - 205.0)
+        assert second.mtp_ms == second.mthq_ms == pytest.approx(14 * T - 415.0)
+        if scheme.kind == SchemeKind.SVC:
+            assert first.mthq_ms == first.mtp_ms
+        assert_same_session(report, reference_run_session(scheme, trace, NetworkModel(),
+                                                          CONFIG, 1))
+
+
 def assert_same_session(got, want):
     """Equal switches, per-second bytes (in insertion order, which the JSON
     report keeps) and FrameLogs; every FrameLog owns its byte dict."""
