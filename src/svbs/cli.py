@@ -16,7 +16,6 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
 from threading import Thread
 
 from . import __version__
@@ -158,8 +157,10 @@ def _write_manifest(out_path: str, args, inputs: dict, outputs: list[str]) -> No
         "outputs": outputs,
     }
     path = out_path + ".manifest.json"
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    # A fresh name beside the manifest, created as open() creates every other
+    # output, so the umask sets its mode; os.replace keeps that mode.
+    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             json.dump(manifest, fh, indent=2, default=str)

@@ -85,7 +85,6 @@ class RasterFrame:
 class VideoSource:
     config: SequenceConfig
     frames: tuple[RasterFrame, ...]
-    seed: int
 
 
 # --- content generation ------------------------------------------------------
@@ -148,7 +147,7 @@ def generate_content(seed: int, config: SequenceConfig, frame_count: int) -> Vid
             img[np.ix_(rows, cols)] += blob_amp[j] * bump * bump
         samples = np.clip(np.rint(img), 0, 255).astype(np.uint8)
         frames.append(RasterFrame(w, h, samples))
-    return VideoSource(config=config, frames=tuple(frames), seed=seed)
+    return VideoSource(config=config, frames=tuple(frames))
 
 
 def _wrapped_window(center: float, radius: float, size: int) -> np.ndarray:

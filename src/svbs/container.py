@@ -139,17 +139,6 @@ class Violation:
     detail: str = ""
 
 
-@dataclass(frozen=True, slots=True)
-class RateRecord:
-    """Serialized byte cost of one container unit, attributed to a tile; the
-    header record of a frame's first layer also holds the frame's delimiter."""
-
-    frame_index: int
-    layer_id: LayerId
-    tile_index: int | None  # None for frame headers
-    n_bytes: int
-
-
 # --- serialization -----------------------------------------------------------
 
 
@@ -179,6 +168,8 @@ _TILE_GROUP_UNIT = struct.Struct("<BIHH")
 _CODED_TILE = struct.Struct("<HBI")
 _SKIPPED_TILE = struct.Struct("<HBH6s")
 _DELIMITER_UNIT = _UNIT_HEADER.pack(UnitType.TEMPORAL_DELIMITER, 0)
+# A one-stub tile group unit at any grid: unit header, tile range, skipped tile.
+STUB_GROUP_SIZE = _TILE_GROUP_UNIT.size + _SKIPPED_TILE.size
 
 
 def _group_pieces(pieces: list, group: TileGroup) -> list:
@@ -258,7 +249,6 @@ _CODED, _SKIPPED = int(TileKind.CODED), int(TileKind.SKIPPED)
 _UNIT_DELIMITER, _UNIT_FRAME_HEADER, _UNIT_TILE_GROUP = (
     int(UnitType.TEMPORAL_DELIMITER), int(UnitType.FRAME_HEADER), int(UnitType.TILE_GROUP),
 )
-_STUB_GROUP_PAYLOAD_SIZE = _TG_RANGE.size + _SKIPPED_TILE.size  # one skipped stub
 
 
 def _parse_sequence_header(data: bytes) -> SequenceConfig:
@@ -390,7 +380,7 @@ def parse(data: bytes, frames: range | None = None) -> Bitstream:
                 )
             if not build:
                 continue
-            if size != _STUB_GROUP_PAYLOAD_SIZE:
+            if pos - unit_offset != STUB_GROUP_SIZE:
                 group = _parse_tile_group(view, start, pos)
             elif (group := stubs.get(data[start:pos])) is None:
                 group = stubs[data[start:pos]] = _parse_tile_group(view, start, pos)
@@ -540,22 +530,27 @@ def validate_structure(bitstream: Bitstream, frames: range | None = None) -> lis
 # --- byte accounting ---------------------------------------------------------
 
 
-def rate_records(bitstream: Bitstream) -> list[RateRecord]:
-    """Serialized byte cost of every unit, per frame and layer.
+def rate_records(bitstream: Bitstream) -> dict[LayerId, tuple[list[int], list[list[int]]]]:
+    """Serialized byte cost of every unit, as size tables per layer id.
 
-    A tile group is charged to its first tile (``tg_start``), a frame header
-    to tile_index None, and a frame's temporal delimiter to the header record
-    of its first layer.  So the records of a frame with layers sum to
-    :func:`serialized_frame_size`, and those of a valid stream to its
-    serialized size less ``HEADER_SIZE``.
+    Each layer id, in order of first appearance, maps to its header bytes
+    per frame and its tile-group bytes per frame and tile.  A frame's
+    temporal delimiter is charged to the header of its first layer, and a
+    tile group to its first tile (``tg_start``).  So the entries of a frame
+    with layers sum to :func:`serialized_frame_size`, and those of a valid
+    stream to its serialized size less ``HEADER_SIZE``.
     """
-    records = []
+    n, tile_count = len(bitstream.frames), bitstream.config.tile_count
+    tables = {}
     for pos, frame in enumerate(bitstream.frames):
         delimiter = UNIT_HEADER_SIZE
         for layer in frame.layers:
             layer_id = layer.header.layer_id
-            records.append(RateRecord(pos, layer_id, None, delimiter + FRAME_HEADER_UNIT_SIZE))
+            if layer_id not in tables:
+                tables[layer_id] = ([0] * n, [[0] * tile_count for _ in range(n)])
+            header, tiles = tables[layer_id]
+            header[pos] += delimiter + FRAME_HEADER_UNIT_SIZE
             delimiter = 0
             for group in layer.tile_groups:
-                records.append(RateRecord(pos, layer_id, group.tg_start, tile_group_size(group)))
-    return records
+                tiles[pos][group.tg_start] += tile_group_size(group)
+    return tables

@@ -28,10 +28,9 @@ import numpy as np
 
 from .codec import encode_svc, encode_track, generate_content, TrackResolution
 from .config import SequenceConfig
-from .container import LayerId, rate_records, tile_group_size
+from .container import STUB_GROUP_SIZE, LayerId, rate_records
 from .errors import BadArgsError, EmptyTraceError, TooLargeError
 from .geometry import Projection, ProjectionKind, Viewport, select_tiles
-from .rewriter import _stub_groups
 
 MTHQ_COMPLIANCE_MS = 50.0
 
@@ -146,29 +145,6 @@ def expected_gop_wait_ms(gop: int, fps) -> float:
 # --- per-frame size tables ---------------------------------------------------
 
 
-def _layer_tables(stream, cycle: int) -> dict[LayerId, tuple[np.ndarray, np.ndarray]]:
-    """Per layer of ``stream``, per frame of the cycle: frame-header bytes
-    (with the temporal delimiter on the first layer) and bytes per tile, from
-    one walk of its rate records."""
-    tables = {}
-    for rec in rate_records(stream):
-        if rec.layer_id not in tables:
-            tables[rec.layer_id] = (np.zeros(cycle, np.int64),
-                                    np.zeros((cycle, stream.config.tile_count), np.int64))
-        header, tiles = tables[rec.layer_id]
-        if rec.tile_index is None:
-            header[rec.frame_index] += rec.n_bytes
-        else:
-            tiles[rec.frame_index, rec.tile_index] = rec.n_bytes
-    return tables
-
-
-def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
-
-
 # An entry holds only read-only integer arrays, a few KiB at any resolution;
 # frames and sources are never cached.
 @lru_cache(maxsize=32)
@@ -178,21 +154,23 @@ def _stream_tables(
     cycle: int,
     tracks: tuple[tuple[int, TrackResolution], ...] | None,
 ):
-    """The streams of one scheme, encoded from one generated content, each as
-    (header bytes per frame of the cycle, with the temporal delimiter on its
-    first layer; bytes per frame and tile; bytes per tile outside the region).
-    ``tracks`` None gives the ``base`` and ``enhanced`` layers of one SVC
-    encode, ``enhanced`` sending one skipped-tile stub (all stubs of a grid
-    are one size) per tile outside; otherwise each (gop, resolution) track is
-    one single-layer stream, sending nothing outside."""
+    """The streams of one scheme, encoded from one content, each as its
+    :func:`rate_records` tables (header bytes per frame of the cycle, bytes
+    per frame and tile) and its bytes per tile outside the region.  ``tracks``
+    None gives an SVC encode's ``base`` and ``enhanced`` layers, ``enhanced``
+    sending a ``STUB_GROUP_SIZE`` stub per tile outside; otherwise each (gop,
+    resolution) track is one single-layer stream, sending nothing outside."""
     source = generate_content(seed, config, cycle)
     if tracks is None:
-        streams, stub = (encode_svc(source),), tile_group_size(_stub_groups(config)[0])
+        streams, stub = (encode_svc(source),), STUB_GROUP_SIZE
     else:
         streams, stub = (encode_track(source, gop, res) for gop, res in tracks), 0
-    return tuple((*_read_only(header, tiles), stub if layer == LayerId.ENHANCED else 0)
-                 for stream in streams
-                 for layer, (header, tiles) in _layer_tables(stream, cycle).items())
+    tables = tuple((np.array(header, np.int64), np.array(tiles, np.int64),
+                    stub if layer == LayerId.ENHANCED else 0)
+                   for stream in streams for layer, (header, tiles) in rate_records(stream).items())
+    for header, tiles, _ in tables:
+        header.flags.writeable = tiles.flags.writeable = False
+    return tables
 
 
 # An entry is one frozenset of at most tile_count ints: at most 2.3 KiB at 6x4.

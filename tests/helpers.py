@@ -147,11 +147,13 @@ def random_bitstream(rng: random.Random):
 
 
 def record_bytes_per_frame(stream, layer_id=None) -> list[int]:
-    """The bytes of ``stream``'s rate records per frame, of one layer if given."""
+    """The bytes ``rate_records`` charges each frame of ``stream``, in one
+    layer's tables if given."""
     out = [0] * len(stream.frames)
-    for rec in rate_records(stream):
-        if layer_id is None or rec.layer_id == layer_id:
-            out[rec.frame_index] += rec.n_bytes
+    for layer, (header, tiles) in rate_records(stream).items():
+        if layer_id is None or layer == layer_id:
+            for pos, row in enumerate(tiles):
+                out[pos] += header[pos] + sum(row)
     return out
 
 
@@ -622,27 +624,26 @@ def reference_decode_frame(
 
 # Every frame of an encoded stream is a temporal delimiter unit (a bare unit
 # header), then per layer a frame header unit (unit header and 8 bytes) and
-# its tile groups.  The reference tables read only the tile-group records of
-# rate_records and charge the other two units themselves.
+# its tile groups.  The reference tables read only the tile tables of
+# rate_records and price the delimiter and frame headers themselves.
 _REF_DELIMITER_BYTES = UNIT_HEADER_SIZE
 _REF_FRAME_HEADER_BYTES = UNIT_HEADER_SIZE + 8
 
 
-def _ref_tile_records(stream):
-    return [rec for rec in rate_records(stream) if rec.tile_index is not None]
+def _ref_tile_table(stream, layer_id):
+    """Per frame, each tile group's bytes keyed by its first tile: the nonzero
+    entries of one layer's tile table (a group is never 0 bytes)."""
+    _, tiles = rate_records(stream)[layer_id]
+    return [{t: n for t, n in enumerate(row) if n} for row in tiles]
 
 
 def _ref_svc_tables(config: SequenceConfig, seed: int, cycle: int):
     source = generate_content(seed, config, cycle)
     stream = encode_svc(source)
-    base_bytes = [_REF_DELIMITER_BYTES + _REF_FRAME_HEADER_BYTES] * cycle
+    base_bytes = [_REF_DELIMITER_BYTES + _REF_FRAME_HEADER_BYTES + sum(groups.values())
+                  for groups in _ref_tile_table(stream, LayerId.BASE)]
     enh_header = [_REF_FRAME_HEADER_BYTES] * cycle
-    coded: list[dict[int, int]] = [dict() for _ in range(cycle)]
-    for rec in _ref_tile_records(stream):
-        if rec.layer_id == LayerId.BASE:
-            base_bytes[rec.frame_index] += rec.n_bytes
-        else:
-            coded[rec.frame_index][rec.tile_index] = rec.n_bytes
+    coded = _ref_tile_table(stream, LayerId.ENHANCED)
     skip_group_bytes = tile_group_size(_stub_groups(config)[0])
     return base_bytes, enh_header, coded, skip_group_bytes
 
@@ -650,10 +651,7 @@ def _ref_svc_tables(config: SequenceConfig, seed: int, cycle: int):
 def _ref_track_tables(source, gop: int, resolution, cycle: int):
     stream = encode_track(source, gop, resolution)
     header = [_REF_DELIMITER_BYTES + _REF_FRAME_HEADER_BYTES] * cycle
-    tiles: list[dict[int, int]] = [dict() for _ in range(cycle)]
-    for rec in _ref_tile_records(stream):
-        tiles[rec.frame_index][rec.tile_index] = rec.n_bytes
-    return header, tiles
+    return header, _ref_tile_table(stream, LayerId.BASE)
 
 
 def _ref_lcm(*values: int) -> int:

@@ -7,6 +7,7 @@ import io
 import json
 import os
 import random
+import stat
 import struct
 import subprocess
 import sys
@@ -72,6 +73,19 @@ class TestGenerate:
         manifest = json.loads((tmp_path / "src.yuv.manifest.json").read_text())
         assert manifest["outputs"] == [str(out)]
         assert manifest["command"] == "generate"
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask022", "umask077"])
+    def test_manifest_mode_is_the_outputs(self, tmp_path, umask):
+        out = tmp_path / "src.yuv"
+        old = os.umask(umask)
+        try:
+            assert main(["generate", *SMALL, "--frames", "1", "--out", str(out)]) == EXIT_OK
+        finally:
+            os.umask(old)
+        mode = stat.S_IMODE(out.stat().st_mode)
+        assert mode == 0o666 & ~umask
+        assert stat.S_IMODE((tmp_path / "src.yuv.manifest.json").stat().st_mode) == mode
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["src.yuv", "src.yuv.manifest.json"]
 
     def test_deterministic(self, tmp_path):
         a, b = tmp_path / "a.yuv", tmp_path / "b.yuv"

@@ -372,7 +372,7 @@ class TestSvcEncoder:
     def test_static_source_base_inter_is_one_zero_run(self):
         config = small_config()
         img = generate_content(1, config, 1).frames[0]
-        source = VideoSource(config=config, frames=(img, img, img), seed=0)
+        source = VideoSource(config=config, frames=(img, img, img))
         stream = encode_svc(source)
         for frame in stream.frames[1:]:
             base = frame.layers[0]

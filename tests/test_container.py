@@ -474,14 +474,27 @@ class TestByteAccounting:
                 assert offset == len(data)
 
     def test_layer_split(self):
-        # Per layer, one header record; the delimiter rides on the first one.
-        stream = valid_stream(1)
-        headers = [(r.layer_id, r.n_bytes) for r in rate_records(stream) if r.tile_index is None]
-        assert headers == [(LayerId.BASE, UNIT_HEADER_SIZE + FRAME_HEADER_UNIT_SIZE),
-                           (LayerId.ENHANCED, FRAME_HEADER_UNIT_SIZE)]
-        tiles = [r for r in rate_records(stream) if r.tile_index is not None]
-        assert [r.n_bytes for r in tiles] == [
-            tile_group_size(g) for layer in stream.frames[0].layers for g in layer.tile_groups]
+        # Per layer, in order of first appearance: the header bytes per frame,
+        # the delimiter riding on the first layer, and each tile group's bytes
+        # at its tg_start.  Frame 1's enhanced layer is one single-tile group
+        # and one three-tile group, so tiles 2 and 3 read 0.
+        config = small_config()
+        split = (TileGroup(0, 0, (coded_tile(0),)),
+                 TileGroup(1, 3, tuple(coded_tile(t) for t in (1, 2, 3))))
+        frame = Frame((coded_layer(1, LayerId.BASE, 1, 1), LayerFrame(
+            FrameHeader(1, LayerId.ENHANCED, FrameType.INTER), split)))
+        stream = Bitstream(config, (two_layer_frame(0, config), frame))
+        assert validate_structure(stream) == []
+        tables = rate_records(stream)
+        assert list(tables) == [LayerId.BASE, LayerId.ENHANCED]
+        # A group unit: 5-byte unit header, 4-byte range, then per tile
+        # 7 bytes of fields and the 2-byte payload.
+        one, three = (UNIT_HEADER_SIZE + 4 + 9 * n for n in (1, 3))
+        assert tables[LayerId.BASE] == ([UNIT_HEADER_SIZE + FRAME_HEADER_UNIT_SIZE] * 2,
+                                        [[one, 0, 0, 0]] * 2)
+        assert tables[LayerId.ENHANCED] == ([FRAME_HEADER_UNIT_SIZE] * 2,
+                                            [[one] * 4, [one, three, 0, 0]])
+        assert [one, three] == [tile_group_size(g) for g in split]
 
 
 class TestSuperblockMode:

@@ -11,6 +11,7 @@ from svbs.config import FRAME_PIXEL_BUDGET, SUPERBLOCK_SIZE, SequenceConfig
 from svbs.container import (
     FRAME_HEADER_UNIT_SIZE,
     SKIPPED_MODE_RECORD,
+    STUB_GROUP_SIZE,
     Bitstream,
     Frame,
     FrameHeader,
@@ -25,6 +26,7 @@ from svbs.container import (
     serialize,
     serialize_frame,
     serialized_frame_size,
+    tile_group_size,
     validate_structure,
 )
 from svbs.errors import BadIndexError, InvalidStructureError, TileMissingError
@@ -188,6 +190,10 @@ class TestStubCache:
         assert all(g.tiles[0].superblock_count == stream.config.tile_superblocks
                    for g in rewritten.layers[1].tile_groups)
         assert _stub_groups(wide)[0].tiles[0].superblock_count == wide.tile_superblocks
+        # The simulator prices every stub at STUB_GROUP_SIZE, whatever the grid.
+        assert STUB_GROUP_SIZE == 20
+        for grid in (SequenceConfig(384, 192, tile_cols=6, tile_rows=4), SequenceConfig(64, 32)):
+            assert all(tile_group_size(g) == STUB_GROUP_SIZE for g in _stub_groups(grid))
 
     def test_cache_is_bounded(self):
         # 255x255 tiles is the most a header can declare (u8 fields).  One
