@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import math
 import struct
-from collections.abc import Sequence
+from collections.abc import Container, Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -261,27 +261,15 @@ def rle_decompress(data: bytes, size: int) -> bytes:
 # --- tiled delta coding ------------------------------------------------------
 
 
-def _grid_regions(width: int, height: int, grid: tuple[int, int]) -> list[tuple[slice, slice]]:
-    """(row slice, column slice) of each tile of a (cols, rows) ``grid``
-    over a width x height plane, by tile index in raster order."""
-    cols, rows = grid
-    tw, th = width // cols, height // rows
-    return [
-        (slice(r * th, (r + 1) * th), slice(c * tw, (c + 1) * tw))
-        for r in range(rows)
-        for c in range(cols)
-    ]
-
-
 def _tile_groups(
-    cur: np.ndarray, ref: np.ndarray | None, grid: tuple[int, int]
+    cur: np.ndarray, ref: np.ndarray | None, regions: list[tuple[slice, slice]]
 ) -> tuple[TileGroup, ...]:
-    """One single-tile CODED group per tile of ``grid`` over the plane ``cur``,
-    in raster order.  A tile codes its samples, or with a ``ref`` plane their
-    mod-256 difference from it (uint8 arithmetic wraps)."""
-    h, w = cur.shape
+    """One single-tile CODED group per region of the plane ``cur`` (see
+    ``SequenceConfig.layer_regions``), in raster order.  A tile codes its
+    samples, or with a ``ref`` plane their mod-256 difference from it (uint8
+    arithmetic wraps)."""
     groups = []
-    for t, (rs, cs) in enumerate(_grid_regions(w, h, grid)):
+    for t, (rs, cs) in enumerate(regions):
         data = cur[rs, cs] if ref is None else cur[rs, cs] - ref[rs, cs]
         payload = rle_compress(data.tobytes())
         tile = Tile(t, TileKind.CODED, coded_payload=payload)
@@ -289,10 +277,30 @@ def _tile_groups(
     return tuple(groups)
 
 
+def _decode_tiles(
+    out: np.ndarray, ref: np.ndarray | None, layer: LayerFrame,
+    regions: list[tuple[slice, slice]], received: Container[int],
+) -> np.ndarray:
+    """The inverse of :func:`_tile_groups`: write each CODED tile of ``layer``
+    whose index is in ``received`` into its region of the plane ``out``, as
+    its samples, or with a ``ref`` plane their mod-256 sum with it; return
+    ``out``.  ``ref`` may be ``out`` itself: tiles are disjoint, so a tile's
+    region still holds the reference until that tile is written."""
+    for group in layer.tile_groups:
+        for tile in group.tiles:
+            if tile.tile_kind == TileKind.CODED and tile.tile_index in received:
+                rs, cs = regions[tile.tile_index]
+                view = out[rs, cs]
+                raw = rle_decompress(tile.coded_payload, view.size)
+                samples = np.frombuffer(raw, dtype=np.uint8).reshape(view.shape)
+                out[rs, cs] = samples if ref is None else ref[rs, cs] + samples
+    return out
+
+
 def _delta_layer(
-    frames: Sequence[RasterFrame], i: int, gop: int, grid: tuple[int, int]
+    frames: Sequence[RasterFrame], i: int, gop: int, regions: list[tuple[slice, slice]]
 ) -> LayerFrame:
-    """Frame ``i`` of a closed-GOP delta-coded layer over ``grid``: a GOP
+    """Frame ``i`` of a closed-GOP delta-coded layer over ``regions``: a GOP
     start codes each tile's samples (KEY), any other frame their difference
     from frame ``i - 1`` (INTER)."""
     key = i % gop == 0
@@ -302,7 +310,7 @@ def _delta_layer(
         frame_type=FrameType.KEY if key else FrameType.INTER,
     )
     ref = None if key else frames[i - 1].samples
-    return LayerFrame(header, _tile_groups(frames[i].samples, ref, grid))
+    return LayerFrame(header, _tile_groups(frames[i].samples, ref, regions))
 
 
 # --- encoders ----------------------------------------------------------------
@@ -319,8 +327,8 @@ def encode_svc(source: VideoSource) -> Bitstream:
     config = source.config
     gop = config.gop_size
     sf = config.scale_factor
-    base_grid = config.layer_grid(base=True)
-    grid = config.layer_grid(base=False)
+    base_regions = config.layer_regions(base=True)
+    regions = config.layer_regions(base=False)
     bases = [downsample(f, sf) for f in source.frames]
 
     @functools.cache
@@ -329,12 +337,12 @@ def encode_svc(source: VideoSource) -> Bitstream:
 
     frames = []
     for i, frame in enumerate(source.frames):
-        base_layer = _delta_layer(bases, i, gop, base_grid)
+        base_layer = _delta_layer(bases, i, gop, base_regions)
         gop_start = (i // gop) * gop
         candidates = [o for o in range(config.ref_window) if i - o >= gop_start]
         best = None
         for off in candidates:
-            groups = _tile_groups(frame.samples, upsampled(i - off), grid)
+            groups = _tile_groups(frame.samples, upsampled(i - off), regions)
             total = sum(len(g.tiles[0].coded_payload) for g in groups)
             if best is None or total < best[0]:
                 best = (total, off, groups)
@@ -371,40 +379,28 @@ def encode_track(source: VideoSource, gop: int, resolution: TrackResolution) -> 
     config = replace(source.config, scale_factor=sf, gop_size=gop, ref_window=1,
                      base_single_tile=not full)
     frames = source.frames if full else [downsample(f, sf) for f in source.frames]
-    grid = config.layer_grid(base=True)
+    regions = config.layer_regions(base=True)
     return Bitstream(config=config, frames=tuple(
-        Frame(layers=(_delta_layer(frames, i, gop, grid),)) for i in range(len(frames))
+        Frame(layers=(_delta_layer(frames, i, gop, regions),)) for i in range(len(frames))
     ))
 
 
 # --- decoding ----------------------------------------------------------------
 
 
-def _decoded_tile(tile: Tile, view: np.ndarray) -> np.ndarray:
-    """The decompressed samples of a CODED tile, shaped like its region."""
-    raw = rle_decompress(tile.coded_payload, view.size)
-    return np.frombuffer(raw, dtype=np.uint8).reshape(view.shape)
-
-
 def _decode_base_frames(bitstream: Bitstream, first: int, last: int) -> list[np.ndarray]:
     """Base frames ``first``..``last``; ``first`` must hold a KEY base frame,
     as every GOP start of a valid stream does."""
     config = bitstream.config
-    bw, bh = config.base_width, config.base_height
-    regions = _grid_regions(bw, bh, config.layer_grid(base=True))
+    regions = config.layer_regions(base=True)
     decoded: list[np.ndarray] = []
     for i in range(first, last + 1):
         base = bitstream.frames[i].layer(LayerId.BASE)
         if base is None:
             raise MissingBaseError(i)
-        key = base.header.frame_type == FrameType.KEY
-        out = np.empty((bh, bw), dtype=np.uint8)
-        for group in base.tile_groups:
-            for tile in group.tiles:
-                rs, cs = regions[tile.tile_index]
-                region = _decoded_tile(tile, out[rs, cs])
-                out[rs, cs] = region if key else decoded[-1][rs, cs] + region
-        decoded.append(out)
+        ref = None if base.header.frame_type == FrameType.KEY else decoded[-1]
+        out = np.empty((config.base_height, config.base_width), dtype=np.uint8)
+        decoded.append(_decode_tiles(out, ref, base, regions, range(len(regions))))
     return decoded
 
 
@@ -439,19 +435,8 @@ def decode_frame(
 
     out = upsampled(frame_index)
     enh = bitstream.frames[frame_index].layer(LayerId.ENHANCED)
-    if enh is None:
-        return RasterFrame(config.width, config.height, out)
-    regions = _grid_regions(config.width, config.height, config.layer_grid(base=False))
-    # Tiles are disjoint, so a tile's region of ``out`` still holds the
-    # upsampled base until that tile is written.
-    offset = enh.header.base_ref_offset
-    ref = out if offset == 0 else None
-    for group in enh.tile_groups:
-        for tile in group.tiles:
-            if tile.tile_kind != TileKind.CODED or tile.tile_index not in received_tiles:
-                continue
-            if ref is None:
-                ref = upsampled(frame_index - offset)
-            rs, cs = regions[tile.tile_index]
-            out[rs, cs] = ref[rs, cs] + _decoded_tile(tile, out[rs, cs])
+    if enh is not None:
+        offset = enh.header.base_ref_offset
+        ref = out if offset == 0 else upsampled(frame_index - offset)
+        _decode_tiles(out, ref, enh, config.layer_regions(base=False), received_tiles)
     return RasterFrame(config.width, config.height, out)

@@ -111,3 +111,13 @@ class SequenceConfig:
         if base and self.base_single_tile:
             return 1, 1
         return self.tile_cols, self.tile_rows
+
+    def layer_regions(self, base: bool) -> list[tuple[slice, slice]]:
+        """(row slice, column slice) of each tile of a layer's grid, by tile
+        index in raster order, over that layer's own plane: the base plane
+        for the base layer, the full frame for the enhanced one."""
+        cols, rows = self.layer_grid(base)
+        width, height = (self.base_width, self.base_height) if base else (self.width, self.height)
+        tw, th = width // cols, height // rows
+        return [(slice(r * th, (r + 1) * th), slice(c * tw, (c + 1) * tw))
+                for r in range(rows) for c in range(cols)]

@@ -42,11 +42,6 @@ from .errors import (
 
 MAGIC = b"SVBS"
 VERSION = 1
-HEADER_SIZE = 20
-UNIT_HEADER_SIZE = 5
-SUPERBLOCK_MODE_SIZE = 6
-# A frame header unit: the unit header and its fixed 8-byte payload.
-FRAME_HEADER_UNIT_SIZE = UNIT_HEADER_SIZE + 8
 
 
 class UnitType(IntEnum):
@@ -75,6 +70,23 @@ class TileKind(IntEnum):
 # ref_frames REF_TO_BASE_LAYER_ONLY (0), inter_mode ZERO_MV (0), use_obmc (0).
 # Such a superblock decodes as the upscaled base; parse refuses any other.
 SKIPPED_MODE_RECORD = bytes((0, 1, 1, 0, 0, 0))
+SUPERBLOCK_MODE_SIZE = len(SKIPPED_MODE_RECORD)
+
+# The fixed-size wire pieces, each one struct that serialize packs and parse
+# unpacks: the sequence header, a unit header alone or with the fixed fields
+# of a frame header or tile group unit after it, and a tile's fields before
+# its coded payload or with its mode record.
+_SEQUENCE_HEADER = struct.Struct("<4sBHHBBBHHHBB")
+_UNIT_HEADER = struct.Struct("<BI")
+_FRAME_HEADER_UNIT = struct.Struct("<BIIBBBB")
+_TILE_GROUP_UNIT = struct.Struct("<BIHH")
+_CODED_TILE = struct.Struct("<HBI")
+_SKIPPED_TILE = struct.Struct(f"<HBH{SUPERBLOCK_MODE_SIZE}s")
+HEADER_SIZE = _SEQUENCE_HEADER.size
+UNIT_HEADER_SIZE = _UNIT_HEADER.size
+FRAME_HEADER_UNIT_SIZE = _FRAME_HEADER_UNIT.size
+# A one-stub tile group unit at any grid: unit header, tile range, skipped tile.
+STUB_GROUP_SIZE = _TILE_GROUP_UNIT.size + _SKIPPED_TILE.size
 
 
 @dataclass(frozen=True, slots=True)
@@ -144,8 +156,8 @@ class Violation:
 
 def serialize_sequence_header(config: SequenceConfig) -> bytes:
     flags = 1 if config.base_single_tile else 0
-    return MAGIC + struct.pack(
-        "<BHHBBBHHHBB",
+    return _SEQUENCE_HEADER.pack(
+        MAGIC,
         VERSION,
         config.width,
         config.height,
@@ -160,16 +172,7 @@ def serialize_sequence_header(config: SequenceConfig) -> bytes:
     )
 
 
-# Fixed-size wire pieces, each packed in one call: a unit header with the
-# fixed fields after it, or a tile's fields before its coded payload.
-_UNIT_HEADER = struct.Struct("<BI")
-_FRAME_HEADER_UNIT = struct.Struct("<BIIBBBB")
-_TILE_GROUP_UNIT = struct.Struct("<BIHH")
-_CODED_TILE = struct.Struct("<HBI")
-_SKIPPED_TILE = struct.Struct("<HBH6s")
 _DELIMITER_UNIT = _UNIT_HEADER.pack(UnitType.TEMPORAL_DELIMITER, 0)
-# A one-stub tile group unit at any grid: unit header, tile range, skipped tile.
-STUB_GROUP_SIZE = _TILE_GROUP_UNIT.size + _SKIPPED_TILE.size
 
 
 def _group_pieces(pieces: list, group: TileGroup) -> list:
@@ -177,7 +180,7 @@ def _group_pieces(pieces: list, group: TileGroup) -> list:
     coded payloads are appended as they are, not copied."""
     at = len(pieces)
     pieces.append(b"")  # the unit header, once the payload size is known
-    size = 4
+    size = 4  # the payload's tile range, then its tiles
     for tile in group.tiles:
         if tile.tile_kind == TileKind.CODED:
             payload = tile.coded_payload
@@ -238,12 +241,6 @@ def serialize(bitstream: Bitstream) -> bytes:
 # --- parsing -----------------------------------------------------------------
 
 
-_SEQUENCE_FIELDS = struct.Struct("<HHBBBHHHBB")
-_FRAME_HEADER = struct.Struct("<IBBBB")
-_TG_RANGE = struct.Struct("<HH")
-_TILE_HEADER = struct.Struct("<HB")
-_U32 = struct.Struct("<I")
-_U16 = struct.Struct("<H")
 # Wire bytes compared as plain ints, which is cheaper than building enums.
 _CODED, _SKIPPED = int(TileKind.CODED), int(TileKind.SKIPPED)
 _UNIT_DELIMITER, _UNIT_FRAME_HEADER, _UNIT_TILE_GROUP = (
@@ -253,28 +250,27 @@ _UNIT_DELIMITER, _UNIT_FRAME_HEADER, _UNIT_TILE_GROUP = (
 
 def _parse_sequence_header(data: bytes) -> SequenceConfig:
     n = len(data)
-    if n < len(MAGIC):
-        if data == MAGIC[:n]:
-            raise TruncatedError(n)
+    # A prefix of the magic is a cut stream; anything else is not SVBS.
+    if data[:len(MAGIC)] != MAGIC[:n]:
         raise BadMagicError("stream does not start with SVBS magic")
-    if data[:4] != MAGIC:
-        raise BadMagicError("stream does not start with SVBS magic")
-    if n < 5:
-        raise TruncatedError(4)
-    version = data[4]
+    if n <= len(MAGIC):
+        raise TruncatedError(n)
+    version = data[len(MAGIC)]
     if version != VERSION:
         raise BadMagicError(f"unsupported container version {version}")
     if n < HEADER_SIZE:
-        raise TruncatedError(5)
-    (w, h, sf, tc, tr, fn, fd, gop, flags, rw) = _SEQUENCE_FIELDS.unpack_from(data, 5)
+        raise TruncatedError(len(MAGIC) + 1)
+    (_, _, w, h, sf, tc, tr, fn, fd, gop, flags, rw) = _SEQUENCE_HEADER.unpack_from(data)
     if flags > 1:
         raise InvalidStructureError(f"reserved sequence flag bits 0x{flags:02x} at offset 18")
     # The wire order is the field order.
     return SequenceConfig(w, h, sf, tc, tr, fn, fd, gop, flags == 1, rw)
 
 
-def _parse_frame_header(data: bytes, start: int) -> FrameHeader:
-    idx, layer, ftype, flags, ref = _FRAME_HEADER.unpack_from(data, start)
+def _parse_frame_header(data: bytes, unit: int) -> FrameHeader:
+    """The frame header unit at offset ``unit``; offsets in errors are absolute."""
+    _, _, idx, layer, ftype, flags, ref = _FRAME_HEADER_UNIT.unpack_from(data, unit)
+    start = unit + UNIT_HEADER_SIZE
     try:
         layer_id = LayerId(layer)
         frame_type = FrameType(ftype)
@@ -285,50 +281,45 @@ def _parse_frame_header(data: bytes, start: int) -> FrameHeader:
     return FrameHeader(idx, layer_id, frame_type, bool(flags & 1), bool(flags & 2), ref)
 
 
-def _parse_tile_group(data: memoryview, start: int, end: int) -> TileGroup:
-    """The tile group unit whose payload is ``data[start:end]``, read in place;
-    each coded payload is a slice of ``data``.
+def _parse_tile_group(data: memoryview, unit: int, end: int) -> TileGroup:
+    """The tile group unit at ``data[unit:end]``, read in place; each coded
+    payload is a slice of ``data``.
 
-    Offsets in errors are absolute.
+    Offsets in errors are absolute: a truncation names the first field of a
+    tile that does not fit (a tile's index and kind take 3 bytes).
     """
-    if end - start < 4:
-        raise TruncatedError(start)
-    tg_start, tg_end = _TG_RANGE.unpack_from(data, start)
-    pos = start + 4
+    pos = unit + _TILE_GROUP_UNIT.size
+    if pos > end:
+        raise TruncatedError(unit + UNIT_HEADER_SIZE)
+    _, _, tg_start, tg_end = _TILE_GROUP_UNIT.unpack_from(data, unit)
     tiles = []
     while pos < end:
         if end - pos < 3:
             raise TruncatedError(pos)
-        tile_index, kind = _TILE_HEADER.unpack_from(data, pos)
-        pos += 3
+        kind = data[pos + 2]
         if kind == _CODED:
-            if end - pos < 4:
-                raise TruncatedError(pos)
-            (size,) = _U32.unpack_from(data, pos)
-            pos += 4
-            if end - pos < size:
-                raise TruncatedError(pos)
-            tiles.append(
-                Tile(tile_index, TileKind.CODED, coded_payload=data[pos : pos + size])
-            )
-            pos += size
+            at = pos + _CODED_TILE.size
+            if at > end:
+                raise TruncatedError(pos + 3)
+            tile_index, _, size = _CODED_TILE.unpack_from(data, pos)
+            pos = at + size
+            if pos > end:
+                raise TruncatedError(at)
+            tiles.append(Tile(tile_index, TileKind.CODED, coded_payload=data[at:pos]))
         elif kind == _SKIPPED:
-            if end - pos < 2:
-                raise TruncatedError(pos)
-            (sb_count,) = _U16.unpack_from(data, pos)
-            pos += 2
-            if end - pos < SUPERBLOCK_MODE_SIZE:
-                raise TruncatedError(pos)
-            raw = data[pos : pos + SUPERBLOCK_MODE_SIZE]
-            if raw != SKIPPED_MODE_RECORD:
+            mode_at = pos + _SKIPPED_TILE.size - SUPERBLOCK_MODE_SIZE
+            if end - pos < _SKIPPED_TILE.size:
+                raise TruncatedError(pos + 3 if end < mode_at else mode_at)
+            tile_index, _, sb_count, mode = _SKIPPED_TILE.unpack_from(data, pos)
+            if mode != SKIPPED_MODE_RECORD:
                 raise InvalidStructureError(
-                    f"bad superblock mode at offset {pos}: {raw.hex()}, "
+                    f"bad superblock mode at offset {mode_at}: {mode.hex()}, "
                     f"want {SKIPPED_MODE_RECORD.hex()}"
                 )
-            pos += SUPERBLOCK_MODE_SIZE
+            pos += _SKIPPED_TILE.size
             tiles.append(Tile(tile_index, TileKind.SKIPPED, superblock_count=sb_count))
         else:
-            raise InvalidStructureError(f"bad tile kind {kind} at offset {pos - 1}")
+            raise InvalidStructureError(f"bad tile kind {kind} at offset {pos + 2}")
     return TileGroup(tg_start=tg_start, tg_end=tg_end, tiles=tuple(tiles))
 
 
@@ -381,18 +372,18 @@ def parse(data: bytes, frames: range | None = None) -> Bitstream:
             if not build:
                 continue
             if pos - unit_offset != STUB_GROUP_SIZE:
-                group = _parse_tile_group(view, start, pos)
+                group = _parse_tile_group(view, unit_offset, pos)
             elif (group := stubs.get(data[start:pos])) is None:
-                group = stubs[data[start:pos]] = _parse_tile_group(view, start, pos)
+                group = stubs[data[start:pos]] = _parse_tile_group(view, unit_offset, pos)
             layers[-1][1].append(group)
         elif type_byte == _UNIT_FRAME_HEADER:
             if layers is None:
                 raise InvalidStructureError(
                     f"frame header before the first temporal delimiter at offset {unit_offset}"
                 )
-            if size != 8:
+            if pos - unit_offset != FRAME_HEADER_UNIT_SIZE:
                 raise TruncatedError(start, f"frame header payload has {size} bytes, want 8")
-            layers.append((_parse_frame_header(data, start), []) if build else None)
+            layers.append((_parse_frame_header(data, unit_offset), []) if build else None)
         elif type_byte == _UNIT_DELIMITER:
             if size:
                 raise InvalidStructureError(f"temporal delimiter payload at offset {unit_offset}")

@@ -132,16 +132,6 @@ class SessionReport:
         return sum(sum(streams.values()) for streams in self.seconds.values())
 
 
-def expected_gop_wait_ms(gop: int, fps) -> float:
-    """Mean wait imposed by GOP-aligned switching: half a GOP of frames."""
-    if gop < 1:
-        raise BadArgsError("gop must be >= 1")
-    fps = float(fps)
-    if fps <= 0:
-        raise BadArgsError("fps must be positive")
-    return 1000.0 * gop / (2.0 * fps)
-
-
 # --- per-frame size tables ---------------------------------------------------
 
 
@@ -361,20 +351,16 @@ def _resolve_switches(times, known, pose_set, tile_sets, display, hq_ids, hq_set
 
 
 def latency_summary(reports: list[SessionReport]) -> list[dict]:
-    """Mean/median/p95 MTP and MTHQ per scheme, with a 50 ms MTHQ flag."""
+    """Mean/median/p95 MTP and MTHQ of each report, in order, with a 50 ms
+    MTHQ flag."""
     if not reports:
         raise BadArgsError("no session reports")
-    by_scheme: dict[str, list[SessionReport]] = {}
-    for r in reports:
-        by_scheme.setdefault(r.scheme_label, []).append(r)
     out = []
-    for label, group in by_scheme.items():
-        mthq = [x for r in group for x in r.mthq_samples]
-        mtp = [x for r in group for x in r.mtp_samples]
-        not_reached = sum(1 for r in group for s in r.switches if s.mthq_ms is None)
-        entry = {"scheme": label, "switches": sum(len(r.switches) for r in group),
-                 "not_reached": not_reached}
-        for name, samples in (("mthq", mthq), ("mtp", mtp)):
+    for report in reports:
+        label = report.scheme_label
+        not_reached = sum(1 for s in report.switches if s.mthq_ms is None)
+        entry = {"scheme": label, "switches": len(report.switches), "not_reached": not_reached}
+        for name, samples in (("mthq", report.mthq_samples), ("mtp", report.mtp_samples)):
             mean = median = high = None
             if samples:
                 try:

@@ -40,6 +40,7 @@ from svbs.codec import (
     upsample_nearest,
 )
 from svbs.errors import (
+    BadArgsError,
     BadMagicError,
     InvalidStructureError,
     MissingBaseError,
@@ -652,6 +653,16 @@ def _ref_track_tables(source, gop: int, resolution, cycle: int):
     stream = encode_track(source, gop, resolution)
     header = [_REF_DELIMITER_BYTES + _REF_FRAME_HEADER_BYTES] * cycle
     return header, _ref_tile_table(stream, LayerId.BASE)
+
+
+def expected_gop_wait_ms(gop: int, fps) -> float:
+    """Mean wait imposed by GOP-aligned switching: half a GOP of frames."""
+    if gop < 1:
+        raise BadArgsError("gop must be >= 1")
+    fps = float(fps)
+    if fps <= 0:
+        raise BadArgsError("fps must be positive")
+    return 1000.0 * gop / (2.0 * fps)
 
 
 def _ref_lcm(*values: int) -> int:

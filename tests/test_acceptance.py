@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from helpers import random_bitstream, record_bytes_per_frame
+from helpers import expected_gop_wait_ms, random_bitstream, record_bytes_per_frame
 from svbs.codec import (
     TrackResolution,
     decode_frame,
@@ -51,7 +51,6 @@ from svbs.simulator import (
     NetworkModel,
     Scheme,
     SchemeKind,
-    expected_gop_wait_ms,
     run_session,
 )
 

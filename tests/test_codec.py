@@ -507,6 +507,42 @@ class TestScaleFactorOne:
             assert decode_frame(stream, i, received) == frame
 
 
+class TestLayerRegions:
+    """``SequenceConfig.layer_regions``, the one tile table of the encoder
+    and the decoder, tiles each layer's own plane exactly, in raster order."""
+
+    @pytest.mark.parametrize("scale_factor", [1, 2])
+    @pytest.mark.parametrize("base_single_tile", [True, False], ids=["single", "tiled"])
+    def test_exact_raster_tiling(self, scale_factor, base_single_tile):
+        config = SequenceConfig(96, 48, scale_factor=scale_factor, tile_cols=3, tile_rows=2,
+                                base_single_tile=base_single_tile)
+        planes = {True: (config.base_height, config.base_width),
+                  False: (config.height, config.width)}
+        for base, (height, width) in planes.items():
+            regions = config.layer_regions(base)
+            cols, rows = config.layer_grid(base)
+            assert len(regions) == cols * rows
+            hits = np.zeros((height, width), dtype=np.int64)
+            for rs, cs in regions:
+                assert 0 <= rs.start < rs.stop <= height and 0 <= cs.start < cs.stop <= width
+                hits[rs, cs] += 1
+            assert (hits == 1).all()
+            corners = [(rs.start, cs.start) for rs, cs in regions]
+            assert corners == sorted(set(corners))
+        tw, th = config.tile_width, config.tile_height
+        enhanced = config.layer_regions(base=False)
+        for t, (rs, cs) in enumerate(enhanced):
+            col, row = config.tile_position(t)
+            assert (rs, cs) == (slice(row * th, (row + 1) * th), slice(col * tw, (col + 1) * tw))
+        if not base_single_tile:
+            # A tiled base layer's tiles are the enhanced tiles, downscaled.
+            sf = scale_factor
+            assert config.layer_regions(base=True) == [
+                (slice(rs.start // sf, rs.stop // sf), slice(cs.start // sf, cs.stop // sf))
+                for rs, cs in enhanced
+            ]
+
+
 class TestDecode:
     def test_all_tiles_is_lossless(self):
         config = small_config(ref_window=2)

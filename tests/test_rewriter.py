@@ -10,8 +10,10 @@ from svbs.codec import encode_svc, generate_content
 from svbs.config import FRAME_PIXEL_BUDGET, SUPERBLOCK_SIZE, SequenceConfig
 from svbs.container import (
     FRAME_HEADER_UNIT_SIZE,
+    HEADER_SIZE,
     SKIPPED_MODE_RECORD,
     STUB_GROUP_SIZE,
+    SUPERBLOCK_MODE_SIZE,
     Bitstream,
     Frame,
     FrameHeader,
@@ -191,7 +193,10 @@ class TestStubCache:
                    for g in rewritten.layers[1].tile_groups)
         assert _stub_groups(wide)[0].tiles[0].superblock_count == wide.tile_superblocks
         # The simulator prices every stub at STUB_GROUP_SIZE, whatever the grid.
+        # It and the other wire sizes are derived from the container's structs.
         assert STUB_GROUP_SIZE == 20
+        assert (HEADER_SIZE, UNIT_HEADER_SIZE, FRAME_HEADER_UNIT_SIZE) == (20, 5, 13)
+        assert SUPERBLOCK_MODE_SIZE == 6
         for grid in (SequenceConfig(384, 192, tile_cols=6, tile_rows=4), SequenceConfig(64, 32)):
             assert all(tile_group_size(g) == STUB_GROUP_SIZE for g in _stub_groups(grid))
 

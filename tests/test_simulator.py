@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_run_session, reference_write_report_csv
+from helpers import expected_gop_wait_ms, reference_run_session, reference_write_report_csv
 from svbs.codec import encode_svc, generate_content
 from svbs.config import SequenceConfig
 from svbs.container import serialized_frame_size
@@ -27,7 +27,6 @@ from svbs.simulator import (
     SessionReport,
     SwitchSample,
     _tile_set,
-    expected_gop_wait_ms,
     latency_summary,
     report_to_json,
     run_session,
