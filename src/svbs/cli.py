@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import hashlib
 import json
@@ -225,11 +226,10 @@ def _cmd_rewrite(args) -> int:
     frames = list(stream.frames)
     for k in targets:
         frames[k] = rewrite_viewport_frame(frames[k], selected, stream.config)
-    out_stream = stream.__class__(config=stream.config, frames=tuple(frames))
     with open(args.out, "wb") as fh:
-        fh.write(serialize(out_stream))
+        fh.write(serialize(dataclasses.replace(stream, frames=tuple(frames))))
     _write_manifest(args.out, args, inputs, [args.out])
-    print(f"rewrote {len(list(targets))} frame(s), kept tiles {sorted(selected)} -> {args.out}")
+    print(f"rewrote {len(targets)} frame(s), kept tiles {sorted(selected)} -> {args.out}")
     return EXIT_OK
 
 
@@ -347,9 +347,10 @@ def _cmd_report(args) -> int:
             # A short row reads its missing fields as None (TypeError).
             except (ValueError, TypeError, csv.Error) as exc:
                 raise SvbsError(f"report {path} line {reader.line_num}: {exc}") from None
-    # A CSV holds no frame period, which the summary does not read.
-    reports = [SessionReport(scheme, 0.0, samples, {})
-               for scheme, samples in sorted(switches.items())]
+    # A CSV holds no frame period, which the summary does not read.  A scheme
+    # whose session saw no switch has second rows only.
+    reports = [SessionReport(scheme, 0.0, switches.get(scheme, []), {})
+               for scheme in sorted(switches.keys() | byte_rows.keys())]
     summary = [
         {key: entry[key] for key in ("scheme", "switches", "mean_mthq_ms", "p95_mthq_ms")}
         | {"total_bytes": byte_rows.get(entry["scheme"], 0)}
@@ -443,10 +444,7 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
         return args.func(args)
-    except SvbsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (SvbsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

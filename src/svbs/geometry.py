@@ -170,19 +170,17 @@ def _check_projection(projection: Projection, config: SequenceConfig) -> None:
 
 
 # select_tiles applies the oracle's own pixel-center test, but only where it
-# can matter.  Every tile is cut into blocks of at most _BLOCK x _BLOCK pixels,
-# each bounded by a spherical cap: a center direction plus the largest angle
-# to any of the block's pixel centers.  A call drops the blocks whose cap
-# provably misses the frustum, selects a tile as soon as one of a surviving
-# block's representative pixel centers (the one nearest the block center and
-# the four corners) is inside, and scans pixel centers only for the tiles
-# still undecided.  Culling drops only blocks with no pixel center inside, so
-# the result equals tile_coverage_oracle at any frame size.
+# can matter.  Each tile region of config.layer_regions is cut into blocks of
+# at most _BLOCK x _BLOCK pixels, each bounded by a spherical cap: a center
+# direction plus the largest angle to any of the block's pixel centers.  A
+# call drops the blocks whose cap provably misses the frustum, selects a tile
+# as soon as one of a surviving block's representative pixel centers (the one
+# nearest the block center and the four corners) is inside, and scans pixel
+# centers only for the tiles still undecided.  Culling drops only blocks with
+# no pixel center inside, so the result equals tile_coverage_oracle.
 
 _BLOCK = 32
-# Pixels unprojected at once while measuring the block caps.
-_TABLE_CHUNK_PIXELS = 1 << 18
-# Blocks whose pixel centers are scanned at once for an undecided tile.
+# Blocks whose pixel centers are unprojected at once (cap radii, scans).
 _SCAN_BLOCKS = 16
 # Widens every cap to absorb rounding in its radius and in the rotation.
 _RADIUS_PAD = 1e-9
@@ -190,13 +188,10 @@ _RADIUS_PAD = 1e-9
 
 @dataclass(frozen=True)
 class _BlockTable:
-    """Blocks of one (projection, tile grid) in raster order; entry i of
-    every array describes block i."""
+    """Blocks of one (projection, tile grid), tile by tile and row-major
+    inside each tile; entry i of every array describes block i."""
 
-    x0: np.ndarray
-    y0: np.ndarray
-    w: np.ndarray
-    h: np.ndarray
+    box: np.ndarray  # (N, 4) x0, y0, width, height in pixels
     tile: np.ndarray
     center: np.ndarray  # (N, 3) cap center directions
     radius: np.ndarray  # cap radius in radians
@@ -204,64 +199,46 @@ class _BlockTable:
     reps: np.ndarray  # (N, 5, 3) representative pixel-center directions
 
 
-def _block_intervals(extent: int, tiles: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Start, length and tile of each block interval along one frame axis."""
-    size = extent // tiles
-    offsets = np.arange(0, size, _BLOCK)
-    starts = (np.arange(tiles)[:, None] * size + offsets).ravel()
-    lengths = np.tile(np.minimum(_BLOCK, size - offsets), tiles)
-    owners = np.repeat(np.arange(tiles), len(offsets))
-    return starts, lengths, owners
+def _block_pixel_directions(box: np.ndarray, projection: Projection) -> np.ndarray:
+    """Directions of every pixel center of the given (x0, y0, w, h) blocks,
+    block after block, each block's pixels in row-major order."""
+    x0, y0, w, h = box.T[:, :, None, None]
+    offsets = np.arange(_BLOCK)
+    inside = (offsets < w) & (offsets[:, None] < h)
+    u = np.broadcast_to(x0 + offsets, inside.shape)[inside]
+    v = np.broadcast_to(y0 + offsets[:, None], inside.shape)[inside]
+    return _unproject(u + 0.5, v + 0.5, projection)
 
 
 @lru_cache(maxsize=8)
-def _block_table(
-    kind: ProjectionKind, width: int, height: int, tile_cols: int, tile_rows: int
-) -> _BlockTable:
-    projection = Projection(kind, width, height)
-    xs, ws, x_tile = _block_intervals(width, tile_cols)
-    ys, hs, y_tile = _block_intervals(height, tile_rows)
-    nx, ny = len(xs), len(ys)
-    x0, w = np.tile(xs, ny), np.tile(ws, ny)
-    y0, h = np.repeat(ys, nx), np.repeat(hs, nx)
-    tile = np.repeat(y_tile, nx) * tile_cols + np.tile(x_tile, ny)
+def _block_table(kind: ProjectionKind, config: SequenceConfig) -> _BlockTable:
+    projection = Projection(kind, config.width, config.height)
+    blocks = np.array([
+        (x, y, min(_BLOCK, xs.stop - x), min(_BLOCK, ys.stop - y), t)
+        for t, (ys, xs) in enumerate(config.layer_regions(base=False))
+        for y in range(ys.start, ys.stop, _BLOCK)
+        for x in range(xs.start, xs.stop, _BLOCK)
+    ])
+    box, tile = blocks[:, :4], blocks[:, 4]
+    x0, y0, w, h = box.T
     center = _unproject(x0 + w / 2.0, y0 + h / 2.0, projection)
     # The pixel nearest the block center, then the four corner pixels.
     rep_x = np.stack([x0 + w // 2, x0, x0 + w - 1, x0, x0 + w - 1], axis=1)
     rep_y = np.stack([y0 + h // 2, y0, y0, y0 + h - 1, y0 + h - 1], axis=1)
     reps = _unproject(rep_x.ravel() + 0.5, rep_y.ravel() + 0.5, projection).reshape(-1, 5, 3)
 
-    # Largest squared chord from each block center to its pixel centers,
-    # over one block row and at most _TABLE_CHUNK_PIXELS pixels at a time.
-    chord2 = np.empty(nx * ny)
-    per_chunk = max(1, _TABLE_CHUNK_PIXELS // (_BLOCK * _BLOCK))
-    for i in range(ny):
-        rows = np.arange(ys[i], ys[i] + hs[i]) + 0.5
-        for j in range(0, nx, per_chunk):
-            k = min(j + per_chunk, nx)
-            xa, xb = xs[j], xs[k - 1] + ws[k - 1]
-            uu, vv = np.meshgrid(np.arange(xa, xb) + 0.5, rows)
-            dirs = _unproject(uu.ravel(), vv.ravel(), projection).reshape(len(rows), xb - xa, 3)
-            ids = slice(i * nx + j, i * nx + k)
-            d = dirs - np.repeat(center[ids], ws[j:k], axis=0)
-            col_max = np.einsum("rcx,rcx->rc", d, d).max(axis=0)
-            chord2[ids] = np.maximum.reduceat(col_max, xs[j:k] - xa)
+    # Largest squared chord from each block center to its pixel centers.
+    chord2 = np.empty(len(box))
+    for j in range(0, len(box), _SCAN_BLOCKS):
+        ids = slice(j, j + _SCAN_BLOCKS)
+        sizes = w[ids] * h[ids]
+        d = _block_pixel_directions(box[ids], projection) - np.repeat(center[ids], sizes, axis=0)
+        chord2[ids] = np.maximum.reduceat(np.einsum("ij,ij->i", d, d), np.cumsum(sizes) - sizes)
     radius = 2.0 * np.arcsin(np.minimum(1.0, np.sqrt(chord2) / 2.0)) + _RADIUS_PAD
     return _BlockTable(
-        x0=x0, y0=y0, w=w, h=h, tile=tile, center=center, radius=radius,
+        box=box, tile=tile, center=center, radius=radius,
         sin_radius=np.sin(np.minimum(radius, math.pi / 2)), reps=reps,
     )
-
-
-def _block_pixel_directions(
-    table: _BlockTable, ids: np.ndarray, projection: Projection
-) -> np.ndarray:
-    """Directions of every pixel center of the given blocks."""
-    offsets = np.arange(_BLOCK)
-    inside = (offsets < table.w[ids, None, None]) & (offsets[:, None] < table.h[ids, None, None])
-    u = np.broadcast_to(table.x0[ids, None, None] + offsets, inside.shape)[inside]
-    v = np.broadcast_to(table.y0[ids, None, None] + offsets[:, None], inside.shape)[inside]
-    return _unproject(u + 0.5, v + 0.5, projection)
 
 
 def _surviving_blocks(viewport: Viewport, table: _BlockTable) -> np.ndarray:
@@ -295,9 +272,7 @@ def select_tiles(
     scale with the block count, not the pixel count.
     """
     _check_projection(projection, config)
-    table = _block_table(
-        projection.kind, projection.width, projection.height, config.tile_cols, config.tile_rows
-    )
+    table = _block_table(projection.kind, config)
     blocks = _surviving_blocks(viewport, table)
     reps = table.reps[blocks]
     hit = _frustum_mask(viewport, reps.reshape(-1, 3)).reshape(reps.shape[:2]).any(axis=1)
@@ -307,7 +282,7 @@ def select_tiles(
     for t in np.unique(table.tile[undecided]).tolist():
         ids = undecided[table.tile[undecided] == t]
         for j in range(0, len(ids), _SCAN_BLOCKS):
-            dirs = _block_pixel_directions(table, ids[j : j + _SCAN_BLOCKS], projection)
+            dirs = _block_pixel_directions(table.box[ids[j : j + _SCAN_BLOCKS]], projection)
             if _frustum_mask(viewport, dirs).any():
                 chosen[t] = True
                 break

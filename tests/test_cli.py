@@ -700,6 +700,20 @@ class TestSimulateAndReport:
         assert main(["report", str(path)]) == EXIT_OK
         assert json.loads(capsys.readouterr().out) == []
 
+    def test_report_keeps_a_scheme_without_switches(self, tmp_path, capsys):
+        # A one-pose trace has no switch: the CSV holds second rows only.
+        trace_path = tmp_path / "t.jsonl"
+        write_viewport_trace(trace_path, [(0.0, Viewport.from_degrees(0, 0, 90, 90))])
+        assert main(["simulate", "--width", "96", "--height", "48", "--tile-cols", "6",
+                     "--tile-rows", "4", "--gop", "10", "--scheme", "svc",
+                     "--trace", str(trace_path), "--out", str(tmp_path / "sim")]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["switches"] == 0
+        assert main(["report", str(tmp_path / "sim.svc.csv")]) == EXIT_OK
+        [entry] = json.loads(capsys.readouterr().out)
+        want = json.loads((tmp_path / "sim.svc.json").read_text())["total_bytes"]
+        assert (entry["scheme"], entry["switches"]) == ("svc", 0)
+        assert entry["total_bytes"] == want > 0
+
     def test_simulate_builds_no_frame_logs(self, tmp_path, capsys, monkeypatch):
         def refuse(*args):
             raise AssertionError("svbs simulate built a FrameLog")

@@ -18,6 +18,8 @@ from svbs.config import SequenceConfig
 from svbs.errors import BadConfigError, BadTraceError, TooLargeError
 from svbs.geometry import (
     ORACLE_PIXEL_BUDGET,
+    _BLOCK,
+    _block_table,
     _unproject,
     _unproject_cubemap,
     Projection,
@@ -223,6 +225,64 @@ class TestSelectTiles:
         proj = Projection(ProjectionKind.ERP, 2048, 1024)
         with pytest.raises(TooLargeError):
             tile_coverage_oracle(Viewport.from_degrees(0, 0, 90, 90), proj, config)
+
+
+@st.composite
+def tile_grids(draw):
+    """A projection and a config of at most 200x130 pixels with any tile grid
+    the frame allows: tiles of any even size, narrower than a block or not a
+    multiple of one, and cube-map tiles straddling faces."""
+    if draw(st.booleans()):
+        kind = ProjectionKind.ERP
+        cols, rows = draw(st.integers(1, 8)), draw(st.integers(1, 6))
+        width = cols * 2 * draw(st.integers(1, 100 // cols))
+        height = rows * 2 * draw(st.integers(1, 65 // rows))
+    else:
+        kind = ProjectionKind.CUBEMAP_3x2
+        f = draw(st.integers(1, 32))  # faces of 2f pixels
+        width, height = 6 * f, 4 * f
+        cols = draw(st.sampled_from([c for c in range(1, 9) if 3 * f % c == 0]))
+        rows = draw(st.sampled_from([r for r in range(1, 7) if 2 * f % r == 0]))
+    config = SequenceConfig(width=width, height=height, tile_cols=cols, tile_rows=rows)
+    return Projection(kind, width, height), config
+
+
+class TestTileGrids:
+    @given(
+        tile_grids(),
+        st.lists(st.tuples(st.floats(-180.0, 180.0), st.floats(-90.0, 90.0),
+                           st.floats(1e-6, 360.0), st.floats(1e-6, 180.0)),
+                 min_size=1, max_size=4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_select_tiles_matches_oracle(self, grid, poses):
+        proj, config = grid
+        for pose in poses:
+            vp = Viewport.from_degrees(*pose)
+            assert select_tiles(vp, proj, config) == tile_coverage_oracle(vp, proj, config)
+
+    @given(tile_grids())
+    @settings(max_examples=60, deadline=None)
+    def test_blocks_partition_tiles_inside_their_caps(self, grid):
+        proj, config = grid
+        table = _block_table(proj.kind, config)
+        regions = config.layer_regions(base=False)
+        ys, xs = np.mgrid[0 : config.height, 0 : config.width]
+        dirs = _unproject(xs.ravel() + 0.5, ys.ravel() + 0.5, proj).reshape(ys.shape + (3,))
+        cover = np.zeros(ys.shape, np.int64)
+        for (x0, y0, w, h), tile, center, radius in zip(
+            table.box.tolist(), table.tile.tolist(), table.center, table.radius
+        ):
+            rows, cols = regions[tile]
+            assert 1 <= w <= _BLOCK and 1 <= h <= _BLOCK
+            assert cols.start <= x0 and x0 + w <= cols.stop
+            assert rows.start <= y0 and y0 + h <= rows.stop
+            cover[y0 : y0 + h, x0 : x0 + w] += 1
+            # The angle from the cap center to each of the block's pixel centers.
+            d = dirs[y0 : y0 + h, x0 : x0 + w].reshape(-1, 3)
+            angle = np.arctan2(np.linalg.norm(np.cross(d, center), axis=1), d @ center)
+            assert angle.max() <= radius
+        assert (cover == 1).all()
 
 
 class TestTraces:
