@@ -108,7 +108,10 @@ def generate_content(seed: int, config: SequenceConfig, frame_count: int) -> Vid
                             f"budget {CONTENT_PIXEL_BUDGET}")
     rng = np.random.default_rng(seed)
 
-    ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
+    # A row of x against a column of y: the same float operations, element
+    # for element, as over a full (h, w) grid.
+    xs = np.arange(w, dtype=np.float64)
+    ys = np.arange(h, dtype=np.float64)[:, None]
     background = np.full((h, w), 128.0)
     for _ in range(5):
         amp = rng.uniform(6.0, 14.0)
@@ -127,37 +130,50 @@ def generate_content(seed: int, config: SequenceConfig, frame_count: int) -> Vid
     blob_vx = rng.uniform(-2.0, 2.0, size=n_blobs)
     blob_vy = rng.uniform(-1.5, 1.5, size=n_blobs)
 
+    # The bump is exactly 0 beyond the radius, so only the pixels within it
+    # (plus a pixel of slack) change: each frame adds its blobs into ``img``
+    # over their windows, rounds only those windows into a copy of the
+    # rounded background, then puts the background back under them.  Each
+    # pixel gets the float operations of a full-grid evaluation in the same
+    # order, so it keeps its value bit for bit.
+    rounded = np.clip(np.rint(background), 0, 255).astype(np.uint8)
+    img = background.copy()
     frames = []
     for t in range(frame_count):
-        img = background.copy()
+        windows = []
         for j in range(n_blobs):
             cx = (blob_x0[j] + blob_vx[j] * t) % w
             cy = (blob_y0[j] + blob_vy[j] * t) % h
-            # The bump is exactly 0 beyond the radius, so only the pixels
-            # within it (plus a pixel of slack) are evaluated.  The float
-            # expressions are those of a full-grid evaluation, so each pixel
-            # keeps its value bit for bit.
-            rows = _wrapped_window(cy, blob_r[j], h)
-            cols = _wrapped_window(cx, blob_r[j], w)
-            # Wrap-aware distance so blobs drift seamlessly across edges.
-            dx = np.minimum(np.abs(cols - cx), w - np.abs(cols - cx))
-            dy = np.minimum(np.abs(rows - cy), h - np.abs(rows - cy))
-            r2 = (dx * dx + dy[:, None] * dy[:, None]) / (blob_r[j] * blob_r[j])
-            bump = np.maximum(0.0, 1.0 - r2)
-            img[np.ix_(rows, cols)] += blob_amp[j] * bump * bump
-        samples = np.clip(np.rint(img), 0, 255).astype(np.uint8)
+            for rs in _wrapped_runs(cy, blob_r[j], h):
+                # Wrap-aware distance so blobs drift seamlessly across edges.
+                dy = np.minimum(np.abs(ys[rs] - cy), h - np.abs(ys[rs] - cy))
+                for cs in _wrapped_runs(cx, blob_r[j], w):
+                    dx = np.minimum(np.abs(xs[cs] - cx), w - np.abs(xs[cs] - cx))
+                    r2 = (dx * dx + dy * dy) / (blob_r[j] * blob_r[j])
+                    bump = np.maximum(0.0, 1.0 - r2)
+                    img[rs, cs] += blob_amp[j] * bump * bump
+                    windows.append((rs, cs))
+        samples = rounded.copy()
+        for win in windows:
+            samples[win] = np.clip(np.rint(img[win]), 0, 255).astype(np.uint8)
+        for win in windows:
+            img[win] = background[win]
         frames.append(RasterFrame(w, h, samples))
     return VideoSource(config=config, frames=tuple(frames))
 
 
-def _wrapped_window(center: float, radius: float, size: int) -> np.ndarray:
-    """Distinct pixel indices within ``radius`` + 1 of ``center`` on an axis
-    of ``size`` pixels that wraps around."""
+def _wrapped_runs(center: float, radius: float, size: int) -> list[slice]:
+    """The distinct pixels within ``radius`` + 1 of ``center`` on an axis of
+    ``size`` pixels that wraps around, as one slice, or two where the window
+    wraps."""
     lo = math.floor(center - radius) - 1
-    hi = math.ceil(center + radius) + 1
-    if hi - lo + 1 >= size:
-        return np.arange(size)
-    return np.arange(lo, hi + 1) % size
+    n = math.ceil(center + radius) + 2 - lo
+    if n >= size:
+        return [slice(0, size)]
+    lo %= size
+    if lo + n <= size:
+        return [slice(lo, lo + n)]
+    return [slice(lo, size), slice(0, lo + n - size)]
 
 
 # --- resampling --------------------------------------------------------------
@@ -204,10 +220,11 @@ def rle_compress(data: bytes) -> bytes:
     n = arr.size
     if n == 0:
         return b""
+    # A zero run starts and ends where the padded zero mask flips: starts
+    # are the even flips, ends the odd ones.
     padded = np.concatenate(([False], arr == 0, [False]))
-    edges = np.diff(padded.astype(np.int8))
-    starts = np.nonzero(edges == 1)[0]
-    ends = np.nonzero(edges == -1)[0]
+    flips = np.flatnonzero(padded[1:] != padded[:-1])
+    starts, ends = flips[0::2], flips[1::2]
     long_runs = ends - starts >= MIN_ZERO_RUN
 
     out = []

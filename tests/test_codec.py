@@ -23,6 +23,7 @@ from svbs.codec import (
     downsample,
     encode_svc,
     encode_track,
+    _wrapped_runs,
     generate_content,
     rle_compress,
     rle_decompress,
@@ -35,6 +36,7 @@ from svbs.container import (
     Frame,
     FrameType,
     LayerId,
+    TileKind,
     parse,
     serialize,
     serialized_frame_size,
@@ -168,6 +170,30 @@ class TestRle:
         assert packed == reference_rle_compress(data)
         assert rle_decompress(packed, len(data)) == data
 
+    @given(
+        density=st.floats(0.0, 1.0),
+        runs=st.lists(
+            st.tuples(st.floats(0.0, 1.0), st.integers(1, 2 * MIN_ZERO_RUN), st.integers(1, 255)),
+            max_size=80,
+        ),
+        lead=st.integers(0, 2 * MIN_ZERO_RUN),
+        trail=st.integers(0, 2 * MIN_ZERO_RUN),
+    )
+    @settings(max_examples=300, deadline=None)
+    @example(density=1.0, runs=[(0.0, 2 * MIN_ZERO_RUN, 1)] * 3, lead=0, trail=0)
+    @example(density=0.0, runs=[(0.5, 1, 7)] * 40, lead=MIN_ZERO_RUN, trail=MIN_ZERO_RUN - 1)
+    @example(density=0.9, runs=[(0.5, MIN_ZERO_RUN - 1, 3), (0.95, 1, 4)] * 20, lead=0,
+             trail=MIN_ZERO_RUN)
+    def test_dense_and_sparse_match_reference(self, density, runs, lead, trail):
+        # Each run is zeros with probability ``density``, else a literal
+        # value: dense SVC-like residuals at low density, sparse track-like
+        # deltas at high density, and zero runs that lead, trail or fill.
+        body = b"".join(bytes([0 if u < density else v]) * n for u, n, v in runs)
+        data = b"\0" * lead + body + b"\0" * trail
+        packed = rle_compress(data)
+        assert packed == reference_rle_compress(data)
+        assert rle_decompress(packed, len(data)) == data
+
     def test_corrupt_inputs(self):
         with pytest.raises(CorruptRleError):
             rle_decompress(b"\x01\x01\x00", 1)  # truncated record header
@@ -263,6 +289,40 @@ class TestContent:
         got = generate_content(seed, config, frames).frames
         want = reference_generate_content_frames(seed, width, height, frames)
         assert [f.samples.tobytes() for f in got] == [f.tobytes() for f in want]
+
+    # At 256x128 a blob's window never spans a whole axis, so a blob near an
+    # edge is split into two slices per axis.  At frame 0, seed 0 puts
+    # blobs 1 and 2 across the left/right edge, seed 2 puts blob 3 across
+    # the top/bottom edge, and seed 6 puts blob 0 across a corner.
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        width=st.integers(1, 128).map(lambda n: 2 * n),
+        height=st.integers(1, 64).map(lambda n: 2 * n),
+        frames=st.integers(1, 8),
+    )
+    @settings(max_examples=40, deadline=None)
+    @example(seed=0, width=256, height=128, frames=2)
+    @example(seed=2, width=256, height=128, frames=2)
+    @example(seed=6, width=256, height=128, frames=2)
+    def test_matches_full_grid_reference_up_to_256x128(self, seed, width, height, frames):
+        config = SequenceConfig(width=width, height=height)
+        got = generate_content(seed, config, frames).frames
+        want = reference_generate_content_frames(seed, width, height, frames)
+        assert [f.samples.tobytes() for f in got] == [f.tobytes() for f in want]
+
+    @pytest.mark.parametrize("center, radius, size, want", [
+        (50.0, 10.0, 256, [slice(39, 62)]),  # no wrap
+        (3.5, 10.0, 256, [slice(248, 256), slice(0, 16)]),  # wraps past the left edge
+        (250.0, 10.0, 256, [slice(239, 256), slice(0, 6)]),  # wraps past the right edge
+        (2.0, 1.5, 4, [slice(0, 4)]),  # radius plus slack covers the whole axis
+    ])
+    def test_wrapped_runs(self, center, radius, size, want):
+        runs = _wrapped_runs(center, radius, size)
+        assert runs == want
+        # The pixels within radius + 1 of center, each once, modulo size.
+        lo, hi = math.floor(center - radius) - 1, math.ceil(center + radius) + 1
+        covered = np.concatenate([np.arange(size)[r] for r in runs])
+        assert sorted(covered) == sorted({i % size for i in range(lo, hi + 1)})
 
 
 # SHA-256 digests of the content generator and of both encoders' serialized
@@ -447,6 +507,48 @@ class TestTrackEncoder:
             for gop in (3, 5, 30)
         }
         assert sizes[3] >= sizes[5] >= sizes[30]
+
+
+def coded_samples_per_frame(stream: Bitstream) -> list[int]:
+    """The samples each frame of ``stream`` codes: the summed region sizes
+    of the CODED tiles of all its layers."""
+    counts = []
+    for frame in stream.frames:
+        n = 0
+        for layer in frame.layers:
+            regions = stream.config.layer_regions(base=layer.header.layer_id == LayerId.BASE)
+            for group in layer.tile_groups:
+                for tile in group.tiles:
+                    if tile.tile_kind == TileKind.CODED:
+                        rs, cs = regions[tile.tile_index]
+                        n += (rs.stop - rs.start) * (cs.stop - cs.start)
+        counts.append(n)
+    return counts
+
+
+class TestCodedSamples:
+    """PAPER.md's third claim by count: SVC at ``ref_window`` 1 codes the
+    base and the enhanced layer, as many samples as ``multitrack(G,0)``'s low
+    and full tracks, and a short track adds a second full track."""
+
+    @pytest.mark.parametrize("config, frames", [
+        (SequenceConfig(width=384, height=192, tile_cols=6, tile_rows=4, gop_size=10), 12),
+        (SequenceConfig(width=768, height=384, tile_cols=6, tile_rows=4, gop_size=30), 32),
+    ], ids=["384x192", "768x384"])
+    def test_samples_per_frame(self, config, frames):
+        source = generate_content(1, config, frames)
+        wh, sf, gop = config.width * config.height, config.scale_factor, config.gop_size
+
+        def tracks(*specs):
+            counts = [coded_samples_per_frame(encode_track(source, g, r)) for g, r in specs]
+            return [sum(c) for c in zip(*counts)]
+
+        low = (gop, TrackResolution.BASE)
+        svc = coded_samples_per_frame(encode_svc(source))
+        assert svc == [wh + wh // (sf * sf)] * frames
+        assert tracks(low, (gop, TrackResolution.FULL)) == svc
+        assert tracks(low, (gop, TrackResolution.FULL), (5, TrackResolution.FULL)) == [
+            2 * wh + wh // (sf * sf)] * frames
 
 
 # 64x32 with 2x2 tiles, 36x18 with 3x3 tiles (its base layer cannot be halved
