@@ -190,12 +190,14 @@ def downsample(frame: RasterFrame, factor: int) -> RasterFrame:
     if factor == 1:
         return RasterFrame(frame.width, frame.height, frame.samples.copy())
     h2, w2 = frame.height // factor, frame.width // factor
+    # Rows of each block first, so the column pass reads half the data.
     samples = frame.samples
-    sums = samples[::factor, ::factor].astype(np.uint32)
-    for dy in range(factor):
-        for dx in range(factor):
-            if dy or dx:
-                sums += samples[dy::factor, dx::factor]
+    rows = samples[::factor].astype(np.uint32)
+    for dy in range(1, factor):
+        rows += samples[dy::factor]
+    sums = rows[:, ::factor].copy()
+    for dx in range(1, factor):
+        sums += rows[:, dx::factor]
     f2 = factor * factor
     out = ((2 * sums + f2) // (2 * f2)).astype(np.uint8)
     return RasterFrame(w2, h2, out)
@@ -205,7 +207,8 @@ def upsample_nearest(frame: RasterFrame, factor: int) -> RasterFrame:
     """Replicate each source pixel factor x factor."""
     if factor < 1:
         raise BadDimensionsError("factor must be >= 1")
-    out = np.repeat(np.repeat(frame.samples, factor, axis=0), factor, axis=1)
+    # Columns first, so the row pass copies whole widened rows.
+    out = np.repeat(np.repeat(frame.samples, factor, axis=1), factor, axis=0)
     return RasterFrame(frame.width * factor, frame.height * factor, out)
 
 

@@ -163,13 +163,6 @@ def _stream_tables(
     return tables
 
 
-# An entry is one frozenset of at most tile_count ints: at most 2.3 KiB at 6x4.
-@lru_cache(maxsize=1024)
-def _tile_set(viewport: Viewport, projection: Projection, config: SequenceConfig) -> frozenset[int]:
-    """The tiles of ``viewport``, frozen so no caller can change a cached set."""
-    return frozenset(select_tiles(viewport, projection, config))
-
-
 # --- the session -------------------------------------------------------------
 
 
@@ -243,7 +236,7 @@ def run_session(
     for _, vp in trace:
         set_id = view_set.get(vp)
         if set_id is None:
-            tiles = _tile_set(vp, projection, config)
+            tiles = select_tiles(vp, projection, config)
             set_id = view_set[vp] = set_ids.setdefault(tiles, len(set_ids))
         pose_set_ids.append(set_id)
     pose_set = np.array(pose_set_ids)

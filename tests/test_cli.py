@@ -37,7 +37,6 @@ from svbs.container import (
 )
 from svbs.geometry import Viewport, select_tiles, write_viewport_trace
 from svbs.rewriter import rewrite_viewport_frame
-from svbs.simulator import _tile_set
 
 SMALL = [
     "--width", "64", "--height", "32", "--tile-cols", "2", "--tile-rows", "2",
@@ -726,26 +725,20 @@ class TestSimulateAndReport:
         assert rc == EXIT_OK
         capsys.readouterr()
 
-    def test_selects_each_view_once_per_process(self, tmp_path, capsys, monkeypatch):
+    def test_selects_each_view_once_per_process(self, tmp_path, capsys):
         # Three schemes over a trace among 4 views: the first call selects
-        # each view once, an identical second call selects none.
-        selected = []
-
-        def counting(*args):
-            selected.append(args[0])
-            return select_tiles(*args)
-
-        monkeypatch.setattr("svbs.simulator.select_tiles", counting)
-        _tile_set.cache_clear()
+        # each view once, an identical second call selects none.  A
+        # selection is a miss of the process-wide select_tiles cache.
+        select_tiles.cache_clear()
         trace_path = tmp_path / "t.jsonl"
         _golden_trace(trace_path)
         argv = ["simulate", *SMALL, "--trace", str(trace_path), "--scheme", "svc",
                 "--scheme", "multitrack(4,0)", "--scheme", "multitrack(4,2)",
                 "--out", str(tmp_path / "sim")]
         assert main(argv) == EXIT_OK
-        assert len(selected) == len(set(selected)) == 4
+        assert select_tiles.cache_info().misses == 4
         assert main(argv) == EXIT_OK
-        assert len(selected) == 4
+        assert select_tiles.cache_info().misses == 4
         capsys.readouterr()
 
     def _simulate(self, tmp_path, capsys, jobs: int, seed: int):

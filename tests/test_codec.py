@@ -118,6 +118,22 @@ class TestResampling:
         up = upsample_nearest(frame, 2)
         assert up.samples.tolist() == [[7, 7, 9, 9], [7, 7, 9, 9]]
 
+    @given(
+        factor=st.integers(1, 4),
+        size=st.tuples(st.integers(1, 12), st.integers(1, 12)).filter(lambda s: s[0] != s[1]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_upsample_matches_kron(self, factor, size, seed):
+        # Non-square frames, so a pass along the wrong axis changes the shape.
+        w, h = size
+        samples = np.random.default_rng(seed).integers(0, 256, size=(h, w), dtype=np.uint8)
+        up = upsample_nearest(RasterFrame(w, h, samples), factor)
+        assert (up.width, up.height) == (w * factor, h * factor)
+        want = np.kron(samples, np.ones((factor, factor), np.uint8))
+        assert up.samples.dtype == np.uint8
+        assert np.array_equal(up.samples, want)
+
 
 class TestRle:
     def test_empty_input(self):

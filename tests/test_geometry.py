@@ -285,6 +285,56 @@ class TestTileGrids:
         assert (cover == 1).all()
 
 
+class TestTileSetCache:
+    """``select_tiles`` keeps each viewport's tiles for the process, keyed by
+    (viewport, projection, config): a key lacking the grid, the projection or
+    the frame size would serve one of them the tiles of another."""
+
+    def test_key_holds_grid_projection_and_frame_size(self):
+        view = Viewport.from_degrees(30, 45.5, 30, 1)
+        keys = [
+            (ProjectionKind.ERP, 384, 192, 6, 4),
+            (ProjectionKind.ERP, 384, 192, 4, 2),
+            (ProjectionKind.CUBEMAP_3x2, 384, 256, 6, 4),
+            (ProjectionKind.ERP, 96, 48, 6, 4),
+        ]
+        sets = []
+        for _ in range(2):  # the second pass is served from the cache
+            hits = select_tiles.cache_info().hits
+            for kind, width, height, cols, rows in keys:
+                config = SequenceConfig(width=width, height=height, tile_cols=cols,
+                                        tile_rows=rows, gop_size=10)
+                projection = Projection(kind, width, height)
+                tiles = select_tiles(view, projection, config)
+                assert tiles == select_tiles.__wrapped__(view, projection, config)
+                sets.append(tiles)
+        assert select_tiles.cache_info().hits == hits + len(keys)
+        assert len(set(sets)) == len(keys)
+
+    def test_bounded_and_frozen(self):
+        assert 0 < select_tiles.cache_info().maxsize < math.inf
+        config = SequenceConfig(width=384, height=192, tile_cols=6, tile_rows=4, gop_size=10)
+        tiles = select_tiles(Viewport.from_degrees(0, 0, 90, 90),
+                             Projection(ProjectionKind.ERP, 384, 192), config)
+        assert type(tiles) is frozenset
+
+    def test_signed_zero_pitch_shares_one_entry(self):
+        # -0.0 == 0.0 and both hash alike, so two viewports built apart are
+        # one key; the one cached set must be right for both.
+        down = Viewport(math.radians(40), -0.0, math.radians(100), math.radians(70))
+        level = Viewport(math.radians(40), 0.0, math.radians(100), math.radians(70))
+        assert down == level and down is not level
+        assert math.copysign(1.0, down.pitch) == -1.0
+        first = select_tiles(down, ERP_PROJ, ERP_CONFIG)
+        hits = select_tiles.cache_info().hits
+        second = select_tiles(level, ERP_PROJ, ERP_CONFIG)
+        assert select_tiles.cache_info().hits == hits + 1
+        assert second is first
+        for vp in (down, level):
+            assert first == select_tiles.__wrapped__(vp, ERP_PROJ, ERP_CONFIG)
+            assert first == tile_coverage_oracle(vp, ERP_PROJ, ERP_CONFIG)
+
+
 class TestTraces:
     def test_write_read_round_trip(self, tmp_path):
         samples = [

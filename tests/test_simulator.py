@@ -26,7 +26,6 @@ from svbs.simulator import (
     SchemeKind,
     SessionReport,
     SwitchSample,
-    _tile_set,
     latency_summary,
     report_to_json,
     run_session,
@@ -406,36 +405,6 @@ class TestMatchesReference:
                 want = reference_run_session(scheme, trace, net, config, seed,
                                              cycle_frames=cycle)
                 assert_same_session(got, want)
-
-
-class TestTileSetCache:
-    """``_tile_set`` keeps each viewport's tiles across sessions, keyed by
-    (viewport, projection, config): a key lacking the grid, the projection or
-    the frame size would serve one of them the tiles of another."""
-
-    def test_key_holds_grid_projection_and_frame_size(self):
-        view = Viewport.from_degrees(30, 45.5, 30, 1)
-        keys = [
-            (ProjectionKind.ERP, 384, 192, 6, 4),
-            (ProjectionKind.ERP, 384, 192, 4, 2),
-            (ProjectionKind.CUBEMAP_3x2, 384, 256, 6, 4),
-            (ProjectionKind.ERP, 96, 48, 6, 4),
-        ]
-        sets = []
-        for _ in range(2):  # the second pass is served from the cache
-            for kind, width, height, cols, rows in keys:
-                config = SequenceConfig(width=width, height=height, tile_cols=cols,
-                                        tile_rows=rows, gop_size=10)
-                projection = Projection(kind, width, height)
-                tiles = _tile_set(view, projection, config)
-                assert tiles == select_tiles(view, projection, config)
-                sets.append(tiles)
-        assert len(set(sets)) == len(keys)
-
-    def test_bounded_and_frozen(self):
-        assert 0 < _tile_set.cache_info().maxsize < math.inf
-        tiles = _tile_set(VIEW_A, Projection(ProjectionKind.ERP, 384, 192), CONFIG)
-        assert type(tiles) is frozenset
 
 
 class TestTraceValidation:
