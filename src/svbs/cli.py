@@ -203,14 +203,14 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_rewrite(args) -> int:
-    inputs = {}
-    stream = parse(_read_input(args.input, inputs))
     if args.viewport is not None and args.trace is not None:
         raise SvbsError("rewrite takes --viewport or --trace, not both")
+    if not args.viewport and args.trace is None:
+        raise SvbsError("rewrite needs --viewport or --trace")
+    inputs = {}
+    stream = parse(_read_input(args.input, inputs))
     if args.viewport:
         viewport = _parse_viewport(args.viewport)
-    elif args.trace is None:
-        raise SvbsError("rewrite needs --viewport or --trace")
     else:
         trace = read_viewport_trace(args.trace, _read_input(args.trace, inputs))
         if not trace:

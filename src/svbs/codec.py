@@ -10,7 +10,6 @@ reconstruction stays bit-exact.
 
 from __future__ import annotations
 
-import functools
 import math
 import struct
 from collections.abc import Container, Sequence
@@ -350,11 +349,6 @@ def encode_svc(source: VideoSource) -> Bitstream:
     base_regions = config.layer_regions(base=True)
     regions = config.layer_regions(base=False)
     bases = [downsample(f, sf) for f in source.frames]
-
-    @functools.cache
-    def upsampled(i: int) -> np.ndarray:
-        return upsample_nearest(bases[i], sf).samples
-
     frames = []
     for i, frame in enumerate(source.frames):
         base_layer = _delta_layer(bases, i, gop, base_regions)
@@ -362,7 +356,8 @@ def encode_svc(source: VideoSource) -> Bitstream:
         candidates = [o for o in range(config.ref_window) if i - o >= gop_start]
         best = None
         for off in candidates:
-            groups = _tile_groups(frame.samples, upsampled(i - off), regions)
+            ref = upsample_nearest(bases[i - off], sf).samples
+            groups = _tile_groups(frame.samples, ref, regions)
             total = sum(len(g.tiles[0].coded_payload) for g in groups)
             if best is None or total < best[0]:
                 best = (total, off, groups)
@@ -408,22 +403,6 @@ def encode_track(source: VideoSource, gop: int, resolution: TrackResolution) -> 
 # --- decoding ----------------------------------------------------------------
 
 
-def _decode_base_frames(bitstream: Bitstream, first: int, last: int) -> list[np.ndarray]:
-    """Base frames ``first``..``last``; ``first`` must hold a KEY base frame,
-    as every GOP start of a valid stream does."""
-    config = bitstream.config
-    regions = config.layer_regions(base=True)
-    decoded: list[np.ndarray] = []
-    for i in range(first, last + 1):
-        base = bitstream.frames[i].layer(LayerId.BASE)
-        if base is None:
-            raise MissingBaseError(i)
-        ref = None if base.header.frame_type == FrameType.KEY else decoded[-1]
-        out = np.empty((config.base_height, config.base_width), dtype=np.uint8)
-        decoded.append(_decode_tiles(out, ref, base, regions, range(len(regions))))
-    return decoded
-
-
 def decode_frame(
     bitstream: Bitstream, frame_index: int, received_tiles: set[int]
 ) -> RasterFrame:
@@ -435,7 +414,9 @@ def decode_frame(
     the base layer, so only the frames from the frame's GOP start to the
     frame itself are checked and decoded: the cost depends on the frame's
     position in its GOP, not on its index or the stream's length.  Those are
-    the only frames that need to be built (see ``parse``'s ``frames``).
+    the only frames that need to be built (see ``parse``'s ``frames``).  They
+    are decoded in place into one base plane, so the working set is that
+    plane and at most two upsampled ones wherever the frame sits in its GOP.
     """
     config = bitstream.config
     if not 0 <= frame_index < len(bitstream.frames):
@@ -446,17 +427,20 @@ def decode_frame(
         raise InvalidStructureError(
             f"stream fails validation: {report[0].rule} at frame {report[0].frame_index}"
         )
-    bases = _decode_base_frames(bitstream, gop_start, frame_index)
-    sf = config.scale_factor
-
-    def upsampled(i: int) -> np.ndarray:
-        base = bases[i - gop_start]
-        return upsample_nearest(RasterFrame(config.base_width, config.base_height, base), sf).samples
-
-    out = upsampled(frame_index)
+    # Validation leaves each frame a base layer of CODED tiles covering the
+    # grid, so every base frame overwrites the whole plane it predicts from.
+    w, h, sf = config.base_width, config.base_height, config.scale_factor
+    regions = config.layer_regions(base=True)
     enh = bitstream.frames[frame_index].layer(LayerId.ENHANCED)
+    ref_index = frame_index - (enh.header.base_ref_offset if enh else 0)
+    base = RasterFrame(w, h, np.empty((h, w), dtype=np.uint8))
+    for i in range(gop_start, frame_index + 1):
+        layer = bitstream.frames[i].layer(LayerId.BASE)
+        prev = None if layer.header.frame_type == FrameType.KEY else base.samples
+        _decode_tiles(base.samples, prev, layer, regions, range(len(regions)))
+        if i == ref_index:
+            ref = upsample_nearest(base, sf).samples
+    out = ref if ref_index == frame_index else upsample_nearest(base, sf).samples
     if enh is not None:
-        offset = enh.header.base_ref_offset
-        ref = out if offset == 0 else upsampled(frame_index - offset)
         _decode_tiles(out, ref, enh, config.layer_regions(base=False), received_tiles)
     return RasterFrame(config.width, config.height, out)

@@ -337,6 +337,12 @@ class TestMalformedArguments:
             (["rewrite", "--in", "{stream}", "--viewport", "0,0,90,90",
               "--trace", "{dir}/trace.jsonl", "--out", "{out}"],
              "rewrite takes --viewport or --trace, not both"),
+            # The flags are checked before the input is read.
+            (["rewrite", "--in", "{dir}/missing.svb", "--out", "{out}"],
+             "needs --viewport or --trace"),
+            (["rewrite", "--in", "{dir}/missing.svb", "--viewport", "0,0,90,90",
+              "--trace", "{dir}/trace.jsonl", "--out", "{out}"],
+             "rewrite takes --viewport or --trace, not both"),
             (["decode", "--in", "{stream}", "--tiles", "a", "--out", "{out}"], "--tiles wants"),
             (["decode", "--in", "{stream}", "--tiles", "0,", "--out", "{out}"], "--tiles wants"),
             (["decode", "--in", "{stream}", "--tiles", "99", "--out", "{out}"],
@@ -376,6 +382,7 @@ class TestMalformedArguments:
             ([*SIMULATE, "--trace", "{dir}/far.jsonl"], "exceed the session tick budget"),
         ],
         ids=["viewport-not-numbers", "rewrite-without-pose", "rewrite-viewport-and-trace",
+             "rewrite-without-pose-missing-input", "rewrite-viewport-and-trace-missing-input",
              "tiles-not-numbers", "tiles-empty-entry", "tile-outside-grid", "negative-tile",
              "fps-not-a-number", "yaw-not-finite", "uplink-nan",
              "bandwidth-nan", "bandwidth-overflows", "bandwidth-mean-overflows",

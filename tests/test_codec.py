@@ -64,6 +64,16 @@ def random_frame(rng: np.random.Generator, w: int, h: int) -> RasterFrame:
     return RasterFrame(w, h, rng.integers(0, 256, size=(h, w), dtype=np.uint8))
 
 
+def traced_peak(call) -> int:
+    """Peak bytes that ``tracemalloc`` sees allocated while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestResampling:
     def test_downsample_matches_per_block_oracle(self):
         rng = np.random.default_rng(3)
@@ -489,6 +499,15 @@ class TestSvcEncoder:
         n_tiled = len(serialize(encode_svc(source_t)))
         assert n_single <= n_tiled
 
+    def test_holds_no_upsampled_plane_cache(self):
+        # Each candidate reference is upsampled when it is tried and dropped
+        # after: a flat source's encode peaks below half the size of its 60
+        # frames, where one cached full-size plane per frame would exceed it.
+        config = SequenceConfig(width=384, height=192, tile_cols=6, tile_rows=4)
+        plane = np.full((192, 384), 128, dtype=np.uint8)
+        source = VideoSource(config, tuple(RasterFrame(384, 192, plane) for _ in range(60)))
+        assert traced_peak(lambda: encode_svc(source)) < 60 * plane.nbytes // 2
+
 
 class TestTrackEncoder:
     def test_full_track_validates(self):
@@ -703,6 +722,16 @@ class TestDecode:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_working_set_does_not_grow_with_gop_position(self):
+        # The base layer is decoded in place, so the GOP's last frame holds
+        # no more than its first, give or take one base plane.
+        config = SequenceConfig(width=384, height=192, tile_cols=6, tile_rows=4, gop_size=30)
+        stream = encode_svc(generate_content(1, config, 30))
+        tiles = set(range(9))
+        first = traced_peak(lambda: decode_frame(stream, 0, tiles))
+        last = traced_peak(lambda: decode_frame(stream, 29, tiles))
+        assert last <= first + config.base_width * config.base_height
 
     def test_base_only_stream_decodes(self):
         config = small_config()
