@@ -208,10 +208,9 @@ def _cmd_rewrite(args) -> int:
     if not args.viewport and args.trace is None:
         raise SvbsError("rewrite needs --viewport or --trace")
     inputs = {}
+    viewport = _parse_viewport(args.viewport) if args.viewport else None
     stream = parse(_read_input(args.input, inputs))
-    if args.viewport:
-        viewport = _parse_viewport(args.viewport)
-    else:
+    if viewport is None:
         trace = read_viewport_trace(args.trace, _read_input(args.trace, inputs))
         if not trace:
             raise SvbsError("trace is empty")

@@ -19,10 +19,10 @@ import io
 import json
 import math
 import statistics
-from collections.abc import Callable
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -110,14 +110,7 @@ class SessionReport:
     frame_period_ms: float
     switches: list[SwitchSample]
     seconds: dict[int, dict[str, int]]  # second -> stream -> bytes
-    # Builds the per-tick logs; ``frames`` calls it once, on first read.
-    _frame_logs: Callable[[], tuple[FrameLog, ...]] = field(
-        default=tuple, compare=False, repr=False)
-
-    @cached_property
-    def frames(self) -> tuple[FrameLog, ...]:
-        """One FrameLog per tick, built the first time it is read."""
-        return self._frame_logs()
+    frames: Sequence[FrameLog] = field(default=(), compare=False, repr=False)
 
     @property
     def mthq_samples(self) -> list[float]:
@@ -130,6 +123,26 @@ class SessionReport:
     @property
     def total_bytes(self) -> int:
         return sum(sum(streams.values()) for streams in self.seconds.values())
+
+
+class _FrameLogs(Sequence):
+    """A session's FrameLogs, read-only, each built from its columns when read."""
+
+    def __init__(self, display, hq_ids, hq, streams):
+        self._display, self._hq_ids, self._hq, self._streams = display, hq_ids, hq, streams
+
+    def __len__(self) -> int:
+        return len(self._display)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(map(self.__getitem__, range(len(self))[k]))
+        k = range(len(self))[k]
+        tiles = frozenset(np.flatnonzero(self._hq[self._hq_ids[k]]).tolist())
+        # A tick lists the streams it sends bytes on: every frame a stream
+        # sends carries a frame header, so a sent stream never has 0 bytes.
+        return FrameLog(k, self._display[k].item(), tiles, tiles,
+                        {name: col[k].item() for name, col in self._streams.items() if col[k]})
 
 
 # --- per-frame size tables ---------------------------------------------------
@@ -197,6 +210,7 @@ def run_session(
     Every tick is computed at once as a column (the pose the server knows,
     the bytes of each stream, the display time), with the same float
     operations a per-tick loop would do, so the results are the same bits.
+    Each distinct tile set is a boolean row of one ``member`` matrix.
     """
     if not trace:
         raise EmptyTraceError("viewport trace is empty")
@@ -229,7 +243,7 @@ def run_session(
     tables = _stream_tables(config, source_seed, cycle, tracks)
 
     # The tile set of every trace entry, one lookup per distinct viewport;
-    # pose_set[i] indexes tile_sets, the distinct sets.
+    # pose_set[i] indexes member's rows, the distinct sets, whose last (-1) is empty.
     view_set: dict[Viewport, int] = {}
     set_ids: dict[frozenset[int], int] = {}
     pose_set_ids = []
@@ -240,11 +254,10 @@ def run_session(
             set_id = view_set[vp] = set_ids.setdefault(tiles, len(set_ids))
         pose_set_ids.append(set_id)
     pose_set = np.array(pose_set_ids)
-    tile_sets = list(set_ids)
-    member = np.zeros((len(tile_sets), config.tile_count), np.int64)
-    for s, tiles in enumerate(tile_sets):
-        member[s, list(tiles)] = 1
-    outside = (config.tile_count - member.sum(axis=1))[:, None]
+    member = np.zeros((len(set_ids) + 1, config.tile_count), bool)
+    for tiles, s in set_ids.items():
+        member[s, list(tiles)] = True
+    outside = config.tile_count - member.sum(axis=1)[:, None]
 
     # The one known-pose rule: tick k knows the latest pose whose uplink
     # arrival is <= k*T (within _TICK_EPS of a tick); the initial pose is
@@ -273,14 +286,12 @@ def run_session(
         sent = short_pose >= 0
         short_set = np.where(sent, pose_set[short_pose], -1)
         streams[names[2]] = np.where(sent, region(*short_table[0])[short_set, j], 0)
-        # HQ tiles: the region, joined by the short region while sent.
-        n_keys = len(tile_sets) + 1
+        # HQ tiles: the region, joined while sent by the short region (-1: empty).
+        n_keys = len(member)
         keys, hq_ids = np.unique(region_set * n_keys + short_set + 1, return_inverse=True)
-        hq_sets = [tile_sets[key // n_keys] | (tile_sets[key % n_keys - 1] if key % n_keys
-                                               else frozenset())
-                   for key in keys.tolist()]
+        hq = member[keys // n_keys] | member[keys % n_keys - 1]
     else:
-        hq_sets, hq_ids = tile_sets, region_set
+        hq, hq_ids = member, region_set
 
     total = sum(streams.values())
     with np.errstate(over="ignore"):
@@ -299,38 +310,27 @@ def run_session(
         for g, sec in enumerate(second[starts].astype(np.int64).tolist())
     }
 
-    def frame_logs():
-        # A tick lists the streams it sends bytes on: every frame a stream
-        # sends carries a frame header, so a sent stream never has 0 bytes.
-        cols = [(name, col.tolist()) for name, col in streams.items()]
-        hq = [hq_sets[h] for h in hq_ids.tolist()]
-        return tuple(FrameLog(k, display_ms, hq[k], hq[k],
-                              {name: col[k] for name, col in cols if col[k]})
-                     for k, display_ms in enumerate(display.tolist()))
-
     return SessionReport(
         scheme_label=scheme.label,
         frame_period_ms=period,
-        switches=_resolve_switches(times, known, pose_set, tile_sets,
-                                   display, hq_ids, hq_sets),
+        switches=_resolve_switches(times, known, pose_set, member, display, hq_ids, hq),
         seconds=seconds,
-        _frame_logs=frame_logs,
+        frames=_FrameLogs(display, hq_ids, hq, streams),
     )
 
 
-def _resolve_switches(times, known, pose_set, tile_sets, display, hq_ids, hq_sets):
+def _resolve_switches(times, known, pose_set, member, display, hq_ids, hq):
     """MTP and MTHQ of each switch: the display time of the first tick that
-    knows its pose, and of the first tick that knows it and no later pose
-    whose HQ tiles cover the pose's tiles."""
+    knows its pose, and of the first tick that knows it and no later pose whose
+    HQ row ``hq[hq_ids[k]]`` covers the pose's tile row ``member[pose_set[j]]``."""
     # A run of ticks knows one pose and sends one HQ set.  As known never
     # decreases, the runs knowing pose j and no later pose are j's window.
     starts = np.flatnonzero((np.diff(known, prepend=-1) != 0) | (np.diff(hq_ids, prepend=-1) != 0))
     run_pose = known[starts]
     # One subset test per distinct (pose tile set, HQ set) pair.
-    pairs, pair_of_run = np.unique(pose_set[run_pose] * len(hq_sets) + hq_ids[starts],
+    pairs, pair_of_run = np.unique(pose_set[run_pose] * len(hq) + hq_ids[starts],
                                    return_inverse=True)
-    covers = np.array([tile_sets[p // len(hq_sets)] <= hq_sets[p % len(hq_sets)]
-                       for p in pairs.tolist()], dtype=bool)[pair_of_run]
+    covers = (member[pairs // len(hq)] <= hq[pairs % len(hq)]).all(axis=1)[pair_of_run]
     served, first = np.unique(run_pose[covers], return_index=True)
     mthq_tick = dict(zip(served.tolist(), starts[covers][first].tolist()))
     first_tick = np.searchsorted(known, np.arange(1, len(times))).tolist()

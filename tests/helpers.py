@@ -799,7 +799,7 @@ def reference_run_session(
         frame_period_ms=period,
         switches=switches,
         seconds=seconds,
-        _frame_logs=lambda: tuple(frames),
+        frames=tuple(frames),
     )
 
 

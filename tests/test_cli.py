@@ -343,6 +343,8 @@ class TestMalformedArguments:
             (["rewrite", "--in", "{dir}/missing.svb", "--viewport", "0,0,90,90",
               "--trace", "{dir}/trace.jsonl", "--out", "{out}"],
              "rewrite takes --viewport or --trace, not both"),
+            (["rewrite", "--in", "{dir}/missing.svb", "--viewport", "a,b", "--out", "{out}"],
+             "--viewport wants"),
             (["decode", "--in", "{stream}", "--tiles", "a", "--out", "{out}"], "--tiles wants"),
             (["decode", "--in", "{stream}", "--tiles", "0,", "--out", "{out}"], "--tiles wants"),
             (["decode", "--in", "{stream}", "--tiles", "99", "--out", "{out}"],
@@ -383,6 +385,7 @@ class TestMalformedArguments:
         ],
         ids=["viewport-not-numbers", "rewrite-without-pose", "rewrite-viewport-and-trace",
              "rewrite-without-pose-missing-input", "rewrite-viewport-and-trace-missing-input",
+             "rewrite-viewport-not-numbers-missing-input",
              "tiles-not-numbers", "tiles-empty-entry", "tile-outside-grid", "negative-tile",
              "fps-not-a-number", "yaw-not-finite", "uplink-nan",
              "bandwidth-nan", "bandwidth-overflows", "bandwidth-mean-overflows",

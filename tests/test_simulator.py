@@ -304,10 +304,11 @@ def assert_same_session(got, want):
     assert list(got.seconds) == list(want.seconds)
     for sec, streams in want.seconds.items():
         assert list(got.seconds[sec].items()) == list(streams.items())
-    assert got.frames == want.frames
-    for a, b in zip(got.frames, want.frames):
+    frames = tuple(got.frames)
+    assert frames == want.frames
+    for a, b in zip(frames, want.frames):
         assert list(a.bytes_by_stream.items()) == list(b.bytes_by_stream.items())
-    assert len({id(f.bytes_by_stream) for f in got.frames}) == len(got.frames)
+    assert len({id(f.bytes_by_stream) for f in frames}) == len(frames)
     assert json.dumps(report_to_json(got)) == json.dumps(report_to_json(want))
 
 
@@ -561,7 +562,7 @@ class TestReportWriter:
 
 
 class TestFrameLogs:
-    def test_built_once_on_first_access(self, monkeypatch):
+    def test_a_tick_is_built_when_it_is_read(self, monkeypatch):
         built = []
 
         def counting(*args):
@@ -572,9 +573,17 @@ class TestFrameLogs:
         trace = switching_trace(random.Random(14), 6, 6 * T, 12 * T)
         report = run_session(Scheme(SchemeKind.MULTITRACK, 10, 5), trace, NetworkModel(),
                              CONFIG, 1)
-        assert built == [] and len(report.frames) > 0
-        first = report.frames[0]
-        assert built == list(range(len(report.frames)))
-        assert report.frames[0] is first and list(report.frames) == list(report.frames)
+        n = len(report.frames)
+        assert built == [] and n > 3
+        tick = report.frames[2]
+        assert built == [2] and tick.tick == 2
+        frames = tuple(report.frames)
+        assert len(frames) == n and [f.tick for f in frames] == list(range(n))
+        assert frames[2] == tick
+        assert report.frames[-1] == frames[-1] and report.frames[-n] == frames[0]
+        assert report.frames[1:3] == frames[1:3] and report.frames[::-2] == frames[::-2]
+        for k in (n, -n - 1):
+            with pytest.raises(IndexError):
+                report.frames[k]
         with pytest.raises(TypeError):
-            report.frames[0] = first
+            report.frames[0] = tick
