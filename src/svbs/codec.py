@@ -53,28 +53,27 @@ _RECORD = struct.Struct("<BI")  # run_type u8, length u32
 
 @dataclass(eq=False)
 class RasterFrame:
-    """One 8-bit luma frame, row-major."""
+    """One 8-bit luma frame, row-major; its size is its samples' shape."""
 
-    width: int
-    height: int
     samples: np.ndarray  # shape (height, width), dtype uint8
 
     def __post_init__(self) -> None:
         self.samples = np.ascontiguousarray(self.samples, dtype=np.uint8)
-        if self.samples.shape != (self.height, self.width):
-            raise BadDimensionsError(
-                f"samples shape {self.samples.shape} does not match "
-                f"{self.height}x{self.width}"
-            )
+        if self.samples.ndim != 2:
+            raise BadDimensionsError(f"samples shape {self.samples.shape} is not 2-D")
+
+    @property
+    def width(self) -> int:
+        return self.samples.shape[1]
+
+    @property
+    def height(self) -> int:
+        return self.samples.shape[0]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RasterFrame):
             return NotImplemented
-        return (
-            self.width == other.width
-            and self.height == other.height
-            and np.array_equal(self.samples, other.samples)
-        )
+        return np.array_equal(self.samples, other.samples)
 
     def tobytes(self) -> bytes:
         return self.samples.tobytes()
@@ -157,7 +156,7 @@ def generate_content(seed: int, config: SequenceConfig, frame_count: int) -> Vid
             samples[win] = np.clip(np.rint(img[win]), 0, 255).astype(np.uint8)
         for win in windows:
             img[win] = background[win]
-        frames.append(RasterFrame(w, h, samples))
+        frames.append(RasterFrame(samples))
     return VideoSource(config=config, frames=tuple(frames))
 
 
@@ -187,8 +186,7 @@ def downsample(frame: RasterFrame, factor: int) -> RasterFrame:
             f"{frame.width}x{frame.height} not divisible by factor {factor}"
         )
     if factor == 1:
-        return RasterFrame(frame.width, frame.height, frame.samples.copy())
-    h2, w2 = frame.height // factor, frame.width // factor
+        return RasterFrame(frame.samples.copy())
     # Rows of each block first, so the column pass reads half the data.
     samples = frame.samples
     rows = samples[::factor].astype(np.uint32)
@@ -199,7 +197,7 @@ def downsample(frame: RasterFrame, factor: int) -> RasterFrame:
         sums += rows[:, dx::factor]
     f2 = factor * factor
     out = ((2 * sums + f2) // (2 * f2)).astype(np.uint8)
-    return RasterFrame(w2, h2, out)
+    return RasterFrame(out)
 
 
 def upsample_nearest(frame: RasterFrame, factor: int) -> RasterFrame:
@@ -208,7 +206,7 @@ def upsample_nearest(frame: RasterFrame, factor: int) -> RasterFrame:
         raise BadDimensionsError("factor must be >= 1")
     # Columns first, so the row pass copies whole widened rows.
     out = np.repeat(np.repeat(frame.samples, factor, axis=1), factor, axis=0)
-    return RasterFrame(frame.width * factor, frame.height * factor, out)
+    return RasterFrame(out)
 
 
 # --- run-length coding -------------------------------------------------------
@@ -429,18 +427,17 @@ def decode_frame(
         )
     # Validation leaves each frame a base layer of CODED tiles covering the
     # grid, so every base frame overwrites the whole plane it predicts from.
-    w, h, sf = config.base_width, config.base_height, config.scale_factor
     regions = config.layer_regions(base=True)
     enh = bitstream.frames[frame_index].layer(LayerId.ENHANCED)
     ref_index = frame_index - (enh.header.base_ref_offset if enh else 0)
-    base = RasterFrame(w, h, np.empty((h, w), dtype=np.uint8))
+    base = RasterFrame(np.empty((config.base_height, config.base_width), dtype=np.uint8))
     for i in range(gop_start, frame_index + 1):
         layer = bitstream.frames[i].layer(LayerId.BASE)
         prev = None if layer.header.frame_type == FrameType.KEY else base.samples
         _decode_tiles(base.samples, prev, layer, regions, range(len(regions)))
         if i == ref_index:
-            ref = upsample_nearest(base, sf).samples
-    out = ref if ref_index == frame_index else upsample_nearest(base, sf).samples
+            ref = upsample_nearest(base, config.scale_factor).samples
+    out = ref if ref_index == frame_index else upsample_nearest(base, config.scale_factor).samples
     if enh is not None:
         _decode_tiles(out, ref, enh, config.layer_regions(base=False), received_tiles)
-    return RasterFrame(config.width, config.height, out)
+    return RasterFrame(out)

@@ -22,6 +22,7 @@ class SequenceConfig:
     ``scale_factor`` times smaller along each axis, or full size at
     ``scale_factor`` 1.  ``ref_window`` bounds how many previous base frames
     an enhanced frame may predict from (1 means same-index base frame only).
+    The fields are declared in the order of the container's sequence header.
     """
 
     width: int

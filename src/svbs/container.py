@@ -29,7 +29,7 @@ bytes one to one.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from enum import IntEnum
 
 from .config import SequenceConfig
@@ -155,21 +155,8 @@ class Violation:
 
 
 def serialize_sequence_header(config: SequenceConfig) -> bytes:
-    flags = 1 if config.base_single_tile else 0
-    return _SEQUENCE_HEADER.pack(
-        MAGIC,
-        VERSION,
-        config.width,
-        config.height,
-        config.scale_factor,
-        config.tile_cols,
-        config.tile_rows,
-        config.fps_num,
-        config.fps_den,
-        config.gop_size,
-        flags,
-        config.ref_window,
-    )
+    # The wire order is the field order; base_single_tile is flag bit 0.
+    return _SEQUENCE_HEADER.pack(MAGIC, VERSION, *astuple(config))
 
 
 _DELIMITER_UNIT = _UNIT_HEADER.pack(UnitType.TEMPORAL_DELIMITER, 0)
@@ -224,7 +211,8 @@ def serialized_frame_size(frame: Frame) -> int:
 
 def serialize(bitstream: Bitstream) -> bytes:
     """Serialize an object model that passes :func:`validate_structure` to
-    bytes; deterministic and injective."""
+    bytes; deterministic and injective.  The header and every frame's wire
+    pieces are joined once, so no frame is copied before the output."""
     report = validate_structure(bitstream)
     if report:
         first = report[0]
@@ -232,10 +220,8 @@ def serialize(bitstream: Bitstream) -> bytes:
             f"refusing to serialize: {first.rule} at frame {first.frame_index}"
             f" ({len(report)} violation(s) total)"
         )
-    parts = [serialize_sequence_header(bitstream.config)]
-    for frame in bitstream.frames:
-        parts.append(serialize_frame(frame))
-    return b"".join(parts)
+    return b"".join([serialize_sequence_header(bitstream.config),
+                     *(piece for frame in bitstream.frames for piece in _frame_pieces(frame))])
 
 
 # --- parsing -----------------------------------------------------------------

@@ -192,16 +192,14 @@ def run_session(
     # together with that call.
     select_step: float | None = None,
     duration_ms: float | None = None,
-    cycle_frames: int | None = None,
 ) -> SessionReport:
     """Run one deterministic streaming session.
 
     ``trace`` holds (t_ms, viewport) samples; the first entry is the initial
     pose, every later entry is a switch.  Content is generated from
-    ``source_seed`` over a GOP-aligned cycle and payload sizes repeat
-    cyclically, which keeps long sessions cheap without changing the rate
-    structure.  The size tables of a (config, seed, cycle, track GOPs)
-    combination are built once per process.
+    ``source_seed`` over one cycle, the SVC GOP or the lcm of the track GOPs,
+    whose payload sizes repeat, so long sessions stay cheap at the same
+    rates.  Each (config, seed, cycle, track GOPs) is encoded once per process.
 
     Both kinds send an always-on stream (``base``, ``low``), a region stream
     committing the known pose on its GOP boundaries (``enhanced`` on every
@@ -221,22 +219,19 @@ def run_session(
     period = config.frame_period_ms
     projection = Projection(projection_kind, config.width, config.height)
     if scheme.kind == SchemeKind.SVC:
-        names, gops, commit_gop, short_gop = ("base", "enhanced"), (config.gop_size,), 1, 0
-        tracks, settle_ticks = None, 4
+        names, commit_gop, short_gop = ("base", "enhanced"), 1, 0
+        tracks, settle_ticks, cycle = None, 4, config.gop_size
     else:
         commit_gop, short_gop = scheme.long_gop, scheme.short_gop
-        gops = (commit_gop, short_gop)
+        cycle = math.lcm(commit_gop, short_gop or 1)
         names, settle_ticks = ("low", "long", "short"), commit_gop + short_gop + 4
         # The always-on low track runs at the region track's GOP.
         tracks = ((commit_gop, TrackResolution.BASE), (commit_gop, TrackResolution.FULL),
                   (short_gop, TrackResolution.FULL))[:3 if short_gop else 2]
-    cycle = cycle_frames or math.lcm(*filter(None, gops))
-    if any(g and cycle % g for g in gops):
-        raise BadArgsError("cycle_frames must be a multiple of every GOP")
 
     if duration_ms is None:
         duration_ms = times[-1] + settle_ticks * period
-    n_ticks = int(math.ceil(duration_ms / period)) + 1
+    n_ticks = max(0, int(math.ceil(duration_ms / period)) + 1)
     if n_ticks > SESSION_TICK_BUDGET:
         raise TooLargeError(f"{n_ticks} ticks exceed the session tick budget "
                             f"{SESSION_TICK_BUDGET}")

@@ -600,13 +600,13 @@ def reference_decode_frame(
     sf = config.scale_factor
 
     def upsampled(i: int) -> np.ndarray:
-        return upsample_nearest(RasterFrame(config.base_width, config.base_height, bases[i]), sf).samples
+        return upsample_nearest(RasterFrame(bases[i]), sf).samples
 
     out = upsampled(frame_index).copy()
     frame = bitstream.frames[frame_index]
     enh = next((l for l in frame.layers if l.header.layer_id == LayerId.ENHANCED), None)
     if enh is None:
-        return RasterFrame(config.width, config.height, out)
+        return RasterFrame(out)
     ref = None
     for group in enh.tile_groups:
         for tile in group.tiles:
@@ -620,7 +620,7 @@ def reference_decode_frame(
                 config.tile_height, config.tile_width
             )
             out[rs, cs] = _ref_apply_residual(ref[rs, cs], res)
-    return RasterFrame(config.width, config.height, out)
+    return RasterFrame(out)
 
 
 # Every frame of an encoded stream is a temporal delimiter unit (a bare unit
@@ -682,7 +682,6 @@ def reference_run_session(
     *,
     projection_kind=ProjectionKind.ERP,
     duration_ms=None,
-    cycle_frames=None,
 ) -> SessionReport:
     """The session loop that rebuilds its size tables on every call and
     recomputes every tick; ``simulator.run_session`` must equal it in
@@ -692,11 +691,11 @@ def reference_run_session(
     projection = Projection(projection_kind, config.width, config.height)
 
     if scheme.kind == SchemeKind.SVC:
-        cycle = cycle_frames or config.gop_size
+        cycle = config.gop_size
         base_bytes, enh_header, coded, skip_bytes = _ref_svc_tables(config, source_seed, cycle)
         settle_ticks = 4
     else:
-        cycle = cycle_frames or _ref_lcm(scheme.long_gop, scheme.short_gop)
+        cycle = _ref_lcm(scheme.long_gop, scheme.short_gop)
         source = generate_content(source_seed, config, cycle)
         long_header, long_tiles = _ref_track_tables(
             source, scheme.long_gop, TrackResolution.FULL, cycle)

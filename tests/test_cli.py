@@ -723,6 +723,18 @@ class TestSimulateAndReport:
         assert (entry["scheme"], entry["switches"]) == ("svc", 0)
         assert entry["total_bytes"] == want > 0
 
+    def test_trace_ending_far_before_0_is_an_empty_session(self, tmp_path, capsys):
+        # However far before tick 0 a trace ends, the session has no ticks.
+        trace_path = tmp_path / "t.jsonl"
+        trace_path.write_text('{"t_ms": -1e300, "yaw_deg": 0, "pitch_deg": 0, '
+                              '"h_fov_deg": 90, "v_fov_deg": 90}\n')
+        assert main(["simulate", *SMALL, "--trace", str(trace_path), "--scheme", "svc",
+                     "--scheme", "multitrack(4,2)", "--out", str(tmp_path / "sim")]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert [json.loads(line)["switches"] for line in lines] == [0, 0]
+        for stem in ("svc", "multitrack_4_2"):
+            assert json.loads((tmp_path / f"sim.{stem}.json").read_text())["total_bytes"] == 0
+
     def test_simulate_builds_no_frame_logs(self, tmp_path, capsys, monkeypatch):
         def refuse(*args):
             raise AssertionError("svbs simulate built a FrameLog")

@@ -61,7 +61,7 @@ def small_config(**overrides) -> SequenceConfig:
 
 
 def random_frame(rng: np.random.Generator, w: int, h: int) -> RasterFrame:
-    return RasterFrame(w, h, rng.integers(0, 256, size=(h, w), dtype=np.uint8))
+    return RasterFrame(rng.integers(0, 256, size=(h, w), dtype=np.uint8))
 
 
 def traced_peak(call) -> int:
@@ -72,6 +72,18 @@ def traced_peak(call) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+class TestRasterFrame:
+    def test_size_is_the_samples_shape(self):
+        frame = RasterFrame(np.zeros((3, 5), dtype=np.uint8))
+        assert (frame.width, frame.height) == (5, 3)
+        assert frame != RasterFrame(np.zeros((5, 3), dtype=np.uint8))
+
+    @pytest.mark.parametrize("shape", [(6,), (2, 3, 1)])
+    def test_refuses_samples_that_are_not_2d(self, shape):
+        with pytest.raises(BadDimensionsError, match="not 2-D"):
+            RasterFrame(np.zeros(shape, dtype=np.uint8))
 
 
 class TestResampling:
@@ -90,11 +102,11 @@ class TestResampling:
                     assert out.samples[by, bx] == expect
 
     def test_downsample_rounds_half_up(self):
-        frame = RasterFrame(2, 2, np.array([[0, 1], [0, 1]], dtype=np.uint8))
+        frame = RasterFrame(np.array([[0, 1], [0, 1]], dtype=np.uint8))
         assert downsample(frame, 2).samples[0, 0] == 1  # mean 0.5 rounds up
 
     def test_downsample_rejects_bad_factor(self):
-        frame = RasterFrame(6, 6, np.zeros((6, 6), dtype=np.uint8))
+        frame = RasterFrame(np.zeros((6, 6), dtype=np.uint8))
         with pytest.raises(BadDimensionsError):
             downsample(frame, 4)
 
@@ -119,12 +131,12 @@ class TestResampling:
             samples = rng.integers(0, 256, size=(h, w), dtype=np.uint8)
         else:
             samples = np.full((h, w), fill, dtype=np.uint8)
-        out = downsample(RasterFrame(w, h, samples), factor)
+        out = downsample(RasterFrame(samples), factor)
         assert (out.width, out.height) == (w // factor, h // factor)
         assert np.array_equal(out.samples, reference_downsample(samples, factor))
 
     def test_upsample_replicates_pixels(self):
-        frame = RasterFrame(2, 1, np.array([[7, 9]], dtype=np.uint8))
+        frame = RasterFrame(np.array([[7, 9]], dtype=np.uint8))
         up = upsample_nearest(frame, 2)
         assert up.samples.tolist() == [[7, 7, 9, 9], [7, 7, 9, 9]]
 
@@ -138,7 +150,7 @@ class TestResampling:
         # Non-square frames, so a pass along the wrong axis changes the shape.
         w, h = size
         samples = np.random.default_rng(seed).integers(0, 256, size=(h, w), dtype=np.uint8)
-        up = upsample_nearest(RasterFrame(w, h, samples), factor)
+        up = upsample_nearest(RasterFrame(samples), factor)
         assert (up.width, up.height) == (w * factor, h * factor)
         want = np.kron(samples, np.ones((factor, factor), np.uint8))
         assert up.samples.dtype == np.uint8
@@ -505,7 +517,7 @@ class TestSvcEncoder:
         # frames, where one cached full-size plane per frame would exceed it.
         config = SequenceConfig(width=384, height=192, tile_cols=6, tile_rows=4)
         plane = np.full((192, 384), 128, dtype=np.uint8)
-        source = VideoSource(config, tuple(RasterFrame(384, 192, plane) for _ in range(60)))
+        source = VideoSource(config, tuple(RasterFrame(plane) for _ in range(60)))
         assert traced_peak(lambda: encode_svc(source)) < 60 * plane.nbytes // 2
 
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     random_bitstream,
+    random_config,
     record_bytes_per_frame,
     reference_parse,
     reference_unit_walk,
@@ -120,6 +121,26 @@ class TestRoundTrip:
         source = generate_content(5, small_config(), 4)
         stream = encode_svc(source)
         assert parse(serialize(stream)) == stream
+
+    def test_sequence_header_round_trips(self):
+        rng = random.Random(35)
+        for _ in range(100):
+            config = random_config(rng)
+            data = serialize_sequence_header(config)
+            assert len(data) == HEADER_SIZE
+            assert parse(data) == Bitstream(config, ())
+
+    def test_serialize_copies_no_frame_before_its_output(self):
+        config = SequenceConfig(width=384, height=192, tile_cols=6, tile_rows=4, gop_size=10)
+        stream = encode_svc(generate_content(1, config, 30))
+        size = len(serialize(stream))
+        tracemalloc.start()
+        try:
+            serialize(stream)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * size
 
 
 class TestPayloadsInPlace:

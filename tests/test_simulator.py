@@ -243,18 +243,6 @@ class TestMultitrackScheme:
                  if "short" in f.bytes_by_stream and "short" not in g.bytes_by_stream]
         assert any(k % 2 for k in stops)
 
-    def test_cycle_must_cover_gops(self):
-        trace = [(0.0, VIEW_A)]
-        with pytest.raises(BadArgsError):
-            run_session(
-                Scheme(SchemeKind.MULTITRACK, 10, 3),
-                trace,
-                NetworkModel(),
-                CONFIG,
-                1,
-                cycle_frames=10,
-            )
-
 
 class TestSwitchWindows:
     """A switch is served only by the ticks that know its pose and no later
@@ -332,16 +320,12 @@ def sessions(draw):
                             gop_size=gop)
     if draw(st.booleans()):
         scheme = Scheme(SchemeKind.SVC)
-        lcm = gop
     else:
         scheme = Scheme(
             SchemeKind.MULTITRACK,
             long_gop=draw(st.sampled_from([1, 2, 3, 6])),
             short_gop=draw(st.sampled_from([0, 0, 1, 2])),
         )
-        lcm = math.lcm(scheme.long_gop, scheme.short_gop or 1)
-    multiple = draw(st.sampled_from([None, 1, 2]))
-    cycle_frames = None if multiple is None else multiple * lcm
     network = NetworkModel(
         uplink_delay_ms=draw(st.floats(0, 150)),
         downlink_delay_ms=draw(st.floats(0, 150)),
@@ -358,7 +342,7 @@ def sessions(draw):
     duration_ms = draw(st.none() | st.floats(0, t + 600))
     seed = draw(st.integers(1, 3))
     return scheme, trace, network, config, seed, dict(
-        projection_kind=kind, duration_ms=duration_ms, cycle_frames=cycle_frames)
+        projection_kind=kind, duration_ms=duration_ms)
 
 
 class TestMatchesReference:
@@ -378,7 +362,7 @@ class TestMatchesReference:
             assert all(s.mthq_ms is None or s.mthq_ms == s.mtp_ms for s in got.switches)
 
     def test_cache_key_holds_every_field(self):
-        """Sessions that differ in one of config, seed, cycle, GOP or track
+        """Sessions that differ in one of config, seed, GOP or track
         resolution alternate in one process, so a cached table built for one
         would be served to the next if its key lacked that field."""
         base = SequenceConfig(width=96, height=48, tile_cols=6, tile_rows=4, gop_size=3)
@@ -388,24 +372,20 @@ class TestMatchesReference:
         multitrack = Scheme(SchemeKind.MULTITRACK, 6, 0)
         trace = switching_trace(random.Random(13), 6, 3 * T, 9 * T)
         net = NetworkModel(10.0, 20.0)
-        # (scheme, config, seed, cycle): each differs from the first of its
-        # scheme kind in one field.  The long and low tracks of
-        # multitrack(6,0) share a GOP and differ only in resolution.
+        # (scheme, config, seed): each differs from the first of its scheme
+        # kind in one field.  The long and low tracks of multitrack(6,0)
+        # share a GOP and differ only in resolution.
         runs = [
-            (svc, base, 1, 6), (svc, other_grid, 1, 6), (svc, other_gop, 1, 6),
-            (svc, base, 2, 6), (svc, base, 1, 12),
-            (multitrack, base, 1, 6), (multitrack, other_grid, 1, 6),
-            (multitrack, base, 2, 6), (multitrack, base, 1, 12),
-            (Scheme(SchemeKind.MULTITRACK, 3, 0), base, 1, 6),
-            (Scheme(SchemeKind.MULTITRACK, 6, 3), base, 1, 6),
-            (Scheme(SchemeKind.MULTITRACK, 6, 2), base, 1, 6),
+            (svc, base, 1), (svc, other_grid, 1), (svc, other_gop, 1), (svc, base, 2),
+            (multitrack, base, 1), (multitrack, other_grid, 1), (multitrack, base, 2),
+            (Scheme(SchemeKind.MULTITRACK, 3, 0), base, 1),
+            (Scheme(SchemeKind.MULTITRACK, 6, 3), base, 1),
+            (Scheme(SchemeKind.MULTITRACK, 6, 2), base, 1),
         ]
         for _ in range(2):  # the second pass is served from the cache
-            for scheme, config, seed, cycle in runs:
-                got = run_session(scheme, trace, net, config, seed, cycle_frames=cycle)
-                want = reference_run_session(scheme, trace, net, config, seed,
-                                             cycle_frames=cycle)
-                assert_same_session(got, want)
+            for scheme, config, seed in runs:
+                got = run_session(scheme, trace, net, config, seed)
+                assert_same_session(got, reference_run_session(scheme, trace, net, config, seed))
 
 
 class TestTraceValidation:
