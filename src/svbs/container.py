@@ -29,7 +29,7 @@ bytes one to one.
 from __future__ import annotations
 
 import struct
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, field
 from enum import IntEnum
 
 from .config import SequenceConfig
@@ -82,11 +82,12 @@ _FRAME_HEADER_UNIT = struct.Struct("<BIIBBBB")
 _TILE_GROUP_UNIT = struct.Struct("<BIHH")
 _CODED_TILE = struct.Struct("<HBI")
 _SKIPPED_TILE = struct.Struct(f"<HBH{SUPERBLOCK_MODE_SIZE}s")
+# A one-stub tile group unit at any grid: unit header, tile range, skipped tile.
+_STUB_GROUP_UNIT = struct.Struct(_TILE_GROUP_UNIT.format + _SKIPPED_TILE.format[1:])
 HEADER_SIZE = _SEQUENCE_HEADER.size
 UNIT_HEADER_SIZE = _UNIT_HEADER.size
 FRAME_HEADER_UNIT_SIZE = _FRAME_HEADER_UNIT.size
-# A one-stub tile group unit at any grid: unit header, tile range, skipped tile.
-STUB_GROUP_SIZE = _TILE_GROUP_UNIT.size + _SKIPPED_TILE.size
+STUB_GROUP_SIZE = _STUB_GROUP_UNIT.size
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,6 +110,8 @@ class TileGroup:
     tg_start: int
     tg_end: int
     tiles: tuple[Tile, ...]
+    # The unit's bytes, set by parse alone; replace() and hand-built groups: None.
+    wire: memoryview | None = field(default=None, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -163,21 +166,30 @@ _DELIMITER_UNIT = _UNIT_HEADER.pack(UnitType.TEMPORAL_DELIMITER, 0)
 
 
 def _group_pieces(pieces: list, group: TileGroup) -> list:
-    """Append one tile group unit's wire pieces to ``pieces`` and return it;
-    coded payloads are appended as they are, not copied."""
-    at = len(pieces)
-    pieces.append(b"")  # the unit header, once the payload size is known
-    size = 4  # the payload's tile range, then its tiles
-    for tile in group.tiles:
-        if tile.tile_kind == TileKind.CODED:
-            payload = tile.coded_payload
-            pieces += (_CODED_TILE.pack(tile.tile_index, tile.tile_kind, len(payload)), payload)
-            size += _CODED_TILE.size + len(payload)
-        else:
-            pieces.append(_SKIPPED_TILE.pack(
-                tile.tile_index, tile.tile_kind, tile.superblock_count, SKIPPED_MODE_RECORD))
-            size += _SKIPPED_TILE.size
-    pieces[at] = _TILE_GROUP_UNIT.pack(UnitType.TILE_GROUP, size, group.tg_start, group.tg_end)
+    """Append one tile group unit's wire pieces to ``pieces`` and return it:
+    a parsed group's kept bytes, a one-stub group as one struct, or else the
+    fields with coded payloads appended as they are, not copied."""
+    tiles = group.tiles
+    if group.wire is not None:
+        pieces.append(group.wire)
+    elif len(tiles) == 1 and (tile := tiles[0]).tile_kind == TileKind.SKIPPED:
+        pieces.append(_STUB_GROUP_UNIT.pack(
+            UnitType.TILE_GROUP, STUB_GROUP_SIZE - UNIT_HEADER_SIZE, group.tg_start, group.tg_end,
+            tile.tile_index, tile.tile_kind, tile.superblock_count, SKIPPED_MODE_RECORD))
+    else:
+        at = len(pieces)
+        pieces.append(b"")  # the unit header, once the payload size is known
+        size = 4  # the payload's tile range, then its tiles
+        for tile in tiles:
+            if tile.tile_kind == TileKind.CODED:
+                payload = tile.coded_payload
+                pieces += (_CODED_TILE.pack(tile.tile_index, tile.tile_kind, len(payload)), payload)
+                size += _CODED_TILE.size + len(payload)
+            else:
+                pieces.append(_SKIPPED_TILE.pack(
+                    tile.tile_index, tile.tile_kind, tile.superblock_count, SKIPPED_MODE_RECORD))
+                size += _SKIPPED_TILE.size
+        pieces[at] = _TILE_GROUP_UNIT.pack(UnitType.TILE_GROUP, size, group.tg_start, group.tg_end)
     return pieces
 
 
@@ -202,6 +214,7 @@ def tile_group_size(group: TileGroup) -> int:
 
 
 def serialize_frame(frame: Frame) -> bytes:
+    """One frame's bytes, one join; a parsed tile group's are its kept bytes."""
     return b"".join(_frame_pieces(frame))
 
 
@@ -291,7 +304,7 @@ def _parse_tile_group(data: memoryview, unit: int, end: int) -> TileGroup:
             pos = at + size
             if pos > end:
                 raise TruncatedError(at)
-            tiles.append(Tile(tile_index, TileKind.CODED, coded_payload=data[at:pos]))
+            tiles.append(Tile(tile_index, TileKind.CODED, data[at:pos]))
         elif kind == _SKIPPED:
             mode_at = pos + _SKIPPED_TILE.size - SUPERBLOCK_MODE_SIZE
             if end - pos < _SKIPPED_TILE.size:
@@ -306,7 +319,9 @@ def _parse_tile_group(data: memoryview, unit: int, end: int) -> TileGroup:
             tiles.append(Tile(tile_index, TileKind.SKIPPED, superblock_count=sb_count))
         else:
             raise InvalidStructureError(f"bad tile kind {kind} at offset {pos + 2}")
-    return TileGroup(tg_start=tg_start, tg_end=tg_end, tiles=tuple(tiles))
+    group = TileGroup(tg_start, tg_end, tuple(tiles))  # positional: keywords cost per group
+    object.__setattr__(group, "wire", data[unit:end])
+    return group
 
 
 def parse(data: bytes, frames: range | None = None) -> Bitstream:
@@ -316,9 +331,10 @@ def parse(data: bytes, frames: range | None = None) -> Bitstream:
     header and frames of a parsed stream gives back ``data``.  Each temporal
     delimiter opens a frame; a frame header before the first one, a tile
     group before its frame header and an unknown unit type are refused.
-    Every unit is read in place.  Each coded payload is a read-only
-    memoryview of the input, which is copied once first unless it is
-    ``bytes``.  Tile groups with the same one-stub payload are one object.
+    Every unit is read in place.  Each coded payload, and each tile group's
+    kept bytes, is a read-only memoryview of the input, which is copied once
+    first unless it is ``bytes``.  Tile groups with the same one-stub payload
+    are one object.
     Errors carry the absolute byte offset of the fault.
 
     With ``frames``, only the frames at those positions are built; every

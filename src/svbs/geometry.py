@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 
@@ -84,7 +85,11 @@ def _rotation(viewport: Viewport) -> np.ndarray:
 
 def _frustum_mask(viewport: Viewport, dirs: np.ndarray) -> np.ndarray:
     """Membership of world directions in the viewport's angular bounds."""
-    local = dirs @ _rotation(viewport)
+    return _in_bounds(viewport, dirs @ _rotation(viewport))
+
+
+def _in_bounds(viewport: Viewport, local: np.ndarray) -> np.ndarray:
+    """The same for directions in the viewport's frame."""
     alpha = np.arctan2(local[:, 1], local[:, 0])
     beta = np.arcsin(np.clip(local[:, 2], -1.0, 1.0))
     return (np.abs(alpha) <= viewport.h_fov / 2 + _EDGE_TOL) & (
@@ -177,11 +182,14 @@ def _check_projection(projection: Projection, config: SequenceConfig) -> None:
 # nearest the block center and the four corners) is inside, and scans pixel
 # centers only for the tiles still undecided.  Culling drops only blocks with
 # no pixel center inside, so the result equals tile_coverage_oracle.
+# A selection decided without a scan also proves a margin: under a smaller
+# turn, of angle 2 asin(||R - R0||_F / 2 sqrt(2)), no hit representative leaves
+# the frustum and no culled cap reaches it.  Each table keeps 4 such selections.
 
 _BLOCK = 32
 # Blocks whose pixel centers are unprojected at once (cap radii, scans).
 _SCAN_BLOCKS = 16
-# Widens every cap to absorb rounding in its radius and in the rotation.
+# Widens every cap and narrows every margin to absorb rounding.
 _RADIUS_PAD = 1e-9
 
 
@@ -196,6 +204,7 @@ class _BlockTable:
     radius: np.ndarray  # cap radius in radians
     sin_radius: np.ndarray  # sin(min(radius, pi/2))
     reps: np.ndarray  # (N, 5, 3) representative pixel-center directions
+    kept: deque = field(default_factory=lambda: deque(maxlen=4))  # (pose, limit, tiles)
 
 
 def _block_pixel_directions(box: np.ndarray, projection: Projection) -> np.ndarray:
@@ -240,25 +249,22 @@ def _block_table(kind: ProjectionKind, config: SequenceConfig) -> _BlockTable:
     )
 
 
-def _surviving_blocks(viewport: Viewport, table: _BlockTable) -> np.ndarray:
-    """Indices of the blocks whose cap may hold a pixel center in the frustum."""
-    local = table.center @ _rotation(viewport)
+def _surviving_blocks(viewport: Viewport, table: _BlockTable, rotation: np.ndarray) -> tuple:
+    """Indices of the blocks whose cap may hold a pixel center in the frustum,
+    and each cap's gap, at most its angle to the frustum (culled above _EDGE_TOL)."""
+    local = table.center @ rotation
     # Band |beta| <= v_fov/2: within a cap of radius r, beta differs from the
     # center's by at most r.
     beta = np.arcsin(np.clip(local[:, 2], -1.0, 1.0))
-    keep = np.abs(beta) - viewport.v_fov / 2 <= table.radius + _EDGE_TOL
+    band = np.abs(beta) - viewport.v_fov / 2 - table.radius
     # Lune |alpha| <= h_fov/2: the intersection (h_fov <= 180 deg) or the union
     # of the half-spaces n.p >= 0, n = (sin(h_fov/2), -/+cos(h_fov/2), 0).  A
-    # cap lies outside a half-space when -n.c > sin r.
+    # cap lies outside a half-space by -n.c - sin r, at most its angle to it.
     s, c = math.sin(viewport.h_fov / 2), math.cos(viewport.h_fov / 2)
-    bound = table.sin_radius + _EDGE_TOL
-    out_left = c * local[:, 1] - s * local[:, 0] > bound
-    out_right = -c * local[:, 1] - s * local[:, 0] > bound
-    if viewport.h_fov <= math.pi:
-        keep &= ~(out_left | out_right)
-    else:
-        keep &= ~(out_left & out_right)
-    return np.flatnonzero(keep)
+    left = c * local[:, 1] - s * local[:, 0] - table.sin_radius
+    right = -c * local[:, 1] - s * local[:, 0] - table.sin_radius
+    gap = np.maximum(band, (np.maximum if viewport.h_fov <= math.pi else np.minimum)(left, right))
+    return np.flatnonzero(gap <= _EDGE_TOL), gap
 
 
 # One process-wide cache, so a held pose is selected once.  An entry of 9
@@ -273,23 +279,45 @@ def select_tiles(
     ``config.FRAME_PIXEL_BUDGET``), with no budget of its own: memory and time
     scale with the block count, not the pixel count.  The sets of the last
     1,024 keys are cached, hence frozen; more distinct poses get no hits.
+    A miss turned less than a kept selection's margin from its pose, with the
+    same FOVs, returns its set, so ``select_tiles.__wrapped__`` may too.
     """
     _check_projection(projection, config)
     table = _block_table(projection.kind, config)
-    blocks = _surviving_blocks(viewport, table)
-    reps = table.reps[blocks]
-    hit = _frustum_mask(viewport, reps.reshape(-1, 3)).reshape(reps.shape[:2]).any(axis=1)
+    rotation = _rotation(viewport)
+    pose = (viewport.h_fov, viewport.v_fov, *rotation.ravel().tolist())
+    for kept, limit, tiles in tuple(table.kept):  # a copy: another thread may append
+        if kept[:2] == pose[:2] and math.dist(kept[2:], pose[2:]) < limit:
+            return tiles
+    blocks, gap = _surviving_blocks(viewport, table, rotation)
+    local = table.reps[blocks].reshape(-1, 3) @ rotation
+    hit = _in_bounds(viewport, local)
     chosen = np.zeros(config.tile_count, dtype=bool)
-    chosen[table.tile[blocks[hit]]] = True
+    chosen[table.tile[blocks[hit.reshape(-1, 5).any(axis=1)]]] = True
     undecided = blocks[~chosen[table.tile[blocks]]]
     for t in set(table.tile[undecided].tolist()):
         ids = undecided[table.tile[undecided] == t]
         for j in range(0, len(ids), _SCAN_BLOCKS):
             dirs = _block_pixel_directions(table.box[ids[j : j + _SCAN_BLOCKS]], projection)
-            if _frustum_mask(viewport, dirs).any():
+            if _in_bounds(viewport, dirs @ rotation).any():
                 chosen[t] = True
                 break
-    return frozenset(np.flatnonzero(chosen).tolist())
+    tiles = frozenset(np.flatnonzero(chosen).tolist())
+    if blocks.size and not undecided.size and viewport.h_fov <= math.pi:
+        # Each representative's lower bounds on its angle inside the boundary
+        # (v_fov/2 - |beta|, n.p per lune plane) are not positive outside it.
+        # Blocks come tile by tile, so one reduceat gives each tile's best.
+        s, c = math.sin(viewport.h_fov / 2), math.cos(viewport.h_fov / 2)
+        inside = np.minimum(viewport.v_fov / 2 - np.arcsin(np.minimum(np.abs(local[:, 2]), 1.0)),
+                            s * local[:, 0] - c * np.abs(local[:, 1]))
+        owner = table.tile[blocks]
+        firsts = np.flatnonzero(np.concatenate(([True], owner[1:] != owner[:-1])))
+        best = np.maximum.reduceat(inside, firsts * 5)
+        margin = min(np.minimum.reduce(gap, where=~chosen[table.tile], initial=np.inf),
+                     np.minimum.reduce(best, initial=np.inf)) - _EDGE_TOL - _RADIUS_PAD
+        if margin > 0:
+            table.kept.append((pose, math.sqrt(8) * math.sin(margin / 2), tiles))
+    return tiles
 
 
 def tile_coverage_oracle(

@@ -46,7 +46,8 @@ def rewrite_viewport_frame(frame: Frame, selected: set[int], config: SequenceCon
     The output frame carries, in order: the base layer unchanged, then an
     enhanced header with CDF updates disabled and global motion pinned to
     zero, then one tile group per grid tile in raster order.  A forwarded
-    tile keeps its input group when that group holds it alone.
+    tile keeps its input group when that group holds it alone, so the base
+    layer and such a group of a parsed frame serialize as their kept bytes.
     """
     grid = range(config.tile_count)
     if not all(t in grid for t in selected):
@@ -67,12 +68,6 @@ def rewrite_viewport_frame(frame: Frame, selected: set[int], config: SequenceCon
     if missing:
         raise TileMissingError(missing[0])
 
-    header = FrameHeader(
-        frame_index=enhanced.header.frame_index,
-        layer_id=LayerId.ENHANCED,
-        frame_type=enhanced.header.frame_type,
-        cdf_update_disabled=True,
-        global_mv_zero=True,
-        base_ref_offset=enhanced.header.base_ref_offset,
-    )
+    h = enhanced.header  # with CDF updates disabled and global motion pinned to zero
+    header = FrameHeader(h.frame_index, h.layer_id, h.frame_type, True, True, h.base_ref_offset)
     return Frame(layers=(base, LayerFrame(header, tuple(groups))))

@@ -231,10 +231,11 @@ def run_session(
 
     if duration_ms is None:
         duration_ms = times[-1] + settle_ticks * period
-    n_ticks = max(0, int(math.ceil(duration_ms / period)) + 1)
-    if n_ticks > SESSION_TICK_BUDGET:
-        raise TooLargeError(f"{n_ticks} ticks exceed the session tick budget "
+    last_tick = duration_ms / period  # inf below 1 ms per frame: compared before rounding
+    if last_tick > SESSION_TICK_BUDGET - 1:
+        raise TooLargeError(f"{last_tick + 1:.3g} ticks exceed the session tick budget "
                             f"{SESSION_TICK_BUDGET}")
+    n_ticks = max(0, math.ceil(last_tick) + 1)
     tables = _stream_tables(config, source_seed, cycle, tracks)
 
     # The tile set of every trace entry, one lookup per distinct viewport;

@@ -735,6 +735,23 @@ class TestSimulateAndReport:
         for stem in ("svc", "multitrack_4_2"):
             assert json.loads((tmp_path / f"sim.{stem}.json").read_text())["total_bytes"] == 0
 
+    @pytest.mark.parametrize("fps", ["65535", "30"])
+    def test_trace_ending_far_after_0_is_refused(self, tmp_path, capsys, fps):
+        # Below 1 ms per frame the tick count of a trace ending at 1e308 ms
+        # overflows a float; at any rate it is refused with a short count.
+        trace_path = tmp_path / "t.jsonl"
+        trace_path.write_text('{"t_ms": 1e308, "yaw_deg": 0, "pitch_deg": 0, '
+                              '"h_fov_deg": 90, "v_fov_deg": 90}\n')
+        rc = main(["simulate", "--width", "64", "--height", "32", "--tile-cols", "2",
+                   "--tile-rows", "2", "--gop", "4", "--fps", fps, "--trace", str(trace_path),
+                   "--scheme", "svc", "--out", str(tmp_path / "sim")])
+        err = capsys.readouterr().err
+        assert rc == EXIT_DATA
+        assert [line for line in err.splitlines() if line.startswith("error: ")] == [
+            err.strip()]
+        assert "exceed the session tick budget" in err and len(err) < 100
+        assert "Traceback" not in err
+
     def test_simulate_builds_no_frame_logs(self, tmp_path, capsys, monkeypatch):
         def refuse(*args):
             raise AssertionError("svbs simulate built a FrameLog")

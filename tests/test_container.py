@@ -6,6 +6,7 @@ import random
 import re
 import struct
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -170,6 +171,76 @@ class TestPayloadsInPlace:
         stubs = {id(g) for f in parsed.frames for g in f.layers[1].tile_groups[1:]}
         assert len(stubs) == config.tile_count - 1
         assert parsed.frames == frames
+
+
+def _tile_group_unit(group: TileGroup) -> bytes:
+    """The serialized unit of one tile group, read from the frame that holds
+    it alone: after the delimiter and the frame header."""
+    header = FrameHeader(0, LayerId.ENHANCED, FrameType.INTER)
+    data = serialize_frame(Frame((LayerFrame(header, (group,)),)))
+    return data[UNIT_HEADER_SIZE + FRAME_HEADER_UNIT_SIZE:]
+
+
+def _kept_bytes_streams() -> dict[str, bytes]:
+    """An SVC stream, a full and a base track, and the SVC stream rewritten
+    for one tile, each serialized from the model the encoder or the rewriter
+    built."""
+    config = small_config(width=64, height=32)
+    source = generate_content(3, config, 8)
+    svc = encode_svc(source)
+    rewritten = Bitstream(config, tuple(
+        rewrite_viewport_frame(f, {1}, config) for f in svc.frames))
+    return {
+        "svc": serialize(svc),
+        "track-full": serialize(encode_track(source, 4, TrackResolution.FULL)),
+        "track-base": serialize(encode_track(source, 4, TrackResolution.BASE)),
+        "rewritten": serialize(rewritten),
+    }
+
+
+class TestKeptBytes:
+    """A tile group built by ``parse`` keeps its unit's bytes and serializes
+    as them; any other group is packed from its fields."""
+
+    @pytest.mark.parametrize("name", ["svc", "track-full", "track-base", "rewritten"])
+    def test_parsed_streams_serialize_to_their_input(self, name):
+        data = _kept_bytes_streams()[name]
+        parsed = parse(data)
+        assert serialize(parsed) == data
+        assert b"".join(serialize_frame(f) for f in parsed.frames) == data[HEADER_SIZE:]
+        for frame in parsed.frames:
+            for layer in frame.layers:
+                for group in layer.tile_groups:
+                    # The kept bytes are the unit, and the fields pack to them.
+                    assert group.wire is not None and group.wire.readonly
+                    assert bytes(group.wire) == _tile_group_unit(replace(group))
+                    assert tile_group_size(group) == len(group.wire)
+
+    def test_replaced_group_serializes_its_edited_fields(self):
+        data = _kept_bytes_streams()["svc"]
+        parsed = parse(data)
+        base, enhanced = parsed.frames[1].layers
+        group = enhanced.tile_groups[2]
+        payload = bytes(group.tiles[0].coded_payload) + b"\x00\x07"
+        edited = replace(group, tiles=(replace(group.tiles[0], coded_payload=payload),))
+        assert edited.wire is None and edited != group
+        assert _tile_group_unit(edited)[-len(payload):] == payload
+        assert tile_group_size(edited) == len(group.wire) + 2
+        layers = (base, replace(enhanced, tile_groups=(*enhanced.tile_groups[:2], edited,
+                                                       *enhanced.tile_groups[3:])))
+        frames = (parsed.frames[0], Frame(layers), *parsed.frames[2:])
+        out = serialize(Bitstream(parsed.config, frames))
+        assert len(out) == len(data) + 2
+        assert parse(out).frames[1].layers[1].tile_groups[2] == edited
+
+    def test_kept_bytes_take_no_part_in_equality(self):
+        parsed = parse(serialize(valid_stream(1))).frames[0].layers[1].tile_groups[0]
+        built = TileGroup(0, 0, (coded_tile(0),))
+        assert built.wire is None and parsed.wire is not None
+        assert parsed == built and hash(parsed) == hash(built)
+        assert "wire" not in repr(parsed)
+        with pytest.raises(TypeError):
+            TileGroup(0, 0, (coded_tile(0),), wire=b"")
 
 
 class TestParseErrors:

@@ -14,12 +14,16 @@ from helpers import (
     reference_project_erp,
     reference_unproject_cubemap,
 )
+from svbs import geometry
 from svbs.config import SequenceConfig
 from svbs.errors import BadConfigError, BadTraceError, TooLargeError
 from svbs.geometry import (
     ORACLE_PIXEL_BUDGET,
     _BLOCK,
     _block_table,
+    _frustum_mask,
+    _pixel_center_directions,
+    _tiles_of_pixels,
     _unproject,
     _unproject_cubemap,
     Projection,
@@ -333,6 +337,104 @@ class TestTileSetCache:
         for vp in (down, level):
             assert first == select_tiles.__wrapped__(vp, ERP_PROJ, ERP_CONFIG)
             assert first == tile_coverage_oracle(vp, ERP_PROJ, ERP_CONFIG)
+
+
+@st.composite
+def slow_walks(draw):
+    """A projection and config at most 192 pixels wide with a tile grid from
+    1x1 to 8x6, a field of view from 20 to 180 degrees each way, and a walk
+    whose every step turns 0-2 degrees, with pitch within +-89 degrees."""
+    if draw(st.booleans()):
+        kind = ProjectionKind.ERP
+        cols, rows = draw(st.integers(1, 8)), draw(st.integers(1, 6))
+        width = cols * 2 * draw(st.integers(1, 96 // cols))
+        height = rows * 2 * draw(st.integers(1, 64 // rows))
+    else:
+        kind = ProjectionKind.CUBEMAP_3x2
+        f = draw(st.integers(1, 32))  # faces of 2f pixels
+        width, height = 6 * f, 4 * f
+        cols = draw(st.sampled_from([c for c in range(1, 9) if 3 * f % c == 0]))
+        rows = draw(st.sampled_from([r for r in range(1, 7) if 2 * f % r == 0]))
+    config = SequenceConfig(width=width, height=height, tile_cols=cols, tile_rows=rows)
+    h_fov, v_fov = draw(st.floats(20.0, 180.0)), draw(st.floats(20.0, 180.0))
+    yaw, pitch = draw(st.floats(-180.0, 180.0)), draw(st.floats(-89.0, 89.0))
+    poses = [Viewport.from_degrees(yaw, pitch, h_fov, v_fov)]
+    for step, heading in draw(st.lists(st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 360.0)),
+                                       min_size=1, max_size=24)):
+        yaw += step * math.cos(math.radians(heading))
+        pitch = min(89.0, max(-89.0, pitch + step * math.sin(math.radians(heading))))
+        poses.append(Viewport.from_degrees(yaw, pitch, h_fov, v_fov))
+    return Projection(kind, width, height), config, poses
+
+
+def _turn(axis: np.ndarray, angle: float) -> np.ndarray:
+    """The rotation by ``angle`` about the unit vector ``axis`` (Rodrigues)."""
+    k = np.array([[0.0, -axis[2], axis[1]], [axis[2], 0.0, -axis[0]], [-axis[1], axis[0], 0.0]])
+    return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
+
+
+class TestMarginReuse:
+    """A selection decided without a scan keeps a margin, and a later miss
+    with the same field of view turned less than it returns that selection's
+    tiles without selecting.  The tiles must still be the oracle's."""
+
+    @given(slow_walks())
+    @settings(max_examples=60, deadline=None)
+    def test_slow_walks_match_oracle(self, walk):
+        proj, config, poses = walk
+        for vp in poses:
+            assert select_tiles(vp, proj, config) == tile_coverage_oracle(vp, proj, config)
+
+    def test_a_turn_just_inside_the_margin_keeps_the_oracles_tiles(self):
+        # The oracle's own pixel-center test, with the frustum turned by
+        # 0.999 of the margin about random axes, roll included.
+        rng = random.Random(37)
+        probed = 0
+        for proj, config in (
+            (Projection(ProjectionKind.ERP, 384, 192),
+             SequenceConfig(384, 192, tile_cols=6, tile_rows=4)),
+            (Projection(ProjectionKind.CUBEMAP_3x2, 384, 256),
+             SequenceConfig(384, 256, tile_cols=6, tile_rows=4)),
+        ):
+            dirs = _pixel_center_directions(proj.kind, proj.width, proj.height)
+            kept = _block_table(proj.kind, config).kept
+            for _ in range(40):
+                vp = Viewport.from_degrees(rng.uniform(-180, 180), rng.uniform(-89, 89),
+                                           rng.uniform(20, 180), rng.uniform(20, 180))
+                kept.clear()
+                tiles = select_tiles.__wrapped__(vp, proj, config)
+                if not kept:
+                    continue  # a scan decided a tile, no block survived or h_fov > 180°
+                _, limit, kept_tiles = kept[-1]
+                assert kept_tiles is tiles
+                margin = 2 * math.asin(limit / math.sqrt(8))
+                for _ in range(4):
+                    axis = np.array([rng.gauss(0, 1) for _ in range(3)])
+                    turned = dirs @ _turn(axis / np.linalg.norm(axis), 0.999 * margin)
+                    inside = np.flatnonzero(_frustum_mask(vp, turned))
+                    assert _tiles_of_pixels(inside % proj.width, inside // proj.width,
+                                            config) == tiles
+                probed += 1
+        assert probed >= 20
+
+    def test_a_slow_pursuit_runs_fewer_selections_than_poses(self, monkeypatch):
+        full = []
+        surviving_blocks = geometry._surviving_blocks
+
+        def counted(*args):
+            full.append(args[0])
+            return surviving_blocks(*args)
+
+        monkeypatch.setattr(geometry, "_surviving_blocks", counted)
+        select_tiles.cache_clear()
+        _block_table(ERP_PROJ.kind, ERP_CONFIG).kept.clear()
+        poses = [Viewport.from_degrees(20 + 0.1 * k, 10 + 0.05 * k, 90, 90) for k in range(100)]
+        for k, vp in enumerate(poses):
+            tiles = select_tiles(vp, ERP_PROJ, ERP_CONFIG)
+            if k % 10 == 0:
+                assert tiles == tile_coverage_oracle(vp, ERP_PROJ, ERP_CONFIG)
+        assert select_tiles.cache_info().misses == len(poses)
+        assert 0 < len(full) < len(poses) / 4
 
 
 class TestTraces:
