@@ -16,6 +16,7 @@ import functools
 import hashlib
 import json
 import os
+import re
 import sys
 from threading import Thread
 
@@ -56,6 +57,11 @@ EXIT_DATA = 2
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # -h is the only short option: any other one-dash token is a value, as after "=".
+        self._negative_number_matcher = re.compile(r"-[^-]")
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)

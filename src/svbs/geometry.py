@@ -83,13 +83,9 @@ def _rotation(viewport: Viewport) -> np.ndarray:
     return np.array([[cy * cp, -sy, -cy * sp], [sy * cp, cy, -sy * sp], [sp, 0.0, cp]])
 
 
-def _frustum_mask(viewport: Viewport, dirs: np.ndarray) -> np.ndarray:
-    """Membership of world directions in the viewport's angular bounds."""
-    return _in_bounds(viewport, dirs @ _rotation(viewport))
-
-
 def _in_bounds(viewport: Viewport, local: np.ndarray) -> np.ndarray:
-    """The same for directions in the viewport's frame."""
+    """The pixel-center test: membership of directions in the viewport's frame
+    (world directions times ``_rotation(viewport)``) in its angular bounds."""
     alpha = np.arctan2(local[:, 1], local[:, 0])
     beta = np.arcsin(np.clip(local[:, 2], -1.0, 1.0))
     return (np.abs(alpha) <= viewport.h_fov / 2 + _EDGE_TOL) & (
@@ -149,23 +145,17 @@ def _unproject(u: np.ndarray, v: np.ndarray, projection: Projection) -> np.ndarr
 
 
 @lru_cache(maxsize=8)
-def _pixel_center_directions(kind: ProjectionKind, width: int, height: int) -> np.ndarray:
-    projection = Projection(kind, width, height)
-    ys, xs = np.mgrid[0:height, 0:width]
-    u = xs.ravel().astype(np.float64) + 0.5
-    v = ys.ravel().astype(np.float64) + 0.5
-    return _unproject(u, v, projection)
+def _pixel_center_directions(projection: Projection) -> np.ndarray:
+    ys, xs = np.mgrid[0 : projection.height, 0 : projection.width]
+    return _unproject(xs.ravel() + 0.5, ys.ravel() + 0.5, projection)
 
 
 # --- tile selection ----------------------------------------------------------
 
 
-def _tiles_of_pixels(
-    px: np.ndarray, py: np.ndarray, config: SequenceConfig
-) -> set[int]:
-    cols = np.minimum(px // config.tile_width, config.tile_cols - 1)
-    rows = np.minimum(py // config.tile_height, config.tile_rows - 1)
-    return set(np.unique(rows * config.tile_cols + cols).astype(int).tolist())
+def _tiles_of_pixels(px: np.ndarray, py: np.ndarray, config: SequenceConfig) -> set[int]:
+    # The config's width and height divide into whole tiles.
+    return set((py // config.tile_height * config.tile_cols + px // config.tile_width).tolist())
 
 
 def _check_projection(projection: Projection, config: SequenceConfig) -> None:
@@ -219,8 +209,8 @@ def _block_pixel_directions(box: np.ndarray, projection: Projection) -> np.ndarr
 
 
 @lru_cache(maxsize=8)
-def _block_table(kind: ProjectionKind, config: SequenceConfig) -> _BlockTable:
-    projection = Projection(kind, config.width, config.height)
+def _block_table(projection: Projection, config: SequenceConfig) -> _BlockTable:
+    _check_projection(projection, config)
     blocks = np.array([
         (x, y, min(_BLOCK, xs.stop - x), min(_BLOCK, ys.stop - y), t)
         for t, (ys, xs) in enumerate(config.layer_regions(base=False))
@@ -276,14 +266,14 @@ def select_tiles(
     """Tiles with at least one pixel center inside the viewport's frustum.
 
     Equal to tile_coverage_oracle at any frame size a config allows (up to
-    ``config.FRAME_PIXEL_BUDGET``), with no budget of its own: memory and time
-    scale with the block count, not the pixel count.  The sets of the last
-    1,024 keys are cached, hence frozen; more distinct poses get no hits.
-    A miss turned less than a kept selection's margin from its pose, with the
-    same FOVs, returns its set, so ``select_tiles.__wrapped__`` may too.
+    ``svbs.config.FRAME_PIXEL_BUDGET``), with no budget of its own: memory and
+    time scale with the block count, not the pixel count.  The sets of the
+    last 1,024 keys are cached, hence frozen; more distinct poses get no hits.
+    A selection decided without a scan keeps a margin at any FOV; a miss with
+    the same FOVs turned less than it from the kept pose returns the kept set,
+    so ``select_tiles.__wrapped__`` may too.
     """
-    _check_projection(projection, config)
-    table = _block_table(projection.kind, config)
+    table = _block_table(projection, config)
     rotation = _rotation(viewport)
     pose = (viewport.h_fov, viewport.v_fov, *rotation.ravel().tolist())
     for kept, limit, tiles in tuple(table.kept):  # a copy: another thread may append
@@ -303,9 +293,10 @@ def select_tiles(
                 chosen[t] = True
                 break
     tiles = frozenset(np.flatnonzero(chosen).tolist())
-    if blocks.size and not undecided.size and viewport.h_fov <= math.pi:
+    if blocks.size and not undecided.size:
         # Each representative's lower bounds on its angle inside the boundary
-        # (v_fov/2 - |beta|, n.p per lune plane) are not positive outside it.
+        # (v_fov/2 - |beta|, n.p of the lesser lune plane, or of the greater
+        # where the lune is their union) are not positive outside it.
         # Blocks come tile by tile, so one reduceat gives each tile's best.
         s, c = math.sin(viewport.h_fov / 2), math.cos(viewport.h_fov / 2)
         inside = np.minimum(viewport.v_fov / 2 - np.arcsin(np.minimum(np.abs(local[:, 2]), 1.0)),
@@ -329,12 +320,9 @@ def tile_coverage_oracle(
         raise TooLargeError(
             f"{projection.width}x{projection.height} exceeds the oracle pixel budget"
         )
-    dirs = _pixel_center_directions(projection.kind, projection.width, projection.height)
-    mask = _frustum_mask(viewport, dirs)
-    idx = np.nonzero(mask)[0]
-    px = idx % projection.width
-    py = idx // projection.width
-    return _tiles_of_pixels(px, py, config)
+    dirs = _pixel_center_directions(projection)
+    idx = np.flatnonzero(_in_bounds(viewport, dirs @ _rotation(viewport)))
+    return _tiles_of_pixels(idx % projection.width, idx // projection.width, config)
 
 
 # --- viewport traces ---------------------------------------------------------

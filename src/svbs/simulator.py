@@ -160,16 +160,14 @@ def _stream_tables(
     """The streams of one scheme, encoded from one content, each as its
     :func:`rate_records` tables (header bytes per frame of the cycle, bytes
     per frame and tile) and its bytes per tile outside the region.  ``tracks``
-    None gives an SVC encode's ``base`` and ``enhanced`` layers, ``enhanced``
-    sending a ``STUB_GROUP_SIZE`` stub per tile outside; otherwise each (gop,
-    resolution) track is one single-layer stream, sending nothing outside."""
+    None gives an SVC encode's ``base`` and ``enhanced`` layers; otherwise each
+    (gop, resolution) track is one BASE-layer stream.  An ENHANCED layer sends
+    a ``STUB_GROUP_SIZE`` stub per tile outside, any other layer nothing."""
     source = generate_content(seed, config, cycle)
-    if tracks is None:
-        streams, stub = (encode_svc(source),), STUB_GROUP_SIZE
-    else:
-        streams, stub = (encode_track(source, gop, res) for gop, res in tracks), 0
+    streams = ((encode_svc(source),) if tracks is None
+               else (encode_track(source, gop, res) for gop, res in tracks))
     tables = tuple((np.array(header, np.int64), np.array(tiles, np.int64),
-                    stub if layer == LayerId.ENHANCED else 0)
+                    STUB_GROUP_SIZE if layer == LayerId.ENHANCED else 0)
                    for stream in streams for layer, (header, tiles) in rate_records(stream).items())
     for header, tiles, _ in tables:
         header.flags.writeable = tiles.flags.writeable = False

@@ -48,7 +48,14 @@ from svbs.errors import (
     TruncatedError,
     UnknownUnitTypeError,
 )
-from svbs.geometry import Projection, ProjectionKind, _frustum_mask, _unproject, select_tiles
+from svbs.geometry import (
+    Projection,
+    ProjectionKind,
+    _in_bounds,
+    _rotation,
+    _unproject,
+    select_tiles,
+)
 from svbs.rewriter import _stub_groups
 from svbs.simulator import (
     _TICK_EPS,
@@ -168,7 +175,7 @@ def brute_force_tiles(viewport, projection, config, band_rows: int = 64) -> set[
         ys, xs = np.mgrid[y0 : min(y0 + band_rows, height), 0:width]
         u = xs.ravel().astype(np.float64) + 0.5
         v = ys.ravel().astype(np.float64) + 0.5
-        inside = _frustum_mask(viewport, _unproject(u, v, projection))
+        inside = _in_bounds(viewport, _unproject(u, v, projection) @ _rotation(viewport))
         cols = xs.ravel()[inside] // config.tile_width
         rows = ys.ravel()[inside] // config.tile_height
         tiles.update((rows * config.tile_cols + cols).tolist())

@@ -15,7 +15,7 @@ import threading
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import svbs
@@ -85,6 +85,19 @@ class TestGenerate:
         assert mode == 0o666 & ~umask
         assert stat.S_IMODE((tmp_path / "src.yuv.manifest.json").stat().st_mode) == mode
         assert sorted(p.name for p in tmp_path.iterdir()) == ["src.yuv", "src.yuv.manifest.json"]
+
+    def test_manifest_that_cannot_be_replaced_leaves_no_temporary_file(self, tmp_path, capsys):
+        # A directory holds the manifest's name, so os.replace fails.
+        out = tmp_path / "src.yuv"
+        (tmp_path / "src.yuv.manifest.json").mkdir()
+        assert main(["generate", *SMALL, "--frames", "1", "--out", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "src.yuv.manifest.json" in err
+        assert [line for line in err.splitlines() if line.startswith("error: ")] == [
+            err.strip()]
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["src.yuv", "src.yuv.manifest.json"]
+        assert not any((tmp_path / "src.yuv.manifest.json").iterdir())
 
     def test_deterministic(self, tmp_path):
         a, b = tmp_path / "a.yuv", tmp_path / "b.yuv"
@@ -324,6 +337,7 @@ MALFORMED_INPUTS = {
                             b'"v_fov_deg": 90}\n' % (100 * i, 90 * (i % 4)) for i in range(40)),
     "huge.csv": b"row,scheme,t_ms,mtp_ms,mthq_ms,second,stream,bytes\n"
                 b"switch,svc,0,1,1e308,,,\nswitch,svc,1,1,1e308,,,\n",
+    "blank.jsonl": b"\n",
 }
 SIMULATE = ["simulate", *SMALL, "--trace", "{dir}/trace.jsonl", "--out", "{out}"]
 
@@ -382,6 +396,28 @@ class TestMalformedArguments:
             ([*SIMULATE, "--scheme", "multitrack(70000)"], "a GOP exceeds the u16 wire range"),
             ([*SIMULATE, "--scheme", "multitrack(99999999999)"], "a GOP exceeds the u16"),
             ([*SIMULATE, "--trace", "{dir}/far.jsonl"], "exceed the session tick budget"),
+            # A value led by "-" is a value, as after "=".
+            (["decode", "--in", "{stream}", "--tiles", "-1,2", "--out", "{out}"],
+             "--tiles -1 outside the 4-tile grid"),
+            (["decode", "--in", "{stream}", "--tiles", "-x", "--out", "{out}"], "--tiles wants"),
+            (["rewrite", "--in", "{stream}", "--viewport", "-1,x", "--out", "{out}"],
+             "--viewport wants"),
+            (["select-tiles", "--viewport", "-1e308,0,90"], "--viewport wants"),
+            (["select-tiles", "--width", "0", "--viewport", "0,0,90,90"],
+             "frame dimensions must be positive"),
+            (["select-tiles", *SMALL, "--tile-rows", "0", "--viewport", "0,0,90,90"],
+             "tile grid must be at least 1x1"),
+            (["encode", *SMALL, "--ref-window", "0", "--out", "{out}"],
+             "ref_window must be >= 1"),
+            (["select-tiles", *SMALL, "--fps", "70000", "--viewport", "0,0,90,90"],
+             "fps_num exceeds the u16 wire range"),
+            (["select-tiles", "--width", "1024", "--height", "512", "--tile-cols", "1",
+              "--tile-rows", "1", "--scale-factor", "256", "--viewport", "0,0,90,90"],
+             "scale_factor exceeds the u8 wire range"),
+            (["generate", *SMALL, "--frames", "0", "--out", "{out}"],
+             "frame_count must be >= 1"),
+            (["rewrite", "--in", "{stream}", "--trace", "{dir}/blank.jsonl", "--out", "{out}"],
+             "trace is empty"),
         ],
         ids=["viewport-not-numbers", "rewrite-without-pose", "rewrite-viewport-and-trace",
              "rewrite-without-pose-missing-input", "rewrite-viewport-and-trace-missing-input",
@@ -397,7 +433,11 @@ class TestMalformedArguments:
              "generate-negative-seed", "encode-negative-seed", "encode-scale-factor-0",
              "simulate-negative-seed",
              "generate-over-pixel-budget", "scheme-cycle-over-pixel-budget",
-             "scheme-gop-over-u16", "scheme-gop-huge", "trace-over-tick-budget"],
+             "scheme-gop-over-u16", "scheme-gop-huge", "trace-over-tick-budget",
+             "dash-led-tile-outside-grid", "dash-led-tiles-not-numbers",
+             "dash-led-viewport-not-numbers", "dash-led-viewport-too-short",
+             "width-0", "tile-rows-0", "ref-window-0", "fps-over-u16",
+             "scale-factor-over-u8", "generate-0-frames", "trace-empty"],
     )
     def test_is_data_error_without_traceback(self, tmp_path, capsys, argv, message):
         stream_path = tmp_path / "s.svb"
@@ -410,6 +450,8 @@ class TestMalformedArguments:
         err = capsys.readouterr().err
         assert rc == EXIT_DATA
         assert err.startswith("error: ") and message in err
+        assert [line for line in err.splitlines() if line.startswith("error: ")] == [
+            err.strip()]
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -516,6 +558,106 @@ class TestArgvFuzz:
             os.chdir(cwd)
         assert rc in (EXIT_OK, EXIT_USAGE, EXIT_DATA)
         assert "Traceback" not in stderr.getvalue()
+
+
+class TestDashLedValues:
+    """A value led by "-" parses as it does after "=": argparse on its own
+    takes only a plain negative number as a value."""
+
+    def test_select_tiles_viewport(self, capsys):
+        assert main(["select-tiles", *SMALL, "--viewport=-90,0,90,90"]) == EXIT_OK
+        want = capsys.readouterr().out
+        assert main(["select-tiles", *SMALL, "--viewport", "-90,0,90,90"]) == EXIT_OK
+        assert capsys.readouterr().out == want == "0,2\n"
+
+    def test_rewrite_viewport(self, tmp_path, capsys):
+        stream_path = tmp_path / "s.svb"
+        main(["encode", *SMALL, "--frames", "4", "--out", str(stream_path)])
+        for name, pose in (("joined", ["--viewport=-90,0,90,90"]),
+                           ("spaced", ["--viewport", "-90,0,90,90"])):
+            assert main(["rewrite", "--in", str(stream_path), *pose,
+                         "--out", str(tmp_path / name)]) == EXIT_OK
+            assert "kept tiles [0, 2] ->" in capsys.readouterr().out
+        assert (tmp_path / "joined").read_bytes() == (tmp_path / "spaced").read_bytes()
+
+
+# The extreme-argument sweep's boundary sets: each numeric flag takes a value
+# from the ends of its range (frame rates N/D, trace times, delays,
+# bandwidths, GOPs, yaws, dash-led on the command line too, and FOVs).
+EXTREME_RATES = ["1", "2", "65535"]
+EXTREME_T_MS = [0.0, 5e-324, -5e-324, -1e300, 1e308, -1e308]
+EXTREME_DELAYS = ["0", "5e-324", "1e308"]
+EXTREME_BANDWIDTHS = ["5e-324", "1", "1e308"]
+EXTREME_YAWS = [0.0, 1e308, -1e308]
+EXTREME_PITCHES = [-90.0, 0.0, 90.0]
+EXTREME_H_FOVS = [5e-324, 1e-9, 360.0]
+EXTREME_V_FOVS = [5e-324, 1e-9, 180.0]
+
+
+@st.composite
+def extreme_argvs(draw):
+    """A command line of simulate, rewrite, decode, select-tiles, generate or
+    encode at 64x32 with 2x2 tiles, and the trace of at most 3 poses it may read."""
+    def pick(values):
+        return draw(st.sampled_from(values))
+
+    fps = f"{pick(EXTREME_RATES)}/{pick(EXTREME_RATES)}"
+    command = pick(["simulate", "rewrite", "decode", "select-tiles", "generate", "encode"])
+    # An SVC session encodes one GOP of content, about 0.5 ms a frame here, so
+    # a 65,535-frame GOP would take half a minute: svc sessions take GOP 1.  A
+    # multitrack session encodes its scheme's GOPs whatever --gop says.
+    scheme = pick(["svc", "multitrack(4,2)"]) if command == "simulate" else None
+    gop = "1" if scheme == "svc" else pick(["1", "65535"])
+    grid = ["--width", "64", "--height", "32", "--tile-cols", "2", "--tile-rows", "2",
+            "--gop", gop, "--fps", fps]
+    viewport = ",".join(repr(pick(values)) for values in (
+        EXTREME_YAWS, EXTREME_PITCHES, EXTREME_H_FOVS, EXTREME_V_FOVS))
+    trace = [{"t_ms": pick(EXTREME_T_MS), "yaw_deg": pick(EXTREME_YAWS),
+              "pitch_deg": pick(EXTREME_PITCHES), "h_fov_deg": pick(EXTREME_H_FOVS),
+              "v_fov_deg": pick(EXTREME_V_FOVS)} for _ in range(draw(st.integers(1, 3)))]
+    out = ["--out", "{dir}/out"]
+    argv = {
+        "simulate": ["simulate", *grid, "--trace", "{dir}/t.jsonl", "--scheme", scheme,
+                     "--uplink-ms", pick(EXTREME_DELAYS), "--downlink-ms", pick(EXTREME_DELAYS),
+                     "--bandwidth-bps", pick(EXTREME_BANDWIDTHS), *out],
+        "rewrite": ["rewrite", "--in", "{dir}/s.svb",
+                    *pick([["--viewport", viewport], ["--trace", "{dir}/t.jsonl"]]),
+                    *pick([[], ["--frame", "3"], ["--frame", "-1"]]), *out],
+        "decode": ["decode", "--in", "{dir}/s.svb", "--frame", pick(["0", "3", "4", "-1"]),
+                   "--tiles", pick(["all", "none", "0,3", "-1,2"]), *out],
+        "select-tiles": ["select-tiles", *grid, "--viewport", viewport,
+                         "--projection", pick(["erp", "cubemap"])],
+        "generate": ["generate", *grid, "--frames", pick(["1", "4"]), *out],
+        "encode": ["encode", *grid, "--frames", pick(["1", "4"]),
+                   "--schema", pick(["svc", "track"]), *out],
+    }[command]
+    return argv, trace
+
+
+class TestExtremeArguments:
+    """Valid command lines with every numeric flag at an end of its range end
+    in exit 0, or in exit 2 with exactly one error line: no exception escapes
+    ``main`` and no usage error stands for a value."""
+
+    @given(extreme_argvs())
+    @example((["select-tiles", *SMALL, "--viewport", "-1e+308,0.0,360.0,180.0"], []))
+    @example((["rewrite", "--in", "{dir}/s.svb", "--viewport", "-1e+308,0.0,90.0,90.0",
+               "--out", "{dir}/out"], []))
+    @settings(max_examples=150, deadline=None)
+    def test_ends_in_exit_0_or_2(self, tmp_path_factory, case):
+        argv, trace = case
+        directory = tmp_path_factory.mktemp("extreme")
+        (directory / "s.svb").write_bytes(_fuzz_files()["s.svb"])
+        (directory / "t.jsonl").write_text("".join(json.dumps(pose) + "\n" for pose in trace))
+        argv = [a.format(dir=directory) for a in argv]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            rc = main(argv)
+        err = stderr.getvalue()
+        assert rc in (EXIT_OK, EXIT_DATA), (argv, trace, err)
+        if rc == EXIT_DATA:
+            assert [line for line in err.splitlines() if line.startswith("error: ")] == [
+                err.strip()], (argv, trace, err)
 
 
 class TestParserReuse:

@@ -42,7 +42,13 @@ from svbs.container import (
     serialized_frame_size,
     validate_structure,
 )
-from svbs.errors import BadConfigError, BadDimensionsError, CorruptRleError, TooLargeError
+from svbs.errors import (
+    BadConfigError,
+    BadDimensionsError,
+    CorruptRleError,
+    MissingBaseError,
+    TooLargeError,
+)
 from svbs.rewriter import rewrite_viewport_frame
 
 from helpers import (
@@ -85,6 +91,11 @@ class TestRasterFrame:
         with pytest.raises(BadDimensionsError, match="not 2-D"):
             RasterFrame(np.zeros(shape, dtype=np.uint8))
 
+    def test_is_not_equal_to_another_type(self):
+        frame = RasterFrame(np.ones((1, 1), dtype=np.uint8))
+        assert frame.__eq__(1) is NotImplemented
+        assert not frame == 1 and frame != 1
+
 
 class TestResampling:
     def test_downsample_matches_per_block_oracle(self):
@@ -109,6 +120,13 @@ class TestResampling:
         frame = RasterFrame(np.zeros((6, 6), dtype=np.uint8))
         with pytest.raises(BadDimensionsError):
             downsample(frame, 4)
+
+    @pytest.mark.parametrize("factor", [0, -1])
+    @pytest.mark.parametrize("resample", [downsample, upsample_nearest])
+    def test_factor_below_1_is_refused(self, resample, factor):
+        frame = RasterFrame(np.zeros((6, 6), dtype=np.uint8))
+        with pytest.raises(BadDimensionsError, match="factor must be >= 1"):
+            resample(frame, factor)
 
     def test_upsample_then_downsample_identity(self):
         rng = np.random.default_rng(4)
@@ -691,6 +709,11 @@ class TestLayerRegions:
                 for rs, cs in enhanced
             ]
 
+    @pytest.mark.parametrize("tile", [-1, 6])
+    def test_tile_position_outside_the_grid_is_refused(self, tile):
+        with pytest.raises(BadConfigError, match=f"tile index {tile} outside grid"):
+            SequenceConfig(96, 48, tile_cols=3, tile_rows=2).tile_position(tile)
+
 
 class TestDecode:
     def test_all_tiles_is_lossless(self):
@@ -700,6 +723,12 @@ class TestDecode:
         for i in (0, 3, 5):
             out = decode_frame(stream, i, set(range(config.tile_count)))
             assert out == source.frames[i]
+
+    @pytest.mark.parametrize("frame_index", [-1, 2])
+    def test_frame_outside_the_stream_is_refused(self, frame_index):
+        stream = encode_svc(generate_content(4, small_config(), 2))
+        with pytest.raises(MissingBaseError, match=f"for frame {frame_index}$"):
+            decode_frame(stream, frame_index, set())
 
     def test_no_tiles_is_upscaled_base(self):
         config = small_config()

@@ -21,8 +21,9 @@ from svbs.geometry import (
     ORACLE_PIXEL_BUDGET,
     _BLOCK,
     _block_table,
-    _frustum_mask,
+    _in_bounds,
     _pixel_center_directions,
+    _rotation,
     _tiles_of_pixels,
     _unproject,
     _unproject_cubemap,
@@ -62,6 +63,11 @@ class TestViewport:
             Viewport.from_degrees(0, 0, 0, 90)
         with pytest.raises(BadConfigError):
             Viewport.from_degrees(0, 0, 90, 200)
+
+    @pytest.mark.parametrize("width, height", [(0, 10), (10, 0), (-2, 10)])
+    def test_projection_dimensions_must_be_positive(self, width, height):
+        with pytest.raises(BadConfigError, match="projection dimensions must be positive"):
+            Projection(ProjectionKind.ERP, width, height)
 
     def test_cubemap_aspect_enforced(self):
         with pytest.raises(BadConfigError):
@@ -269,7 +275,7 @@ class TestTileGrids:
     @settings(max_examples=60, deadline=None)
     def test_blocks_partition_tiles_inside_their_caps(self, grid):
         proj, config = grid
-        table = _block_table(proj.kind, config)
+        table = _block_table(proj, config)
         regions = config.layer_regions(base=False)
         ys, xs = np.mgrid[0 : config.height, 0 : config.width]
         dirs = _unproject(xs.ravel() + 0.5, ys.ravel() + 0.5, proj).reshape(ys.shape + (3,))
@@ -342,8 +348,8 @@ class TestTileSetCache:
 @st.composite
 def slow_walks(draw):
     """A projection and config at most 192 pixels wide with a tile grid from
-    1x1 to 8x6, a field of view from 20 to 180 degrees each way, and a walk
-    whose every step turns 0-2 degrees, with pitch within +-89 degrees."""
+    1x1 to 8x6, a field of view 20-360 degrees wide and 20-180 high, and a
+    walk whose every step turns 0-2 degrees, with pitch within +-89 degrees."""
     if draw(st.booleans()):
         kind = ProjectionKind.ERP
         cols, rows = draw(st.integers(1, 8)), draw(st.integers(1, 6))
@@ -356,7 +362,7 @@ def slow_walks(draw):
         cols = draw(st.sampled_from([c for c in range(1, 9) if 3 * f % c == 0]))
         rows = draw(st.sampled_from([r for r in range(1, 7) if 2 * f % r == 0]))
     config = SequenceConfig(width=width, height=height, tile_cols=cols, tile_rows=rows)
-    h_fov, v_fov = draw(st.floats(20.0, 180.0)), draw(st.floats(20.0, 180.0))
+    h_fov, v_fov = draw(st.floats(20.0, 360.0)), draw(st.floats(20.0, 180.0))
     yaw, pitch = draw(st.floats(-180.0, 180.0)), draw(st.floats(-89.0, 89.0))
     poses = [Viewport.from_degrees(yaw, pitch, h_fov, v_fov)]
     for step, heading in draw(st.lists(st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 360.0)),
@@ -396,22 +402,22 @@ class TestMarginReuse:
             (Projection(ProjectionKind.CUBEMAP_3x2, 384, 256),
              SequenceConfig(384, 256, tile_cols=6, tile_rows=4)),
         ):
-            dirs = _pixel_center_directions(proj.kind, proj.width, proj.height)
-            kept = _block_table(proj.kind, config).kept
+            dirs = _pixel_center_directions(proj)
+            kept = _block_table(proj, config).kept
             for _ in range(40):
                 vp = Viewport.from_degrees(rng.uniform(-180, 180), rng.uniform(-89, 89),
-                                           rng.uniform(20, 180), rng.uniform(20, 180))
+                                           rng.uniform(20, 360), rng.uniform(20, 180))
                 kept.clear()
                 tiles = select_tiles.__wrapped__(vp, proj, config)
                 if not kept:
-                    continue  # a scan decided a tile, no block survived or h_fov > 180°
+                    continue  # a scan decided a tile or no block survived
                 _, limit, kept_tiles = kept[-1]
                 assert kept_tiles is tiles
                 margin = 2 * math.asin(limit / math.sqrt(8))
                 for _ in range(4):
                     axis = np.array([rng.gauss(0, 1) for _ in range(3)])
                     turned = dirs @ _turn(axis / np.linalg.norm(axis), 0.999 * margin)
-                    inside = np.flatnonzero(_frustum_mask(vp, turned))
+                    inside = np.flatnonzero(_in_bounds(vp, turned @ _rotation(vp)))
                     assert _tiles_of_pixels(inside % proj.width, inside // proj.width,
                                             config) == tiles
                 probed += 1
@@ -427,7 +433,7 @@ class TestMarginReuse:
 
         monkeypatch.setattr(geometry, "_surviving_blocks", counted)
         select_tiles.cache_clear()
-        _block_table(ERP_PROJ.kind, ERP_CONFIG).kept.clear()
+        _block_table(ERP_PROJ, ERP_CONFIG).kept.clear()
         poses = [Viewport.from_degrees(20 + 0.1 * k, 10 + 0.05 * k, 90, 90) for k in range(100)]
         for k, vp in enumerate(poses):
             tiles = select_tiles(vp, ERP_PROJ, ERP_CONFIG)
