@@ -50,6 +50,10 @@ _RUN_ZERO = 0
 _RUN_LITERAL = 1
 _RECORD = struct.Struct("<BI")  # run_type u8, length u32
 
+_BASE, _ENHANCED = LayerId
+_KEY, _INTER = FrameType
+_CODED = TileKind.CODED
+
 
 @dataclass(eq=False)
 class RasterFrame:
@@ -216,10 +220,11 @@ def rle_compress(data: bytes) -> bytes:
     """Repeated records: run_type u8 (0=zero run, 1=literal), length u32,
     then literal bytes for type 1.  Zero runs shorter than MIN_ZERO_RUN are
     folded into literals."""
-    arr = np.frombuffer(bytes(data), dtype=np.uint8)
+    data = bytes(data)
+    if bytes(MIN_ZERO_RUN) not in data:  # no long zero run: one literal record, if any
+        return _RECORD.pack(_RUN_LITERAL, len(data)) + data if data else b""
+    arr = np.frombuffer(data, dtype=np.uint8)
     n = arr.size
-    if n == 0:
-        return b""
     # A zero run starts and ends where the padded zero mask flips: starts
     # are the even flips, ends the odd ones.
     padded = np.concatenate(([False], arr == 0, [False]))
@@ -289,7 +294,7 @@ def _tile_groups(
     for t, (rs, cs) in enumerate(regions):
         data = cur[rs, cs] if ref is None else cur[rs, cs] - ref[rs, cs]
         payload = rle_compress(data.tobytes())
-        tile = Tile(t, TileKind.CODED, coded_payload=payload)
+        tile = Tile(t, _CODED, coded_payload=payload)
         groups.append(TileGroup(tg_start=t, tg_end=t, tiles=(tile,)))
     return tuple(groups)
 
@@ -305,7 +310,7 @@ def _decode_tiles(
     region still holds the reference until that tile is written."""
     for group in layer.tile_groups:
         for tile in group.tiles:
-            if tile.tile_kind == TileKind.CODED and tile.tile_index in received:
+            if tile.tile_kind == _CODED and tile.tile_index in received:
                 rs, cs = regions[tile.tile_index]
                 view = out[rs, cs]
                 raw = rle_decompress(tile.coded_payload, view.size)
@@ -323,8 +328,8 @@ def _delta_layer(
     key = i % gop == 0
     header = FrameHeader(
         frame_index=i,
-        layer_id=LayerId.BASE,
-        frame_type=FrameType.KEY if key else FrameType.INTER,
+        layer_id=_BASE,
+        frame_type=_KEY if key else _INTER,
     )
     ref = None if key else frames[i - 1].samples
     return LayerFrame(header, _tile_groups(frames[i].samples, ref, regions))
@@ -362,8 +367,8 @@ def encode_svc(source: VideoSource) -> Bitstream:
         _, best_off, enh_groups = best
         enh_header = FrameHeader(
             frame_index=i,
-            layer_id=LayerId.ENHANCED,
-            frame_type=FrameType.INTER,
+            layer_id=_ENHANCED,
+            frame_type=_INTER,
             base_ref_offset=best_off,
         )
         frames.append(Frame(layers=(base_layer, LayerFrame(enh_header, enh_groups))))
@@ -428,12 +433,12 @@ def decode_frame(
     # Validation leaves each frame a base layer of CODED tiles covering the
     # grid, so every base frame overwrites the whole plane it predicts from.
     regions = config.layer_regions(base=True)
-    enh = bitstream.frames[frame_index].layer(LayerId.ENHANCED)
+    enh = bitstream.frames[frame_index].layer(_ENHANCED)
     ref_index = frame_index - (enh.header.base_ref_offset if enh else 0)
     base = RasterFrame(np.empty((config.base_height, config.base_width), dtype=np.uint8))
     for i in range(gop_start, frame_index + 1):
-        layer = bitstream.frames[i].layer(LayerId.BASE)
-        prev = None if layer.header.frame_type == FrameType.KEY else base.samples
+        layer = bitstream.frames[i].layer(_BASE)
+        prev = None if layer.header.frame_type == _KEY else base.samples
         _decode_tiles(base.samples, prev, layer, regions, range(len(regions)))
         if i == ref_index:
             ref = upsample_nearest(base, config.scale_factor).samples

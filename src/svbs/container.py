@@ -65,6 +65,13 @@ class TileKind(IntEnum):
     SKIPPED = 1
 
 
+# Every member bound to a module name, in declaration order: the per-tile and
+# per-layer loops read a module global several times faster than an attribute.
+_UNIT_DELIMITER, _UNIT_FRAME_HEADER, _UNIT_TILE_GROUP = UnitType
+_BASE, _ENHANCED = LayerId
+_KEY, _INTER = FrameType
+_CODED, _SKIPPED = TileKind
+
 # The 6-byte superblock mode record of every skipped tile, one byte per
 # syntax element: partition_mode PARTITION_NONE (0), skip (1), is_inter (1),
 # ref_frames REF_TO_BASE_LAYER_ONLY (0), inter_mode ZERO_MV (0), use_obmc (0).
@@ -98,7 +105,7 @@ class Tile:
     superblock_count: int | None = None
 
     def __post_init__(self) -> None:
-        if self.tile_kind == TileKind.CODED:
+        if self.tile_kind == _CODED:
             if self.coded_payload is None:
                 raise InvalidStructureError("CODED tile requires coded_payload")
         elif self.superblock_count is None:
@@ -138,7 +145,10 @@ class Frame:
 
     def layer(self, layer_id: LayerId) -> LayerFrame | None:
         """The frame's first layer with ``layer_id``, or None."""
-        return next((l for l in self.layers if l.header.layer_id == layer_id), None)
+        for layer in self.layers:
+            if layer.header.layer_id == layer_id:
+                return layer
+        return None
 
 
 @dataclass(frozen=True, slots=True)
@@ -162,34 +172,34 @@ def serialize_sequence_header(config: SequenceConfig) -> bytes:
     return _SEQUENCE_HEADER.pack(MAGIC, VERSION, *astuple(config))
 
 
-_DELIMITER_UNIT = _UNIT_HEADER.pack(UnitType.TEMPORAL_DELIMITER, 0)
+_DELIMITER_UNIT = _UNIT_HEADER.pack(_UNIT_DELIMITER, 0)
 
 
-def _group_pieces(pieces: list, group: TileGroup) -> list:
-    """Append one tile group unit's wire pieces to ``pieces`` and return it:
-    a parsed group's kept bytes, a one-stub group as one struct, or else the
-    fields with coded payloads appended as they are, not copied."""
-    tiles = group.tiles
-    if group.wire is not None:
-        pieces.append(group.wire)
-    elif len(tiles) == 1 and (tile := tiles[0]).tile_kind == TileKind.SKIPPED:
-        pieces.append(_STUB_GROUP_UNIT.pack(
-            UnitType.TILE_GROUP, STUB_GROUP_SIZE - UNIT_HEADER_SIZE, group.tg_start, group.tg_end,
-            tile.tile_index, tile.tile_kind, tile.superblock_count, SKIPPED_MODE_RECORD))
-    else:
-        at = len(pieces)
-        pieces.append(b"")  # the unit header, once the payload size is known
-        size = 4  # the payload's tile range, then its tiles
-        for tile in tiles:
-            if tile.tile_kind == TileKind.CODED:
-                payload = tile.coded_payload
-                pieces += (_CODED_TILE.pack(tile.tile_index, tile.tile_kind, len(payload)), payload)
-                size += _CODED_TILE.size + len(payload)
-            else:
-                pieces.append(_SKIPPED_TILE.pack(
-                    tile.tile_index, tile.tile_kind, tile.superblock_count, SKIPPED_MODE_RECORD))
-                size += _SKIPPED_TILE.size
-        pieces[at] = _TILE_GROUP_UNIT.pack(UnitType.TILE_GROUP, size, group.tg_start, group.tg_end)
+def _group_pieces(pieces: list, groups) -> list:
+    """Append the wire pieces of the tile group units ``groups`` to ``pieces``
+    and return it: a parsed group's kept bytes, a one-stub group as one
+    struct, or else the fields with coded payloads appended, not copied."""
+    for group in groups:
+        if (wire := group.wire) is not None:
+            pieces.append(wire)
+        elif len(tiles := group.tiles) == 1 and (tile := tiles[0]).tile_kind == _SKIPPED:
+            pieces.append(_STUB_GROUP_UNIT.pack(
+                _UNIT_TILE_GROUP, STUB_GROUP_SIZE - UNIT_HEADER_SIZE, group.tg_start, group.tg_end,
+                tile.tile_index, _SKIPPED, tile.superblock_count, SKIPPED_MODE_RECORD))
+        else:
+            at = len(pieces)
+            pieces.append(b"")  # the unit header, once the payload size is known
+            size = 4  # the payload's tile range, then its tiles
+            for tile in tiles:
+                if tile.tile_kind == _CODED:
+                    payload = tile.coded_payload
+                    pieces += (_CODED_TILE.pack(tile.tile_index, _CODED, len(payload)), payload)
+                    size += _CODED_TILE.size + len(payload)
+                else:
+                    pieces.append(_SKIPPED_TILE.pack(tile.tile_index, tile.tile_kind,
+                                                     tile.superblock_count, SKIPPED_MODE_RECORD))
+                    size += _SKIPPED_TILE.size
+            pieces[at] = _TILE_GROUP_UNIT.pack(_UNIT_TILE_GROUP, size, group.tg_start, group.tg_end)
     return pieces
 
 
@@ -201,16 +211,15 @@ def _frame_pieces(frame: Frame) -> list:
         header = layer.header
         flags = (1 if header.cdf_update_disabled else 0) | (2 if header.global_mv_zero else 0)
         pieces.append(_FRAME_HEADER_UNIT.pack(
-            UnitType.FRAME_HEADER, 8, header.frame_index, header.layer_id, header.frame_type,
+            _UNIT_FRAME_HEADER, 8, header.frame_index, header.layer_id, header.frame_type,
             flags, header.base_ref_offset))
-        for group in layer.tile_groups:
-            _group_pieces(pieces, group)
+        _group_pieces(pieces, layer.tile_groups)
     return pieces
 
 
 def tile_group_size(group: TileGroup) -> int:
     """Serialized bytes of one tile group unit."""
-    return sum(map(len, _group_pieces([], group)))
+    return sum(map(len, _group_pieces([], (group,))))
 
 
 def serialize_frame(frame: Frame) -> bytes:
@@ -238,13 +247,6 @@ def serialize(bitstream: Bitstream) -> bytes:
 
 
 # --- parsing -----------------------------------------------------------------
-
-
-# Wire bytes compared as plain ints, which is cheaper than building enums.
-_CODED, _SKIPPED = int(TileKind.CODED), int(TileKind.SKIPPED)
-_UNIT_DELIMITER, _UNIT_FRAME_HEADER, _UNIT_TILE_GROUP = (
-    int(UnitType.TEMPORAL_DELIMITER), int(UnitType.FRAME_HEADER), int(UnitType.TILE_GROUP),
-)
 
 
 def _parse_sequence_header(data: bytes) -> SequenceConfig:
@@ -304,7 +306,7 @@ def _parse_tile_group(data: memoryview, unit: int, end: int) -> TileGroup:
             pos = at + size
             if pos > end:
                 raise TruncatedError(at)
-            tiles.append(Tile(tile_index, TileKind.CODED, data[at:pos]))
+            tiles.append(Tile(tile_index, _CODED, data[at:pos]))
         elif kind == _SKIPPED:
             mode_at = pos + _SKIPPED_TILE.size - SUPERBLOCK_MODE_SIZE
             if end - pos < _SKIPPED_TILE.size:
@@ -316,7 +318,7 @@ def _parse_tile_group(data: memoryview, unit: int, end: int) -> TileGroup:
                     f"want {SKIPPED_MODE_RECORD.hex()}"
                 )
             pos += _SKIPPED_TILE.size
-            tiles.append(Tile(tile_index, TileKind.SKIPPED, superblock_count=sb_count))
+            tiles.append(Tile(tile_index, _SKIPPED, superblock_count=sb_count))
         else:
             raise InvalidStructureError(f"bad tile kind {kind} at offset {pos + 2}")
     group = TileGroup(tg_start, tg_end, tuple(tiles))  # positional: keywords cost per group
@@ -416,7 +418,7 @@ R_SKIP_FLAGS = "R_SKIP_FLAGS"
 def _check_layer_tiles(
     out: list[Violation], pos: int, layer: LayerFrame, config: SequenceConfig
 ) -> None:
-    is_base = layer.header.layer_id == LayerId.BASE
+    is_base = layer.header.layer_id == _BASE
     cols, rows = config.layer_grid(is_base)
     count = cols * rows
     superblocks = config.tile_superblocks
@@ -443,7 +445,7 @@ def _check_layer_tiles(
             if tile.tile_index in seen:
                 out.append(Violation(pos, R_TILE_COVERAGE, f"tile {tile.tile_index} covered twice"))
             seen.add(tile.tile_index)
-            if tile.tile_kind == TileKind.SKIPPED:
+            if tile.tile_kind == _SKIPPED:
                 has_skipped = True
                 if is_base:
                     out.append(Violation(pos, R_SKIP_IN_BASE, f"tile {tile.tile_index}"))
@@ -454,7 +456,7 @@ def _check_layer_tiles(
         out.append(
             Violation(pos, R_TILE_COVERAGE, f"layer covers {len(seen)} of {count} grid tiles")
         )
-    if has_skipped and layer.header.layer_id == LayerId.ENHANCED:
+    if has_skipped and layer.header.layer_id == _ENHANCED:
         if not (layer.header.cdf_update_disabled and layer.header.global_mv_zero):
             out.append(Violation(pos, R_SKIP_FLAGS,
                                  "skipped tiles require cdf_update_disabled and global_mv_zero"))
@@ -484,18 +486,18 @@ def validate_structure(bitstream: Bitstream, frames: range | None = None) -> lis
                 out.append(
                     Violation(pos, R_FRAME_INDEX, f"header says frame {header.frame_index}")
                 )
-            if header.layer_id == LayerId.BASE:
+            if header.layer_id == _BASE:
                 if base_seen:
                     out.append(Violation(pos, R_LAYER_ORDER, "duplicate base layer"))
-                if prev_layer == LayerId.ENHANCED:
+                if prev_layer == _ENHANCED:
                     out.append(Violation(pos, R_LAYER_ORDER, "base layer after enhanced"))
                 base_seen = True
-                if header.frame_type == FrameType.INTER and pos % gop == 0:
+                if header.frame_type == _INTER and pos % gop == 0:
                     out.append(Violation(pos, R_CLOSED_GOP, "INTER base frame at GOP start"))
-                if header.frame_type == FrameType.KEY and header.base_ref_offset != 0:
+                if header.frame_type == _KEY and header.base_ref_offset != 0:
                     out.append(Violation(pos, R_CLOSED_GOP, "KEY frame with nonzero reference"))
             else:
-                if prev_layer == LayerId.ENHANCED:
+                if prev_layer == _ENHANCED:
                     # A second enhanced layer can only predict from the
                     # enhanced layer below it, which the schema forbids.
                     out.append(

@@ -23,6 +23,9 @@ from .container import (
 )
 from .errors import BadIndexError, InvalidStructureError, TileMissingError
 
+_BASE, _ENHANCED = LayerId
+_CODED = TileKind.CODED
+
 
 def synthesize_skipped_tile(tile_index: int, config: SequenceConfig) -> Tile:
     """Skipped stub for one grid tile; constant size for a given grid."""
@@ -49,24 +52,26 @@ def rewrite_viewport_frame(frame: Frame, selected: set[int], config: SequenceCon
     tile keeps its input group when that group holds it alone, so the base
     layer and such a group of a parsed frame serialize as their kept bytes.
     """
-    grid = range(config.tile_count)
-    if not all(t in grid for t in selected):
-        raise BadIndexError("selected tiles outside grid")
-    base, enhanced = frame.layer(LayerId.BASE), frame.layer(LayerId.ENHANCED)
+    stubs = _stub_groups(config)
+    count = len(stubs)
+    for t in selected:
+        if not 0 <= t < count:
+            raise BadIndexError("selected tiles outside grid")
+    base, enhanced = frame.layer(_BASE), frame.layer(_ENHANCED)
     if base is None or enhanced is None:
         raise InvalidStructureError("input frame must carry a base and an enhanced layer")
 
-    stubs = _stub_groups(config)
     groups = list(stubs)
     for group in enhanced.tile_groups:
-        for tile in group.tiles:
+        tiles = group.tiles
+        for tile in tiles:
             t = tile.tile_index
-            if tile.tile_kind == TileKind.CODED and t in selected:
-                alone = len(group.tiles) == 1 and group.tg_start == group.tg_end == t
+            if t in selected and tile.tile_kind == _CODED:
+                alone = len(tiles) == 1 and group.tg_start == group.tg_end == t
                 groups[t] = group if alone else TileGroup(t, t, (tile,))
-    missing = [t for t in grid if t in selected and groups[t] is stubs[t]]
+    missing = [t for t in selected if groups[t] is stubs[t]]
     if missing:
-        raise TileMissingError(missing[0])
+        raise TileMissingError(min(missing))
 
     h = enhanced.header  # with CDF updates disabled and global motion pinned to zero
     header = FrameHeader(h.frame_index, h.layer_id, h.frame_type, True, True, h.base_ref_offset)

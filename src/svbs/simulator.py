@@ -154,16 +154,16 @@ class _FrameLogs(Sequence):
 def _stream_tables(
     config: SequenceConfig,
     seed: int,
-    cycle: int,
+    frames: int,
     tracks: tuple[tuple[int, TrackResolution], ...] | None,
 ):
-    """The streams of one scheme, encoded from one content, each as its
-    :func:`rate_records` tables (header bytes per frame of the cycle, bytes
-    per frame and tile) and its bytes per tile outside the region.  ``tracks``
+    """The streams of one scheme, encoded from ``frames`` frames of one
+    content, each as its :func:`rate_records` tables (header bytes per frame,
+    bytes per frame and tile) and its bytes per tile outside the region.  ``tracks``
     None gives an SVC encode's ``base`` and ``enhanced`` layers; otherwise each
     (gop, resolution) track is one BASE-layer stream.  An ENHANCED layer sends
     a ``STUB_GROUP_SIZE`` stub per tile outside, any other layer nothing."""
-    source = generate_content(seed, config, cycle)
+    source = generate_content(seed, config, frames)
     streams = ((encode_svc(source),) if tracks is None
                else (encode_track(source, gop, res) for gop, res in tracks))
     tables = tuple((np.array(header, np.int64), np.array(tiles, np.int64),
@@ -197,7 +197,8 @@ def run_session(
     pose, every later entry is a switch.  Content is generated from
     ``source_seed`` over one cycle, the SVC GOP or the lcm of the track GOPs,
     whose payload sizes repeat, so long sessions stay cheap at the same
-    rates.  Each (config, seed, cycle, track GOPs) is encoded once per process.
+    rates.  A session shorter than its cycle encodes only its ticks' frames.
+    Each (config, seed, frame count, track GOPs) is encoded once per process.
 
     Both kinds send an always-on stream (``base``, ``low``), a region stream
     committing the known pose on its GOP boundaries (``enhanced`` on every
@@ -234,7 +235,7 @@ def run_session(
         raise TooLargeError(f"{last_tick + 1:.3g} ticks exceed the session tick budget "
                             f"{SESSION_TICK_BUDGET}")
     n_ticks = max(0, math.ceil(last_tick) + 1)
-    tables = _stream_tables(config, source_seed, cycle, tracks)
+    tables = _stream_tables(config, source_seed, max(1, min(cycle, n_ticks)), tracks)
 
     # The tile set of every trace entry, one lookup per distinct viewport;
     # pose_set[i] indexes member's rows, the distinct sets, whose last (-1) is empty.

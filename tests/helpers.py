@@ -41,10 +41,12 @@ from svbs.codec import (
 )
 from svbs.errors import (
     BadArgsError,
+    BadIndexError,
     BadMagicError,
     InvalidStructureError,
     MissingBaseError,
     SvbsError,
+    TileMissingError,
     TruncatedError,
     UnknownUnitTypeError,
 )
@@ -544,6 +546,66 @@ def reference_unit_walk(data: bytes) -> tuple[list[int], SvbsError | None]:
 
 # The decoder's original residual arithmetic (through int16) and tile
 # geometry, kept here so the reference does not move with the code under test.
+def _ref_group_pieces(group: TileGroup) -> list:
+    if group.wire is not None:
+        return [group.wire]
+    tiles = group.tiles
+    if len(tiles) == 1 and tiles[0].tile_kind == TileKind.SKIPPED:
+        tile = tiles[0]
+        return [struct.pack("<BIHHHBH6s", UnitType.TILE_GROUP, 15, group.tg_start, group.tg_end,
+                            tile.tile_index, tile.tile_kind, tile.superblock_count,
+                            _REF_SKIPPED_MODE)]
+    body = [struct.pack("<HH", group.tg_start, group.tg_end)]
+    for tile in tiles:
+        if tile.tile_kind == TileKind.CODED:
+            payload = tile.coded_payload
+            body += (struct.pack("<HBI", tile.tile_index, tile.tile_kind, len(payload)), payload)
+        else:
+            body.append(struct.pack("<HBH6s", tile.tile_index, tile.tile_kind,
+                                    tile.superblock_count, _REF_SKIPPED_MODE))
+    return [struct.pack("<BI", UnitType.TILE_GROUP, sum(map(len, body))), *body]
+
+
+def reference_serialize_frame(frame: Frame) -> bytes:
+    """A frame's bytes, unit by unit: a parsed tile group's kept bytes, a
+    one-stub group packed whole, or else the group's fields."""
+    out = [struct.pack("<BI", UnitType.TEMPORAL_DELIMITER, 0)]
+    for layer in frame.layers:
+        h = layer.header
+        flags = (1 if h.cdf_update_disabled else 0) | (2 if h.global_mv_zero else 0)
+        out.append(struct.pack("<BIIBBBB", UnitType.FRAME_HEADER, 8, h.frame_index, h.layer_id,
+                               h.frame_type, flags, h.base_ref_offset))
+        for group in layer.tile_groups:
+            out += _ref_group_pieces(group)
+    return b"".join(out)
+
+
+def reference_rewrite_viewport_frame(frame: Frame, selected, config: SequenceConfig) -> Frame:
+    """The rewrite tile by tile over the whole grid: the range check, the
+    layer lookup, the forwarded groups, then the first missing tile."""
+    grid = range(config.tile_count)
+    if not all(t in grid for t in selected):
+        raise BadIndexError("selected tiles outside grid")
+    base = next((l for l in frame.layers if l.header.layer_id == LayerId.BASE), None)
+    enhanced = next((l for l in frame.layers if l.header.layer_id == LayerId.ENHANCED), None)
+    if base is None or enhanced is None:
+        raise InvalidStructureError("input frame must carry a base and an enhanced layer")
+    stubs = _stub_groups(config)
+    groups = list(stubs)
+    for group in enhanced.tile_groups:
+        for tile in group.tiles:
+            t = tile.tile_index
+            if tile.tile_kind == TileKind.CODED and t in selected:
+                alone = len(group.tiles) == 1 and group.tg_start == group.tg_end == t
+                groups[t] = group if alone else TileGroup(t, t, (tile,))
+    missing = [t for t in grid if t in selected and groups[t] is stubs[t]]
+    if missing:
+        raise TileMissingError(missing[0])
+    h = enhanced.header
+    header = FrameHeader(h.frame_index, h.layer_id, h.frame_type, True, True, h.base_ref_offset)
+    return Frame(layers=(base, LayerFrame(header, tuple(groups))))
+
+
 def _ref_apply_residual(ref: np.ndarray, res: np.ndarray) -> np.ndarray:
     return (ref.astype(np.int16) + res.astype(np.int16)).astype(np.uint8)
 

@@ -333,6 +333,7 @@ MALFORMED_INPUTS = {
     "bogus.csv": b"row,scheme,t_ms,mtp_ms,mthq_ms,second,stream,bytes\nbogus,svc,,,,,,\n",
     "far.jsonl": b'{"t_ms": 0, "yaw_deg": 0, "pitch_deg": 0, "h_fov_deg": 90, "v_fov_deg": 90}\n'
                  b'{"t_ms": 1e13, "yaw_deg": 9, "pitch_deg": 0, "h_fov_deg": 90, "v_fov_deg": 90}\n',
+    "long.jsonl": b'{"t_ms": 2e7, "yaw_deg": 0, "pitch_deg": 0, "h_fov_deg": 90, "v_fov_deg": 90}\n',
     "forty.jsonl": b"".join(b'{"t_ms": %d, "yaw_deg": %d, "pitch_deg": 0, "h_fov_deg": 90, '
                             b'"v_fov_deg": 90}\n' % (100 * i, 90 * (i % 4)) for i in range(40)),
     "huge.csv": b"row,scheme,t_ms,mtp_ms,mthq_ms,second,stream,bytes\n"
@@ -392,7 +393,10 @@ class TestMalformedArguments:
             ([*SIMULATE, "--seed", "-1"], "seed must be >= 0"),
             (["generate", *SMALL, "--frames", "100000000", "--out", "{out}"],
              "exceed the content pixel budget"),
-            ([*SIMULATE, "--scheme", "multitrack(1000,999)"], "exceed the content pixel budget"),
+            # A session encodes at most its own ticks' frames: about 600,000 of
+            # the 999,000-frame cycle, still over the budget at 64x32.
+            ([*SIMULATE, "--trace", "{dir}/long.jsonl", "--scheme", "multitrack(1000,999)"],
+             "exceed the content pixel budget"),
             ([*SIMULATE, "--scheme", "multitrack(70000)"], "a GOP exceeds the u16 wire range"),
             ([*SIMULATE, "--scheme", "multitrack(99999999999)"], "a GOP exceeds the u16"),
             ([*SIMULATE, "--trace", "{dir}/far.jsonl"], "exceed the session tick budget"),
@@ -409,6 +413,7 @@ class TestMalformedArguments:
              "tile grid must be at least 1x1"),
             (["encode", *SMALL, "--ref-window", "0", "--out", "{out}"],
              "ref_window must be >= 1"),
+            (["encode", *SMALL, "--gop", "0", "--out", "{out}"], "gop_size must be >= 1"),
             (["select-tiles", *SMALL, "--fps", "70000", "--viewport", "0,0,90,90"],
              "fps_num exceeds the u16 wire range"),
             (["select-tiles", "--width", "1024", "--height", "512", "--tile-cols", "1",
@@ -436,7 +441,7 @@ class TestMalformedArguments:
              "scheme-gop-over-u16", "scheme-gop-huge", "trace-over-tick-budget",
              "dash-led-tile-outside-grid", "dash-led-tiles-not-numbers",
              "dash-led-viewport-not-numbers", "dash-led-viewport-too-short",
-             "width-0", "tile-rows-0", "ref-window-0", "fps-over-u16",
+             "width-0", "tile-rows-0", "ref-window-0", "gop-0", "fps-over-u16",
              "scale-factor-over-u8", "generate-0-frames", "trace-empty"],
     )
     def test_is_data_error_without_traceback(self, tmp_path, capsys, argv, message):
@@ -603,11 +608,11 @@ def extreme_argvs(draw):
 
     fps = f"{pick(EXTREME_RATES)}/{pick(EXTREME_RATES)}"
     command = pick(["simulate", "rewrite", "decode", "select-tiles", "generate", "encode"])
-    # An SVC session encodes one GOP of content, about 0.5 ms a frame here, so
-    # a 65,535-frame GOP would take half a minute: svc sessions take GOP 1.  A
-    # multitrack session encodes its scheme's GOPs whatever --gop says.
+    # A session encodes at most its own ticks' frames, a few here, so an svc
+    # session takes GOP 65,535 too.  A multitrack session encodes its scheme's
+    # GOPs whatever --gop says.
     scheme = pick(["svc", "multitrack(4,2)"]) if command == "simulate" else None
-    gop = "1" if scheme == "svc" else pick(["1", "65535"])
+    gop = pick(["1", "65535"])
     grid = ["--width", "64", "--height", "32", "--tile-cols", "2", "--tile-rows", "2",
             "--gop", gop, "--fps", fps]
     viewport = ",".join(repr(pick(values)) for values in (

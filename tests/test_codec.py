@@ -193,6 +193,19 @@ class TestRle:
         assert (run_type, length) == (1, len(data))
         assert rle_decompress(packed, len(data)) == data
 
+    @given(
+        lead=st.integers(0, MIN_ZERO_RUN - 1),
+        chunks=st.lists(st.tuples(st.binary(min_size=1, max_size=8).filter(all),
+                                  st.integers(0, MIN_ZERO_RUN - 1)), max_size=40),
+        kind=st.sampled_from([bytes, bytearray, memoryview]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_without_a_long_zero_run_is_one_literal_record(self, lead, chunks, kind):
+        data = bytes(lead) + b"".join(literal + bytes(zeros) for literal, zeros in chunks)
+        packed = rle_compress(kind(data))
+        assert packed == reference_rle_compress(data)
+        assert packed == (struct.pack("<BI", 1, len(data)) + data if data else b"")
+
     def test_random_round_trip_and_bound(self):
         rng = random.Random(11)
         for _ in range(20):
@@ -221,6 +234,8 @@ class TestRle:
     @example(b"\x01" + b"\x00" * 5 + b"\x02" + b"\x00" * 6 + b"\x03" + b"\x00" * 7)
     @example(b"\x00" * 6 + b"\x09" + b"\x00" * 5)
     @example(b"\x00" * 7 + b"\x09\x09" + b"\x00" * 6)
+    @example(b"\x01" + b"\x00" * 5 + b"\x02")  # no long zero run: one literal record
+    @example(b"\x01" + b"\x00" * 6 + b"\x02")
     def test_matches_reference(self, data):
         packed = rle_compress(data)
         assert packed == reference_rle_compress(data)

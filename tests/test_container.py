@@ -123,6 +123,16 @@ class TestRoundTrip:
         stream = encode_svc(source)
         assert parse(serialize(stream)) == stream
 
+    def test_models_hold_enum_members(self):
+        # Equal ints would compare equal too; the model keeps the members.
+        stream = encode_svc(generate_content(5, small_config(), 2))
+        for built in (stream, parse(serialize(stream))):
+            for layer in (layer for frame in built.frames for layer in frame.layers):
+                assert type(layer.header.layer_id) is LayerId
+                assert type(layer.header.frame_type) is FrameType
+                assert all(type(tile.tile_kind) is TileKind
+                           for group in layer.tile_groups for tile in group.tiles)
+
     def test_sequence_header_round_trips(self):
         rng = random.Random(35)
         for _ in range(100):

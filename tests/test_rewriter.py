@@ -1,11 +1,19 @@
 """Viewport-dependent frame rewriting with synthesized skipped tiles."""
 
 import math
+import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import record_bytes_per_frame
+from helpers import (
+    random_bitstream,
+    record_bytes_per_frame,
+    reference_rewrite_viewport_frame,
+    reference_serialize_frame,
+)
 from svbs.codec import encode_svc, generate_content
 from svbs.config import FRAME_PIXEL_BUDGET, SUPERBLOCK_SIZE, SequenceConfig
 from svbs.container import (
@@ -27,11 +35,12 @@ from svbs.container import (
     parse,
     serialize,
     serialize_frame,
+    serialize_sequence_header,
     serialized_frame_size,
     tile_group_size,
     validate_structure,
 )
-from svbs.errors import BadIndexError, InvalidStructureError, TileMissingError
+from svbs.errors import BadIndexError, InvalidStructureError, SvbsError, TileMissingError
 from svbs.geometry import Projection, ProjectionKind, Viewport, select_tiles
 from svbs.rewriter import _stub_groups, rewrite_viewport_frame, synthesize_skipped_tile
 
@@ -244,3 +253,58 @@ class TestRewriteSession:
             if g.tiles[0].tile_kind == TileKind.CODED
         }
         assert coded == {8, 9, 14, 15}
+
+
+def _outcome(rewrite, frame, selected, config):
+    """The rewritten frame, or the type and message of the error raised."""
+    try:
+        return rewrite(frame, selected, config)
+    except SvbsError as exc:
+        return type(exc), str(exc)
+
+
+class TestMatchesReference:
+    """The rewrite and the frame serializer give the reference's frame and
+    bytes, or its error, for hand-built and parsed frames of any grouping."""
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           source=st.sampled_from(["built", "parsed", "rewritten", "base-only", "enhanced-only"]),
+           pick=st.sampled_from(["empty", "coded", "any", "outside-grid"]))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_reference(self, seed, source, pick):
+        rng = random.Random(seed)
+        stream = random_bitstream(rng)
+        config = stream.config
+        if source in ("parsed", "rewritten"):
+            stream = parse(serialize(stream))  # every tile group keeps its wire bytes
+        frame = rng.choice(stream.frames)
+        if source == "rewritten" and len(frame.layers) == 2:
+            frame = rewrite_viewport_frame(frame, set(), config)  # hand-built stubs
+        elif source == "base-only":
+            frame = Frame(frame.layers[:1])
+        elif source == "enhanced-only":
+            frame = Frame(frame.layers[1:])
+        coded = [t.tile_index for layer in frame.layers[1:] for g in layer.tile_groups
+                 for t in g.tiles if t.tile_kind == TileKind.CODED]
+        count = config.tile_count
+        selected = {"empty": set(),
+                    "coded": set(rng.sample(coded, rng.randint(0, len(coded)))),
+                    "any": set(rng.sample(range(count), rng.randint(0, count))),
+                    "outside-grid": {rng.randrange(count), rng.choice([-1, count, count + 7])},
+                    }[pick]
+
+        got = _outcome(rewrite_viewport_frame, frame, selected, config)
+        want = _outcome(reference_rewrite_viewport_frame, frame, selected, config)
+        assert got == want
+        assert serialize_frame(frame) == reference_serialize_frame(frame)
+        if isinstance(got, Frame):
+            data = serialize_frame(got)
+            assert data == reference_serialize_frame(got)
+            # Parsed back, each group has its hand-built twin's size and the
+            # rewrite gives back the same frame and bytes.
+            [parsed] = parse(serialize_sequence_header(config) + data).frames
+            assert [tile_group_size(g) for g in parsed.layers[1].tile_groups] == [
+                tile_group_size(g) for g in got.layers[1].tile_groups]
+            again = rewrite_viewport_frame(parsed, selected, config)
+            assert again == got
+            assert serialize_frame(again) == data

@@ -126,6 +126,20 @@ class TestSvcScheme:
         if scheme.kind == SchemeKind.SVC:
             assert switch.mthq_ms == switch.mtp_ms
 
+    def test_a_session_encodes_only_its_ticks(self, monkeypatch):
+        # One pose and 4 settle ticks: 5 frames of the 4,096-frame GOP.
+        config = SequenceConfig(width=64, height=32, tile_cols=2, tile_rows=2, gop_size=4096)
+        frame_counts = []
+
+        def counted(seed, config, frame_count):
+            frame_counts.append(frame_count)
+            return generate_content(seed, config, frame_count)
+
+        monkeypatch.setattr("svbs.simulator.generate_content", counted)
+        report = run_session(Scheme(SchemeKind.SVC), [(0.0, VIEW_A)], NetworkModel(), config, 1)
+        assert frame_counts == [5]
+        assert len(report.frames) == 5
+
     def test_delays_shift_latency_by_whole_frames(self):
         net = NetworkModel(uplink_delay_ms=20.0, downlink_delay_ms=25.0)
         trace = switching_trace(random.Random(6), 40, 6 * T, 12 * T)
@@ -404,7 +418,10 @@ class TestTraceValidation:
     @pytest.mark.parametrize(
         "scheme, trace, message",
         [(Scheme(SchemeKind.SVC), [(0.0, VIEW_A), (1e13, VIEW_B)], "session tick budget"),
-         (Scheme(SchemeKind.MULTITRACK, 1000, 999), [(0.0, VIEW_A)], "content pixel budget")],
+         # A session encodes at most its ticks' frames, here some 300,000 of the
+         # 999,000-frame cycle: still over the content budget at 96x48.
+         (Scheme(SchemeKind.MULTITRACK, 1000, 999), [(0.0, VIEW_A), (1e7, VIEW_B)],
+          "content pixel budget")],
         ids=["ticks", "content-cycle"],
     )
     def test_over_budget_is_refused_before_allocating(self, scheme, trace, message):
