@@ -107,7 +107,7 @@ def _parse_viewport(text: str) -> Viewport:
         parts = []
     if len(parts) != 4:
         raise SvbsError("--viewport wants yaw,pitch,hfov,vfov in degrees")
-    return Viewport.from_degrees(*parts)
+    return Viewport(*parts)
 
 
 def _parse_tiles(text: str, tile_count: int) -> set[int]:

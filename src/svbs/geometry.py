@@ -3,6 +3,8 @@
 Conventions: x-forward, z-up, right-handed; yaw rotates about z, pitch about
 the rotated y axis (yaw-then-pitch, no roll).  The FOV frustum is defined by
 independent horizontal/vertical angular bounds in viewport-local coordinates.
+A pose is in degrees wherever it is given or kept: the command line, a trace
+file and a :class:`Viewport`, which derives the radians the geometry reads.
 """
 
 from __future__ import annotations
@@ -33,29 +35,35 @@ class ProjectionKind(Enum):
 
 @dataclass(frozen=True)
 class Viewport:
-    """Spherical FOV descriptor; angles in radians."""
+    """A pose as given, in degrees: yaw, pitch and the two fields of view.
+
+    ``radians`` is what the geometry reads, derived once: yaw wrapped to
+    [-pi, pi), then pitch, h_fov and v_fov.  It takes no part in equality or
+    the hash, so a pose compares, caches and writes as the degrees it holds.
+    """
 
     yaw: float
     pitch: float
     h_fov: float
     v_fov: float
+    radians: tuple[float, float, float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.yaw):
             raise BadConfigError("yaw must be finite")
-        object.__setattr__(self, "yaw", _wrap_angle(self.yaw))
-        if not -math.pi / 2 <= self.pitch <= math.pi / 2:
-            raise BadConfigError("pitch outside [-pi/2, pi/2]")
-        if not 0 < self.h_fov <= TWO_PI:
-            raise BadConfigError("h_fov outside (0, 2*pi]")
-        if not 0 < self.v_fov <= math.pi:
-            raise BadConfigError("v_fov outside (0, pi]")
+        yaw = (math.radians(self.yaw) + math.pi) % TWO_PI - math.pi
+        pitch = math.radians(self.pitch)
+        h_fov, v_fov = math.radians(self.h_fov), math.radians(self.v_fov)
+        if not -math.pi / 2 <= pitch <= math.pi / 2:
+            raise BadConfigError("pitch outside [-90, 90] degrees")
+        if not 0 < h_fov <= TWO_PI:
+            raise BadConfigError("h_fov outside (0, 360] degrees")
+        if not 0 < v_fov <= math.pi:
+            raise BadConfigError("v_fov outside (0, 180] degrees")
+        object.__setattr__(self, "radians", (yaw, pitch, h_fov, v_fov))
 
-    @classmethod
-    def from_degrees(cls, yaw: float, pitch: float, h_fov: float, v_fov: float) -> "Viewport":
-        return cls(
-            math.radians(yaw), math.radians(pitch), math.radians(h_fov), math.radians(v_fov)
-        )
+    # An alias of the constructor, kept because perfbench/ calls it.
+    from_degrees = classmethod(lambda cls, yaw, pitch, h_fov, v_fov: cls(yaw, pitch, h_fov, v_fov))
 
 
 @dataclass(frozen=True)
@@ -71,13 +79,10 @@ class Projection:
             raise BadConfigError("3x2 cube map needs width*2 == height*3 (square faces)")
 
 
-def _wrap_angle(a: float) -> float:
-    return (a + math.pi) % TWO_PI - math.pi
-
-
 def _rotation(viewport: Viewport) -> np.ndarray:
-    cy, sy = math.cos(viewport.yaw), math.sin(viewport.yaw)
-    cp, sp = math.cos(viewport.pitch), math.sin(viewport.pitch)
+    yaw, pitch, _, _ = viewport.radians
+    cy, sy = math.cos(yaw), math.sin(yaw)
+    cp, sp = math.cos(pitch), math.sin(pitch)
     # Rz(yaw) @ Ry(-pitch) multiplied out: the dropped terms are exact zeros, so
     # each entry equals the product's.  Positive pitch raises the view toward +z.
     return np.array([[cy * cp, -sy, -cy * sp], [sy * cp, cy, -sy * sp], [sp, 0.0, cp]])
@@ -88,9 +93,8 @@ def _in_bounds(viewport: Viewport, local: np.ndarray) -> np.ndarray:
     (world directions times ``_rotation(viewport)``) in its angular bounds."""
     alpha = np.arctan2(local[:, 1], local[:, 0])
     beta = np.arcsin(np.clip(local[:, 2], -1.0, 1.0))
-    return (np.abs(alpha) <= viewport.h_fov / 2 + _EDGE_TOL) & (
-        np.abs(beta) <= viewport.v_fov / 2 + _EDGE_TOL
-    )
+    _, _, h_fov, v_fov = viewport.radians
+    return (np.abs(alpha) <= h_fov / 2 + _EDGE_TOL) & (np.abs(beta) <= v_fov / 2 + _EDGE_TOL)
 
 
 # --- inverse projections (pixel centers to directions) -----------------------
@@ -239,21 +243,22 @@ def _block_table(projection: Projection, config: SequenceConfig) -> _BlockTable:
     )
 
 
-def _surviving_blocks(viewport: Viewport, table: _BlockTable, rotation: np.ndarray) -> tuple:
+def _surviving_blocks(
+    v_fov: float, s: float, c: float, table: _BlockTable, rotation: np.ndarray
+) -> tuple:
     """Indices of the blocks whose cap may hold a pixel center in the frustum,
-    and each cap's gap, at most its angle to the frustum (culled above _EDGE_TOL)."""
+    and each cap's gap, at most its angle to the frustum (culled above _EDGE_TOL).
+    ``s, c`` are the sine and cosine of half the horizontal FOV."""
     local = table.center @ rotation
     # Band |beta| <= v_fov/2: within a cap of radius r, beta differs from the
     # center's by at most r.
     beta = np.arcsin(np.clip(local[:, 2], -1.0, 1.0))
-    band = np.abs(beta) - viewport.v_fov / 2 - table.radius
-    # Lune |alpha| <= h_fov/2: the intersection (h_fov <= 180 deg) or the union
-    # of the half-spaces n.p >= 0, n = (sin(h_fov/2), -/+cos(h_fov/2), 0).  A
-    # cap lies outside a half-space by -n.c - sin r, at most its angle to it.
-    s, c = math.sin(viewport.h_fov / 2), math.cos(viewport.h_fov / 2)
-    left = c * local[:, 1] - s * local[:, 0] - table.sin_radius
-    right = -c * local[:, 1] - s * local[:, 0] - table.sin_radius
-    gap = np.maximum(band, (np.maximum if viewport.h_fov <= math.pi else np.minimum)(left, right))
+    band = np.abs(beta) - v_fov / 2 - table.radius
+    # Lune |alpha| <= h_fov/2: the intersection (c >= 0) or the union (c < 0)
+    # of the half-spaces n.p >= 0, n = (s, -/+c, 0).  A cap lies outside a
+    # half-space by -n.c - sin r, at most its angle to it; the greater of the
+    # two (intersection) or the lesser (union) is c |y| - s x - sin r.
+    gap = np.maximum(band, c * np.abs(local[:, 1]) - s * local[:, 0] - table.sin_radius)
     return np.flatnonzero(gap <= _EDGE_TOL), gap
 
 
@@ -275,11 +280,13 @@ def select_tiles(
     """
     table = _block_table(projection, config)
     rotation = _rotation(viewport)
-    pose = (viewport.h_fov, viewport.v_fov, *rotation.ravel().tolist())
+    _, _, h_fov, v_fov = viewport.radians
+    pose = (h_fov, v_fov, *rotation.ravel().tolist())
     for kept, limit, tiles in tuple(table.kept):  # a copy: another thread may append
         if kept[:2] == pose[:2] and math.dist(kept[2:], pose[2:]) < limit:
             return tiles
-    blocks, gap = _surviving_blocks(viewport, table, rotation)
+    s, c = math.sin(h_fov / 2), math.cos(h_fov / 2)
+    blocks, gap = _surviving_blocks(v_fov, s, c, table, rotation)
     local = table.reps[blocks].reshape(-1, 3) @ rotation
     hit = _in_bounds(viewport, local)
     chosen = np.zeros(config.tile_count, dtype=bool)
@@ -295,11 +302,11 @@ def select_tiles(
     tiles = frozenset(np.flatnonzero(chosen).tolist())
     if blocks.size and not undecided.size:
         # Each representative's lower bounds on its angle inside the boundary
-        # (v_fov/2 - |beta|, n.p of the lesser lune plane, or of the greater
-        # where the lune is their union) are not positive outside it.
+        # (v_fov/2 - |beta|, and s x - c |y|, the lune's gap term negated: n.p
+        # of the lesser lune plane, or of the greater where the lune is their
+        # union) are not positive outside it.
         # Blocks come tile by tile, so one reduceat gives each tile's best.
-        s, c = math.sin(viewport.h_fov / 2), math.cos(viewport.h_fov / 2)
-        inside = np.minimum(viewport.v_fov / 2 - np.arcsin(np.minimum(np.abs(local[:, 2]), 1.0)),
+        inside = np.minimum(v_fov / 2 - np.arcsin(np.minimum(np.abs(local[:, 2]), 1.0)),
                             s * local[:, 0] - c * np.abs(local[:, 1]))
         owner = table.tile[blocks]
         firsts = np.flatnonzero(np.concatenate(([True], owner[1:] != owner[:-1])))
@@ -330,21 +337,12 @@ def tile_coverage_oracle(
 
 def write_viewport_trace(path, samples: list[tuple[float, Viewport]]) -> None:
     """JSON lines: one {"t_ms", "yaw_deg", "pitch_deg", "h_fov_deg",
-    "v_fov_deg"} object per line."""
+    "v_fov_deg"} object per line.  JSON writes each float's shortest repr, so
+    :func:`read_viewport_trace` gives back the samples written."""
     with open(path, "w") as fh:
         for t_ms, vp in samples:
-            fh.write(
-                json.dumps(
-                    {
-                        "t_ms": t_ms,
-                        "yaw_deg": math.degrees(vp.yaw),
-                        "pitch_deg": math.degrees(vp.pitch),
-                        "h_fov_deg": math.degrees(vp.h_fov),
-                        "v_fov_deg": math.degrees(vp.v_fov),
-                    }
-                )
-                + "\n"
-            )
+            fh.write(json.dumps({"t_ms": t_ms, "yaw_deg": vp.yaw, "pitch_deg": vp.pitch,
+                                 "h_fov_deg": vp.h_fov, "v_fov_deg": vp.v_fov}) + "\n")
 
 
 def read_viewport_trace(path, data: bytes | None = None) -> list[tuple[float, Viewport]]:
@@ -372,7 +370,7 @@ def read_viewport_trace(path, data: bytes | None = None) -> list[tuple[float, Vi
             t_ms = float(obj["t_ms"])
             if not math.isfinite(t_ms):
                 raise BadConfigError("t_ms must be finite")
-            viewport = Viewport.from_degrees(
+            viewport = Viewport(
                 obj["yaw_deg"], obj["pitch_deg"], obj["h_fov_deg"], obj["v_fov_deg"]
             )
         except KeyError as exc:

@@ -184,6 +184,24 @@ def brute_force_tiles(viewport, projection, config, band_rows: int = 64) -> set[
     return tiles
 
 
+def reference_accepts(yaw: float, pitch: float, h_fov: float, v_fov: float) -> bool:
+    """Whether a pose given in degrees passes the four checks on its radians:
+    a finite yaw, pitch in [-pi/2, pi/2], h_fov in (0, 2 pi], v_fov in (0, pi]."""
+    yaw, pitch, h_fov, v_fov = map(math.radians, (yaw, pitch, h_fov, v_fov))
+    return (math.isfinite(yaw) and -math.pi / 2 <= pitch <= math.pi / 2
+            and 0 < h_fov <= 2.0 * math.pi and 0 < v_fov <= math.pi)
+
+
+def reference_rotation(viewport) -> np.ndarray:
+    """Rz(yaw) @ Ry(-pitch) multiplied out, for a viewport that holds degrees:
+    yaw converted to radians and then wrapped to [-pi, pi), pitch converted."""
+    yaw = (math.radians(viewport.yaw) + math.pi) % (2.0 * math.pi) - math.pi
+    pitch = math.radians(viewport.pitch)
+    cy, sy = math.cos(yaw), math.sin(yaw)
+    cp, sp = math.cos(pitch), math.sin(pitch)
+    return np.array([[cy * cp, -sy, -cy * sp], [sy * cp, cy, -sy * sp], [sp, 0.0, cp]])
+
+
 def reference_project_erp(dirs: np.ndarray, width: int, height: int):
     """Pixel coordinates of unit directions in an ERP frame."""
     lon, lat = np.arctan2(dirs[:, 1], dirs[:, 0]), np.arcsin(np.clip(dirs[:, 2], -1.0, 1.0))

@@ -200,7 +200,7 @@ def test_criterion_5_rewriter_decodability():
         vp = Viewport.from_degrees(
             yaw, rng.uniform(-60, 60), rng.uniform(60, 120), rng.uniform(45, 90)
         )
-        if abs(vp.yaw) + vp.h_fov / 2 > math.pi:
+        if abs((vp.yaw + 180) % 360 - 180) + vp.h_fov / 2 > 180:
             seam += 1
         k = i % len(stream.frames)
         selected = select_tiles(vp, projection, config)

@@ -368,6 +368,11 @@ class TestMalformedArguments:
              "--tiles -1 outside"),
             (["select-tiles", "--fps", "abc", "--viewport", "0,0,90,90"], "--fps wants"),
             (["select-tiles", "--viewport", "nan,0,90,90"], "yaw must be finite"),
+            # A refusal names the unit the pose was given in.
+            (["select-tiles", "--viewport", "0,100,90,90"], "pitch outside [-90, 90] degrees"),
+            (["select-tiles", "--viewport", "0,0,5e-324,90"], "h_fov outside (0, 360] degrees"),
+            (["select-tiles", "--viewport", "0,0,90,180.00000000000003"],
+             "v_fov outside (0, 180] degrees"),
             ([*SIMULATE, "--uplink-ms", "nan"], "delays must be nonnegative and finite"),
             ([*SIMULATE, "--bandwidth-bps", "nan"], "bandwidth must be positive and finite"),
             ([*SIMULATE, "--bandwidth-bps", "1e-305"], "display times overflow a float"),
@@ -428,7 +433,8 @@ class TestMalformedArguments:
              "rewrite-without-pose-missing-input", "rewrite-viewport-and-trace-missing-input",
              "rewrite-viewport-not-numbers-missing-input",
              "tiles-not-numbers", "tiles-empty-entry", "tile-outside-grid", "negative-tile",
-             "fps-not-a-number", "yaw-not-finite", "uplink-nan",
+             "fps-not-a-number", "yaw-not-finite", "pitch-outside", "h-fov-underflows",
+             "v-fov-outside", "uplink-nan",
              "bandwidth-nan", "bandwidth-overflows", "bandwidth-mean-overflows",
              "report-mean-overflows",
              "scheme-gop-not-a-number", "report-mtp-not-a-number",

@@ -5,13 +5,15 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
     brute_force_tiles,
+    reference_accepts,
     reference_project_cubemap,
     reference_project_erp,
+    reference_rotation,
     reference_unproject_cubemap,
 )
 from svbs import geometry
@@ -51,10 +53,20 @@ def random_viewport(rng: random.Random) -> Viewport:
     )
 
 
+# Degrees at and one ulp around each bound, signed zeros, and non-finite values.
+_EDGE_DEGREES = [d for bound in (-90.0, 0.0, 90.0, 180.0, 360.0)
+                 for d in (math.nextafter(bound, -math.inf), bound, math.nextafter(bound, math.inf))]
+_EDGE_DEGREES += [-0.0, 5e-324, 1e-320, math.inf, -math.inf, math.nan]
+
+
 class TestViewport:
     def test_yaw_wraps(self):
-        vp = Viewport.from_degrees(270.0, 0.0, 90.0, 90.0)
-        assert vp.yaw == pytest.approx(math.radians(-90.0))
+        # Yaw is kept as given; the rotation wraps it, so 270 turns the view
+        # exactly as -90 does.
+        vp, back = Viewport(270.0, 0.0, 90.0, 90.0), Viewport(-90.0, 0.0, 90.0, 90.0)
+        assert vp.yaw == 270.0
+        assert np.array_equal(_bits(_rotation(vp)), _bits(_rotation(back)))
+        assert select_tiles(vp, ERP_PROJ, ERP_CONFIG) == select_tiles(back, ERP_PROJ, ERP_CONFIG)
 
     def test_bad_angles_rejected(self):
         with pytest.raises(BadConfigError):
@@ -63,6 +75,31 @@ class TestViewport:
             Viewport.from_degrees(0, 0, 0, 90)
         with pytest.raises(BadConfigError):
             Viewport.from_degrees(0, 0, 90, 200)
+
+    @given(pose=st.tuples(*[st.one_of(st.floats(), st.sampled_from(_EDGE_DEGREES))] * 4))
+    @settings(max_examples=300, deadline=None)
+    def test_refuses_what_the_radian_checks_refuse(self, pose):
+        try:
+            Viewport(*pose)
+        except BadConfigError:
+            accepted = False
+        else:
+            accepted = True
+        assert accepted == reference_accepts(*pose)
+
+    @given(
+        yaw=st.floats(allow_nan=False, allow_infinity=False),
+        pitch=st.one_of(st.floats(-90.0, 90.0), st.sampled_from([-90.0, -0.0, 0.0, 90.0])),
+        h_fov=st.one_of(st.floats(0.0, 360.0, exclude_min=True), st.sampled_from([1e-320, 360.0])),
+        v_fov=st.one_of(st.floats(0.0, 180.0, exclude_min=True), st.sampled_from([1e-320, 180.0])),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_radians_are_derived_bit_for_bit(self, yaw, pitch, h_fov, v_fov):
+        assume(reference_accepts(yaw, pitch, h_fov, v_fov))  # 5e-324 degrees is 0 radians
+        vp = Viewport(yaw, pitch, h_fov, v_fov)
+        assert np.array_equal(_bits(_rotation(vp)), _bits(reference_rotation(vp)))
+        radians = [math.radians(x) for x in (pitch, h_fov, v_fov)]
+        assert np.array_equal(_bits(vp.radians[1:]), _bits(radians))
 
     @pytest.mark.parametrize("width, height", [(0, 10), (10, 0), (-2, 10)])
     def test_projection_dimensions_must_be_positive(self, width, height):
@@ -331,8 +368,8 @@ class TestTileSetCache:
     def test_signed_zero_pitch_shares_one_entry(self):
         # -0.0 == 0.0 and both hash alike, so two viewports built apart are
         # one key; the one cached set must be right for both.
-        down = Viewport(math.radians(40), -0.0, math.radians(100), math.radians(70))
-        level = Viewport(math.radians(40), 0.0, math.radians(100), math.radians(70))
+        down = Viewport(40, -0.0, 100, 70)
+        level = Viewport(40, 0.0, 100, 70)
         assert down == level and down is not level
         assert math.copysign(1.0, down.pitch) == -1.0
         first = select_tiles(down, ERP_PROJ, ERP_CONFIG)
@@ -451,14 +488,25 @@ class TestTraces:
         ]
         path = tmp_path / "trace.jsonl"
         write_viewport_trace(path, samples)
+        assert read_viewport_trace(path) == samples
+
+    @given(
+        t_ms=st.floats(allow_nan=False, allow_infinity=False),
+        yaw=st.one_of(st.floats(-180.0, 180.0), st.floats(allow_nan=False, allow_infinity=False)),
+        pitch=st.floats(-90.0, 90.0),
+        h_fov=st.floats(0.0, 360.0, exclude_min=True),
+        v_fov=st.floats(0.0, 180.0, exclude_min=True),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_written_poses_read_back_exactly(self, tmp_path_factory, t_ms, yaw, pitch, h_fov,
+                                             v_fov):
+        assume(reference_accepts(yaw, pitch, h_fov, v_fov))
+        samples = [(t_ms, Viewport(yaw, pitch, h_fov, v_fov))]
+        path = tmp_path_factory.getbasetemp() / "round_trip.jsonl"
+        write_viewport_trace(path, samples)
         back = read_viewport_trace(path)
-        assert len(back) == 2
-        for (t0, v0), (t1, v1) in zip(samples, back):
-            assert t0 == t1
-            assert v0.yaw == pytest.approx(v1.yaw)
-            assert v0.pitch == pytest.approx(v1.pitch)
-            assert v0.h_fov == pytest.approx(v1.h_fov)
-            assert v0.v_fov == pytest.approx(v1.v_fov)
+        # repr tells -0.0 from 0.0, which == does not.
+        assert back == samples and repr(back) == repr(samples)
 
     def test_blank_lines_ignored(self, tmp_path):
         path = tmp_path / "trace.jsonl"
