@@ -177,21 +177,19 @@ def _stream_tables(
 # --- the session -------------------------------------------------------------
 
 
-def run_session(
-    scheme: Scheme,
-    trace: list[tuple[float, Viewport]],
-    network: NetworkModel,
-    config: SequenceConfig,
-    source_seed: int,
-    *,
-    projection_kind: ProjectionKind = ProjectionKind.ERP,
-    # Accepted and ignored: tile selection is exact and has no step.  The
-    # perfbench sim-sweep spot check still passes it; remove the keyword
-    # together with that call.
-    select_step: float | None = None,
-    duration_ms: float | None = None,
-) -> SessionReport:
-    """Run one deterministic streaming session.
+def run_session(scheme: Scheme, *args, select_step: float | None = None,
+                **kwargs) -> SessionReport:
+    """:func:`run_sessions` of one scheme.  ``select_step`` is accepted and
+    ignored: tile selection is exact and has no step.  The perfbench sim-sweep
+    spot check still passes it; remove the keyword together with that call."""
+    return run_sessions([scheme], *args, **kwargs)[0]
+
+
+def run_sessions(schemes: Sequence[Scheme], trace: list[tuple[float, Viewport]],
+                 network: NetworkModel, config: SequenceConfig, source_seed: int, *,
+                 projection_kind: ProjectionKind = ProjectionKind.ERP,
+                 duration_ms: float | None = None) -> list[SessionReport]:
+    """Run one deterministic streaming session per scheme, in order.
 
     ``trace`` holds (t_ms, viewport) samples; the first entry is the initial
     pose, every later entry is a switch.  Content is generated from
@@ -207,7 +205,10 @@ def run_session(
     Every tick is computed at once as a column (the pose the server knows,
     the bytes of each stream, the display time), with the same float
     operations a per-tick loop would do, so the results are the same bits.
-    Each distinct tile set is a boolean row of one ``member`` matrix.
+    Each distinct tile set is a boolean row of one ``member`` matrix.  The
+    sessions read prefixes of one timeline (tile sets, known poses, tick and
+    second boundaries, display times without a bandwidth cap), built after
+    every scheme's budget and tables are checked in order.
     """
     if not trace:
         raise EmptyTraceError("viewport trace is empty")
@@ -217,25 +218,40 @@ def run_session(
 
     period = config.frame_period_ms
     projection = Projection(projection_kind, config.width, config.height)
-    if scheme.kind == SchemeKind.SVC:
-        names, commit_gop, short_gop = ("base", "enhanced"), 1, 0
-        tracks, settle_ticks, cycle = None, 4, config.gop_size
-    else:
-        commit_gop, short_gop = scheme.long_gop, scheme.short_gop
-        cycle = math.lcm(commit_gop, short_gop or 1)
-        names, settle_ticks = ("low", "long", "short"), commit_gop + short_gop + 4
-        # The always-on low track runs at the region track's GOP.
-        tracks = ((commit_gop, TrackResolution.BASE), (commit_gop, TrackResolution.FULL),
-                  (short_gop, TrackResolution.FULL))[:3 if short_gop else 2]
 
-    if duration_ms is None:
-        duration_ms = times[-1] + settle_ticks * period
-    last_tick = duration_ms / period  # inf below 1 ms per frame: compared before rounding
-    if last_tick > SESSION_TICK_BUDGET - 1:
-        raise TooLargeError(f"{last_tick + 1:.3g} ticks exceed the session tick budget "
-                            f"{SESSION_TICK_BUDGET}")
-    n_ticks = max(0, math.ceil(last_tick) + 1)
-    tables = _stream_tables(config, source_seed, max(1, min(cycle, n_ticks)), tracks)
+    def display_ms(arrival):  # the first frame boundary strictly after; inf on overflow
+        with np.errstate(over="ignore"):
+            return (np.floor(arrival / period + _TICK_EPS) + 1) * period
+
+    # If a display time may overflow (a tick at the budget, 2**63 bytes), each
+    # scheme runs alone, so an overflow is refused before the next's budget.
+    if len(schemes) > 1 and not np.isfinite(display_ms(
+            SESSION_TICK_BUDGET * period + network.downlink_delay_ms
+            + network.serialization_ms(2.0 ** 63))):
+        return [run_session(scheme, trace, network, config, source_seed,
+                            projection_kind=projection_kind, duration_ms=duration_ms)
+                for scheme in schemes]
+    plans = []
+    for scheme in schemes:
+        if scheme.kind == SchemeKind.SVC:
+            names, commit_gop, short_gop = ("base", "enhanced"), 1, 0
+            tracks, settle_ticks, cycle = None, 4, config.gop_size
+        else:
+            commit_gop, short_gop = scheme.long_gop, scheme.short_gop
+            cycle = math.lcm(commit_gop, short_gop or 1)
+            names, settle_ticks = ("low", "long", "short"), commit_gop + short_gop + 4
+            # The always-on low track runs at the region track's GOP.
+            tracks = ((commit_gop, TrackResolution.BASE), (commit_gop, TrackResolution.FULL),
+                      (short_gop, TrackResolution.FULL))[:3 if short_gop else 2]
+
+        end_ms = times[-1] + settle_ticks * period if duration_ms is None else duration_ms
+        last_tick = end_ms / period  # inf below 1 ms per frame: compared before rounding
+        if last_tick > SESSION_TICK_BUDGET - 1:
+            raise TooLargeError(f"{last_tick + 1:.3g} ticks exceed the session tick budget "
+                                f"{SESSION_TICK_BUDGET}")
+        n_ticks = max(0, math.ceil(last_tick) + 1)
+        tables = _stream_tables(config, source_seed, max(1, min(cycle, n_ticks)), tracks)
+        plans.append((n_ticks, scheme.label, names, commit_gop, short_gop, cycle, tables))
 
     # The tile set of every trace entry, one lookup per distinct viewport;
     # pose_set[i] indexes member's rows, the distinct sets, whose last (-1) is empty.
@@ -258,60 +274,61 @@ def run_session(
     # arrival is <= k*T (within _TICK_EPS of a tick); the initial pose is
     # known from t=0.  Switch ticks are read from this column too.
     arrivals = np.array(times[1:], dtype=np.float64) + network.uplink_delay_ms
-    ks = np.arange(n_ticks)
-    t_k = ks * period
-    known = np.searchsorted(arrivals, t_k + period * _TICK_EPS, side="right")
-    j = ks % cycle
+    all_ks = np.arange(max((n_ticks for n_ticks, *_ in plans), default=0))
+    all_t_k = all_ks * period
+    all_known = np.searchsorted(arrivals, all_t_k + period * _TICK_EPS, side="right")
+    second = all_t_k // 1000.0
+    second_starts = np.flatnonzero(np.diff(second, prepend=-1.0))
+    # Without a bandwidth cap, every session reads one display column.
+    downlinked = all_t_k + network.downlink_delay_ms
+    all_display = None if network.bandwidth_bytes_per_s else display_ms(downlinked)
 
     def region(header, tiles, stub):
         # Bytes of every tile set (a row of member) in every frame of the cycle.
         return header + member @ tiles.T + outside * stub
 
-    (always_header, always_tiles, _), region_table, *short_table = tables
-    region_pose = known[ks - ks % commit_gop]
-    region_set = pose_set[region_pose]
-    streams = {names[0]: (always_header + always_tiles.sum(axis=1))[j],
-               names[1]: region(*region_table)[region_set, j]}
-    if short_table:
-        # The short track runs from a short-GOP boundary where the region
-        # stream lags the known pose until the region stream catches up.
-        caught_up = region_pose == known
-        last_event = np.maximum.accumulate(np.where(caught_up | (ks % short_gop == 0), ks, 0))
-        short_pose = np.where(caught_up, -1, known)[last_event]
-        sent = short_pose >= 0
-        short_set = np.where(sent, pose_set[short_pose], -1)
-        streams[names[2]] = np.where(sent, region(*short_table[0])[short_set, j], 0)
-        # HQ tiles: the region, joined while sent by the short region (-1: empty).
-        n_keys = len(member)
-        keys, hq_ids = np.unique(region_set * n_keys + short_set + 1, return_inverse=True)
-        hq = member[keys // n_keys] | member[keys % n_keys - 1]
-    else:
-        hq, hq_ids = member, region_set
+    reports = []
+    for n_ticks, label, names, commit_gop, short_gop, cycle, tables in plans:
+        ks, known = all_ks[:n_ticks], all_known[:n_ticks]
+        j = ks % cycle
+        (always_header, always_tiles, _), region_table, *short_table = tables
+        region_pose = known[ks - ks % commit_gop]
+        region_set = pose_set[region_pose]
+        streams = {names[0]: (always_header + always_tiles.sum(axis=1))[j],
+                   names[1]: region(*region_table)[region_set, j]}
+        if short_table:
+            # The short track runs from a short-GOP boundary where the region
+            # stream lags the known pose until the region stream catches up.
+            caught_up = region_pose == known
+            last_event = np.maximum.accumulate(np.where(caught_up | (ks % short_gop == 0), ks, 0))
+            short_pose = np.where(caught_up, -1, known)[last_event]
+            sent = short_pose >= 0
+            short_set = np.where(sent, pose_set[short_pose], -1)
+            streams[names[2]] = np.where(sent, region(*short_table[0])[short_set, j], 0)
+            # HQ tiles: the region, joined while sent by the short region (-1: empty).
+            n_keys = len(member)
+            keys, hq_ids = np.unique(region_set * n_keys + short_set + 1, return_inverse=True)
+            hq = member[keys // n_keys] | member[keys % n_keys - 1]
+        else:
+            hq, hq_ids = member, region_set
 
-    total = sum(streams.values())
-    with np.errstate(over="ignore"):
-        arrival = t_k + network.downlink_delay_ms + network.serialization_ms(total)
-        display = (np.floor(arrival / period + _TICK_EPS) + 1) * period
-    if not np.isfinite(display).all():
-        raise TooLargeError("display times overflow a float; raise the bandwidth or "
-                            "lower the downlink delay")
+        total = sum(streams.values())
+        with np.errstate(over="ignore"):
+            display = (all_display[:n_ticks] if all_display is not None else
+                       display_ms(downlinked[:n_ticks] + network.serialization_ms(total)))
+        if not np.isfinite(display).all():
+            raise TooLargeError("display times overflow a float; raise the bandwidth or "
+                                "lower the downlink delay")
 
-    # Bytes per second and stream, in the order the streams were first sent.
-    second = t_k // 1000.0
-    starts = np.flatnonzero(np.diff(second, prepend=-1.0))
-    sums = [(name, np.add.reduceat(col, starts).tolist()) for name, col in streams.items()]
-    seconds = {
-        sec: {name: n[g] for name, n in sums if n[g]}
-        for g, sec in enumerate(second[starts].astype(np.int64).tolist())
-    }
-
-    return SessionReport(
-        scheme_label=scheme.label,
-        frame_period_ms=period,
-        switches=_resolve_switches(times, known, pose_set, member, display, hq_ids, hq),
-        seconds=seconds,
-        frames=_FrameLogs(display, hq_ids, hq, streams),
-    )
+        # Bytes per second and stream, in the order the streams were first sent.
+        starts = second_starts[:np.searchsorted(second_starts, n_ticks)]
+        sums = [(name, np.add.reduceat(col, starts).tolist()) for name, col in streams.items()]
+        seconds = {sec: {name: n[g] for name, n in sums if n[g]}
+                   for g, sec in enumerate(second[starts].astype(np.int64).tolist())}
+        switches = _resolve_switches(times, known, pose_set, member, display, hq_ids, hq)
+        reports.append(SessionReport(label, period, switches, seconds,
+                                     _FrameLogs(display, hq_ids, hq, streams)))
+    return reports
 
 
 def _resolve_switches(times, known, pose_set, member, display, hq_ids, hq):
@@ -391,11 +408,31 @@ def report_to_json(report: SessionReport) -> dict:
     }
 
 
-def write_report_json(report: SessionReport, path) -> None:
-    """Write ``report_to_json(report)`` on one line, through one call of the
-    C encoder, and a newline."""
+def switch_texts(report: SessionReport) -> list[tuple[str, str | None, str | None]]:
+    """The ``repr`` of each switch's t, MTP and MTHQ (None where absent), the
+    one text of each number that both report writers read.  As -0.0 == 0.0,
+    only a nonzero MTHQ equal to its MTP shares its text."""
+    def text(x):
+        return None if x is None else repr(x)
+    return [(repr(s.t_ms), mtp := text(s.mtp_ms),
+             mtp if s.mthq_ms == s.mtp_ms and s.mthq_ms else text(s.mthq_ms))
+            for s in report.switches]
+
+
+def write_report_json(report: SessionReport, path, texts=None) -> None:
+    """Write ``report_to_json(report)`` on one line, as ``json.dumps`` writes
+    it, and a newline.  The switches are joined from ``texts`` (by default
+    :func:`switch_texts`); the per-second table is one call of the C encoder."""
+    # JSON's spelling of the texts repr gives absent and non-finite numbers.
+    j = {None: "null", "inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}.get
+    switches = ", ".join(
+        f'{{"t_ms": {j(t, t)}, "mtp_ms": {j(mtp, mtp)}, "mthq_ms": {j(mthq, mthq)}}}'
+        for t, mtp, mthq in texts or switch_texts(report))
+    seconds = {str(sec): dict(streams) for sec, streams in sorted(report.seconds.items())}
+    head = json.dumps({"scheme": report.scheme_label, "frame_period_ms": report.frame_period_ms})
+    tail = json.dumps({"seconds": seconds, "total_bytes": report.total_bytes})
     with open(path, "w") as fh:
-        fh.write(json.dumps(report_to_json(report)) + "\n")
+        fh.write(f'{head[:-1]}, "switches": [{switches}], {tail[1:]}\n')
 
 
 def _csv_field(text: str) -> str:
@@ -404,15 +441,15 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[:-len(",0\r\n")]
 
 
-def write_report_csv(report: SessionReport, path) -> None:
-    """Flat CSV: one row per switch, one row per second per stream, as ``csv.writer``
+def write_report_csv(report: SessionReport, path, texts=None) -> None:
+    """Flat CSV: one row per switch, its numbers from ``texts`` (by default
+    :func:`switch_texts`), one row per second per stream, as ``csv.writer``
     writes them.  The label and each distinct stream name are quoted once."""
     label = _csv_field(report.scheme_label)
     names = {name: _csv_field(name) for name in set().union(*report.seconds.values())}
     rows = ["row,scheme,t_ms,mtp_ms,mthq_ms,second,stream,bytes\r\n"]
-    rows += [f"switch,{label},{s.t_ms},{'' if s.mtp_ms is None else s.mtp_ms},"
-             f"{'NOT_REACHED' if s.mthq_ms is None else s.mthq_ms},,,\r\n"
-             for s in report.switches]
+    rows += [f"switch,{label},{t},{mtp or ''},{mthq or 'NOT_REACHED'},,,\r\n"
+             for t, mtp, mthq in texts or switch_texts(report)]
     rows += [f"second,{label},,,,{sec},{names[name]},{n}\r\n"
              for sec, streams in sorted(report.seconds.items())
              for name, n in sorted(streams.items())]

@@ -1,8 +1,9 @@
 """Shared builders for randomized, structurally valid stream models, and
 straightforward reference versions of the optimized kernels, the parser,
-the decoder, the session simulator and its CSV report."""
+the decoder, the session simulator and its JSON and CSV reports."""
 
 import csv
+import json
 import math
 import random
 import struct
@@ -65,6 +66,7 @@ from svbs.simulator import (
     SchemeKind,
     SessionReport,
     SwitchSample,
+    report_to_json,
 )
 
 
@@ -903,3 +905,10 @@ def reference_write_report_csv(report: SessionReport, path) -> None:
         for sec, streams in sorted(report.seconds.items()):
             for name, n in sorted(streams.items()):
                 writer.writerow(["second", report.scheme_label, "", "", "", sec, name, n])
+
+
+def reference_write_report_json(report: SessionReport, path) -> None:
+    """The JSON report as one call of ``json.dumps`` and a newline;
+    ``simulator.write_report_json`` must equal it byte for byte."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(report_to_json(report)) + "\n")

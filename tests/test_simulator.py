@@ -10,11 +10,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import expected_gop_wait_ms, reference_run_session, reference_write_report_csv
+from helpers import (
+    expected_gop_wait_ms,
+    reference_run_session,
+    reference_write_report_csv,
+    reference_write_report_json,
+)
 from svbs.codec import encode_svc, generate_content
 from svbs.config import SequenceConfig
 from svbs.container import serialized_frame_size
-from svbs.errors import BadArgsError, EmptyTraceError, TooLargeError
+from svbs.errors import BadArgsError, EmptyTraceError, SvbsError, TooLargeError
 from svbs.geometry import Projection, ProjectionKind, Viewport, select_tiles
 from svbs.rewriter import rewrite_viewport_frame
 from svbs.simulator import (
@@ -29,6 +34,7 @@ from svbs.simulator import (
     latency_summary,
     report_to_json,
     run_session,
+    run_sessions,
     write_report_csv,
     write_report_json,
 )
@@ -306,9 +312,9 @@ def assert_same_session(got, want):
     assert list(got.seconds) == list(want.seconds)
     for sec, streams in want.seconds.items():
         assert list(got.seconds[sec].items()) == list(streams.items())
-    frames = tuple(got.frames)
-    assert frames == want.frames
-    for a, b in zip(frames, want.frames):
+    frames, want_frames = tuple(got.frames), tuple(want.frames)
+    assert frames == want_frames
+    for a, b in zip(frames, want_frames):
         assert list(a.bytes_by_stream.items()) == list(b.bytes_by_stream.items())
     assert len({id(f.bytes_by_stream) for f in frames}) == len(frames)
     assert json.dumps(report_to_json(got)) == json.dumps(report_to_json(want))
@@ -402,6 +408,75 @@ class TestMatchesReference:
                 assert_same_session(got, reference_run_session(scheme, trace, net, config, seed))
 
 
+@st.composite
+def scheme_sets(draw):
+    """A session of ``sessions()`` under svc, multitrack(G,0) and
+    multitrack(G,S) in a drawn order, over nonzero delays.  A duration past
+    the tick budget, or a bandwidth whose display times overflow (1e-307),
+    refuses; near that (1e-300) each scheme runs alone."""
+    _, trace, _, config, seed, kwargs = draw(sessions())
+    gop = draw(st.sampled_from([1, 2, 3, 6]))
+    schemes = draw(st.permutations([
+        Scheme(SchemeKind.SVC), Scheme(SchemeKind.MULTITRACK, gop, 0),
+        Scheme(SchemeKind.MULTITRACK, gop, draw(st.sampled_from([1, 2, 5])))]))
+    delay = st.floats(0, 150, exclude_min=True)
+    cap = st.none() | st.floats(1e4, 1e6) | st.sampled_from([1e-300, 1e-307])
+    network = NetworkModel(draw(delay), draw(delay), draw(cap))
+    if draw(st.integers(0, 9)) == 0:
+        kwargs["duration_ms"] = 1e13
+    return schemes, trace, network, config, seed, kwargs
+
+
+def _outcome(run):
+    """What ``run()`` returns, or the type and message of the error it raises."""
+    try:
+        return run()
+    except SvbsError as exc:
+        return type(exc), str(exc)
+
+
+class TestRunSessions:
+    """One ``run_sessions`` call shares its timeline across its schemes; each
+    report must equal the scheme's session run alone, and a refusal must be
+    the first one its schemes meet run one by one."""
+
+    @given(scheme_sets())
+    @settings(max_examples=60, deadline=None)
+    # svc's session ends in second 1 and multitrack(6,5)'s in second 2.
+    @example(([Scheme(SchemeKind.SVC), Scheme(SchemeKind.MULTITRACK, 6, 0),
+               Scheme(SchemeKind.MULTITRACK, 6, 5)],
+              [(0.0, _POOL[0]), (1800.0, _POOL[1])], NetworkModel(10.0, 20.0),
+              SequenceConfig(width=96, height=48, tile_cols=6, tile_rows=4, gop_size=3), 1,
+              dict(projection_kind=ProjectionKind.ERP, duration_ms=None)))
+    def test_equals_each_scheme_alone(self, call):
+        schemes, trace, network, config, seed, kwargs = call
+        alone = _outcome(lambda: [run_session(scheme, trace, network, config, seed, **kwargs)
+                                  for scheme in schemes])
+        got = _outcome(lambda: run_sessions(schemes, trace, network, config, seed, **kwargs))
+        if isinstance(alone, tuple):
+            assert got == alone
+            return
+        assert isinstance(got, list) and len(got) == len(schemes)
+        for report, scheme, one in zip(got, schemes, alone):
+            assert_same_session(report, one)
+            assert_same_session(report, reference_run_session(scheme, trace, network, config,
+                                                              seed, **kwargs))
+
+    def test_an_earlier_overflow_is_refused_first(self):
+        """svc's session fits and the second scheme's cycle is over the content
+        budget (see ``test_over_budget_is_refused_before_allocating``), but
+        this bandwidth overflows svc's display times, which alone svc refuses
+        first."""
+        config = SequenceConfig(width=96, height=48, tile_cols=6, tile_rows=4, gop_size=10)
+        schemes = [Scheme(SchemeKind.SVC), Scheme(SchemeKind.MULTITRACK, 1000, 999)]
+        trace = [(0.0, VIEW_A), (1e7, VIEW_B)]
+        network = NetworkModel(bandwidth_bytes_per_s=1e-307)
+        with pytest.raises(TooLargeError, match="display times overflow"):
+            run_session(schemes[0], trace, network, config, 1)
+        with pytest.raises(TooLargeError, match="display times overflow"):
+            run_sessions(schemes, trace, network, config, 1)
+
+
 class TestTraceValidation:
     def test_empty_trace(self):
         with pytest.raises(EmptyTraceError):
@@ -416,20 +491,24 @@ class TestTraceValidation:
         assert [(s.mtp_ms, s.mthq_ms) for s in report.switches] == [(None, None)]
 
     @pytest.mark.parametrize(
-        "scheme, trace, message",
-        [(Scheme(SchemeKind.SVC), [(0.0, VIEW_A), (1e13, VIEW_B)], "session tick budget"),
+        "schemes, trace, message",
+        [([Scheme(SchemeKind.SVC)], [(0.0, VIEW_A), (1e13, VIEW_B)], "session tick budget"),
          # A session encodes at most its ticks' frames, here some 300,000 of the
          # 999,000-frame cycle: still over the content budget at 96x48.
-         (Scheme(SchemeKind.MULTITRACK, 1000, 999), [(0.0, VIEW_A), (1e7, VIEW_B)],
-          "content pixel budget")],
-        ids=["ticks", "content-cycle"],
+         ([Scheme(SchemeKind.MULTITRACK, 1000, 999)], [(0.0, VIEW_A), (1e7, VIEW_B)],
+          "content pixel budget"),
+         # svc's 300,000 ticks fit, but no column is built before the second
+         # scheme's tables are looked up.
+         ([Scheme(SchemeKind.SVC), Scheme(SchemeKind.MULTITRACK, 1000, 999)],
+          [(0.0, VIEW_A), (1e7, VIEW_B)], "content pixel budget")],
+        ids=["ticks", "content-cycle", "second-scheme"],
     )
-    def test_over_budget_is_refused_before_allocating(self, scheme, trace, message):
+    def test_over_budget_is_refused_before_allocating(self, schemes, trace, message):
         config = SequenceConfig(width=96, height=48, tile_cols=6, tile_rows=4, gop_size=10)
         tracemalloc.start()
         try:
             with pytest.raises(TooLargeError, match=message):
-                run_session(scheme, trace, NetworkModel(), config, 1)
+                run_sessions(schemes, trace, NetworkModel(), config, 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -524,8 +603,9 @@ def _same_json(a, b) -> bool:
 
 class TestReportWriter:
     """``write_report_json`` writes ``report_to_json`` on one line, which must
-    load back to the same values.  ``write_report_csv`` formats its rows
-    itself; it must equal ``csv.writer`` byte for byte."""
+    load back to the same values and equal ``json.dumps`` byte for byte.
+    ``write_report_csv`` formats its rows itself; it must equal ``csv.writer``
+    byte for byte.  Both read each switch's numbers from one text."""
 
     @given(reports())
     @settings(max_examples=200, deadline=None)
@@ -534,15 +614,42 @@ class TestReportWriter:
         "multitrack(30,5)", -0.0,
         [SwitchSample(5e-324, None, None), SwitchSample(1e16, 1e-7, None)],
         {3: {"low": 2**53 + 1, "long": 7}, 0: {"low": 1, "long": 2, "short": 3}, 9: {}}))
+    @example(SessionReport("svc", 0.0, [SwitchSample(0.0, -0.0, 0.0),
+                                        SwitchSample(-0.0, 0.0, -0.0),
+                                        SwitchSample(1.0, -0.0, -0.0)], {}))
+    @example(SessionReport(
+        "svc", float("nan"),
+        [SwitchSample(float("nan"), float("inf"), float("-inf")),
+         SwitchSample(float("inf"), float("-inf"), float("nan")),
+         SwitchSample(float("-inf"), float("nan"), float("inf")),
+         SwitchSample(1.0, float("inf"), float("inf")), SwitchSample(2.0, None, None)],
+        {}))
+    @example(SessionReport("svc", 1e22, [SwitchSample(5e-324, 1e16, 1e22),
+                                         SwitchSample(1e22, 5e-324, 5e-324)], {}))
+    @example(SessionReport(
+        'q"b\\s\u00e9\u2603\n', 1000 / 30, [SwitchSample(1.0, 2.0, None)],
+        {0: {'q"': 1, "b\\": 2, "\u00e9": 3, "\u2603": 4, "\x00": 5}}))
+    @example(SessionReport("multitrack(30,5)", 1000 / 30, [],
+                           {1: {"low": 0, "long": 0}, 0: {"short": 0}}))
+    @example(SessionReport("svc", 1000 / 30, [],
+                           {5: {"low": 1}, -2: {"low": 2}, 3: {"low": 3}}))
+    @example(SessionReport("multitrack(30,5)", 1000 / 30, [],
+                           {0: {"low": 1, "long": 2, "short": 3},
+                            1: {"short": 4, "low": 5, "long": 6}}))
     def test_one_line_loading_to_report_to_json(self, tmp_path_factory, report):
         path = tmp_path_factory.getbasetemp() / "report-writer.json"
         write_report_json(report, path)
-        text = path.read_text()
+        got = path.read_bytes()
+        text = got.decode()
         assert text.endswith("\n") and text.count("\n") == 1
         assert _same_json(json.loads(text), report_to_json(report))
+        reference_write_report_json(report, path)
+        assert got == path.read_bytes()
 
     @given(reports())
     @settings(max_examples=200, deadline=None)
+    @example(SessionReport("svc", 1000 / 30, [SwitchSample(1.0, 0.0, -0.0),
+                                              SwitchSample(2.0, -0.0, 0.0)], {}))
     @example(SessionReport("", 1000 / 30, [SwitchSample(0.0, None, None)], {0: {"": 5}}))
     @example(SessionReport(
         'a,"b"\r\n c', 1000 / 30,
