@@ -46,6 +46,9 @@ MIN_ZERO_RUN = 6
 # Samples one generated content may hold, 1 GiB: frames times frame pixels.
 CONTENT_PIXEL_BUDGET = 1 << 30
 
+# Tiles one encode may hold, frames times tiles per frame: 1 GiB at 256 B a tile.
+ENCODED_TILE_BUDGET = 1 << 22
+
 _RUN_ZERO = 0
 _RUN_LITERAL = 1
 _RECORD = struct.Struct("<BI")  # run_type u8, length u32
@@ -338,6 +341,13 @@ def _delta_layer(
 # --- encoders ----------------------------------------------------------------
 
 
+def _check_tile_budget(frames: int, *grids: tuple[int, int]) -> None:
+    tiles = sum(cols * rows for cols, rows in grids)
+    if frames * tiles > ENCODED_TILE_BUDGET:
+        raise TooLargeError(f"{frames} frames of {tiles} tiles exceed the encoded tile "
+                            f"budget {ENCODED_TILE_BUDGET}")
+
+
 def encode_svc(source: VideoSource) -> Bitstream:
     """Two-layer encode: delta-coded base plus base-referenced enhanced tiles.
 
@@ -349,6 +359,7 @@ def encode_svc(source: VideoSource) -> Bitstream:
     config = source.config
     gop = config.gop_size
     sf = config.scale_factor
+    _check_tile_budget(len(source.frames), config.layer_grid(True), config.layer_grid(False))
     base_regions = config.layer_regions(base=True)
     regions = config.layer_regions(base=False)
     bases = [downsample(f, sf) for f in source.frames]
@@ -396,6 +407,7 @@ def encode_track(source: VideoSource, gop: int, resolution: TrackResolution) -> 
     sf = 1 if full else source.config.scale_factor
     config = replace(source.config, scale_factor=sf, gop_size=gop, ref_window=1,
                      base_single_tile=not full)
+    _check_tile_budget(len(source.frames), config.layer_grid(True))
     frames = source.frames if full else [downsample(f, sf) for f in source.frames]
     regions = config.layer_regions(base=True)
     return Bitstream(config=config, frames=tuple(

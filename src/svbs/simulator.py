@@ -148,8 +148,8 @@ class _FrameLogs(Sequence):
 # --- per-frame size tables ---------------------------------------------------
 
 
-# An entry holds only read-only integer arrays, a few KiB at any resolution;
-# frames and sources are never cached.
+# Up to 32 entries of read-only integer arrays, frames x tiles x 8 bytes per stream
+# (15.6 MB for a 30-frame cycle at 255x255 tiles); frames and sources are never cached.
 @lru_cache(maxsize=32)
 def _stream_tables(
     config: SequenceConfig,
@@ -205,10 +205,11 @@ def run_sessions(schemes: Sequence[Scheme], trace: list[tuple[float, Viewport]],
     Every tick is computed at once as a column (the pose the server knows,
     the bytes of each stream, the display time), with the same float
     operations a per-tick loop would do, so the results are the same bits.
-    Each distinct tile set is a boolean row of one ``member`` matrix.  The
-    sessions read prefixes of one timeline (tile sets, known poses, tick and
-    second boundaries, display times without a bandwidth cap), built after
-    every scheme's budget and tables are checked in order.
+    Each distinct tile set is a boolean row of one ``member`` matrix.
+    Every scheme's tick budget and size tables are checked first, in scheme
+    order, before anything is allocated; then the sessions run in order,
+    reading prefixes of one timeline (tile sets, known poses, tick and second
+    boundaries), and each refuses if its own display times overflow.
     """
     if not trace:
         raise EmptyTraceError("viewport trace is empty")
@@ -219,18 +220,6 @@ def run_sessions(schemes: Sequence[Scheme], trace: list[tuple[float, Viewport]],
     period = config.frame_period_ms
     projection = Projection(projection_kind, config.width, config.height)
 
-    def display_ms(arrival):  # the first frame boundary strictly after; inf on overflow
-        with np.errstate(over="ignore"):
-            return (np.floor(arrival / period + _TICK_EPS) + 1) * period
-
-    # If a display time may overflow (a tick at the budget, 2**63 bytes), each
-    # scheme runs alone, so an overflow is refused before the next's budget.
-    if len(schemes) > 1 and not np.isfinite(display_ms(
-            SESSION_TICK_BUDGET * period + network.downlink_delay_ms
-            + network.serialization_ms(2.0 ** 63))):
-        return [run_session(scheme, trace, network, config, source_seed,
-                            projection_kind=projection_kind, duration_ms=duration_ms)
-                for scheme in schemes]
     plans = []
     for scheme in schemes:
         if scheme.kind == SchemeKind.SVC:
@@ -279,9 +268,6 @@ def run_sessions(schemes: Sequence[Scheme], trace: list[tuple[float, Viewport]],
     all_known = np.searchsorted(arrivals, all_t_k + period * _TICK_EPS, side="right")
     second = all_t_k // 1000.0
     second_starts = np.flatnonzero(np.diff(second, prepend=-1.0))
-    # Without a bandwidth cap, every session reads one display column.
-    downlinked = all_t_k + network.downlink_delay_ms
-    all_display = None if network.bandwidth_bytes_per_s else display_ms(downlinked)
 
     def region(header, tiles, stub):
         # Bytes of every tile set (a row of member) in every frame of the cycle.
@@ -312,10 +298,11 @@ def run_sessions(schemes: Sequence[Scheme], trace: list[tuple[float, Viewport]],
         else:
             hq, hq_ids = member, region_set
 
-        total = sum(streams.values())
+        # The first frame boundary strictly after arrival; inf on overflow.
         with np.errstate(over="ignore"):
-            display = (all_display[:n_ticks] if all_display is not None else
-                       display_ms(downlinked[:n_ticks] + network.serialization_ms(total)))
+            arrival = (all_t_k[:n_ticks] + network.downlink_delay_ms
+                       + network.serialization_ms(sum(streams.values())))
+            display = (np.floor(arrival / period + _TICK_EPS) + 1) * period
         if not np.isfinite(display).all():
             raise TooLargeError("display times overflow a float; raise the bandwidth or "
                                 "lower the downlink delay")

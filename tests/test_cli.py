@@ -398,6 +398,10 @@ class TestMalformedArguments:
             ([*SIMULATE, "--seed", "-1"], "seed must be >= 0"),
             (["generate", *SMALL, "--frames", "100000000", "--out", "{out}"],
              "exceed the content pixel budget"),
+            # 255x255 tiles: 64 frames hold about 1 GiB of encoded model, 65 are refused.
+            (["encode", "--width", "510", "--height", "510", "--tile-cols", "255",
+              "--tile-rows", "255", "--frames", "65", "--out", "{out}"],
+             "65 frames of 65026 tiles exceed the encoded tile budget"),
             # A session encodes at most its own ticks' frames: about 600,000 of
             # the 999,000-frame cycle, still over the budget at 64x32.
             ([*SIMULATE, "--trace", "{dir}/long.jsonl", "--scheme", "multitrack(1000,999)"],
@@ -443,7 +447,8 @@ class TestMalformedArguments:
              "report-unknown-row-kind",
              "generate-negative-seed", "encode-negative-seed", "encode-scale-factor-0",
              "simulate-negative-seed",
-             "generate-over-pixel-budget", "scheme-cycle-over-pixel-budget",
+             "generate-over-pixel-budget", "encode-over-tile-budget",
+             "scheme-cycle-over-pixel-budget",
              "scheme-gop-over-u16", "scheme-gop-huge", "trace-over-tick-budget",
              "dash-led-tile-outside-grid", "dash-led-tiles-not-numbers",
              "dash-led-viewport-not-numbers", "dash-led-viewport-too-short",

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from svbs.codec import (
     CONTENT_PIXEL_BUDGET,
+    ENCODED_TILE_BUDGET,
     MIN_ZERO_RUN,
     RasterFrame,
     TrackResolution,
@@ -331,6 +332,21 @@ class TestContent:
             try:
                 with pytest.raises(TooLargeError, match="content pixel budget"):
                     generate_content(1, config, frames)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
+
+    def test_encode_over_tile_budget_is_refused_before_the_first_frame(self):
+        # 255x255 tiles: one base tile and 65,025 enhanced tiles per SVC frame.
+        config = SequenceConfig(width=510, height=510, tile_cols=255, tile_rows=255)
+        frame = generate_content(1, config, 1).frames[0]
+        source = VideoSource(config, (frame,) * (ENCODED_TILE_BUDGET // 65_025 + 1))
+        for encode in (encode_svc, lambda s: encode_track(s, 30, TrackResolution.FULL)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(TooLargeError, match="encoded tile budget"):
+                    encode(source)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()

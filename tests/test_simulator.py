@@ -413,7 +413,7 @@ def scheme_sets(draw):
     """A session of ``sessions()`` under svc, multitrack(G,0) and
     multitrack(G,S) in a drawn order, over nonzero delays.  A duration past
     the tick budget, or a bandwidth whose display times overflow (1e-307),
-    refuses; near that (1e-300) each scheme runs alone."""
+    refuses; near that (1e-300) a display time is close to overflowing."""
     _, trace, _, config, seed, kwargs = draw(sessions())
     gop = draw(st.sampled_from([1, 2, 3, 6]))
     schemes = draw(st.permutations([
@@ -437,8 +437,9 @@ def _outcome(run):
 
 class TestRunSessions:
     """One ``run_sessions`` call shares its timeline across its schemes; each
-    report must equal the scheme's session run alone, and a refusal must be
-    the first one its schemes meet run one by one."""
+    report must equal the scheme's session run alone.  A call checks every
+    scheme's budgets before it computes a session, so it refuses with the first
+    budget refusal in scheme order, or else the first display overflow."""
 
     @given(scheme_sets())
     @settings(max_examples=60, deadline=None)
@@ -448,13 +449,21 @@ class TestRunSessions:
               [(0.0, _POOL[0]), (1800.0, _POOL[1])], NetworkModel(10.0, 20.0),
               SequenceConfig(width=96, height=48, tile_cols=6, tile_rows=4, gop_size=3), 1,
               dict(projection_kind=ProjectionKind.ERP, duration_ms=None)))
+    # svc's display times overflow, and multitrack(2049,0)'s 2,049-frame cycle
+    # is over the content budget at 1024x512: the budget is refused first.
+    @example(([Scheme(SchemeKind.SVC), Scheme(SchemeKind.MULTITRACK, 2049, 0)],
+              [(0.0, _POOL[0]), (100.0, _POOL[1])], NetworkModel(bandwidth_bytes_per_s=1e-307),
+              SequenceConfig(width=1024, height=512, tile_cols=4, tile_rows=4, gop_size=3), 1,
+              dict(projection_kind=ProjectionKind.ERP, duration_ms=None)))
     def test_equals_each_scheme_alone(self, call):
         schemes, trace, network, config, seed, kwargs = call
-        alone = _outcome(lambda: [run_session(scheme, trace, network, config, seed, **kwargs)
-                                  for scheme in schemes])
+        alone = [_outcome(lambda: run_session(scheme, trace, network, config, seed, **kwargs))
+                 for scheme in schemes]
         got = _outcome(lambda: run_sessions(schemes, trace, network, config, seed, **kwargs))
-        if isinstance(alone, tuple):
-            assert got == alone
+        refusals = [one for one in alone if isinstance(one, tuple)]
+        if refusals:
+            budget = [one for one in refusals if "display times overflow" not in one[1]]
+            assert got == (budget or refusals)[0]
             return
         assert isinstance(got, list) and len(got) == len(schemes)
         for report, scheme, one in zip(got, schemes, alone):
@@ -462,18 +471,18 @@ class TestRunSessions:
             assert_same_session(report, reference_run_session(scheme, trace, network, config,
                                                               seed, **kwargs))
 
-    def test_an_earlier_overflow_is_refused_first(self):
-        """svc's session fits and the second scheme's cycle is over the content
-        budget (see ``test_over_budget_is_refused_before_allocating``), but
-        this bandwidth overflows svc's display times, which alone svc refuses
-        first."""
+    def test_a_later_budget_is_refused_before_an_earlier_overflow(self):
+        """This bandwidth overflows svc's display times, which svc alone
+        refuses, but the second scheme's cycle is over the content budget
+        (see ``test_over_budget_is_refused_before_allocating``), and a call
+        checks every budget before it computes a session."""
         config = SequenceConfig(width=96, height=48, tile_cols=6, tile_rows=4, gop_size=10)
         schemes = [Scheme(SchemeKind.SVC), Scheme(SchemeKind.MULTITRACK, 1000, 999)]
         trace = [(0.0, VIEW_A), (1e7, VIEW_B)]
         network = NetworkModel(bandwidth_bytes_per_s=1e-307)
         with pytest.raises(TooLargeError, match="display times overflow"):
             run_session(schemes[0], trace, network, config, 1)
-        with pytest.raises(TooLargeError, match="display times overflow"):
+        with pytest.raises(TooLargeError, match="content pixel budget"):
             run_sessions(schemes, trace, network, config, 1)
 
 
@@ -491,24 +500,28 @@ class TestTraceValidation:
         assert [(s.mtp_ms, s.mthq_ms) for s in report.switches] == [(None, None)]
 
     @pytest.mark.parametrize(
-        "schemes, trace, message",
-        [([Scheme(SchemeKind.SVC)], [(0.0, VIEW_A), (1e13, VIEW_B)], "session tick budget"),
+        "schemes, trace, network, message",
+        [([Scheme(SchemeKind.SVC)], [(0.0, VIEW_A), (1e13, VIEW_B)], NetworkModel(),
+          "session tick budget"),
          # A session encodes at most its ticks' frames, here some 300,000 of the
          # 999,000-frame cycle: still over the content budget at 96x48.
          ([Scheme(SchemeKind.MULTITRACK, 1000, 999)], [(0.0, VIEW_A), (1e7, VIEW_B)],
-          "content pixel budget"),
+          NetworkModel(), "content pixel budget"),
          # svc's 300,000 ticks fit, but no column is built before the second
-         # scheme's tables are looked up.
-         ([Scheme(SchemeKind.SVC), Scheme(SchemeKind.MULTITRACK, 1000, 999)],
-          [(0.0, VIEW_A), (1e7, VIEW_B)], "content pixel budget")],
-        ids=["ticks", "content-cycle", "second-scheme"],
+         # scheme's tables are looked up, whatever the bandwidth: at 1e-300 B/s
+         # svc's display times come close to overflowing, at 1e-307 they do.
+         *[([Scheme(SchemeKind.SVC), Scheme(SchemeKind.MULTITRACK, 1000, 999)],
+            [(0.0, VIEW_A), (1e7, VIEW_B)], NetworkModel(bandwidth_bytes_per_s=cap),
+            "content pixel budget") for cap in (None, 1e-300, 1e-307)]],
+        ids=["ticks", "content-cycle", "second-scheme", "second-scheme-1e-300",
+             "second-scheme-1e-307"],
     )
-    def test_over_budget_is_refused_before_allocating(self, schemes, trace, message):
+    def test_over_budget_is_refused_before_allocating(self, schemes, trace, network, message):
         config = SequenceConfig(width=96, height=48, tile_cols=6, tile_rows=4, gop_size=10)
         tracemalloc.start()
         try:
             with pytest.raises(TooLargeError, match=message):
-                run_sessions(schemes, trace, NetworkModel(), config, 1)
+                run_sessions(schemes, trace, network, config, 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
