@@ -23,6 +23,7 @@ from threading import Thread
 from . import __version__
 from .codec import (
     TrackResolution,
+    check_budgets,
     decode_frame,
     encode_svc,
     encode_track,
@@ -197,11 +198,10 @@ def _cmd_generate(args) -> int:
 
 def _cmd_encode(args) -> int:
     config = _config_from_args(args)
+    resolution = None if args.schema == "svc" else TrackResolution(args.resolution)
+    check_budgets(config, args.frames, resolution)
     source = generate_content(args.seed, config, args.frames)
-    if args.schema == "svc":
-        stream = encode_svc(source)
-    else:
-        stream = encode_track(source, args.gop, TrackResolution(args.resolution))
+    stream = encode_svc(source) if resolution is None else encode_track(source, args.gop, resolution)
     data = serialize(stream)
     with open(args.out, "wb") as fh:
         fh.write(data)

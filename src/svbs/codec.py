@@ -49,6 +49,8 @@ CONTENT_PIXEL_BUDGET = 1 << 30
 # Tiles one encode may hold, frames times tiles per frame: 1 GiB at 256 B a tile.
 ENCODED_TILE_BUDGET = 1 << 22
 
+_BAND_ROWS = 32  # rows of the generated background built at a time
+
 _RUN_ZERO = 0
 _RUN_LITERAL = 1
 _RECORD = struct.Struct("<BI")  # run_type u8, length u32
@@ -107,25 +109,39 @@ def generate_content(seed: int, config: SequenceConfig, frame_count: int) -> Vid
         raise BadConfigError("frame_count must be >= 1")
     if seed < 0:
         raise BadConfigError(f"seed must be >= 0, not {seed}")
+    check_budgets(config, frame_count)
     w, h = config.width, config.height
-    if frame_count * w * h > CONTENT_PIXEL_BUDGET:
-        raise TooLargeError(f"{frame_count} frames of {w}x{h} exceed the content pixel "
-                            f"budget {CONTENT_PIXEL_BUDGET}")
     rng = np.random.default_rng(seed)
+    # Each wave's amp, fx, fy and phase, then pixel-level detail lost by downsampling.
+    waves = [rng.uniform((6.0, 1.0, 1.0, 0.0), (14.0, 9.0, 9.0, 2 * np.pi)) for _ in range(5)]
+    background = rng.uniform(-10.0, 10.0, size=(h, w))
 
     # A row of x against a column of y: the same float operations, element
     # for element, as over a full (h, w) grid.
     xs = np.arange(w, dtype=np.float64)
     ys = np.arange(h, dtype=np.float64)[:, None]
-    background = np.full((h, w), 128.0)
-    for _ in range(5):
-        amp = rng.uniform(6.0, 14.0)
-        fx = rng.uniform(1.0, 9.0)
-        fy = rng.uniform(1.0, 9.0)
-        phase = rng.uniform(0.0, 2 * np.pi)
-        background += amp * np.sin(2 * np.pi * (fx * xs / w + fy * ys / h) + phase)
-    # Static pixel-level detail: survives temporal deltas, lost by downsampling.
-    background += rng.uniform(-10.0, 10.0, size=(h, w))
+    rounded = np.empty((h, w), dtype=np.uint8)
+
+    def fill(starts):  # 128 + waves + noise, and its rounding, band by band
+        for rows in (slice(lo, lo + _BAND_ROWS) for lo in starts):
+            band = background[rows]
+            noise = band.copy()
+            band.fill(128.0)
+            for amp, fx, fy, phase in waves:
+                band += amp * np.sin(2 * np.pi * (fx * xs / w + fy * ys[rows] / h) + phase)
+            band += noise
+            rounded[rows] = np.clip(np.rint(band), 0, 255)
+
+    # numpy releases the GIL in these ufuncs, so a helper fills every other band.
+    starts = range(0, h, _BAND_ROWS)
+    if len(starts) == 1:
+        fill(starts)
+    else:  # imported here, off the start-up of commands that generate nothing
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(1) as pool:
+            helper = pool.submit(fill, starts[1::2])
+            fill(starts[::2])
+            helper.result()
 
     n_blobs = 4
     blob_amp = rng.uniform(40.0, 70.0, size=n_blobs)
@@ -141,7 +157,6 @@ def generate_content(seed: int, config: SequenceConfig, frame_count: int) -> Vid
     # rounded background, then puts the background back under them.  Each
     # pixel gets the float operations of a full-grid evaluation in the same
     # order, so it keeps its value bit for bit.
-    rounded = np.clip(np.rint(background), 0, 255).astype(np.uint8)
     img = background.copy()
     frames = []
     for t in range(frame_count):
@@ -286,20 +301,14 @@ def rle_decompress(data: bytes, size: int) -> bytes:
 # --- tiled delta coding ------------------------------------------------------
 
 
-def _tile_groups(
-    cur: np.ndarray, ref: np.ndarray | None, regions: list[tuple[slice, slice]]
-) -> tuple[TileGroup, ...]:
-    """One single-tile CODED group per region of the plane ``cur`` (see
-    ``SequenceConfig.layer_regions``), in raster order.  A tile codes its
-    samples, or with a ``ref`` plane their mod-256 difference from it (uint8
-    arithmetic wraps)."""
-    groups = []
-    for t, (rs, cs) in enumerate(regions):
-        data = cur[rs, cs] if ref is None else cur[rs, cs] - ref[rs, cs]
-        payload = rle_compress(data.tobytes())
-        tile = Tile(t, _CODED, coded_payload=payload)
-        groups.append(TileGroup(tg_start=t, tg_end=t, tiles=(tile,)))
-    return tuple(groups)
+def _tile_groups(plane: np.ndarray, regions: list[tuple[slice, slice]]) -> tuple[TileGroup, ...]:
+    """One single-tile CODED group per region of ``plane`` (see
+    ``SequenceConfig.layer_regions``), in raster order, coding the region's
+    samples: a layer's samples, or their mod-256 difference from a reference
+    plane (uint8 arithmetic wraps)."""
+    tiles = (Tile(t, _CODED, coded_payload=rle_compress(plane[rs, cs].tobytes()))
+             for t, (rs, cs) in enumerate(regions))
+    return tuple(TileGroup(tg_start=t.tile_index, tg_end=t.tile_index, tiles=(t,)) for t in tiles)
 
 
 def _decode_tiles(
@@ -334,18 +343,28 @@ def _delta_layer(
         layer_id=_BASE,
         frame_type=_KEY if key else _INTER,
     )
-    ref = None if key else frames[i - 1].samples
-    return LayerFrame(header, _tile_groups(frames[i].samples, ref, regions))
+    plane = frames[i].samples if key else frames[i].samples - frames[i - 1].samples
+    return LayerFrame(header, _tile_groups(plane, regions))
 
 
 # --- encoders ----------------------------------------------------------------
 
 
-def _check_tile_budget(frames: int, *grids: tuple[int, int]) -> None:
-    tiles = sum(cols * rows for cols, rows in grids)
-    if frames * tiles > ENCODED_TILE_BUDGET:
-        raise TooLargeError(f"{frames} frames of {tiles} tiles exceed the encoded tile "
-                            f"budget {ENCODED_TILE_BUDGET}")
+def check_budgets(config: SequenceConfig, frames: int, *encodes: TrackResolution | None) -> None:
+    """Refuse ``frames`` frames of ``config`` over ``CONTENT_PIXEL_BUDGET``, then over
+    ``ENCODED_TILE_BUDGET`` for each encode in ``encodes`` (:func:`encode_svc` for None,
+    else :func:`encode_track` at that resolution), before anything is allocated."""
+    w, h = config.width, config.height
+    if frames * w * h > CONTENT_PIXEL_BUDGET:
+        raise TooLargeError(f"{frames} frames of {w}x{h} exceed the content pixel "
+                            f"budget {CONTENT_PIXEL_BUDGET}")
+    grid = config.tile_cols * config.tile_rows
+    per_frame = {None: grid + math.prod(config.layer_grid(True)),  # base and enhanced layers
+                 TrackResolution.FULL: grid, TrackResolution.BASE: 1}
+    for tiles in (per_frame[resolution] for resolution in encodes):
+        if frames * tiles > ENCODED_TILE_BUDGET:
+            raise TooLargeError(f"{frames} frames of {tiles} tiles exceed the encoded tile "
+                                f"budget {ENCODED_TILE_BUDGET}")
 
 
 def encode_svc(source: VideoSource) -> Bitstream:
@@ -359,7 +378,7 @@ def encode_svc(source: VideoSource) -> Bitstream:
     config = source.config
     gop = config.gop_size
     sf = config.scale_factor
-    _check_tile_budget(len(source.frames), config.layer_grid(True), config.layer_grid(False))
+    check_budgets(config, len(source.frames), None)
     base_regions = config.layer_regions(base=True)
     regions = config.layer_regions(base=False)
     bases = [downsample(f, sf) for f in source.frames]
@@ -370,8 +389,8 @@ def encode_svc(source: VideoSource) -> Bitstream:
         candidates = [o for o in range(config.ref_window) if i - o >= gop_start]
         best = None
         for off in candidates:
-            ref = upsample_nearest(bases[i - off], sf).samples
-            groups = _tile_groups(frame.samples, ref, regions)
+            groups = _tile_groups(frame.samples - upsample_nearest(bases[i - off], sf).samples,
+                                  regions)
             total = sum(len(g.tiles[0].coded_payload) for g in groups)
             if best is None or total < best[0]:
                 best = (total, off, groups)
@@ -403,11 +422,11 @@ def encode_track(source: VideoSource, gop: int, resolution: TrackResolution) -> 
     """
     if not isinstance(resolution, TrackResolution):
         raise BadConfigError(f"unknown track resolution {resolution!r}")
+    check_budgets(source.config, len(source.frames), resolution)
     full = resolution is TrackResolution.FULL
     sf = 1 if full else source.config.scale_factor
     config = replace(source.config, scale_factor=sf, gop_size=gop, ref_window=1,
                      base_single_tile=not full)
-    _check_tile_budget(len(source.frames), config.layer_grid(True))
     frames = source.frames if full else [downsample(f, sf) for f in source.frames]
     regions = config.layer_regions(base=True)
     return Bitstream(config=config, frames=tuple(

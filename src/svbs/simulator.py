@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .codec import encode_svc, encode_track, generate_content, TrackResolution
+from .codec import check_budgets, encode_svc, encode_track, generate_content, TrackResolution
 from .config import SequenceConfig
 from .container import STUB_GROUP_SIZE, LayerId, rate_records
 from .errors import BadArgsError, EmptyTraceError, TooLargeError
@@ -163,6 +163,7 @@ def _stream_tables(
     None gives an SVC encode's ``base`` and ``enhanced`` layers; otherwise each
     (gop, resolution) track is one BASE-layer stream.  An ENHANCED layer sends
     a ``STUB_GROUP_SIZE`` stub per tile outside, any other layer nothing."""
+    check_budgets(config, frames, *([None] if tracks is None else [res for _, res in tracks]))
     source = generate_content(seed, config, frames)
     streams = ((encode_svc(source),) if tracks is None
                else (encode_track(source, gop, res) for gop, res in tracks))

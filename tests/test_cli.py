@@ -12,6 +12,7 @@ import struct
 import subprocess
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -19,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import svbs
+import svbs.cli
 
 from svbs.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from svbs.codec import decode_frame, downsample, encode_svc, generate_content, upsample_nearest
@@ -35,6 +37,7 @@ from svbs.container import (
     serialize_sequence_header,
     serialized_frame_size,
 )
+from svbs.errors import TooLargeError
 from svbs.geometry import Viewport, select_tiles, write_viewport_trace
 from svbs.rewriter import rewrite_viewport_frame
 
@@ -469,6 +472,41 @@ class TestMalformedArguments:
         assert [line for line in err.splitlines() if line.startswith("error: ")] == [
             err.strip()]
         assert "Traceback" not in err
+        assert not out.exists()
+
+
+class TestBudgetsBeforeContent:
+    # 255x255 tiles: an SVC frame has one base tile and 65,025 enhanced ones,
+    # a FULL track frame 65,025.  A BASE track frame is one tile, so 2^22 + 1
+    # frames are refused at 16x8, whose content (537 MB) is under its budget.
+    @pytest.mark.parametrize("argv, message", [
+        (["--width", "510", "--height", "510", "--tile-cols", "255", "--tile-rows", "255",
+          "--frames", "500"], "500 frames of 65026 tiles"),
+        (["--width", "510", "--height", "510", "--tile-cols", "255", "--tile-rows", "255",
+          "--frames", "500", "--schema", "track"], "500 frames of 65025 tiles"),
+        (["--width", "16", "--height", "8", "--tile-cols", "1", "--tile-rows", "1",
+          "--frames", "4194305", "--schema", "track", "--resolution", "base"],
+         "4194305 frames of 1 tiles"),
+    ], ids=["svc", "full-track", "base-track"])
+    def test_encode_over_tile_budget_generates_nothing(self, tmp_path, capsys, monkeypatch,
+                                                        argv, message):
+        calls = []
+
+        def counted(*args):  # refuses too, so a missed check fails fast
+            calls.append(args)
+            raise TooLargeError("generate_content was called")
+
+        monkeypatch.setattr(svbs.cli, "generate_content", counted)
+        out = tmp_path / "out.svb"
+        tracemalloc.start()
+        try:
+            rc = main(["encode", *argv, "--out", str(out)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rc == EXIT_DATA
+        assert f"{message} exceed the encoded tile budget" in capsys.readouterr().err
+        assert calls == [] and peak < 1 << 20
         assert not out.exists()
 
 

@@ -6,6 +6,7 @@ import hashlib
 import math
 import random
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
@@ -20,6 +21,7 @@ from svbs.codec import (
     RasterFrame,
     TrackResolution,
     VideoSource,
+    _BAND_ROWS,
     decode_frame,
     downsample,
     encode_svc,
@@ -410,6 +412,71 @@ class TestContent:
         lo, hi = math.floor(center - radius) - 1, math.ceil(center + radius) + 1
         covered = np.concatenate([np.arange(size)[r] for r in runs])
         assert sorted(covered) == sorted({i % size for i in range(lo, hi + 1)})
+
+
+class TestContentBands:
+    """``generate_content`` builds its background in bands of ``_BAND_ROWS``
+    rows, split between the caller and one helper thread."""
+
+    # 1, 1, 2, 3 and 4 bands.
+    @pytest.mark.parametrize("height", [_BAND_ROWS - 2, _BAND_ROWS, _BAND_ROWS + 2,
+                                        2 * _BAND_ROWS + 2, 3 * _BAND_ROWS + 2])
+    def test_matches_full_grid_reference_across_band_seams(self, height):
+        width, frames = 2 * height, 12
+        got = [f.samples for f in generate_content(2, SequenceConfig(width=width, height=height),
+                                                   frames).frames]
+        want = reference_generate_content_frames(2, width, height, frames)
+        assert [f.tobytes() for f in got] == [f.tobytes() for f in want]
+        # At seed 2 a blob lies across every seam: in some frame a column
+        # changes on both of the seam's rows.
+        for lo in range(_BAND_ROWS, height, _BAND_ROWS):
+            assert any(np.any((f[lo - 1] != got[0][lo - 1]) & (f[lo] != got[0][lo]))
+                       for f in got[1:])
+
+    @staticmethod
+    def spy_on_sin(monkeypatch, fail_in=None):
+        """Record the thread of every ``np.sin`` call, and "start" for every
+        thread started; raise in ``fail_in`` ("caller" or "helper")."""
+        threads, sin, start = [], np.sin, threading.Thread.start
+
+        def spy_start(thread):
+            threads.append("start")
+            start(thread)
+
+        def spy(x):
+            on_caller = threading.current_thread() is threading.main_thread()
+            threads.append("caller" if on_caller else "helper")
+            if threads[-1] == fail_in:
+                raise RuntimeError(f"sin failed on the {fail_in}")
+            return sin(x)
+
+        monkeypatch.setattr(np, "sin", spy)
+        monkeypatch.setattr(threading.Thread, "start", spy_start)
+        return threads
+
+    def test_one_band_starts_no_thread(self, monkeypatch):
+        threads = self.spy_on_sin(monkeypatch)
+        before = threading.active_count()
+        generate_content(1, SequenceConfig(width=64, height=_BAND_ROWS), 2)
+        assert threads == ["caller"] * 5
+        assert threading.active_count() == before
+
+    def test_helper_fills_every_other_band_and_is_joined(self, monkeypatch):
+        threads = self.spy_on_sin(monkeypatch)
+        before = threading.active_count()
+        generate_content(1, SequenceConfig(width=64, height=3 * _BAND_ROWS + 2), 2)
+        # Four bands of five waves each: bands 0 and 2 on the caller, 1 and 3
+        # on the one helper.
+        assert sorted(threads) == ["caller"] * 10 + ["helper"] * 10 + ["start"]
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("fail_in", ["helper", "caller"])
+    def test_exception_reaches_the_caller_and_the_helper_is_joined(self, monkeypatch, fail_in):
+        self.spy_on_sin(monkeypatch, fail_in)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"sin failed on the {fail_in}"):
+            generate_content(1, SequenceConfig(width=64, height=3 * _BAND_ROWS + 2), 2)
+        assert threading.active_count() == before
 
 
 # SHA-256 digests of the content generator and of both encoders' serialized

@@ -16,6 +16,7 @@ from helpers import (
     reference_write_report_csv,
     reference_write_report_json,
 )
+from svbs import simulator
 from svbs.codec import encode_svc, generate_content
 from svbs.config import SequenceConfig
 from svbs.container import serialized_frame_size
@@ -526,6 +527,24 @@ class TestTraceValidation:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_over_tile_budget_generates_nothing(self, monkeypatch):
+        # The 100-frame cycle's FULL track has 65,025 tiles a frame; 26 MB of
+        # content, under the content budget, but over the encoded tile budget.
+        config = SequenceConfig(width=510, height=510, tile_cols=255, tile_rows=255, gop_size=30)
+        schemes = [Scheme(SchemeKind.MULTITRACK, 100, 0)]
+        calls = []
+        monkeypatch.setattr(simulator, "generate_content", lambda *args: calls.append(args))
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLargeError, match="100 frames of 65025 tiles exceed the "
+                                                    "encoded tile budget"):
+                run_sessions(schemes, [(0.0, VIEW_A), (4000.0, VIEW_B)], NetworkModel(),
+                             config, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert calls == [] and peak < 1 << 20
 
     def test_session_at_the_tick_budget_stays_under_256_mib(self):
         config = SequenceConfig(width=96, height=48, tile_cols=2, tile_rows=2, gop_size=10)
