@@ -41,6 +41,7 @@ from .geometry import (
 )
 from .rewriter import rewrite_viewport_frame
 from .simulator import (
+    NOT_REACHED,
     NetworkModel,
     Scheme,
     SchemeKind,
@@ -57,6 +58,7 @@ from .simulator import (
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
+_PROJECTIONS = [kind.value for kind in ProjectionKind]  # the --projection choices
 
 
 class _Parser(argparse.ArgumentParser):
@@ -341,7 +343,7 @@ def _cmd_report(args) -> int:
                     if row["row"] == "switch":
                         mtp = float(row["mtp_ms"]) if row["mtp_ms"] else None
                         raw = row["mthq_ms"]
-                        mthq = float(raw) if raw and raw != "NOT_REACHED" else None
+                        mthq = float(raw) if raw and raw != NOT_REACHED else None
                         sample = SwitchSample(float(row["t_ms"]), mtp, mthq)
                         switches.setdefault(scheme, []).append(sample)
                     elif row["row"] == "second":
@@ -401,7 +403,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--viewport", help="yaw,pitch,hfov,vfov in degrees")
     p.add_argument("--trace", help="viewport trace file; first entry is used")
     p.add_argument("--frame", type=int, help="rewrite only this frame (default: all)")
-    p.add_argument("--projection", choices=["erp", "cubemap"], default="erp")
+    p.add_argument("--projection", choices=_PROJECTIONS, default=ProjectionKind.ERP.value)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_rewrite)
 
@@ -419,7 +421,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("select-tiles", help="print the tile set for a viewport")
     _add_config_flags(p)
     p.add_argument("--viewport", required=True, help="yaw,pitch,hfov,vfov in degrees")
-    p.add_argument("--projection", choices=["erp", "cubemap"], default="erp")
+    p.add_argument("--projection", choices=_PROJECTIONS, default=ProjectionKind.ERP.value)
     p.set_defaults(func=_cmd_select_tiles)
 
     p = sub.add_parser("simulate", help="run a streaming session over a viewport trace")
@@ -431,7 +433,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--uplink-ms", type=float, default=0.0)
     p.add_argument("--downlink-ms", type=float, default=0.0)
     p.add_argument("--bandwidth-bps", type=float, help="bytes per second; default: unlimited")
-    p.add_argument("--projection", choices=["erp", "cubemap"], default="erp")
+    p.add_argument("--projection", choices=_PROJECTIONS, default=ProjectionKind.ERP.value)
     p.add_argument("--jobs", type=int, default=1,
                    help="accepted and ignored: the sessions run one after another")
     p.add_argument("--out", required=True, help="output stem for report files")

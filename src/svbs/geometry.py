@@ -345,16 +345,13 @@ def write_viewport_trace(path, samples: list[tuple[float, Viewport]]) -> None:
                                  "h_fov_deg": vp.h_fov, "v_fov_deg": vp.v_fov}) + "\n")
 
 
-def read_viewport_trace(path, data: bytes | None = None) -> list[tuple[float, Viewport]]:
-    """Samples of a trace written by :func:`write_viewport_trace`, read from
-    ``data`` when the caller has read the file's bytes already.
+def read_viewport_trace(path, data: bytes) -> list[tuple[float, Viewport]]:
+    """Samples of a trace written by :func:`write_viewport_trace`, from the
+    bytes ``data`` of the file ``path``, which only names it in errors.
 
     A line that is not UTF-8 JSON, not an object with the five numeric keys,
     or not a valid pose raises BadTraceError naming the file and the line.
     """
-    if data is None:
-        with open(path, "rb") as fh:
-            data = fh.read()
     samples = []
     for lineno, raw in enumerate(data.split(b"\n"), 1):
         try:

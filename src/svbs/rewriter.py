@@ -27,19 +27,14 @@ _BASE, _ENHANCED = LayerId
 _CODED = TileKind.CODED
 
 
-def synthesize_skipped_tile(tile_index: int, config: SequenceConfig) -> Tile:
-    """Skipped stub for one grid tile; constant size for a given grid."""
-    if not 0 <= tile_index < config.tile_count:
-        raise BadIndexError(f"tile index {tile_index} outside grid")
-    return Tile(tile_index, TileKind.SKIPPED, superblock_count=config.tile_superblocks)
-
-
 # One entry holds a grid's stubs: about 210 bytes per tile, so at most some
 # 14 MB at the 255x255-tile grid, the most tiles a header can declare.
 @functools.lru_cache(maxsize=8)
 def _stub_groups(config: SequenceConfig) -> tuple[TileGroup, ...]:
-    """The one-stub tile group of every grid tile, shared by all rewrites."""
-    return tuple(TileGroup(t, t, (synthesize_skipped_tile(t, config),))
+    """The one-stub tile group of every grid tile, shared by all rewrites: a
+    skipped stub of the grid's superblock count, so of one size per grid."""
+    n = config.tile_superblocks
+    return tuple(TileGroup(t, t, (Tile(t, TileKind.SKIPPED, superblock_count=n),))
                  for t in range(config.tile_count))
 
 

@@ -33,6 +33,7 @@ from .errors import BadArgsError, EmptyTraceError, TooLargeError
 from .geometry import Projection, ProjectionKind, Viewport, select_tiles
 
 MTHQ_COMPLIANCE_MS = 50.0
+NOT_REACHED = "NOT_REACHED"  # the report CSV's MTHQ cell of a switch never served in HQ
 
 # Tolerance, as a fraction of one tick, absorbing float error in time/tick
 # conversions so boundary-aligned events resolve to the intended tick.
@@ -381,21 +382,6 @@ def p95(samples: list[float]) -> float:
     return ordered[idx]
 
 
-def report_to_json(report: SessionReport) -> dict:
-    return {
-        "scheme": report.scheme_label,
-        "frame_period_ms": report.frame_period_ms,
-        "switches": [
-            {"t_ms": s.t_ms, "mtp_ms": s.mtp_ms, "mthq_ms": s.mthq_ms}
-            for s in report.switches
-        ],
-        "seconds": {
-            str(sec): dict(streams) for sec, streams in sorted(report.seconds.items())
-        },
-        "total_bytes": report.total_bytes,
-    }
-
-
 def switch_texts(report: SessionReport) -> list[tuple[str, str | None, str | None]]:
     """The ``repr`` of each switch's t, MTP and MTHQ (None where absent), the
     one text of each number that both report writers read.  As -0.0 == 0.0,
@@ -408,9 +394,11 @@ def switch_texts(report: SessionReport) -> list[tuple[str, str | None, str | Non
 
 
 def write_report_json(report: SessionReport, path, texts=None) -> None:
-    """Write ``report_to_json(report)`` on one line, as ``json.dumps`` writes
-    it, and a newline.  The switches are joined from ``texts`` (by default
-    :func:`switch_texts`); the per-second table is one call of the C encoder."""
+    """Write one JSON object on one line, as ``json.dumps`` writes it, and a
+    newline: scheme, frame_period_ms, switches (each t_ms, mtp_ms and mthq_ms,
+    null where absent), seconds (second to stream to bytes) and total_bytes.
+    The switches are joined from ``texts`` (by default :func:`switch_texts`);
+    the per-second table is one call of the C encoder."""
     # JSON's spelling of the texts repr gives absent and non-finite numbers.
     j = {None: "null", "inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}.get
     switches = ", ".join(
@@ -436,7 +424,7 @@ def write_report_csv(report: SessionReport, path, texts=None) -> None:
     label = _csv_field(report.scheme_label)
     names = {name: _csv_field(name) for name in set().union(*report.seconds.values())}
     rows = ["row,scheme,t_ms,mtp_ms,mthq_ms,second,stream,bytes\r\n"]
-    rows += [f"switch,{label},{t},{mtp or ''},{mthq or 'NOT_REACHED'},,,\r\n"
+    rows += [f"switch,{label},{t},{mtp or ''},{mthq or NOT_REACHED},,,\r\n"
              for t, mtp, mthq in texts or switch_texts(report)]
     rows += [f"second,{label},,,,{sec},{names[name]},{n}\r\n"
              for sec, streams in sorted(report.seconds.items())

@@ -66,7 +66,6 @@ from svbs.simulator import (
     SchemeKind,
     SessionReport,
     SwitchSample,
-    report_to_json,
 )
 
 
@@ -905,6 +904,22 @@ def reference_write_report_csv(report: SessionReport, path) -> None:
         for sec, streams in sorted(report.seconds.items()):
             for name, n in sorted(streams.items()):
                 writer.writerow(["second", report.scheme_label, "", "", "", sec, name, n])
+
+
+def report_to_json(report: SessionReport) -> dict:
+    """The report as the JSON object ``simulator.write_report_json`` writes."""
+    return {
+        "scheme": report.scheme_label,
+        "frame_period_ms": report.frame_period_ms,
+        "switches": [
+            {"t_ms": s.t_ms, "mtp_ms": s.mtp_ms, "mthq_ms": s.mthq_ms}
+            for s in report.switches
+        ],
+        "seconds": {
+            str(sec): dict(streams) for sec, streams in sorted(report.seconds.items())
+        },
+        "total_bytes": report.total_bytes,
+    }
 
 
 def reference_write_report_json(report: SessionReport, path) -> None:

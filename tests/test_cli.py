@@ -378,6 +378,7 @@ class TestMalformedArguments:
              "v_fov outside (0, 180] degrees"),
             ([*SIMULATE, "--uplink-ms", "nan"], "delays must be nonnegative and finite"),
             ([*SIMULATE, "--bandwidth-bps", "nan"], "bandwidth must be positive and finite"),
+            ([*SIMULATE, "--bandwidth-bps", "inf"], "bandwidth must be positive and finite"),
             ([*SIMULATE, "--bandwidth-bps", "1e-305"], "display times overflow a float"),
             ([*SIMULATE, "--trace", "{dir}/forty.jsonl", "--bandwidth-bps", "1e-301"],
              "svc: the mean or median MTHQ is not finite"),
@@ -442,7 +443,7 @@ class TestMalformedArguments:
              "tiles-not-numbers", "tiles-empty-entry", "tile-outside-grid", "negative-tile",
              "fps-not-a-number", "yaw-not-finite", "pitch-outside", "h-fov-underflows",
              "v-fov-outside", "uplink-nan",
-             "bandwidth-nan", "bandwidth-overflows", "bandwidth-mean-overflows",
+             "bandwidth-nan", "bandwidth-inf", "bandwidth-overflows", "bandwidth-mean-overflows",
              "report-mean-overflows",
              "scheme-gop-not-a-number", "report-mtp-not-a-number",
              "report-without-scheme", "report-binary", "scheme-three-gops",

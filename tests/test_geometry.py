@@ -488,7 +488,7 @@ class TestTraces:
         ]
         path = tmp_path / "trace.jsonl"
         write_viewport_trace(path, samples)
-        assert read_viewport_trace(path) == samples
+        assert read_viewport_trace(path, path.read_bytes()) == samples
 
     @given(
         t_ms=st.floats(allow_nan=False, allow_infinity=False),
@@ -504,7 +504,7 @@ class TestTraces:
         samples = [(t_ms, Viewport(yaw, pitch, h_fov, v_fov))]
         path = tmp_path_factory.getbasetemp() / "round_trip.jsonl"
         write_viewport_trace(path, samples)
-        back = read_viewport_trace(path)
+        back = read_viewport_trace(path, path.read_bytes())
         # repr tells -0.0 from 0.0, which == does not.
         assert back == samples and repr(back) == repr(samples)
 
@@ -512,7 +512,7 @@ class TestTraces:
         path = tmp_path / "trace.jsonl"
         write_viewport_trace(path, [(0.0, Viewport.from_degrees(0, 0, 90, 90))])
         path.write_text(path.read_text() + "\n\n")
-        assert len(read_viewport_trace(path)) == 1
+        assert len(read_viewport_trace(path, path.read_bytes())) == 1
 
     @pytest.mark.parametrize("value", ['"500"', "true"], ids=["string", "bool"])
     @pytest.mark.parametrize("key", ["t_ms", "yaw_deg", "pitch_deg", "h_fov_deg", "v_fov_deg"])
@@ -522,11 +522,11 @@ class TestTraces:
         path = tmp_path / "trace.jsonl"
         path.write_text("{%s}\n" % ", ".join(f'"{k}": {v}' for k, v in pose.items()))
         with pytest.raises(BadTraceError, match=f"line 1: {key} must be a number"):
-            read_viewport_trace(path)
+            read_viewport_trace(path, path.read_bytes())
 
     def test_integer_past_the_float_range_is_refused(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         path.write_text('{"t_ms": 1%s, "yaw_deg": 0, "pitch_deg": 0, "h_fov_deg": 90, '
                         '"v_fov_deg": 90}\n' % ("0" * 400))
         with pytest.raises(BadTraceError, match="line 1: int too large"):
-            read_viewport_trace(path)
+            read_viewport_trace(path, path.read_bytes())

@@ -42,7 +42,7 @@ from svbs.container import (
 )
 from svbs.errors import BadIndexError, InvalidStructureError, SvbsError, TileMissingError
 from svbs.geometry import Projection, ProjectionKind, Viewport, select_tiles
-from svbs.rewriter import _stub_groups, rewrite_viewport_frame, synthesize_skipped_tile
+from svbs.rewriter import _stub_groups, rewrite_viewport_frame
 
 
 def small_config(**overrides) -> SequenceConfig:
@@ -66,18 +66,18 @@ def _tile_group_unit(group: TileGroup) -> bytes:
 class TestSkippedTileSynthesis:
     def test_superblock_count_for_hd_grid(self):
         config = SequenceConfig(width=1920, height=1152, tile_cols=3, tile_rows=3)
-        tile = synthesize_skipped_tile(0, config)
+        tile = _stub_groups(config)[0].tiles[0]
         # 640x384 tile, 64x64 superblocks: 10 x 6.
         assert tile.superblock_count == 60
 
     def test_count_rounds_up_for_partial_superblocks(self):
         config = SequenceConfig(width=72, height=36, tile_cols=2, tile_rows=1, scale_factor=3)
-        tile = synthesize_skipped_tile(1, config)
+        tile = _stub_groups(config)[1].tiles[0]
         area = config.tile_width * config.tile_height
         assert tile.superblock_count == math.ceil(area / SUPERBLOCK_SIZE**2)
 
     def test_canonical_mode(self):
-        tile = synthesize_skipped_tile(0, small_config())
+        tile = _stub_groups(small_config())[0].tiles[0]
         assert tile.tile_kind == TileKind.SKIPPED
         payload = _tile_group_unit(TileGroup(0, 0, (tile,)))[UNIT_HEADER_SIZE:]
         # partition none, skip, inter, base layer only, zero motion, no OBMC.
@@ -85,14 +85,10 @@ class TestSkippedTileSynthesis:
 
     def test_group_payload_is_compact(self):
         config = small_config()
-        tile = synthesize_skipped_tile(3, config)
+        tile = _stub_groups(config)[3].tiles[0]
         payload = _tile_group_unit(TileGroup(3, 3, (tile,)))[UNIT_HEADER_SIZE:]
         assert len(payload) <= 16
         assert UNIT_HEADER_SIZE + len(payload) == 20
-
-    def test_bad_index(self):
-        with pytest.raises(BadIndexError):
-            synthesize_skipped_tile(4, small_config())
 
 
 class TestRewriteFrame:

@@ -15,6 +15,7 @@ from helpers import (
     reference_run_session,
     reference_write_report_csv,
     reference_write_report_json,
+    report_to_json,
 )
 from svbs import simulator
 from svbs.codec import encode_svc, generate_content
@@ -33,7 +34,6 @@ from svbs.simulator import (
     SessionReport,
     SwitchSample,
     latency_summary,
-    report_to_json,
     run_session,
     run_sessions,
     write_report_csv,
@@ -546,20 +546,38 @@ class TestTraceValidation:
             tracemalloc.stop()
         assert calls == [] and peak < 1 << 20
 
+    # 500 fps: a 2 ms period, exact in binary, so a duration of a whole number
+    # of periods is an exact tick count.
+    BUDGET_CONFIG = SequenceConfig(width=96, height=48, tile_cols=2, tile_rows=2, gop_size=10,
+                                   fps_num=500)
+
     def test_session_at_the_tick_budget_stays_under_256_mib(self):
-        config = SequenceConfig(width=96, height=48, tile_cols=2, tile_rows=2, gop_size=10)
         trace = switching_trace(random.Random(15), 6, 6 * T, 12 * T)
-        # Half a tick short of the budget, clear of float error in the tick count.
-        duration_ms = (SESSION_TICK_BUDGET - 1.5) * T
+        # Ticks 0 to SESSION_TICK_BUDGET - 1: exactly the budget.
+        duration_ms = (SESSION_TICK_BUDGET - 1) * self.BUDGET_CONFIG.frame_period_ms
         tracemalloc.start()
         try:
             report = run_session(Scheme(SchemeKind.MULTITRACK, 10, 5), trace, NetworkModel(),
-                                 config, 1, duration_ms=duration_ms)
+                                 self.BUDGET_CONFIG, 1, duration_ms=duration_ms)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert len(report.frames) == SESSION_TICK_BUDGET
         assert peak < 256 << 20
+
+    def test_one_tick_over_the_budget_is_refused_before_allocating(self):
+        trace = switching_trace(random.Random(15), 6, 6 * T, 12 * T)
+        duration_ms = SESSION_TICK_BUDGET * self.BUDGET_CONFIG.frame_period_ms
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLargeError, match="1.05e[+]06 ticks exceed the session tick "
+                                                    "budget 1048576"):
+                run_session(Scheme(SchemeKind.MULTITRACK, 10, 5), trace, NetworkModel(),
+                            self.BUDGET_CONFIG, 1, duration_ms=duration_ms)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_pose_known_past_the_int64_range_is_never_served(self):
         # 1e21 ms is more than 2**63 ticks: the first tick of every switch
@@ -568,6 +586,7 @@ class TestTraceValidation:
         report = run_session(Scheme(SchemeKind.SVC), trace, NetworkModel(uplink_delay_ms=1e21),
                              CONFIG, 1)
         assert [(s.mtp_ms, s.mthq_ms) for s in report.switches] == [(None, None)] * 2
+        assert latency_summary([report])[0]["not_reached"] == 2
 
     def test_nonmonotonic_times(self):
         trace = [(0.0, VIEW_A), (100.0, VIEW_B), (50.0, VIEW_C)]
