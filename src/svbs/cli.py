@@ -50,7 +50,6 @@ from .simulator import (
     latency_summary,
     run_session,  # not called here; perfbench's tracer patches this name
     run_sessions,
-    switch_texts,
     write_report_csv,
     write_report_json,
 )
@@ -313,9 +312,8 @@ def _cmd_simulate(args) -> int:
     outputs = []
     for scheme, report in zip(schemes, reports):
         stem = f"{args.out}.{scheme.label.replace('(', '_').replace(')', '').replace(',', '_')}"
-        texts = switch_texts(report)
-        write_report_json(report, stem + ".json", texts)
-        write_report_csv(report, stem + ".csv", texts)
+        write_report_json(report, stem + ".json")
+        write_report_csv(report, stem + ".csv")
         outputs += [stem + ".json", stem + ".csv"]
     for entry in latency_summary(reports):
         print(json.dumps(entry))

@@ -358,7 +358,7 @@ def check_budgets(config: SequenceConfig, frames: int, *encodes: TrackResolution
     if frames * w * h > CONTENT_PIXEL_BUDGET:
         raise TooLargeError(f"{frames} frames of {w}x{h} exceed the content pixel "
                             f"budget {CONTENT_PIXEL_BUDGET}")
-    grid = config.tile_cols * config.tile_rows
+    grid = config.tile_count
     per_frame = {None: grid + math.prod(config.layer_grid(True)),  # base and enhanced layers
                  TrackResolution.FULL: grid, TrackResolution.BASE: 1}
     for tiles in (per_frame[resolution] for resolution in encodes):

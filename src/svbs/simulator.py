@@ -22,7 +22,8 @@ import statistics
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,8 +90,7 @@ class NetworkModel:
         return 1000.0 * n_bytes / self.bandwidth_bytes_per_s
 
 
-@dataclass(frozen=True)
-class SwitchSample:
+class SwitchSample(NamedTuple):
     t_ms: float
     mtp_ms: float | None
     mthq_ms: float | None  # None = NOT_REACHED
@@ -125,6 +125,17 @@ class SessionReport:
     def total_bytes(self) -> int:
         return sum(sum(streams.values()) for streams in self.seconds.values())
 
+    @cached_property
+    def switch_texts(self) -> list[tuple[str, str | None, str | None]]:
+        """The ``repr`` of each switch's t, MTP and MTHQ (None where absent), the
+        one text of each number that both report writers read.  As -0.0 == 0.0,
+        only a nonzero MTHQ equal to its MTP shares its text."""
+        def text(x):
+            return None if x is None else repr(x)
+        return [(repr(s.t_ms), mtp := text(s.mtp_ms),
+                 mtp if s.mthq_ms == s.mtp_ms and s.mthq_ms else text(s.mthq_ms))
+                for s in self.switches]
+
 
 class _FrameLogs(Sequence):
     """A session's FrameLogs, read-only, each built from its columns when read."""
@@ -156,21 +167,19 @@ def _stream_tables(
     config: SequenceConfig,
     seed: int,
     frames: int,
-    tracks: tuple[tuple[int, TrackResolution], ...] | None,
+    streams: tuple[tuple[int, TrackResolution] | None, ...],
 ):
     """The streams of one scheme, encoded from ``frames`` frames of one
     content, each as its :func:`rate_records` tables (header bytes per frame,
-    bytes per frame and tile) and its bytes per tile outside the region.  ``tracks``
-    None gives an SVC encode's ``base`` and ``enhanced`` layers; otherwise each
-    (gop, resolution) track is one BASE-layer stream.  An ENHANCED layer sends
-    a ``STUB_GROUP_SIZE`` stub per tile outside, any other layer nothing."""
-    check_budgets(config, frames, *([None] if tracks is None else [res for _, res in tracks]))
+    bytes per frame and tile) and its bytes per tile outside the region.  A
+    stream None is an SVC encode's ``base`` and ``enhanced`` layers, a (gop,
+    resolution) track one BASE-layer stream.  An ENHANCED layer sends a
+    ``STUB_GROUP_SIZE`` stub per tile outside, any other layer nothing."""
     source = generate_content(seed, config, frames)
-    streams = ((encode_svc(source),) if tracks is None
-               else (encode_track(source, gop, res) for gop, res in tracks))
+    encoded = (encode_svc(source) if s is None else encode_track(source, *s) for s in streams)
     tables = tuple((np.array(header, np.int64), np.array(tiles, np.int64),
                     STUB_GROUP_SIZE if layer == LayerId.ENHANCED else 0)
-                   for stream in streams for layer, (header, tiles) in rate_records(stream).items())
+                   for stream in encoded for layer, (header, tiles) in rate_records(stream).items())
     for header, tiles, _ in tables:
         header.flags.writeable = tiles.flags.writeable = False
     return tables
@@ -209,7 +218,7 @@ def run_sessions(schemes: Sequence[Scheme], trace: list[tuple[float, Viewport]],
     operations a per-tick loop would do, so the results are the same bits.
     Each distinct tile set is a boolean row of one ``member`` matrix.
     Every scheme's tick budget and size tables are checked first, in scheme
-    order, before anything is allocated; then the sessions run in order,
+    order, before any content is generated; then the sessions run in order,
     reading prefixes of one timeline (tile sets, known poses, tick and second
     boundaries), and each refuses if its own display times overflow.
     """
@@ -226,14 +235,14 @@ def run_sessions(schemes: Sequence[Scheme], trace: list[tuple[float, Viewport]],
     for scheme in schemes:
         if scheme.kind == SchemeKind.SVC:
             names, commit_gop, short_gop = ("base", "enhanced"), 1, 0
-            tracks, settle_ticks, cycle = None, 4, config.gop_size
+            encodes, settle_ticks, cycle = (None,), 4, config.gop_size
         else:
             commit_gop, short_gop = scheme.long_gop, scheme.short_gop
             cycle = math.lcm(commit_gop, short_gop or 1)
             names, settle_ticks = ("low", "long", "short"), commit_gop + short_gop + 4
             # The always-on low track runs at the region track's GOP.
-            tracks = ((commit_gop, TrackResolution.BASE), (commit_gop, TrackResolution.FULL),
-                      (short_gop, TrackResolution.FULL))[:3 if short_gop else 2]
+            encodes = ((commit_gop, TrackResolution.BASE), (commit_gop, TrackResolution.FULL),
+                       (short_gop, TrackResolution.FULL))[:3 if short_gop else 2]
 
         end_ms = times[-1] + settle_ticks * period if duration_ms is None else duration_ms
         last_tick = end_ms / period  # inf below 1 ms per frame: compared before rounding
@@ -241,21 +250,15 @@ def run_sessions(schemes: Sequence[Scheme], trace: list[tuple[float, Viewport]],
             raise TooLargeError(f"{last_tick + 1:.3g} ticks exceed the session tick budget "
                                 f"{SESSION_TICK_BUDGET}")
         n_ticks = max(0, math.ceil(last_tick) + 1)
-        tables = _stream_tables(config, source_seed, max(1, min(cycle, n_ticks)), tracks)
-        plans.append((n_ticks, scheme.label, names, commit_gop, short_gop, cycle, tables))
+        frames = max(1, min(cycle, n_ticks))
+        check_budgets(config, frames, *(None if e is None else e[1] for e in encodes))
+        plans.append((n_ticks, scheme.label, names, commit_gop, short_gop, cycle, frames, encodes))
 
-    # The tile set of every trace entry, one lookup per distinct viewport;
-    # pose_set[i] indexes member's rows, the distinct sets, whose last (-1) is empty.
-    view_set: dict[Viewport, int] = {}
+    # The tile set of every trace entry, through select_tiles' cache; pose_set[i]
+    # indexes member's rows, the distinct sets, whose last (-1) is empty.
     set_ids: dict[frozenset[int], int] = {}
-    pose_set_ids = []
-    for _, vp in trace:
-        set_id = view_set.get(vp)
-        if set_id is None:
-            tiles = select_tiles(vp, projection, config)
-            set_id = view_set[vp] = set_ids.setdefault(tiles, len(set_ids))
-        pose_set_ids.append(set_id)
-    pose_set = np.array(pose_set_ids)
+    pose_set = np.array([set_ids.setdefault(select_tiles(vp, projection, config), len(set_ids))
+                         for _, vp in trace])
     member = np.zeros((len(set_ids) + 1, config.tile_count), bool)
     for tiles, s in set_ids.items():
         member[s, list(tiles)] = True
@@ -276,7 +279,8 @@ def run_sessions(schemes: Sequence[Scheme], trace: list[tuple[float, Viewport]],
         return header + member @ tiles.T + outside * stub
 
     reports = []
-    for n_ticks, label, names, commit_gop, short_gop, cycle, tables in plans:
+    for n_ticks, label, names, commit_gop, short_gop, cycle, frames, encodes in plans:
+        tables = _stream_tables(config, source_seed, frames, encodes)
         ks, known = all_ks[:n_ticks], all_known[:n_ticks]
         j = ks % cycle
         (always_header, always_tiles, _), region_table, *short_table = tables
@@ -382,28 +386,17 @@ def p95(samples: list[float]) -> float:
     return ordered[idx]
 
 
-def switch_texts(report: SessionReport) -> list[tuple[str, str | None, str | None]]:
-    """The ``repr`` of each switch's t, MTP and MTHQ (None where absent), the
-    one text of each number that both report writers read.  As -0.0 == 0.0,
-    only a nonzero MTHQ equal to its MTP shares its text."""
-    def text(x):
-        return None if x is None else repr(x)
-    return [(repr(s.t_ms), mtp := text(s.mtp_ms),
-             mtp if s.mthq_ms == s.mtp_ms and s.mthq_ms else text(s.mthq_ms))
-            for s in report.switches]
-
-
-def write_report_json(report: SessionReport, path, texts=None) -> None:
+def write_report_json(report: SessionReport, path) -> None:
     """Write one JSON object on one line, as ``json.dumps`` writes it, and a
     newline: scheme, frame_period_ms, switches (each t_ms, mtp_ms and mthq_ms,
     null where absent), seconds (second to stream to bytes) and total_bytes.
-    The switches are joined from ``texts`` (by default :func:`switch_texts`);
-    the per-second table is one call of the C encoder."""
+    The switches are joined from :attr:`SessionReport.switch_texts`; the
+    per-second table is one call of the C encoder."""
     # JSON's spelling of the texts repr gives absent and non-finite numbers.
     j = {None: "null", "inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}.get
     switches = ", ".join(
         f'{{"t_ms": {j(t, t)}, "mtp_ms": {j(mtp, mtp)}, "mthq_ms": {j(mthq, mthq)}}}'
-        for t, mtp, mthq in texts or switch_texts(report))
+        for t, mtp, mthq in report.switch_texts)
     seconds = {str(sec): dict(streams) for sec, streams in sorted(report.seconds.items())}
     head = json.dumps({"scheme": report.scheme_label, "frame_period_ms": report.frame_period_ms})
     tail = json.dumps({"seconds": seconds, "total_bytes": report.total_bytes})
@@ -417,15 +410,15 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[:-len(",0\r\n")]
 
 
-def write_report_csv(report: SessionReport, path, texts=None) -> None:
-    """Flat CSV: one row per switch, its numbers from ``texts`` (by default
-    :func:`switch_texts`), one row per second per stream, as ``csv.writer``
-    writes them.  The label and each distinct stream name are quoted once."""
+def write_report_csv(report: SessionReport, path) -> None:
+    """Flat CSV: one row per switch from :attr:`SessionReport.switch_texts`,
+    one row per second per stream, as ``csv.writer`` writes them.  The label
+    and each distinct stream name are quoted once."""
     label = _csv_field(report.scheme_label)
     names = {name: _csv_field(name) for name in set().union(*report.seconds.values())}
     rows = ["row,scheme,t_ms,mtp_ms,mthq_ms,second,stream,bytes\r\n"]
     rows += [f"switch,{label},{t},{mtp or ''},{mthq or NOT_REACHED},,,\r\n"
-             for t, mtp, mthq in texts or switch_texts(report)]
+             for t, mtp, mthq in report.switch_texts]
     rows += [f"second,{label},,,,{sec},{names[name]},{n}\r\n"
              for sec, streams in sorted(report.seconds.items())
              for name, n in sorted(streams.items())]

@@ -528,11 +528,13 @@ class TestTraceValidation:
             tracemalloc.stop()
         assert peak < 1 << 20
 
-    def test_over_tile_budget_generates_nothing(self, monkeypatch):
+    @pytest.mark.parametrize("first", [[], [Scheme(SchemeKind.SVC)]], ids=["alone", "after-svc"])
+    def test_over_tile_budget_generates_nothing(self, monkeypatch, first):
         # The 100-frame cycle's FULL track has 65,025 tiles a frame; 26 MB of
         # content, under the content budget, but over the encoded tile budget.
+        # An earlier scheme within its budgets generates nothing either.
         config = SequenceConfig(width=510, height=510, tile_cols=255, tile_rows=255, gop_size=30)
-        schemes = [Scheme(SchemeKind.MULTITRACK, 100, 0)]
+        schemes = [*first, Scheme(SchemeKind.MULTITRACK, 100, 0)]
         calls = []
         monkeypatch.setattr(simulator, "generate_content", lambda *args: calls.append(args))
         tracemalloc.start()
